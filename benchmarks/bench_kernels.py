@@ -39,8 +39,7 @@ def kernel_cases(order):
         ("beta_phi_scalar x200", lambda: [_kernels.beta_phi_scalar(1.5, k, 0.9) for k in range(200)]),
         ("alpha_phi0 on 512 radii", lambda: _kernels.alpha_phi0(0.5, r_grid)),
         ("bernardi_tail on 512 radii", lambda: _kernels.bernardi_tail(1, 1.0, r_grid)),
-        ("binomial_transform(order)", lambda: _kernels.binomial_transform(0.35, order)),
-        ("blaschke_series(5 zeros)", lambda: _kernels.blaschke_series(zeros, 1.0 + 0j, order)),
+        ("blaschke_series(5 zeros, gamma=0.5)", lambda: _kernels.blaschke_series(zeros, 1.0 + 0j, order, 0.5)),
     ]
 
 
@@ -57,13 +56,12 @@ def suite_cell_case():
 def clear_caches():
     # per-backend results are cached at the weights/bohr layer; drop them so
     # each backend does its own work
-    from bohrad import bohr, series, weights
+    from bohrad import bohr, weights
 
     weights._phi_vector_cached.cache_clear()
     weights.phi_tail_mass.cache_clear()
     bohr._phi_matrix.cache_clear()
     bohr._tail_allowance.cache_clear()
-    series._affine_matrix.cache_clear()
 
 
 def main():

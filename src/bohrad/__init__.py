@@ -44,7 +44,6 @@ from .series import (
     DomainParams,
     Extremal,
     Raw,
-    affine_compose,
     blaschke_coefficients,
     coefficients_of,
     extremal_coefficients,

@@ -1,9 +1,10 @@
-"""Hot numeric kernels, each with a numba-jitted and a pure-numpy twin.
+"""Hot numeric kernels.
 
-The jitted path is used when numba imports successfully and the environment
-variable ``BOHR_NUMBA`` is not set to ``0``/``false``/``off``.  Both paths
-implement identical recurrences; they may differ in the last few ulps because
-of summation order, never more.
+The weight kernels each have a numba-jitted and a pure-numpy twin.  The jitted
+path is used when numba imports successfully and the environment variable
+``BOHR_NUMBA`` is not set to ``0``/``false``/``off``.  Both paths implement
+identical recurrences; they may differ in the last few ulps because of
+summation order, never more.  The Blaschke kernel is vectorised numpy only.
 
 Series kernels certify their truncation: term recurrences run until the next
 term is below 1e-16 of the accumulated sum and a ratio-test bound puts the
@@ -16,7 +17,6 @@ from __future__ import annotations
 import os
 
 import numpy as np
-from scipy.signal import lfilter
 
 try:
     from numba import njit
@@ -201,29 +201,30 @@ def _bernardi_tail_np(m, delta, r):
 
 
 # ---------------------------------------------------------------------------
-# binomial transform of the affine map z -> (1-gamma) z + gamma:
-# T[k, j] = C(k, j) (1-gamma)^j gamma^(k-j), built by the Pascal recurrence
-# (entries are binomial probabilities, so no overflow for any order).
+# Blaschke products pre-composed with the affine map w = (1-gamma) z + gamma.
+# In z the factor (w - a)/(1 - conj(a) w) is (u + v z)/(1 - q z), where
+# d = 1 - conj(a) gamma, u = (gamma - a)/d, v = (1-gamma)/d and
+# q = conj(a) (1-gamma)/d with |q| <= |a| < 1.  Each factor is folded in
+# exactly: the two-tap numerator, then y_n = q y_(n-1) + x_n as a log-depth
+# scan (after the pass at shift d, y_n = sum_{j < 2d} q^j x_(n-j)).
+# gamma = 0 is the plain product on the unit disk.
 
-def _binomial_transform_np(gamma, order):
-    t = np.zeros((order + 1, order + 1))
-    t[0, 0] = 1.0
-    for k in range(1, order + 1):
-        t[k, 1 : k + 1] = (1.0 - gamma) * t[k - 1, :k]
-        t[k, : k + 1] += gamma * t[k - 1, : k + 1]
-    return t
-
-
-# ---------------------------------------------------------------------------
-# Blaschke products: multiply the running series by (z - a)/(1 - conj(a) z)
-# through the exact recurrence t_n = conj(a) t_(n-1) + s_(n-1) - a s_n.
-
-def _blaschke_series_np(zeros, rotation, order):
+def _blaschke_series_np(zeros, rotation, order, gamma):
     s = np.zeros(order + 1, dtype=np.complex128)
-    s[0] = 1.0
+    s[0] = rotation
     for a in zeros:
-        s = lfilter(np.array([-a, 1.0]), np.array([1.0, -np.conj(a)]), s)
-    return rotation * s
+        ac = a.conjugate()
+        d = 1.0 - ac * gamma
+        x = ((gamma - a) / d) * s
+        x[1:] += ((1.0 - gamma) / d) * s[:-1]
+        q = ac * (1.0 - gamma) / d
+        shift = 1
+        while shift <= order:
+            x[shift:] += q * x[:-shift]
+            q *= q
+            shift *= 2
+        s = x
+    return s
 
 
 if HAVE_NUMBA:
@@ -349,33 +350,6 @@ if HAVE_NUMBA:
             out[i] = acc
         return out
 
-    @njit(cache=True)
-    def _binomial_transform_nb(gamma, order):  # pragma: no cover
-        t = np.zeros((order + 1, order + 1))
-        t[0, 0] = 1.0
-        for k in range(1, order + 1):
-            for j in range(k, 0, -1):
-                t[k, j] = gamma * t[k - 1, j] + (1.0 - gamma) * t[k - 1, j - 1]
-            t[k, 0] = gamma * t[k - 1, 0]
-        return t
-
-    @njit(cache=True)
-    def _blaschke_series_nb(zeros, rotation, order):  # pragma: no cover
-        s = np.zeros(order + 1, dtype=np.complex128)
-        s[0] = 1.0 + 0.0j
-        t = np.empty(order + 1, dtype=np.complex128)
-        for i in range(zeros.shape[0]):
-            a = zeros[i]
-            ac = np.conj(a)
-            prev_s = 0.0 + 0.0j
-            prev_t = 0.0 + 0.0j
-            for n in range(order + 1):
-                t[n] = ac * prev_t + prev_s - a * s[n]
-                prev_s = s[n]
-                prev_t = t[n]
-            s, t = t, s
-        return rotation * s
-
 
 # ---------------------------------------------------------------------------
 # dispatching wrappers
@@ -425,22 +399,14 @@ def bernardi_tail(m: int, delta: float, r: np.ndarray) -> np.ndarray:
     return out.reshape(r.shape)
 
 
-def binomial_transform(gamma: float, order: int) -> np.ndarray:
-    """Matrix T with T[k, j] the z^j coefficient of ((1-gamma) z + gamma)^k."""
-    if use_numba():
-        return _binomial_transform_nb(float(gamma), int(order))
-    return _binomial_transform_np(float(gamma), int(order))
-
-
-def blaschke_series(zeros: np.ndarray, rotation: complex, order: int) -> np.ndarray:
-    zeros = np.ascontiguousarray(zeros, dtype=np.complex128)
-    if use_numba():
-        return _blaschke_series_nb(zeros, complex(rotation), int(order))
-    return _blaschke_series_np(zeros, complex(rotation), int(order))
+def blaschke_series(zeros, rotation: complex, order: int, gamma: float = 0.0) -> np.ndarray:
+    """Coefficients of rotation * prod (w - a)/(1 - conj(a) w), w = (1-gamma) z + gamma."""
+    zeros = [complex(a) for a in zeros]
+    return _blaschke_series_np(zeros, complex(rotation), int(order), float(gamma))
 
 
 def warmup() -> None:
-    """Trigger jit compilation of every kernel (no-op on the numpy path)."""
+    """Trigger jit compilation of every jitted kernel (no-op on the numpy path)."""
     r = np.array([0.0, 0.5])
     beta_phi_table(1.5, 0.5, 4)
     alpha_phi_table(0.5, 0.5, 4)
@@ -448,5 +414,3 @@ def warmup() -> None:
     alpha_phi_scalar(0.5, 2, 0.5)
     alpha_phi0(0.5, r)
     bernardi_tail(1, 1.0, r)
-    binomial_transform(0.3, 4)
-    blaschke_series(np.array([0.3 + 0.1j]), 1.0 + 0.0j, 4)

@@ -4,22 +4,23 @@ The domain is the disk Omega(gamma) = { z : |z + gamma/(1-gamma)| < 1/(1-gamma) 
 for 0 <= gamma < 1; gamma = 0 recovers the unit disk.  Every function here is
 represented by the Taylor coefficients of its restriction to the unit disk.
 
-Three generators are provided:
+Three generators are provided, each exact up to rounding:
 
 * ``extremal_coefficients`` — the Mobius map of Omega(gamma) onto the disk,
   ``(a - gamma - (1-gamma) z) / (1 - a gamma - a (1-gamma) z)``, whose
   coefficients decay like q^k with q = a (1-gamma) / (1 - a gamma);
-* ``blaschke_coefficients`` — finite Blaschke products on the unit disk,
-  coefficients decaying like max|zero|^k;
-* ``affine_compose`` — pre-composition with the affine map
-  w = (1-gamma) z + gamma that sends Omega(gamma) onto the unit disk, turning
-  any unit-bounded disk function into a member over Omega(gamma).
+* ``coefficients_of(BlaschkeComposed(...))`` — a finite Blaschke product
+  pre-composed with the affine map w = (1-gamma) z + gamma that sends
+  Omega(gamma) onto the unit disk.  Composed with w, each factor is again a
+  first-order rational function of z, so the coefficients are generated factor
+  by factor with no truncate-then-compose step;
+* ``blaschke_coefficients`` — its gamma = 0 case, finite Blaschke products on
+  the unit disk, coefficients decaying like max|zero|^k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -151,28 +152,11 @@ def extremal_coefficients(domain: DomainParams, a: float, order: int) -> Coeffic
     return CoefficientSeries(c)
 
 
-@lru_cache(maxsize=64)
-def _affine_matrix(gamma: float, order: int) -> np.ndarray:
-    return _kernels.binomial_transform(gamma, order)
-
-
-def affine_compose(outer: CoefficientSeries, domain: DomainParams) -> CoefficientSeries:
-    """Coefficients of z -> F((1-gamma) z + gamma) given the coefficients of F.
-
-    Exact binomial accumulation: each power ((1-gamma) z + gamma)^k contributes
-    its expansion row; gamma = 0 is the identity.
-    """
-    if domain.gamma == 0.0:
-        return outer
-    t = _affine_matrix(domain.gamma, outer.order)
-    return CoefficientSeries(outer.coefficients @ t)
-
-
 def blaschke_coefficients(zeros, rotation: complex, order: int) -> CoefficientSeries:
     """Taylor coefficients of rotation * prod (z - z_i)/(1 - conj(z_i) z).
 
     Each factor is folded in by exact series division against its two-term
-    denominator, so the cost is linear in the truncation order per zero.
+    denominator, in ceil(log2(order+1)) vectorised passes per zero.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -190,8 +174,8 @@ def coefficients_of(f: BoundedFunction, order: int) -> CoefficientSeries:
     if isinstance(f, Extremal):
         return extremal_coefficients(f.domain, f.a, order)
     if isinstance(f, BlaschkeComposed):
-        disk = blaschke_coefficients(f.zeros, f.rotation, order)
-        return affine_compose(disk, f.domain)
+        # the descriptor validated its zeros and rotation on construction
+        return CoefficientSeries(_kernels.blaschke_series(f.zeros, f.rotation, order, f.domain.gamma))
     if isinstance(f, Raw):
         return f.series.padded(order)
     raise TypeError(f"not a bounded-function descriptor: {f!r}")
@@ -206,7 +190,7 @@ def evaluate_direct(f: BoundedFunction, z: complex) -> complex:
         w = (1.0 - f.domain.gamma) * z + f.domain.gamma
         val = f.rotation
         for zero in f.zeros:
-            val *= (w - zero) / (1.0 - np.conj(zero) * w)
+            val *= (w - zero) / (1.0 - zero.conjugate() * w)
         return complex(val)
     if isinstance(f, Raw):
         return f.series.evaluate(z)
@@ -214,12 +198,14 @@ def evaluate_direct(f: BoundedFunction, z: complex) -> complex:
 
 
 def coefficient_cap(f: BoundedFunction, order: int) -> float:
-    """Certified bound on |c_k| for k > order (0 for Raw: the series is finite)."""
+    """Certified bound on |c_k| for k > order (0 for Raw: the series is finite).
+
+    Members of the bounded class on Omega(gamma) satisfy
+    |c_k| <= (1 - |f(0)|^2)/(1 + gamma) for every k >= 1.
+    """
     if isinstance(f, Raw):
         return 0.0
-    c = coefficients_of(f, 0)
-    gamma = f.domain.gamma
-    return (1.0 - abs(c.coefficients[0]) ** 2) / (1.0 + gamma)
+    return (1.0 - abs(evaluate_direct(f, 0.0)) ** 2) / (1.0 + f.domain.gamma)
 
 
 def tail_bound(f: BoundedFunction, r: float, order: int) -> float:

@@ -61,20 +61,6 @@ def test_array_kernels_backends_agree(both_backends):
     np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-300)
 
 
-@requires_numba
-def test_binomial_transform_backends_identical(both_backends):
-    a, b = both_backends(_kernels.binomial_transform, 0.35, 60)
-    # same recurrence, same operation order: bit identical
-    assert np.array_equal(a, b)
-
-
-@requires_numba
-def test_blaschke_series_backends_agree(both_backends):
-    zeros = np.array([0.3 + 0.4j, -0.5j, 0.72])
-    a, b = both_backends(_kernels.blaschke_series, zeros, np.exp(0.3j), 100)
-    np.testing.assert_allclose(a, b, rtol=0, atol=1e-14)
-
-
 def test_env_flag_selects_numpy(monkeypatch):
     monkeypatch.setattr(_kernels, "_FORCED", None)
     monkeypatch.setattr(_kernels, "_ENV_DISABLED", True)

@@ -1,5 +1,6 @@
-"""Core series generators: extremal map, affine composition, Blaschke products."""
+"""Core series generators: extremal map, composed and disk Blaschke products."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +12,8 @@ from bohrad.series import (
     DomainParams,
     Extremal,
     Raw,
-    affine_compose,
     blaschke_coefficients,
+    coefficient_cap,
     coefficients_of,
     evaluate_direct,
     extremal_coefficients,
@@ -77,36 +78,106 @@ class TestExtremalCoefficients:
             assert abs(got - expected) <= tail_bound(f, abs(z), 300) + 1e-14
 
 
-class TestAffineCompose:
+def composed_taylor(zeros, rotation, gamma, order):
+    """mpmath Taylor coefficients of the composed product at 40 digits."""
+    g = mpmath.mpf(gamma)
+
+    def f(z):
+        w = (1 - g) * z + g
+        val = mpmath.mpc(rotation)
+        for a in zeros:
+            a = mpmath.mpc(a)
+            val *= (w - a) / (1 - mpmath.conj(a) * w)
+        return val
+
+    with mpmath.workdps(40):
+        return np.array([complex(c) for c in mpmath.taylor(f, 0, order)])
+
+
+class TestComposedBlaschke:
     def test_identity_function(self):
-        out = affine_compose(CoefficientSeries([0.0, 1.0]), DomainParams(0.3))
-        np.testing.assert_allclose(out.coefficients, [0.3, 0.7], atol=1e-15)
+        # a single zero at the origin leaves w = (1-gamma) z + gamma itself
+        out = coefficients_of(BlaschkeComposed(DomainParams(0.3), (0.0,), 1.0), 3)
+        np.testing.assert_allclose(out.coefficients, [0.3, 0.7, 0.0, 0.0], atol=1e-15)
 
     def test_gamma_zero_is_identity(self):
-        s = CoefficientSeries([0.0, 0.0, 1.0])
-        out = affine_compose(s, DomainParams(0.0))
-        np.testing.assert_array_equal(out.coefficients, s.coefficients)
+        zeros, rotation = (0.5, 0.2j, -0.7 + 0.1j), np.exp(0.4j)
+        out = coefficients_of(BlaschkeComposed(DomainParams(0.0), zeros, rotation), 40)
+        expected = blaschke_coefficients(zeros, rotation, 40)
+        np.testing.assert_array_equal(out.coefficients, expected.coefficients)
 
-    @given(st.lists(st.floats(-1, 1), min_size=1, max_size=8), st.floats(0, 0.99))
+    @given(
+        st.lists(st.complex_numbers(max_magnitude=0.95, allow_nan=False), max_size=5),
+        st.floats(0, 2 * np.pi),
+    )
     @settings(max_examples=50, deadline=None)
-    def test_gamma_zero_identity_property(self, coeffs, _):
-        s = CoefficientSeries(coeffs)
-        out = affine_compose(s, DomainParams(0.0))
-        np.testing.assert_array_equal(out.coefficients, s.coefficients)
+    def test_gamma_zero_identity_property(self, zeros, theta):
+        rotation = np.exp(1j * theta)
+        out = coefficients_of(BlaschkeComposed(DomainParams(0.0), tuple(zeros), rotation), 30)
+        expected = blaschke_coefficients(zeros, rotation, 30)
+        np.testing.assert_array_equal(out.coefficients, expected.coefficients)
 
     def test_disk_automorphism_reproduces_extremal(self):
-        # composing (a - w)/(1 - a w) with w = (1-g) z + g equals the extremal
-        # map; the outer expansion carries enough terms (a^200 ~ 1e-45) that
-        # the first 31 composed coefficients are exact to a tolerance far
-        # below 1e-12
-        a, gamma = 0.6, 0.35
-        k = np.arange(201)
-        phi_a = np.concatenate(([a], -(1 - a * a) * a ** (k[1:] - 1.0)))
-        composed = affine_compose(CoefficientSeries(phi_a), DomainParams(gamma))
-        expected = extremal_coefficients(DomainParams(gamma), a, 30)
-        np.testing.assert_allclose(
-            composed.coefficients[:31], expected.coefficients, rtol=0, atol=1e-12
-        )
+        # -(w - a)/(1 - a w) = (a - w)/(1 - a w) composed with w is the
+        # extremal map, term for term
+        for gamma in (0.0, 0.35, 0.9):
+            for a in (0.0, 0.6, 0.99):
+                domain = DomainParams(gamma)
+                composed = coefficients_of(BlaschkeComposed(domain, (a,), -1.0), 200)
+                expected = extremal_coefficients(domain, a, 200)
+                np.testing.assert_allclose(
+                    composed.coefficients, expected.coefficients, rtol=0, atol=1e-15
+                )
+
+    @given(
+        st.lists(
+            st.tuples(st.floats(0.0, 0.99), st.floats(0, 2 * np.pi), st.integers(1, 3)),
+            max_size=3,
+        ),
+        st.floats(0.0, 0.95),
+        st.floats(0, 2 * np.pi),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_mpmath_taylor(self, spec, gamma, theta):
+        # each drawn zero repeats 1-3 times: repeated zeros are the worst case
+        zeros = tuple(rad * np.exp(1j * ang) for rad, ang, times in spec for _ in range(times))
+        rotation = np.exp(1j * theta)
+        got = coefficients_of(BlaschkeComposed(DomainParams(gamma), zeros, rotation), 40)
+        expected = composed_taylor(zeros, rotation, gamma, 40)
+        np.testing.assert_allclose(got.coefficients, expected, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("gamma", [0.5, 0.9])
+    def test_series_within_tail_bound_near_circle(self, gamma):
+        # blaschke:0.99 in the CLI; truncating before composing put errors of
+        # 4.0e-3 (gamma 0.5) and 1.3e-2 (gamma 0.9) on the coefficients,
+        # far above a tail bound near 1e-62 at |z| = 0.5 and 1e-9 at 0.9
+        f = BlaschkeComposed(DomainParams(gamma), (0.99,), 1.0)
+        series = coefficients_of(f, 200)
+        for z in (0.5, -0.5, 0.3 + 0.4j, 0.9, -0.9j, 0.6 + 0.6j):
+            err = abs(series.evaluate(z) - evaluate_direct(f, z))
+            assert err <= tail_bound(f, abs(z), 200) + 1e-14
+
+
+class TestCoefficientCap:
+    @pytest.mark.parametrize("gamma", [0.5, 0.9])
+    @pytest.mark.parametrize(
+        "zeros", [(0.99,), (0.3 + 0.2j, -0.6, 0.1j), (0.8j, 0.8j, -0.5)]
+    )
+    def test_cap_is_closed_form_and_bounds_coefficients(self, gamma, zeros):
+        # the cap uses f(0) = B(gamma), not B(0): (1 - |B(gamma)|^2)/(1 + gamma)
+        f = BlaschkeComposed(DomainParams(gamma), zeros, np.exp(0.3j))
+        b_gamma = np.exp(0.3j) * np.prod([(gamma - a) / (1 - np.conj(a) * gamma) for a in zeros])
+        cap = coefficient_cap(f, 200)
+        assert cap == pytest.approx((1 - abs(b_gamma) ** 2) / (1 + gamma), rel=1e-14)
+        c = coefficients_of(f, 200).coefficients
+        assert np.max(np.abs(c[1:])) <= cap * (1 + 1e-12)
+
+    def test_single_zero_attains_cap(self):
+        # blaschke:0.99 at gamma 0.9: the cap read 0.0105 from B(0), under |c_1| = 0.1675
+        f = BlaschkeComposed(DomainParams(0.9), (0.99,), 1.0)
+        c1 = abs(coefficients_of(f, 1).coefficients[1])
+        assert coefficient_cap(f, 200) == pytest.approx(c1, rel=1e-12)
+        assert c1 == pytest.approx(0.1675, abs=1e-4)
 
 
 class TestBlaschkeCoefficients:
