@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Benchmark the numba-jitted kernels against their pure-numpy fallbacks.
+"""Time the numeric kernels (best of N repeats).
 
 Usage:
     python benchmarks/bench_kernels.py [--repeats N] [--order M]
@@ -54,8 +54,8 @@ def suite_cell_case():
 
 
 def clear_caches():
-    # per-backend results are cached at the weights/bohr layer; drop them so
-    # each backend does its own work
+    # results are cached at the weights/bohr layer; drop them so each repeat
+    # does the whole cell
     from bohrad import bohr, weights
 
     weights._phi_vector_cached.cache_clear()
@@ -70,46 +70,23 @@ def main():
     parser.add_argument("--order", type=int, default=200)
     args = parser.parse_args()
 
-    backends = ["numpy"]
-    if _kernels.HAVE_NUMBA:
-        backends.append("numba")
-        _kernels.set_backend("numba")
-        _kernels.warmup()
-    else:
-        print("numba not importable: benchmarking the numpy path only")
-
     rows = []
     for name, fn in kernel_cases(args.order):
-        timings = {}
-        for backend in backends:
-            _kernels.set_backend(backend)
-            fn()  # warm (jit compile / allocator)
-            timings[backend] = best_of(fn, args.repeats)
-        rows.append((name, timings))
+        fn()  # warm the allocator
+        rows.append((name, best_of(fn, args.repeats)))
 
     cell = suite_cell_case()
-    timings = {}
-    for backend in backends:
-        _kernels.set_backend(backend)
-        clear_caches()
-        cell()
-        clear_caches()
-        timings[backend] = best_of(lambda: (clear_caches(), cell()), max(2, args.repeats // 2))
-    rows.append(("verification cell (200 fns x 2 families)", timings))
-    _kernels.set_backend(None)
+    clear_caches()
+    cell()
+    rows.append(("verification cell (200 fns x 2 families)",
+                 best_of(lambda: (clear_caches(), cell()), max(2, args.repeats // 2))))
 
     width = max(len(name) for name, _ in rows)
-    header = f"{'kernel':<{width}}  {'numpy':>12}"
-    if "numba" in backends:
-        header += f"  {'numba':>12}  {'speedup':>8}"
+    header = f"{'kernel':<{width}}  {'time':>12}"
     print(header)
     print("-" * len(header))
-    for name, timings in rows:
-        line = f"{name:<{width}}  {timings['numpy'] * 1e6:>10.1f}us"
-        if "numba" in timings:
-            speedup = timings["numpy"] / timings["numba"]
-            line += f"  {timings['numba'] * 1e6:>10.1f}us  {speedup:>7.2f}x"
-        print(line)
+    for name, seconds in rows:
+        print(f"{name:<{width}}  {seconds * 1e6:>10.1f}us")
 
 
 if __name__ == "__main__":

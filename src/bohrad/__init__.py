@@ -2,7 +2,6 @@
 
 __version__ = "0.1.0"
 
-from ._kernels import active_backend, set_backend
 from .bohr import (
     BohrReport,
     ExtremalMargin,
@@ -57,6 +56,7 @@ from .weights import (
     EvenPowers,
     Linear,
     LinearPlusOne,
+    MonomialFamily,
     OddPowers,
     PowerTail,
     Quadratic,

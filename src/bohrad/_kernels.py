@@ -1,10 +1,9 @@
-"""Hot numeric kernels.
+"""Hot numeric kernels, one numpy implementation each.
 
-The weight kernels each have a numba-jitted and a pure-numpy twin.  The jitted
-path is used when numba imports successfully and the environment variable
-``BOHR_NUMBA`` is not set to ``0``/``false``/``off``.  Both paths implement
-identical recurrences; they may differ in the last few ulps because of
-summation order, never more.  The Blaschke kernel is vectorised numpy only.
+The weight tables are correlations of two recurrence-built sequences; the
+scalar weights are the literal term loops with their stopping rule; phi_0 of
+the alpha-Cesaro family and the Bernardi tail are summed in blocks of 128
+terms over all radii at once; the Blaschke kernel is a log-depth scan.
 
 Series kernels certify their truncation: term recurrences run until the next
 term is below 1e-16 of the accumulated sum and a ratio-test bound puts the
@@ -14,48 +13,14 @@ recurrence, never from Gamma values, so there is no overflow for large index.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-_ENV_DISABLED = os.environ.get("BOHR_NUMBA", "1").strip().lower() in ("0", "false", "off")
-_FORCED: str | None = None
 
 _MAX_TERMS = 4_000_000
 _NONCONV = "weight series did not converge: r is too close to 1 for this family"
 
 
-def use_numba() -> bool:
-    if _FORCED == "numba":
-        return True
-    if _FORCED == "numpy":
-        return False
-    return HAVE_NUMBA and not _ENV_DISABLED
-
-
-def active_backend() -> str:
-    return "numba" if use_numba() else "numpy"
-
-
-def set_backend(name: str | None) -> None:
-    """Force 'numba' or 'numpy'; None restores env-based selection."""
-    global _FORCED
-    if name not in (None, "numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba is not importable")
-    _FORCED = name
-
-
 # ---------------------------------------------------------------------------
-# term-count selection (shared between backends)
+# term-count selection for the tables
 
 def _beta_nterms(beta: float, r: float) -> int:
     """Terms needed so the beta-Cesaro phi series tail is below 1e-16."""
@@ -90,7 +55,10 @@ def _alpha_nterms(alpha: float, r: float) -> int:
 # beta-Cesaro weights: phi_n(r) = sum_j G_j(beta) r^(n+j) / (n+j+1),
 # G_j the ratio Gamma(j+beta)/(Gamma(j+1)Gamma(beta)) built by recurrence.
 
-def _beta_phi_table_np(beta, r, order, nterms):
+def beta_phi_table(beta: float, r: float, order: int) -> np.ndarray:
+    """Vector [phi_0(r), ..., phi_order(r)] for the beta-Cesaro weight family."""
+    beta, r, order = float(beta), float(r), int(order)
+    nterms = _beta_nterms(beta, r)
     j = np.arange(1, nterms + 1)
     g = np.empty(nterms + 1)
     g[0] = 1.0
@@ -100,7 +68,8 @@ def _beta_phi_table_np(beta, r, order, nterms):
     return np.correlate(u, g, mode="valid")
 
 
-def _beta_phi_scalar_py(beta, k, r):
+def beta_phi_scalar(beta: float, k: int, r: float) -> float:
+    beta, k, r = float(beta), int(k), float(r)
     if r == 0.0:
         return 1.0 if k == 0 else 0.0
     acc = 0.0
@@ -123,7 +92,10 @@ def _beta_phi_scalar_py(beta, k, r):
 # alpha-Cesaro weights: phi_n(r) = sum_j A_j^alpha r^(n+j) / A_(n+j)^(alpha+1)
 # with Pochhammer ratios A_k^a = (a+1)_k / k! by recurrence.
 
-def _alpha_phi_table_np(alpha, r, order, nterms):
+def alpha_phi_table(alpha: float, r: float, order: int) -> np.ndarray:
+    """Vector [phi_0(r), ..., phi_order(r)] for the alpha-Cesaro weight family."""
+    alpha, r, order = float(alpha), float(r), int(order)
+    nterms = _alpha_nterms(alpha, r)
     j = np.arange(1, nterms + 1)
     w = np.empty(nterms + 1)
     w[0] = 1.0
@@ -135,7 +107,8 @@ def _alpha_phi_table_np(alpha, r, order, nterms):
     return np.correlate(u, w, mode="valid")
 
 
-def _alpha_phi_scalar_py(alpha, k, r):
+def alpha_phi_scalar(alpha: float, k: int, r: float) -> float:
+    alpha, k, r = float(alpha), int(k), float(r)
     if r == 0.0:
         return 1.0 if k == 0 else 0.0
     # c tracks A_j^alpha r^(k+j) / A_(k+j)^(alpha+1), single running product
@@ -157,7 +130,12 @@ def _alpha_phi_scalar_py(alpha, k, r):
             raise RuntimeError(_NONCONV)
 
 
-def _alpha_phi0_np(alpha, r):
+def alpha_phi0(alpha: float, r: np.ndarray) -> np.ndarray:
+    """phi_0 = (1+alpha) sum_k r^k / (k+alpha+1) at every point of r."""
+    alpha = float(alpha)
+    r = np.ascontiguousarray(r, dtype=np.float64)
+    shape = r.shape
+    r = r.ravel()
     out = np.zeros_like(r)
     rpow = np.ones_like(r)
     rmax = float(r.max()) if r.size else 0.0
@@ -174,13 +152,17 @@ def _alpha_phi0_np(alpha, r):
             break
         if k0 > _MAX_TERMS:
             raise RuntimeError(_NONCONV)
-    return out
+    return out.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
 # Bernardi weights: tail sum_{n>=1} r^(n+m) / (n+m+delta)
 
-def _bernardi_tail_np(m, delta, r):
+def bernardi_tail(m: int, delta: float, r: np.ndarray) -> np.ndarray:
+    m, delta = float(m), float(delta)
+    r = np.ascontiguousarray(r, dtype=np.float64)
+    shape = r.shape
+    r = r.ravel()
     out = np.zeros_like(r)
     rpow = r ** (m + 1.0)
     rmax = float(r.max()) if r.size else 0.0
@@ -197,7 +179,7 @@ def _bernardi_tail_np(m, delta, r):
             break
         if n0 > _MAX_TERMS:
             raise RuntimeError(_NONCONV)
-    return out
+    return out.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +191,13 @@ def _bernardi_tail_np(m, delta, r):
 # scan (after the pass at shift d, y_n = sum_{j < 2d} q^j x_(n-j)).
 # gamma = 0 is the plain product on the unit disk.
 
-def _blaschke_series_np(zeros, rotation, order, gamma):
+def blaschke_series(zeros, rotation: complex, order: int, gamma: float = 0.0) -> np.ndarray:
+    """Coefficients of rotation * prod (w - a)/(1 - conj(a) w), w = (1-gamma) z + gamma."""
+    order, gamma = int(order), float(gamma)
     s = np.zeros(order + 1, dtype=np.complex128)
-    s[0] = rotation
+    s[0] = complex(rotation)
     for a in zeros:
+        a = complex(a)
         ac = a.conjugate()
         d = 1.0 - ac * gamma
         x = ((gamma - a) / d) * s
@@ -225,192 +210,3 @@ def _blaschke_series_np(zeros, rotation, order, gamma):
             shift *= 2
         s = x
     return s
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True, fastmath=True)  # fastmath: let the dot loops vectorize
-    def _beta_phi_table_nb(beta, r, order, nterms):  # pragma: no cover - jitted
-        g = np.empty(nterms + 1)
-        g[0] = 1.0
-        for j in range(1, nterms + 1):
-            g[j] = g[j - 1] * (j - 1.0 + beta) / j
-        u = np.empty(order + nterms + 1)
-        rk = 1.0
-        for k in range(order + nterms + 1):
-            u[k] = rk / (k + 1.0)
-            rk *= r
-        out = np.empty(order + 1)
-        for n in range(order + 1):
-            s = 0.0
-            for j in range(nterms + 1):
-                s += u[n + j] * g[j]
-            out[n] = s
-        return out
-
-    @njit(cache=True, fastmath=True)
-    def _alpha_phi_table_nb(alpha, r, order, nterms):  # pragma: no cover
-        w = np.empty(nterms + 1)
-        w[0] = 1.0
-        for j in range(1, nterms + 1):
-            w[j] = w[j - 1] * (alpha + j) / j
-        u = np.empty(order + nterms + 1)
-        u[0] = 1.0
-        for k in range(1, order + nterms + 1):
-            u[k] = u[k - 1] * r * k / (alpha + 1.0 + k)
-        out = np.empty(order + 1)
-        for n in range(order + 1):
-            s = 0.0
-            for j in range(nterms + 1):
-                s += u[n + j] * w[j]
-            out[n] = s
-        return out
-
-    @njit(cache=True)
-    def _beta_phi_scalar_nb(beta, k, r):  # pragma: no cover
-        if r == 0.0:
-            return 1.0 if k == 0 else 0.0
-        acc = 0.0
-        c = r ** k
-        j = 0
-        while True:
-            term = c / (k + j + 1.0)
-            acc += term
-            j += 1
-            c *= (j - 1.0 + beta) * r / j
-            if term <= 1e-16 * acc:
-                rho = r * max(1.0, (j + beta) / (j + 1.0))
-                if rho < 1.0 and c / ((k + j + 1.0) * (1.0 - rho)) < 1e-14:
-                    return acc
-            if j > _MAX_TERMS:
-                raise RuntimeError(_NONCONV)
-
-    @njit(cache=True)
-    def _alpha_phi_scalar_nb(alpha, k, r):  # pragma: no cover
-        if r == 0.0:
-            return 1.0 if k == 0 else 0.0
-        c = r ** k
-        for i in range(1, k + 1):
-            c *= i / (alpha + 1.0 + i)
-        acc = 0.0
-        j = 0
-        while True:
-            acc += c
-            term = c
-            j += 1
-            c *= (alpha + j) * r * (k + j) / (j * (alpha + 1.0 + k + j))
-            if term <= 1e-16 * acc:
-                rho = r * max(1.0, (alpha + j + 1.0) / (j + 1.0))
-                if rho < 1.0 and c / (1.0 - rho) < 1e-14:
-                    return acc
-            if j > _MAX_TERMS:
-                raise RuntimeError(_NONCONV)
-
-    @njit(cache=True)
-    def _alpha_phi0_nb(alpha, r):  # pragma: no cover
-        out = np.empty_like(r)
-        for i in range(r.size):
-            ri = r[i]
-            acc = 0.0
-            rp = 1.0
-            k = 0
-            while True:
-                term = (1.0 + alpha) * rp / (k + alpha + 1.0)
-                acc += term
-                k += 1
-                rp *= ri
-                if ri == 0.0:
-                    break
-                if term <= 1e-16 * acc and (1.0 + alpha) * rp / ((k + alpha + 1.0) * (1.0 - ri)) < 1e-16:
-                    break
-                if k > _MAX_TERMS:
-                    raise RuntimeError(_NONCONV)
-            out[i] = acc
-        return out
-
-    @njit(cache=True)
-    def _bernardi_tail_nb(m, delta, r):  # pragma: no cover
-        out = np.empty_like(r)
-        for i in range(r.size):
-            ri = r[i]
-            acc = 0.0
-            rp = ri ** (m + 1.0)
-            n = 1
-            while True:
-                if ri == 0.0:
-                    break
-                term = rp / (n + m + delta)
-                acc += term
-                n += 1
-                rp *= ri
-                if term <= 1e-16 * max(acc, 1e-300) and rp / ((n + m + delta) * (1.0 - ri)) < 1e-16:
-                    break
-                if n > _MAX_TERMS:
-                    raise RuntimeError(_NONCONV)
-            out[i] = acc
-        return out
-
-
-# ---------------------------------------------------------------------------
-# dispatching wrappers
-
-def beta_phi_table(beta: float, r: float, order: int) -> np.ndarray:
-    """Vector [phi_0(r), ..., phi_order(r)] for the beta-Cesaro weight family."""
-    nterms = _beta_nterms(beta, r)
-    if use_numba():
-        return _beta_phi_table_nb(float(beta), float(r), int(order), int(nterms))
-    return _beta_phi_table_np(float(beta), float(r), int(order), int(nterms))
-
-
-def alpha_phi_table(alpha: float, r: float, order: int) -> np.ndarray:
-    """Vector [phi_0(r), ..., phi_order(r)] for the alpha-Cesaro weight family."""
-    nterms = _alpha_nterms(alpha, r)
-    if use_numba():
-        return _alpha_phi_table_nb(float(alpha), float(r), int(order), int(nterms))
-    return _alpha_phi_table_np(float(alpha), float(r), int(order), int(nterms))
-
-
-def beta_phi_scalar(beta: float, k: int, r: float) -> float:
-    if use_numba():
-        return float(_beta_phi_scalar_nb(float(beta), int(k), float(r)))
-    return float(_beta_phi_scalar_py(float(beta), int(k), float(r)))
-
-
-def alpha_phi_scalar(alpha: float, k: int, r: float) -> float:
-    if use_numba():
-        return float(_alpha_phi_scalar_nb(float(alpha), int(k), float(r)))
-    return float(_alpha_phi_scalar_py(float(alpha), int(k), float(r)))
-
-
-def alpha_phi0(alpha: float, r: np.ndarray) -> np.ndarray:
-    r = np.ascontiguousarray(r, dtype=np.float64)
-    flat = r.ravel()
-    out = _alpha_phi0_nb(float(alpha), flat) if use_numba() else _alpha_phi0_np(float(alpha), flat)
-    return out.reshape(r.shape)
-
-
-def bernardi_tail(m: int, delta: float, r: np.ndarray) -> np.ndarray:
-    r = np.ascontiguousarray(r, dtype=np.float64)
-    flat = r.ravel()
-    if use_numba():
-        out = _bernardi_tail_nb(float(m), float(delta), flat)
-    else:
-        out = _bernardi_tail_np(float(m), float(delta), flat)
-    return out.reshape(r.shape)
-
-
-def blaschke_series(zeros, rotation: complex, order: int, gamma: float = 0.0) -> np.ndarray:
-    """Coefficients of rotation * prod (w - a)/(1 - conj(a) w), w = (1-gamma) z + gamma."""
-    zeros = [complex(a) for a in zeros]
-    return _blaschke_series_np(zeros, complex(rotation), int(order), float(gamma))
-
-
-def warmup() -> None:
-    """Trigger jit compilation of every jitted kernel (no-op on the numpy path)."""
-    r = np.array([0.0, 0.5])
-    beta_phi_table(1.5, 0.5, 4)
-    alpha_phi_table(0.5, 0.5, 4)
-    beta_phi_scalar(1.5, 2, 0.5)
-    alpha_phi_scalar(0.5, 2, 0.5)
-    alpha_phi0(0.5, r)
-    bernardi_tail(1, 1.0, r)

@@ -38,15 +38,7 @@ from .series import (
     coefficients_of,
     lemma_bound_report,
 )
-from .weights import (
-    FAMILY_CLASSES,
-    AlphaCesaro,
-    Bernardi,
-    BetaCesaro,
-    family_name,
-    family_params,
-    make_family,
-)
+from .weights import FAMILY_CLASSES, make_family
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -54,16 +46,13 @@ EXIT_USAGE = 2
 EXIT_NO_ROOT = 3
 
 _PARAM_FIELDS = {
-    "power-tail": ("N",),
-    "even": (),
-    "odd": (),
-    "linear-plus-one": ("N",),
-    "linear": ("N",),
-    "quadratic": ("N",),
-    "beta-cesaro": ("beta",),
-    "alpha-cesaro": ("alpha",),
-    "bernardi": ("m", "delta"),
+    name: tuple(f.name for f in dataclasses.fields(cls)) for name, cls in FAMILY_CLASSES.items()
 }
+# every family parameter once, in registry order, with the type of its default
+_PARAM_TYPES = {
+    f.name: type(f.default) for cls in FAMILY_CLASSES.values() for f in dataclasses.fields(cls)
+}
+_OPERATOR_CLASSES = tuple(cls for cls in FAMILY_CLASSES.values() if cls.is_operator)
 
 
 # ---------------------------------------------------------------------------
@@ -115,25 +104,15 @@ def emit(record: dict) -> None:
 
 def _add_family_options(parser: argparse.ArgumentParser, multi: bool = False) -> None:
     parser.add_argument("--family", required=True, choices=sorted(FAMILY_CLASSES))
-    if multi:
-        # comma-separated value lists for parameter sweeps
-        parser.add_argument("--N", type=str, default=None)
-        parser.add_argument("--beta", type=str, default=None)
-        parser.add_argument("--alpha", type=str, default=None)
-        parser.add_argument("--m", type=str, default=None)
-        parser.add_argument("--delta", type=str, default=None)
-    else:
-        parser.add_argument("--N", type=int, default=None)
-        parser.add_argument("--beta", type=float, default=None)
-        parser.add_argument("--alpha", type=float, default=None)
-        parser.add_argument("--m", type=int, default=None)
-        parser.add_argument("--delta", type=float, default=None)
+    for f, kind in _PARAM_TYPES.items():
+        # multi: comma-separated value lists for parameter sweeps
+        parser.add_argument(f"--{f}", type=str if multi else kind, default=None)
 
 
 def _collect_params(args, name: str) -> dict:
     allowed = _PARAM_FIELDS[name]
     params = {}
-    for f in ("N", "beta", "alpha", "m", "delta"):
+    for f in _PARAM_TYPES:
         v = getattr(args, f)
         if v is None:
             continue
@@ -249,7 +228,7 @@ def _table_rows(args):
         raw = getattr(args, f)
         if raw is None:
             value_lists.append([None])
-        elif f in ("N", "m"):
+        elif _PARAM_TYPES[f] is int:
             value_lists.append(parse_value_list(raw, kind=lambda s: int(float(s))))
         else:
             value_lists.append(parse_value_list(raw))
@@ -262,9 +241,7 @@ def _table_rows(args):
 
 def cmd_table(args) -> int:
     name = args.family
-    for f in ("N", "beta", "alpha", "m", "delta"):
-        if getattr(args, f) is not None and f not in _PARAM_FIELDS[name]:
-            raise ValueError(f"parameter --{f} is not valid for family {name!r}")
+    _collect_params(args, name)  # rejects parameters the family does not take
     rows = []
     for gamma, p, params in _table_rows(args):
         row = {
@@ -362,34 +339,42 @@ def cmd_verify(args) -> int:
     return EXIT_OK if (report.passed and membership_ok) else EXIT_FAIL
 
 
+def _add_operator_options(parser: argparse.ArgumentParser) -> None:
+    # one flag per operator family: --<name> VALUE, or --<name> V1 V2 ... for
+    # several parameters (converted in _operator_spec)
+    for cls in _OPERATOR_CLASSES:
+        params = dataclasses.fields(cls)
+        if len(params) == 1:
+            parser.add_argument(f"--{cls.name}", type=_PARAM_TYPES[params[0].name],
+                                metavar=params[0].name.upper())
+        else:
+            parser.add_argument(f"--{cls.name}", nargs=len(params),
+                                metavar=tuple(f.name.upper() for f in params))
+
+
 def _operator_spec(args):
-    chosen = [
-        name
-        for name, v in (
-            ("beta-cesaro", args.beta_cesaro),
-            ("alpha-cesaro", args.alpha_cesaro),
-            ("bernardi", args.bernardi),
-        )
-        if v is not None
-    ]
+    given = {cls: getattr(args, cls.name.replace("-", "_")) for cls in _OPERATOR_CLASSES}
+    chosen = [(cls, value) for cls, value in given.items() if value is not None]
     if len(chosen) != 1:
-        raise ValueError("specify exactly one of --beta-cesaro, --alpha-cesaro, --bernardi")
-    if args.beta_cesaro is not None:
-        return BetaCesaro(args.beta_cesaro)
-    if args.alpha_cesaro is not None:
-        return AlphaCesaro(args.alpha_cesaro)
-    m, delta = args.bernardi
-    if float(m) != int(float(m)):
-        raise ValueError("Bernardi m must be an integer")
-    return Bernardi(int(float(m)), float(delta))
+        flags = ", ".join(f"--{cls.name}" for cls in _OPERATOR_CLASSES)
+        raise ValueError(f"specify exactly one of {flags}")
+    cls, value = chosen[0]
+    if not isinstance(value, list):
+        return cls(value)
+    params = {}
+    for f, text in zip(dataclasses.fields(cls), value):
+        x = float(text)
+        if _PARAM_TYPES[f.name] is int:
+            if x != int(x):
+                raise ValueError(f"{cls.__name__} {f.name} must be an integer")
+            x = int(x)
+        params[f.name] = x
+    return cls(**params)
 
 
 def cmd_operator(args) -> int:
     spec = _operator_spec(args)
-    echo = {
-        "operator": type(spec).__name__,
-        "params": {k: v for k, v in vars(spec).items()},
-    }
+    echo = {"operator": type(spec).__name__, "params": spec.params()}
     if args.action == "bound":
         if args.r is None:
             raise ValueError("bound requires --r")
@@ -494,7 +479,7 @@ def cmd_suite(args) -> int:
             "gamma_grid": list(config.gamma_grid),
             "p_grid": list(config.p_grid),
             "families": [
-                {"name": family_name(f), "params": family_params(f)} for f in config.families
+                {"name": f.name, "params": f.params()} for f in config.families
             ],
             "tolerance": config.tolerance,
             "grid_points": config.grid_points,
@@ -553,9 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_op = sub.add_parser("operator", help="apply an operator, or print its bound/radius")
-    p_op.add_argument("--beta-cesaro", dest="beta_cesaro", type=float, metavar="BETA")
-    p_op.add_argument("--alpha-cesaro", dest="alpha_cesaro", type=float, metavar="ALPHA")
-    p_op.add_argument("--bernardi", nargs=2, metavar=("M", "DELTA"))
+    _add_operator_options(p_op)
     p_op.add_argument("action", choices=("apply", "bound", "radius"))
     p_op.add_argument("--gamma", type=float, default=0.0)
     p_op.add_argument("--p", type=float, default=1.0)

@@ -36,11 +36,7 @@ from .weights import (
     PowerTail,
     Quadratic,
     WeightFamily,
-    family_name,
-    family_params,
 )
-
-OPERATOR_FAMILY_TYPES = (BetaCesaro, AlphaCesaro, Bernardi)
 
 DEFAULT_FAMILIES = (
     PowerTail(1),
@@ -94,7 +90,7 @@ def iter_cells(config: SuiteConfig):
     """Cells in deterministic order; operator families run at p = 1 only."""
     for family in config.families:
         p_values = config.p_grid
-        if isinstance(family, OPERATOR_FAMILY_TYPES):
+        if family.is_operator:
             p_values = tuple(p for p in config.p_grid if p == 1.0)
         for gamma in config.gamma_grid:
             for p in p_values:
@@ -120,8 +116,8 @@ class CellResult:
     def to_dict(self) -> dict:
         out = {
             "query": {
-                "family": family_name(self.family),
-                "params": family_params(self.family),
+                "family": self.family.name,
+                "params": self.family.params(),
                 "gamma": self.gamma,
                 "p": self.p,
             },

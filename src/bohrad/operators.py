@@ -16,7 +16,6 @@ from functools import lru_cache
 from typing import Callable, Union
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 from . import weights
 from .radius import DEFAULT_TOL, RadiusQuery, RadiusResult, minimal_root
@@ -107,6 +106,10 @@ def apply_coefficient_form(spec: OperatorSpec, series: CoefficientSeries) -> Coe
 @lru_cache(maxsize=256)
 def _rule(kind: str, n: int, param: float):
     """Quadrature nodes/weights on [0, 1], singular factor folded into the rule."""
+    # imported here: scipy.special costs about 0.3 s and only the integral
+    # form needs it
+    from scipy.special import roots_jacobi, roots_legendre
+
     if kind == "legendre":
         x, w = roots_legendre(n)
         return 0.5 * (x + 1.0), 0.5 * w

@@ -1,19 +1,19 @@
 """Weight families {phi_k(r)}: non-negative continuous functions on [0, 1).
 
-Each family supplies phi_0, a general phi_k, and the closed-form tail sum
-sum_{k>=1} phi_k(r).  The elementary families are (shifted) monomials; the
-beta-Cesaro, alpha-Cesaro and Bernardi families arise from the integral
-operators they are named after and are defined through convergent series
-summed with term recurrences.
+Each family is one frozen dataclass holding all that is known about it. The
+elementary families share a monomial base, phi_k = c(k) r^k from k = N on;
+the beta-Cesaro, alpha-Cesaro and Bernardi families arise from the integral
+operators they are named after and are summed by the kernels in _kernels.
 
-All evaluators accept a scalar r or a numpy array and are pure.
+The module functions take a scalar r or a numpy array, check r in [0, 1)
+and call the family's method; all evaluators are pure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache, singledispatch
-from typing import Callable, Union
+from dataclasses import dataclass, fields
+from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -22,144 +22,149 @@ from . import _kernels
 BETA_LOG_BRANCH_WIDTH = 1e-9  # |beta - 1| below this routes to the log forms
 
 
-@dataclass(frozen=True)
-class PowerTail:
-    """phi_0 = 1; phi_n = r^n for n >= N, else 0."""
+class WeightFamily:
+    """Base of the families, which are frozen dataclasses.
 
-    N: int = 1
-
-    def __post_init__(self):
-        if int(self.N) != self.N or self.N < 1:
-            raise ValueError("N must be an integer >= 1")
-        object.__setattr__(self, "N", int(self.N))
-
-
-@dataclass(frozen=True)
-class EvenPowers:
-    """phi_{2n} = r^{2n} (including phi_0 = 1); odd weights vanish."""
-
-
-@dataclass(frozen=True)
-class OddPowers:
-    """phi_0 = 1; phi_{2n-1} = r^{2n-1}; positive even weights vanish."""
-
-
-@dataclass(frozen=True)
-class LinearPlusOne:
-    """phi_0 = 1; phi_n = (n+1) r^n for n >= N, else 0."""
-
-    N: int = 1
-
-    def __post_init__(self):
-        if int(self.N) != self.N or self.N < 1:
-            raise ValueError("N must be an integer >= 1")
-        object.__setattr__(self, "N", int(self.N))
-
-
-@dataclass(frozen=True)
-class Linear:
-    """phi_0 = 1; phi_n = n r^n for n >= N, else 0."""
-
-    N: int = 1
-
-    def __post_init__(self):
-        if int(self.N) != self.N or self.N < 1:
-            raise ValueError("N must be an integer >= 1")
-        object.__setattr__(self, "N", int(self.N))
-
-
-@dataclass(frozen=True)
-class Quadratic:
-    """phi_0 = 1; phi_n = n^2 r^n for n >= N, else 0."""
-
-    N: int = 1
-
-    def __post_init__(self):
-        if int(self.N) != self.N or self.N < 1:
-            raise ValueError("N must be an integer >= 1")
-        object.__setattr__(self, "N", int(self.N))
-
-
-@dataclass(frozen=True)
-class BetaCesaro:
-    """Weights induced by the beta-Cesaro operator (beta > 0)."""
-
-    beta: float = 1.0
-
-    def __post_init__(self):
-        if not self.beta > 0:
-            raise ValueError("beta must be > 0")
-
-
-@dataclass(frozen=True)
-class AlphaCesaro:
-    """Weights induced by the alpha-Cesaro operator (alpha > -1)."""
-
-    alpha: float = 0.0
-
-    def __post_init__(self):
-        if not self.alpha > -1:
-            raise ValueError("alpha must be > -1")
-
-
-@dataclass(frozen=True)
-class Bernardi:
-    """phi_n(r) = r^(n+m) / (n+m+delta); note phi_0(0) = 0, unlike every other family."""
-
-    m: int = 1
-    delta: float = 1.0
-
-    def __post_init__(self):
-        if int(self.m) != self.m or self.m < 1:
-            raise ValueError("m must be an integer >= 1")
-        object.__setattr__(self, "m", int(self.m))
-        if not self.delta > -self.m:
-            raise ValueError("delta must be > -m")
-
-
-@dataclass(frozen=True)
-class CustomFamily:
-    """Extension point: caller supplies phi_0, phi_k and the tail sum.
-
-    The callables must be numpy-aware in r and come with the caller's own
-    convergence guarantee; nothing is re-verified here.
+    A family defines ``name`` (its CLI name) and the methods phi0(r),
+    phi_k(k, r) and tail(r) = sum_{k>=1} phi_k(r), each taking r as a checked
+    float array.  ``is_operator`` marks families an integral operator induces.
     """
 
-    name: str
-    phi0_fn: Callable
-    phi_k_fn: Callable
-    tail_fn: Callable
+    is_operator = False
+
+    def vector(self, order: int, r: float) -> np.ndarray:
+        """[phi_0(r), ..., phi_order(r)], one phi_k at a time."""
+        return np.array([phi_k(self, k, r) for k in range(order + 1)], dtype=np.float64)
+
+    def params(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-WeightFamily = Union[
-    PowerTail,
-    EvenPowers,
-    OddPowers,
-    LinearPlusOne,
-    Linear,
-    Quadratic,
-    BetaCesaro,
-    AlphaCesaro,
-    Bernardi,
-    CustomFamily,
-]
+class MonomialFamily(WeightFamily):
+    """phi_0 = 1; phi_k = c(k) r^k for k >= N, else 0.  A subclass gives
+    coef(k) for an int or int-array k, tail(r) and, if it has one, an N field."""
+
+    N = 1
+
+    def __post_init__(self):
+        if int(self.N) != self.N or self.N < 1:
+            raise ValueError("N must be an integer >= 1")
+        object.__setattr__(self, "N", int(self.N))
+
+    def phi0(self, r):
+        return np.ones_like(r)
+
+    def phi_k(self, k, r):
+        if k == 0:
+            return np.ones_like(r)
+        if k < self.N:
+            return np.zeros_like(r)
+        return self.coef(k) * r ** k
+
+    def vector(self, order, r):
+        k = np.arange(order + 1)
+        v = self.coef(k) * r ** k.astype(float)
+        v[0] = 1.0
+        v[1 : self.N] = 0.0
+        return v
 
 
-def _prepare_r(r):
-    arr = np.asarray(r, dtype=np.float64)
-    if np.any(arr < 0.0) or np.any(arr >= 1.0):
-        raise ValueError("r must lie in [0, 1)")
-    return arr, np.ndim(r) == 0
+@dataclass(frozen=True)
+class PowerTail(MonomialFamily):
+    """phi_0 = 1; phi_n = r^n for n >= N, else 0."""
+
+    name = "power-tail"
+    N: int = 1
+
+    def coef(self, k):
+        return 1
+
+    def tail(self, r):
+        return r ** self.N / (1.0 - r)
 
 
-def _unwrap(value, scalar):
-    return float(value) if scalar else value
+@dataclass(frozen=True)
+class EvenPowers(MonomialFamily):
+    """phi_{2n} = r^{2n} (including phi_0 = 1); odd weights vanish."""
+
+    name = "even"
+
+    def coef(self, k):
+        return 1 - k % 2
+
+    def tail(self, r):
+        return r ** 2 / (1.0 - r ** 2)
 
 
-# ---------------------------------------------------------------------------
-# phi_0
+@dataclass(frozen=True)
+class OddPowers(MonomialFamily):
+    """phi_0 = 1; phi_{2n-1} = r^{2n-1}; positive even weights vanish."""
 
-def _beta_phi0_arr(beta: float, r: np.ndarray) -> np.ndarray:
+    name = "odd"
+
+    def coef(self, k):
+        return k % 2
+
+    def tail(self, r):
+        return r / (1.0 - r ** 2)
+
+
+@dataclass(frozen=True)
+class LinearPlusOne(MonomialFamily):
+    """phi_0 = 1; phi_n = (n+1) r^n for n >= N, else 0."""
+
+    name = "linear-plus-one"
+    N: int = 1
+
+    def coef(self, k):
+        return k + 1.0
+
+    def tail(self, r):
+        n = self.N
+        return r ** n * (1.0 + n - n * r) / (1.0 - r) ** 2
+
+
+@dataclass(frozen=True)
+class Linear(MonomialFamily):
+    """phi_0 = 1; phi_n = n r^n for n >= N, else 0."""
+
+    name = "linear"
+    N: int = 1
+
+    def coef(self, k):
+        return k
+
+    def tail(self, r):
+        n = self.N
+        return r ** n * (n * (1.0 - r) + r) / (1.0 - r) ** 2
+
+
+@dataclass(frozen=True)
+class Quadratic(MonomialFamily):
+    """phi_0 = 1; phi_n = n^2 r^n for n >= N, else 0."""
+
+    name = "quadratic"
+    N: int = 1
+
+    def coef(self, k):
+        return k * k
+
+    def tail(self, r):
+        n = self.N
+        # equals the standard form r^N [N^2 - (2N^2-2N-1) r + (N-1)^2 r^2] / (1-r)^3
+        num = (r + n) ** 2 + r + n ** 2 * r ** 2 - 2.0 * n * r * (r + n)
+        return r ** n * num / (1.0 - r) ** 3
+
+
+# The operator families hand their kernels 1-d arrays: numpy's 0-d paths
+# are slower and can differ from its 1-d ones in the last bits.
+
+def _each_point(kernel, param, k, r):
+    """kernel(param, k, x) at every point of r, in r's shape."""
+    return np.array([kernel(param, k, x) for x in r.ravel()]).reshape(r.shape)
+
+
+def _beta_phi0(beta: float, r: np.ndarray) -> np.ndarray:
     out = np.ones_like(r)
     nz = r > 0.0
     rr = r[nz]
@@ -173,7 +178,7 @@ def _beta_phi0_arr(beta: float, r: np.ndarray) -> np.ndarray:
     return out
 
 
-def _beta_total_arr(beta: float, r: np.ndarray) -> np.ndarray:
+def _beta_total(beta: float, r: np.ndarray) -> np.ndarray:
     # sum_{n>=0} phi_n(r) = [(1-r)^(-beta) - 1] / (beta r), limit 1 at r = 0
     out = np.ones_like(r)
     nz = r > 0.0
@@ -182,241 +187,147 @@ def _beta_total_arr(beta: float, r: np.ndarray) -> np.ndarray:
     return out
 
 
-@singledispatch
-def phi0(family, r):
-    """phi_0(r) for the family (1 for all elementary families)."""
-    raise TypeError(f"unknown weight family: {family!r}")
+@dataclass(frozen=True)
+class BetaCesaro(WeightFamily):
+    """Weights induced by the beta-Cesaro operator (beta > 0)."""
+
+    name = "beta-cesaro"
+    is_operator = True
+    beta: float = 1.0
+
+    def __post_init__(self):
+        if not self.beta > 0:
+            raise ValueError("beta must be > 0")
+
+    def phi0(self, r):
+        return _beta_phi0(self.beta, np.atleast_1d(r)).reshape(r.shape)
+
+    def phi_k(self, k, r):
+        return _each_point(_kernels.beta_phi_scalar, self.beta, k, r)
+
+    def tail(self, r):
+        r1 = np.atleast_1d(r)
+        return (_beta_total(self.beta, r1) - _beta_phi0(self.beta, r1)).reshape(r.shape)
+
+    def vector(self, order, r):
+        return _kernels.beta_phi_table(self.beta, r, order)
 
 
-@phi0.register(PowerTail)
-@phi0.register(EvenPowers)
-@phi0.register(OddPowers)
-@phi0.register(LinearPlusOne)
-@phi0.register(Linear)
-@phi0.register(Quadratic)
-def _(family, r):
-    arr, scalar = _prepare_r(r)
-    return _unwrap(np.ones_like(arr), scalar)
+@dataclass(frozen=True)
+class AlphaCesaro(WeightFamily):
+    """Weights induced by the alpha-Cesaro operator (alpha > -1)."""
+
+    name = "alpha-cesaro"
+    is_operator = True
+    alpha: float = 0.0
+
+    def __post_init__(self):
+        if not self.alpha > -1:
+            raise ValueError("alpha must be > -1")
+
+    def phi0(self, r):
+        return _kernels.alpha_phi0(self.alpha, np.atleast_1d(r)).reshape(r.shape)
+
+    def phi_k(self, k, r):
+        return _each_point(_kernels.alpha_phi_scalar, self.alpha, k, r)
+
+    def tail(self, r):
+        r1 = np.atleast_1d(r)
+        return (1.0 / (1.0 - r1) - _kernels.alpha_phi0(self.alpha, r1)).reshape(r.shape)
+
+    def vector(self, order, r):
+        return _kernels.alpha_phi_table(self.alpha, r, order)
 
 
-@phi0.register(BetaCesaro)
-def _(family, r):
-    arr, scalar = _prepare_r(r)
-    out = _beta_phi0_arr(family.beta, np.atleast_1d(arr))
-    return _unwrap(out[0] if scalar else out.reshape(arr.shape), scalar)
+@dataclass(frozen=True)
+class Bernardi(WeightFamily):
+    """phi_n(r) = r^(n+m) / (n+m+delta); note phi_0(0) = 0, unlike every other family."""
+
+    name = "bernardi"
+    is_operator = True
+    m: int = 1
+    delta: float = 1.0
+
+    def __post_init__(self):
+        if int(self.m) != self.m or self.m < 1:
+            raise ValueError("m must be an integer >= 1")
+        object.__setattr__(self, "m", int(self.m))
+        if not self.delta > -self.m:
+            raise ValueError("delta must be > -m")
+
+    def phi0(self, r):
+        return r ** self.m / (self.m + self.delta)
+
+    def phi_k(self, k, r):
+        return r ** (k + self.m) / (k + self.m + self.delta)
+
+    def tail(self, r):
+        return _kernels.bernardi_tail(self.m, self.delta, np.atleast_1d(r)).reshape(r.shape)
+
+    def vector(self, order, r):
+        k = np.arange(order + 1)
+        return r ** (k + float(self.m)) / (k + self.m + self.delta)
 
 
-@phi0.register(AlphaCesaro)
-def _(family, r):
-    arr, scalar = _prepare_r(r)
-    out = _kernels.alpha_phi0(family.alpha, np.atleast_1d(arr))
-    return _unwrap(out[0] if scalar else out.reshape(arr.shape), scalar)
+@dataclass(frozen=True)
+class CustomFamily(WeightFamily):
+    """Extension point: caller supplies phi_0, phi_k and the tail sum.
 
+    The callables must be numpy-aware in r and come with the caller's own
+    convergence guarantee; nothing is re-verified here.
+    """
 
-@phi0.register(Bernardi)
-def _(family, r):
-    arr, scalar = _prepare_r(r)
-    return _unwrap(arr ** family.m / (family.m + family.delta), scalar)
+    name: str
+    phi0_fn: Callable
+    phi_k_fn: Callable
+    tail_fn: Callable
 
+    def phi0(self, r):
+        return self.phi0_fn(r)
 
-@phi0.register(CustomFamily)
-def _(family, r):
-    arr, scalar = _prepare_r(r)
-    return _unwrap(family.phi0_fn(arr), scalar)
+    def phi_k(self, k, r):
+        return self.phi_k_fn(k, r)
+
+    def tail(self, r):
+        return self.tail_fn(r)
+
+    def params(self) -> dict:
+        return {}  # callables have no serial form
 
 
 # ---------------------------------------------------------------------------
-# phi_k
+# evaluation: validate r once, then call the family's method
 
-@singledispatch
-def phi_k(family, k: int, r):
+def _prepare_r(r):
+    arr = np.asarray(r, dtype=np.float64)
+    if np.any(arr < 0.0) or np.any(arr >= 1.0):
+        raise ValueError("r must lie in [0, 1)")
+    return arr, np.ndim(r) == 0
+
+
+def _unwrap(value, scalar):
+    return float(value) if scalar else value
+
+
+def phi0(family: WeightFamily, r):
+    """phi_0(r) for the family (1 for all elementary families)."""
+    arr, scalar = _prepare_r(r)
+    return _unwrap(family.phi0(arr), scalar)
+
+
+def phi_k(family: WeightFamily, k: int, r):
     """phi_k(r); exact for monomial families, certified summation otherwise."""
-    raise TypeError(f"unknown weight family: {family!r}")
-
-
-def _check_k(k):
     if int(k) != k or k < 0:
         raise ValueError("k must be an integer >= 0")
-    return int(k)
-
-
-@phi_k.register(PowerTail)
-def _(family, k, r):
-    k = _check_k(k)
     arr, scalar = _prepare_r(r)
-    if k == 0:
-        return _unwrap(np.ones_like(arr), scalar)
-    if k < family.N:
-        return _unwrap(np.zeros_like(arr), scalar)
-    return _unwrap(arr ** k, scalar)
+    return _unwrap(family.phi_k(int(k), arr), scalar)
 
 
-@phi_k.register(EvenPowers)
-def _(family, k, r):
-    k = _check_k(k)
-    arr, scalar = _prepare_r(r)
-    if k % 2 == 1:
-        return _unwrap(np.zeros_like(arr), scalar)
-    return _unwrap(arr ** k, scalar)
-
-
-@phi_k.register(OddPowers)
-def _(family, k, r):
-    k = _check_k(k)
-    arr, scalar = _prepare_r(r)
-    if k == 0:
-        return _unwrap(np.ones_like(arr), scalar)
-    if k % 2 == 0:
-        return _unwrap(np.zeros_like(arr), scalar)
-    return _unwrap(arr ** k, scalar)
-
-
-@phi_k.register(LinearPlusOne)
-def _(family, k, r):
-    k = _check_k(k)
-    arr, scalar = _prepare_r(r)
-    if k == 0:
-        return _unwrap(np.ones_like(arr), scalar)
-    if k < family.N:
-        return _unwrap(np.zeros_like(arr), scalar)
-    return _unwrap((k + 1.0) * arr ** k, scalar)
-
-
-@phi_k.register(Linear)
-def _(family, k, r):
-    k = _check_k(k)
-    arr, scalar = _prepare_r(r)
-    if k == 0:
-        return _unwrap(np.ones_like(arr), scalar)
-    if k < family.N:
-        return _unwrap(np.zeros_like(arr), scalar)
-    return _unwrap(float(k) * arr ** k, scalar)
-
-
-@phi_k.register(Quadratic)
-def _(family, k, r):
-    k = _check_k(k)
-    arr, scalar = _prepare_r(r)
-    if k == 0:
-        return _unwrap(np.ones_like(arr), scalar)
-    if k < family.N:
-        return _unwrap(np.zeros_like(arr), scalar)
-    return _unwrap(float(k) ** 2 * arr ** k, scalar)
-
-
-@phi_k.register(BetaCesaro)
-def _(family, k, r):
-    k = _check_k(k)
-    arr, scalar = _prepare_r(r)
-    if scalar:
-        return _kernels.beta_phi_scalar(family.beta, k, float(arr))
-    return np.array([_kernels.beta_phi_scalar(family.beta, k, x) for x in arr.ravel()]).reshape(arr.shape)
-
-
-@phi_k.register(AlphaCesaro)
-def _(family, k, r):
-    k = _check_k(k)
-    arr, scalar = _prepare_r(r)
-    if scalar:
-        return _kernels.alpha_phi_scalar(family.alpha, k, float(arr))
-    return np.array([_kernels.alpha_phi_scalar(family.alpha, k, x) for x in arr.ravel()]).reshape(arr.shape)
-
-
-@phi_k.register(Bernardi)
-def _(family, k, r):
-    k = _check_k(k)
-    arr, scalar = _prepare_r(r)
-    return _unwrap(arr ** (k + family.m) / (k + family.m + family.delta), scalar)
-
-
-@phi_k.register(CustomFamily)
-def _(family, k, r):
-    k = _check_k(k)
-    arr, scalar = _prepare_r(r)
-    return _unwrap(family.phi_k_fn(k, arr), scalar)
-
-
-# ---------------------------------------------------------------------------
-# tail sums  sum_{k>=1} phi_k(r)
-
-@singledispatch
-def tail_sum(family, r):
+def tail_sum(family: WeightFamily, r):
     """Closed-form sum_{k>=1} phi_k(r) (certified summation for Bernardi)."""
-    raise TypeError(f"unknown weight family: {family!r}")
-
-
-@tail_sum.register(PowerTail)
-def _(family, r):
     arr, scalar = _prepare_r(r)
-    return _unwrap(arr ** family.N / (1.0 - arr), scalar)
+    return _unwrap(family.tail(arr), scalar)
 
-
-@tail_sum.register(EvenPowers)
-def _(family, r):
-    arr, scalar = _prepare_r(r)
-    return _unwrap(arr ** 2 / (1.0 - arr ** 2), scalar)
-
-
-@tail_sum.register(OddPowers)
-def _(family, r):
-    arr, scalar = _prepare_r(r)
-    return _unwrap(arr / (1.0 - arr ** 2), scalar)
-
-
-@tail_sum.register(LinearPlusOne)
-def _(family, r):
-    arr, scalar = _prepare_r(r)
-    n = family.N
-    return _unwrap(arr ** n * (1.0 + n - n * arr) / (1.0 - arr) ** 2, scalar)
-
-
-@tail_sum.register(Linear)
-def _(family, r):
-    arr, scalar = _prepare_r(r)
-    n = family.N
-    return _unwrap(arr ** n * (n * (1.0 - arr) + arr) / (1.0 - arr) ** 2, scalar)
-
-
-@tail_sum.register(Quadratic)
-def _(family, r):
-    arr, scalar = _prepare_r(r)
-    n = family.N
-    # equals the standard form r^N [N^2 - (2N^2-2N-1) r + (N-1)^2 r^2] / (1-r)^3
-    num = (arr + n) ** 2 + arr + n ** 2 * arr ** 2 - 2.0 * n * arr * (arr + n)
-    return _unwrap(arr ** n * num / (1.0 - arr) ** 3, scalar)
-
-
-@tail_sum.register(BetaCesaro)
-def _(family, r):
-    arr, scalar = _prepare_r(r)
-    a1 = np.atleast_1d(arr)
-    out = _beta_total_arr(family.beta, a1) - _beta_phi0_arr(family.beta, a1)
-    return _unwrap(out[0] if scalar else out.reshape(arr.shape), scalar)
-
-
-@tail_sum.register(AlphaCesaro)
-def _(family, r):
-    arr, scalar = _prepare_r(r)
-    a1 = np.atleast_1d(arr)
-    out = 1.0 / (1.0 - a1) - _kernels.alpha_phi0(family.alpha, a1)
-    return _unwrap(out[0] if scalar else out.reshape(arr.shape), scalar)
-
-
-@tail_sum.register(Bernardi)
-def _(family, r):
-    arr, scalar = _prepare_r(r)
-    out = _kernels.bernardi_tail(family.m, family.delta, np.atleast_1d(arr))
-    return _unwrap(out[0] if scalar else out.reshape(arr.shape), scalar)
-
-
-@tail_sum.register(CustomFamily)
-def _(family, r):
-    arr, scalar = _prepare_r(r)
-    return _unwrap(family.tail_fn(arr), scalar)
-
-
-# ---------------------------------------------------------------------------
-# dense weight vectors
 
 def phi_vector(family: WeightFamily, order: int, r: float) -> np.ndarray:
     """[phi_0(r), ..., phi_order(r)] as a read-only vector (cached)."""
@@ -426,38 +337,7 @@ def phi_vector(family: WeightFamily, order: int, r: float) -> np.ndarray:
 @lru_cache(maxsize=4096)
 def _phi_vector_cached(family, order, r):
     _prepare_r(r)
-    k = np.arange(order + 1)
-    if isinstance(family, PowerTail):
-        v = r ** k.astype(float)
-        v[1 : family.N] = 0.0
-    elif isinstance(family, EvenPowers):
-        v = r ** k.astype(float)
-        v[1::2] = 0.0
-    elif isinstance(family, OddPowers):
-        v = r ** k.astype(float)
-        v[2::2] = 0.0
-    elif isinstance(family, LinearPlusOne):
-        v = (k + 1.0) * r ** k
-        v[0] = 1.0
-        v[1 : family.N] = 0.0
-    elif isinstance(family, Linear):
-        v = k * r ** k.astype(float)
-        v[0] = 1.0
-        v[1 : family.N] = 0.0
-    elif isinstance(family, Quadratic):
-        v = k.astype(float) ** 2 * r ** k
-        v[0] = 1.0
-        v[1 : family.N] = 0.0
-    elif isinstance(family, BetaCesaro):
-        v = _kernels.beta_phi_table(family.beta, r, order)
-    elif isinstance(family, AlphaCesaro):
-        v = _kernels.alpha_phi_table(family.alpha, r, order)
-    elif isinstance(family, Bernardi):
-        v = r ** (k + float(family.m)) / (k + family.m + family.delta)
-    elif isinstance(family, CustomFamily):
-        v = np.array([phi_k(family, int(i), r) for i in k], dtype=np.float64)
-    else:
-        raise TypeError(f"unknown weight family: {family!r}")
+    v = family.vector(order, r)
     v.flags.writeable = False
     return v
 
@@ -473,36 +353,12 @@ def phi_tail_mass(family: WeightFamily, r: float, order: int) -> float:
 # registry used by the CLI and suite configs
 
 FAMILY_CLASSES = {
-    "power-tail": PowerTail,
-    "even": EvenPowers,
-    "odd": OddPowers,
-    "linear-plus-one": LinearPlusOne,
-    "linear": Linear,
-    "quadratic": Quadratic,
-    "beta-cesaro": BetaCesaro,
-    "alpha-cesaro": AlphaCesaro,
-    "bernardi": Bernardi,
+    cls.name: cls
+    for cls in (
+        PowerTail, EvenPowers, OddPowers, LinearPlusOne, Linear, Quadratic,
+        BetaCesaro, AlphaCesaro, Bernardi,
+    )
 }
-
-_NAME_BY_CLASS = {cls: name for name, cls in FAMILY_CLASSES.items()}
-
-
-def family_name(family: WeightFamily) -> str:
-    if isinstance(family, CustomFamily):
-        return family.name
-    return _NAME_BY_CLASS[type(family)]
-
-
-def family_params(family: WeightFamily) -> dict:
-    if isinstance(family, (PowerTail, LinearPlusOne, Linear, Quadratic)):
-        return {"N": family.N}
-    if isinstance(family, BetaCesaro):
-        return {"beta": family.beta}
-    if isinstance(family, AlphaCesaro):
-        return {"alpha": family.alpha}
-    if isinstance(family, Bernardi):
-        return {"m": family.m, "delta": family.delta}
-    return {}
 
 
 def make_family(name: str, params: dict | None = None) -> WeightFamily:

@@ -22,7 +22,6 @@ from bohrad.weights import (
     CustomFamily,
     Linear,
     PowerTail,
-    family_name,
 )
 
 
@@ -151,7 +150,7 @@ class TestCellIteration:
         for family, gamma, p in cells:
             if isinstance(family, (BetaCesaro, AlphaCesaro, Bernardi)):
                 assert p == 1.0
-        names = {family_name(f) for f, _, _ in cells}
+        names = {f.name for f, _, _ in cells}
         assert len(names) == 9  # every built-in family is covered
         assert len(cells) == 6 * 4 * 3 + 3 * 4 * 1
 

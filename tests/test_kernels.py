@@ -1,75 +1,67 @@
-"""Backend equivalence: every numba kernel must match its numpy twin."""
+"""Kernels against their Gauss hypergeometric closed forms, evaluated by mpmath.
 
+Each weight series is a 2F1 (DLMF 15.2):
+    alpha phi_0    = 2F1(1, alpha+1; alpha+2; r)
+    Bernardi tail  = r^(m+1)/(m+1+delta) 2F1(1, m+1+delta; m+2+delta; r)
+    beta phi_k     = r^k/(k+1) 2F1(beta, k+1; k+2; r)
+    alpha phi_k    = r^k k!/(alpha+2)_k 2F1(alpha+1, k+1; alpha+k+2; r)
+"""
+
+import mpmath as mp
 import numpy as np
 import pytest
 
 from bohrad import _kernels
 
-
-requires_numba = pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba unavailable")
-
-
-@pytest.fixture
-def both_backends():
-    def run(fn, *args):
-        _kernels.set_backend("numpy")
-        try:
-            a = fn(*args)
-        finally:
-            _kernels.set_backend(None)
-        _kernels.set_backend("numba")
-        try:
-            b = fn(*args)
-        finally:
-            _kernels.set_backend(None)
-        return a, b
-
-    return run
+R_ORACLE = np.linspace(0.0, 0.95, 12)
+ORDER = 30
+RTOL = 1e-13
 
 
-@requires_numba
-@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 3.7])
-@pytest.mark.parametrize("r", [0.0, 0.1, 0.5, 0.9])
-def test_beta_phi_table_backends_agree(both_backends, beta, r):
-    a, b = both_backends(_kernels.beta_phi_table, beta, r, 64)
-    np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-300)
+def hyp2f1(a, b, c, r):
+    with mp.workdps(30):
+        return mp.hyp2f1(a, b, c, mp.mpf(float(r)))
 
 
-@requires_numba
-@pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.0, 2.5])
-@pytest.mark.parametrize("r", [0.0, 0.1, 0.5, 0.9])
-def test_alpha_phi_table_backends_agree(both_backends, alpha, r):
-    a, b = both_backends(_kernels.alpha_phi_table, alpha, r, 64)
-    np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-300)
+def assert_matches(values, oracle):
+    np.testing.assert_allclose(values, [float(x) for x in oracle], rtol=RTOL, atol=1e-300)
 
 
-@requires_numba
-def test_scalar_kernels_backends_agree(both_backends):
-    for k in (0, 1, 7, 40):
-        a, b = both_backends(_kernels.beta_phi_scalar, 1.5, k, 0.6)
-        assert a == pytest.approx(b, rel=1e-13)
-        a, b = both_backends(_kernels.alpha_phi_scalar, -0.3, k, 0.6)
-        assert a == pytest.approx(b, rel=1e-13)
+@pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.0, 0.7, 3.0])
+def test_alpha_phi0_matches_hypergeometric(alpha):
+    oracle = [hyp2f1(1, alpha + 1, alpha + 2, r) for r in R_ORACLE]
+    assert_matches(_kernels.alpha_phi0(alpha, R_ORACLE), oracle)
 
 
-@requires_numba
-def test_array_kernels_backends_agree(both_backends):
-    r = np.linspace(0.0, 0.95, 40)
-    a, b = both_backends(_kernels.alpha_phi0, 0.7, r)
-    np.testing.assert_allclose(a, b, rtol=1e-13)
-    a, b = both_backends(_kernels.bernardi_tail, 2, -0.5, r)
-    np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-300)
+@pytest.mark.parametrize("m,delta", [(1, 1.0), (2, -0.5), (1, -0.9), (3, 2.0)])
+def test_bernardi_tail_matches_hypergeometric(m, delta):
+    with mp.workdps(30):
+        oracle = [
+            mp.mpf(float(r)) ** (m + 1) / (m + 1 + delta) * hyp2f1(1, m + 1 + delta, m + 2 + delta, r)
+            for r in R_ORACLE
+        ]
+    assert_matches(_kernels.bernardi_tail(m, delta, R_ORACLE), oracle)
 
 
-def test_env_flag_selects_numpy(monkeypatch):
-    monkeypatch.setattr(_kernels, "_FORCED", None)
-    monkeypatch.setattr(_kernels, "_ENV_DISABLED", True)
-    assert _kernels.active_backend() == "numpy"
+@pytest.mark.parametrize("beta", [0.3, 1.0, 2.0, 3.7])
+def test_beta_phi_table_matches_hypergeometric(beta):
+    for r in R_ORACLE:
+        with mp.workdps(30):
+            x = mp.mpf(float(r))
+            oracle = [x ** k / (k + 1) * hyp2f1(beta, k + 1, k + 2, r) for k in range(ORDER + 1)]
+        assert_matches(_kernels.beta_phi_table(beta, float(r), ORDER), oracle)
 
 
-def test_set_backend_rejects_unknown():
-    with pytest.raises(ValueError):
-        _kernels.set_backend("fortran")
+@pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.0, 1.0, 2.5])
+def test_alpha_phi_table_matches_hypergeometric(alpha):
+    for r in R_ORACLE:
+        with mp.workdps(30):
+            x = mp.mpf(float(r))
+            oracle = [
+                x ** k * mp.factorial(k) / mp.rf(alpha + 2, k) * hyp2f1(alpha + 1, k + 1, alpha + k + 2, r)
+                for k in range(ORDER + 1)
+            ]
+        assert_matches(_kernels.alpha_phi_table(alpha, float(r), ORDER), oracle)
 
 
 def test_table_matches_scalar_definition():

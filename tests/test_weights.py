@@ -1,11 +1,16 @@
 """Weight families: closed forms against brute-force summation oracles."""
 
 import math
+from dataclasses import dataclass
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from bohrad.harness import brute_force_tail
 from bohrad.operators import gamma_ratio_sequence
+from bohrad.radius import RadiusQuery, gap, minimal_root
+from bohrad.series import DomainParams
 from bohrad.weights import (
     AlphaCesaro,
     Bernardi,
@@ -14,11 +19,11 @@ from bohrad.weights import (
     EvenPowers,
     Linear,
     LinearPlusOne,
+    MonomialFamily,
     OddPowers,
     PowerTail,
     Quadratic,
-    family_name,
-    family_params,
+    FAMILY_CLASSES,
     make_family,
     phi0,
     phi_k,
@@ -245,7 +250,7 @@ class TestValidationAndRegistry:
 
     def test_registry_round_trip(self):
         for fam in ALL_FAMILIES:
-            rebuilt = make_family(family_name(fam), family_params(fam))
+            rebuilt = make_family(fam.name, fam.params())
             assert rebuilt == fam
 
     def test_unknown_family_name(self):
@@ -262,3 +267,39 @@ class TestValidationAndRegistry:
         assert phi0(fam, 0.3) == 1.0
         assert phi_k(fam, 2, 0.5) == 0.125
         assert tail_sum(fam, 0.5) == pytest.approx(oracle_tail(fam, 0.5), abs=1e-12)
+
+
+@dataclass(frozen=True)
+class Cubic(MonomialFamily):
+    """phi_0 = 1; phi_n = n^3 r^n for n >= 1: a family defined only here."""
+
+    name = "cubic"
+
+    def coef(self, k):
+        return k ** 3
+
+    def tail(self, r):
+        return r * (1.0 + 4.0 * r + r * r) / (1.0 - r) ** 4
+
+
+class TestNewFamilyIsOneClass:
+    def test_tail_matches_brute_force(self):
+        for r in (0.1, 0.3, 0.5, 0.7):
+            assert tail_sum(Cubic(), r) == pytest.approx(brute_force_tail(Cubic(), r, 600), rel=1e-12)
+
+    def test_vector_matches_phi_k(self):
+        for r in (0.0, 0.2, 0.45, 0.9):
+            # to the ulp: numpy squares a scalar r by a multiply, a vector by pow
+            direct = [phi_k(Cubic(), k, r) for k in range(61)]
+            np.testing.assert_allclose(phi_vector(Cubic(), 60, r), direct, rtol=1e-15, atol=0.0)
+
+    def test_radius_without_registration(self):
+        query = RadiusQuery(Cubic(), DomainParams(0.25), 1.0)
+        res = minimal_root(query)
+        lo, hi = res.bracket
+        assert gap(query, lo) > 0.0 >= gap(query, hi)
+        # (1 + gamma) = (2/p) r (1 + 4r + r^2) / (1 - r)^4 at the radius
+        with mp.workdps(30):
+            root = mp.findroot(lambda x: 1.25 * (1 - x) ** 4 - 2 * x * (1 + 4 * x + x * x), 0.1)
+        assert res.radius == pytest.approx(float(root), abs=1e-11)
+        assert "cubic" not in FAMILY_CLASSES
