@@ -2,8 +2,8 @@
 
 The weight tables are correlations of two recurrence-built sequences; the
 scalar weights are the literal term loops with their stopping rule; phi_0 of
-the alpha-Cesaro family and the Bernardi tail are summed in blocks of 128
-terms over all radii at once; the Blaschke kernel is a log-depth scan.
+the alpha-Cesaro family and the Bernardi tail are one block sum, 128 terms
+at a time over all radii at once; the Blaschke kernel is a log-depth scan.
 
 Series kernels certify their truncation: term recurrences run until the next
 term is below 1e-16 of the accumulated sum and a ratio-test bound puts the
@@ -130,56 +130,46 @@ def alpha_phi_scalar(alpha: float, k: int, r: float) -> float:
             raise RuntimeError(_NONCONV)
 
 
+# ---------------------------------------------------------------------------
+# alpha-Cesaro phi_0 and the Bernardi tail: sum_{n>=n0} s r^(n+o) / (n+c1+c2),
+# summed in blocks of 128 terms over all radii at once
+
+def _block_sum(r: np.ndarray, s: float, n0: int, o: float, c1: float, c2: float) -> np.ndarray:
+    """sum_{n>=n0} s r^(n+o) / (n+c1+c2) at every point of r, in r's shape."""
+    r = np.ascontiguousarray(r, dtype=np.float64)
+    shape = r.shape
+    r = r.ravel()
+    out = np.zeros_like(r)
+    rpow = r ** (n0 + o)
+    rmax = float(r.max()) if r.size else 0.0
+    jblock = np.arange(128)
+    n = n0
+    while True:
+        p = rpow[:, None] * r[:, None] ** jblock
+        rpow = p[:, -1] * r
+        # scale each term before dividing it, and add the denominator left to
+        # right: the last bits of alpha's phi_0 depend on both
+        p *= s
+        p /= n + jblock + c1 + c2
+        out += p.sum(axis=1)
+        n += 128
+        if rmax == 0.0:
+            break
+        if s * rmax ** (n + o) / ((n + c1 + c2) * (1.0 - rmax)) < 1e-16:
+            break
+        if n > _MAX_TERMS:
+            raise RuntimeError(_NONCONV)
+    return out.reshape(shape)
+
+
 def alpha_phi0(alpha: float, r: np.ndarray) -> np.ndarray:
     """phi_0 = (1+alpha) sum_k r^k / (k+alpha+1) at every point of r."""
-    alpha = float(alpha)
-    r = np.ascontiguousarray(r, dtype=np.float64)
-    shape = r.shape
-    r = r.ravel()
-    out = np.zeros_like(r)
-    rpow = np.ones_like(r)
-    rmax = float(r.max()) if r.size else 0.0
-    jblock = np.arange(128)
-    k0 = 0
-    while True:
-        p = rpow[:, None] * r[:, None] ** jblock
-        out += ((1.0 + alpha) * p / (k0 + jblock + alpha + 1.0)).sum(axis=1)
-        rpow = p[:, -1] * r
-        k0 += 128
-        if rmax == 0.0:
-            break
-        if (1.0 + alpha) * rmax ** k0 / ((k0 + alpha + 1.0) * (1.0 - rmax)) < 1e-16:
-            break
-        if k0 > _MAX_TERMS:
-            raise RuntimeError(_NONCONV)
-    return out.reshape(shape)
+    return _block_sum(r, 1.0 + float(alpha), 0, 0.0, float(alpha), 1.0)
 
-
-# ---------------------------------------------------------------------------
-# Bernardi weights: tail sum_{n>=1} r^(n+m) / (n+m+delta)
 
 def bernardi_tail(m: int, delta: float, r: np.ndarray) -> np.ndarray:
-    m, delta = float(m), float(delta)
-    r = np.ascontiguousarray(r, dtype=np.float64)
-    shape = r.shape
-    r = r.ravel()
-    out = np.zeros_like(r)
-    rpow = r ** (m + 1.0)
-    rmax = float(r.max()) if r.size else 0.0
-    jblock = np.arange(128)
-    n0 = 1
-    while True:
-        p = rpow[:, None] * r[:, None] ** jblock
-        out += (p / (n0 + jblock + m + delta)).sum(axis=1)
-        rpow = p[:, -1] * r
-        n0 += 128
-        if rmax == 0.0:
-            break
-        if rmax ** (n0 + m) / ((n0 + m + delta) * (1.0 - rmax)) < 1e-16:
-            break
-        if n0 > _MAX_TERMS:
-            raise RuntimeError(_NONCONV)
-    return out.reshape(shape)
+    """Bernardi tail sum_{n>=1} r^(n+m) / (n+m+delta) at every point of r."""
+    return _block_sum(r, 1.0, 1, float(m), float(m), float(delta))
 
 
 # ---------------------------------------------------------------------------

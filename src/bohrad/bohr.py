@@ -61,24 +61,16 @@ def bohr_sum(series: CoefficientSeries, family: WeightFamily, p: float, r: float
 
 
 @lru_cache(maxsize=512)
-def _grid(radius: float, grid_points: int) -> np.ndarray:
-    """The read-only verification grid linspace(0, radius, grid_points)."""
+def _phi_matrix(family, radius: float, grid_points: int, order: int):
+    """The read-only grid linspace(0, radius, grid_points), the read-only matrix
+    whose row i holds [phi_0(r_i), ..., phi_order(r_i)], and the truncation
+    allowance: the largest certified sum_{k > order} phi_k(r_i) over the grid."""
     radii = np.linspace(0.0, radius, grid_points)
+    mat = np.vstack([weights.phi_vector(family, order, float(r)) for r in radii])
+    allowance = max(weights.phi_tail_mass(family, float(r), order) for r in radii)
     radii.flags.writeable = False
-    return radii
-
-
-@lru_cache(maxsize=512)
-def _phi_matrix(family, radius: float, grid_points: int, order: int) -> np.ndarray:
-    """Row i holds [phi_0(r_i), ..., phi_order(r_i)] over the grid."""
-    mat = np.vstack([weights.phi_vector(family, order, float(r)) for r in _grid(radius, grid_points)])
     mat.flags.writeable = False
-    return mat
-
-
-@lru_cache(maxsize=512)
-def _tail_allowance(family, radius: float, grid_points: int, order: int) -> float:
-    return max(weights.phi_tail_mass(family, float(r), order) for r in _grid(radius, grid_points))
+    return radii, mat, allowance
 
 
 def verify_up_to_radius(
@@ -103,14 +95,14 @@ def verify_up_to_radius(
     series = coefficients_of(f, order)
     cap = coefficient_cap(f, order)
     radius, grid_points, order = float(radius), int(grid_points), int(order)
-    pmat = _phi_matrix(query.family, radius, grid_points, order)
+    radii, pmat, allowance = _phi_matrix(query.family, radius, grid_points, order)
     m = series.moduli()
     sums = pmat[:, 0] * m[0] ** query.p + pmat[:, 1:] @ m[1:]
     phi0s = pmat[:, 0]
-    trunc = cap * _tail_allowance(query.family, radius, grid_points, order)
+    trunc = cap * allowance
     max_excess = float(np.max(sums - phi0s))
     return BohrReport(
-        radii=_grid(radius, grid_points),
+        radii=radii,
         bohr_sums=sums,
         phi0_values=phi0s,
         max_excess=max_excess,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -126,6 +127,17 @@ def _build_family(args):
     return make_family(args.family, _collect_params(args, args.family))
 
 
+def _parse_param(cls, name: str, text: str | float) -> float | int:
+    """Parameter ``name`` of family class cls from its command-line text; an
+    int field takes only finite integral values."""
+    x = float(text)
+    if _PARAM_TYPES[name] is int:
+        if not x.is_integer():  # also false for inf and nan
+            raise ValueError(f"{cls.__name__} {name} must be an integer")
+        x = int(x)
+    return x
+
+
 def parse_value_list(text: str, kind=float) -> list:
     """'lo:hi:step' (inclusive), 'a,b,c', or a single value."""
     if ":" in text:
@@ -192,11 +204,7 @@ def parse_function(text: str, domain: DomainParams):
 def cmd_radius(args) -> int:
     family = _build_family(args)
     query = RadiusQuery(family, DomainParams(args.gamma), args.p)
-    try:
-        res = minimal_root(query, tol=args.tol)
-    except NoRootError as exc:
-        print(f"no root: {exc}", file=sys.stderr)
-        return EXIT_NO_ROOT
+    res = minimal_root(query, tol=args.tol)
     emit(
         {
             "command": "radius",
@@ -220,6 +228,7 @@ def cmd_radius(args) -> int:
 
 def _table_rows(args):
     name = args.family
+    cls = FAMILY_CLASSES[name]
     gammas = sorted(parse_value_list(args.gamma))
     ps = sorted(parse_value_list(args.p))
     fields = _PARAM_FIELDS[name]
@@ -228,10 +237,8 @@ def _table_rows(args):
         raw = getattr(args, f)
         if raw is None:
             value_lists.append([None])
-        elif _PARAM_TYPES[f] is int:
-            value_lists.append(parse_value_list(raw, kind=lambda s: int(float(s))))
         else:
-            value_lists.append(parse_value_list(raw))
+            value_lists.append(parse_value_list(raw, kind=functools.partial(_parse_param, cls, f)))
     for gamma in gammas:
         for p in ps:
             for combo in itertools.product(*value_lists):
@@ -294,11 +301,7 @@ def cmd_verify(args) -> int:
     domain = DomainParams(args.gamma)
     query = RadiusQuery(family, domain, args.p)
     f = parse_function(args.fn, domain)
-    try:
-        res = minimal_root(query, tol=args.tol)
-    except NoRootError as exc:
-        print(f"no root: {exc}", file=sys.stderr)
-        return EXIT_NO_ROOT
+    res = minimal_root(query, tol=args.tol)
     target = res.radius + args.r_beyond
     if not (0.0 <= target < 1.0):
         raise ValueError("--r-beyond pushes the grid outside [0, 1)")
@@ -361,15 +364,8 @@ def _operator_spec(args):
     cls, value = chosen[0]
     if not isinstance(value, list):
         return cls(value)
-    params = {}
-    for f, text in zip(dataclasses.fields(cls), value):
-        x = float(text)
-        if _PARAM_TYPES[f.name] is int:
-            if x != int(x):
-                raise ValueError(f"{cls.__name__} {f.name} must be an integer")
-            x = int(x)
-        params[f.name] = x
-    return cls(**params)
+    fields = dataclasses.fields(cls)
+    return cls(**{f.name: _parse_param(cls, f.name, text) for f, text in zip(fields, value)})
 
 
 def cmd_operator(args) -> int:
@@ -390,11 +386,7 @@ def cmd_operator(args) -> int:
         )
         return EXIT_OK
     if args.action == "radius":
-        try:
-            res = operator_bohr_radius(spec, DomainParams(args.gamma), tol=args.tol, p=args.p)
-        except NoRootError as exc:
-            print(f"no root: {exc}", file=sys.stderr)
-            return EXIT_NO_ROOT
+        res = operator_bohr_radius(spec, DomainParams(args.gamma), tol=args.tol, p=args.p)
         emit(
             {
                 "command": "operator",

@@ -18,7 +18,6 @@ from .bohr import extremal_margin, verify_up_to_radius
 from .radius import NoRootError, RadiusQuery, minimal_root
 from .series import (
     BlaschkeComposed,
-    BoundedFunction,
     CoefficientSeries,
     DomainParams,
     Extremal,
@@ -77,6 +76,8 @@ class SuiteConfig:
                 raise ValueError(f"p {p} outside (0, 2]")
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
+        if not math.isfinite(self.tolerance):
+            raise ValueError("tolerance must be finite")
         object.__setattr__(self, "gamma_grid", tuple(float(g) for g in self.gamma_grid))
         object.__setattr__(self, "p_grid", tuple(float(p) for p in self.p_grid))
         object.__setattr__(self, "families", tuple(self.families))
@@ -166,25 +167,6 @@ def random_bounded_function(domain: DomainParams, rng: np.random.Generator) -> B
     return BlaschkeComposed(domain, zeros, rotation)
 
 
-def function_descriptor(f: BoundedFunction) -> dict:
-    """JSON-serializable descriptor sufficient to rebuild the function."""
-    if isinstance(f, BlaschkeComposed):
-        return {
-            "kind": "blaschke",
-            "gamma": f.domain.gamma,
-            "zeros": [[z.real, z.imag] for z in f.zeros],
-            "rotation": [f.rotation.real, f.rotation.imag],
-        }
-    if isinstance(f, Extremal):
-        return {"kind": "extremal", "gamma": f.domain.gamma, "a": f.a}
-    if isinstance(f, Raw):
-        return {
-            "kind": "raw",
-            "coefficients": [[c.real, c.imag] for c in f.series.coefficients],
-        }
-    raise TypeError(f"not a bounded-function descriptor: {f!r}")
-
-
 def _deterministic_functions(domain: DomainParams):
     fns = [Raw(CoefficientSeries([c])) for c in (0.0, 1.0, -1.0, 0.5)]
     fns += [Extremal(domain, a) for a in (0.5, 0.9, 0.999)]
@@ -225,7 +207,7 @@ def run_inequality_suite(config: SuiteConfig) -> SuiteReport:
                 cell.n_fail += 1
             if report.max_excess > cell.worst_excess:
                 cell.worst_excess = report.max_excess
-                cell.worst_function = function_descriptor(f)
+                cell.worst_function = f.descriptor()
         if config.negative_controls:
             any_controls = True
             # the control is flagged if either check catches it: the

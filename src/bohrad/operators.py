@@ -25,6 +25,7 @@ from .weights import AlphaCesaro, Bernardi, BetaCesaro
 OperatorSpec = Union[BetaCesaro, AlphaCesaro, Bernardi]
 
 CROSS_CHECK_TOL = 1e-9
+QUADRATURE_NODES = 64  # first Gauss rule of the integral form; doubled up to 4 times
 
 
 def gamma_ratio(j: int, beta: float) -> float:
@@ -142,9 +143,7 @@ def _quad_once(spec: OperatorSpec, f: Callable, z: complex, n: int) -> complex:
     raise TypeError(f"unknown operator spec: {spec!r}")
 
 
-def apply_integral_form(
-    spec: OperatorSpec, f: Callable, z: complex, quadrature_nodes: int = 64
-) -> complex:
+def apply_integral_form(spec: OperatorSpec, f: Callable, z: complex) -> complex:
     """Evaluate the operator at z through its integral representation.
 
     Node counts double until two successive estimates agree to near machine
@@ -153,9 +152,7 @@ def apply_integral_form(
     z = complex(z)
     if abs(z) >= 1.0:
         raise ValueError("|z| must be < 1")
-    if quadrature_nodes < 2:
-        raise ValueError("quadrature_nodes must be >= 2")
-    n = int(quadrature_nodes)
+    n = QUADRATURE_NODES
     prev = _quad_once(spec, f, z, n)
     for _ in range(4):
         n *= 2

@@ -23,6 +23,7 @@ SCAN_STEP = 1e-3
 FINE_STEP = 1e-6
 SCAN_END = 1.0 - 1e-9
 DEFAULT_TOL = 1e-12
+WINDOW_SAMPLES = 32  # gap evaluations in the sharpness window
 _BLOCK = 128
 
 
@@ -99,7 +100,7 @@ def _first_bracket(query: RadiusQuery):
     raise NoRootError("gap(x) > 0 on all of (0, 1): the inequality holds up to 1")
 
 
-def minimal_root(query: RadiusQuery, tol: float = DEFAULT_TOL, window_epsilon=None) -> RadiusResult:
+def minimal_root(query: RadiusQuery, tol: float = DEFAULT_TOL) -> RadiusResult:
     """Locate the minimal positive root of the gap equation to |hi-lo| <= tol.
 
     The bracket is refined by vectorized 16-section (bisection batched 15
@@ -127,17 +128,12 @@ def minimal_root(query: RadiusQuery, tol: float = DEFAULT_TOL, window_epsilon=No
     radius = 0.5 * (lo + hi)
     residual = float(gap(query, radius))
     evals += 1
-    epsilon = window_epsilon
-    if epsilon is None:
-        epsilon = min(0.05, 0.5 * (1.0 - radius))
-    ok = sharpness_window_check(query, radius, epsilon)
-    evals += 32
+    ok = sharpness_window_check(query, radius, min(0.05, 0.5 * (1.0 - radius)))
+    evals += WINDOW_SAMPLES
     return RadiusResult(radius, (lo, hi), residual, ok, evals)
 
 
-def sharpness_window_check(
-    query: RadiusQuery, radius: float, epsilon: float, samples: int = 32
-) -> bool:
+def sharpness_window_check(query: RadiusQuery, radius: float, epsilon: float) -> bool:
     """True iff gap < 0 at all sample points in (radius, radius + epsilon).
 
     A strictly negative window certifies the radius cannot be enlarged; a
@@ -147,5 +143,5 @@ def sharpness_window_check(
         raise ValueError("epsilon must be positive")
     if radius + epsilon >= 1.0:
         raise ValueError("window (radius, radius+epsilon) must stay inside [0, 1)")
-    pts = radius + epsilon * np.arange(1, samples + 1) / (samples + 1.0)
+    pts = radius + epsilon * np.arange(1, WINDOW_SAMPLES + 1) / (WINDOW_SAMPLES + 1.0)
     return bool(np.all(np.asarray(gap(query, pts)) < 0.0))

@@ -4,24 +4,25 @@ The domain is the disk Omega(gamma) = { z : |z + gamma/(1-gamma)| < 1/(1-gamma) 
 for 0 <= gamma < 1; gamma = 0 recovers the unit disk.  Every function here is
 represented by the Taylor coefficients of its restriction to the unit disk.
 
-Three generators are provided, each exact up to rounding:
+Each kind of test function is one frozen dataclass, a ``BoundedFunction``
+that gives its coefficients, its closed-form value, its coefficient cap and
+tail bound, and a descriptor.  The coefficients are exact up to rounding:
 
-* ``extremal_coefficients`` — the Mobius map of Omega(gamma) onto the disk,
+* ``Extremal`` — the Mobius map of Omega(gamma) onto the disk,
   ``(a - gamma - (1-gamma) z) / (1 - a gamma - a (1-gamma) z)``, whose
   coefficients decay like q^k with q = a (1-gamma) / (1 - a gamma);
-* ``coefficients_of(BlaschkeComposed(...))`` — a finite Blaschke product
-  pre-composed with the affine map w = (1-gamma) z + gamma that sends
-  Omega(gamma) onto the unit disk.  Composed with w, each factor is again a
-  first-order rational function of z, so the coefficients are generated factor
-  by factor with no truncate-then-compose step;
-* ``blaschke_coefficients`` — its gamma = 0 case, finite Blaschke products on
-  the unit disk, coefficients decaying like max|zero|^k.
+* ``BlaschkeComposed`` — a finite Blaschke product pre-composed with the
+  affine map w = (1-gamma) z + gamma that sends Omega(gamma) onto the unit
+  disk.  Composed with w, each factor is again a first-order rational function
+  of z, so the coefficients are generated factor by factor with no
+  truncate-then-compose step; ``blaschke_coefficients`` is its gamma = 0 case,
+  coefficients decaying like max|zero|^k;
+* ``Raw`` — an arbitrary finite coefficient list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -84,9 +85,39 @@ class CoefficientSeries:
         return f"CoefficientSeries(order={self.order})"
 
 
+def _check_radius(r: float) -> None:
+    if not (0.0 <= r < 1.0):
+        raise ValueError("r must be in [0, 1)")
+
+
+class BoundedFunction:
+    """Base of the test-function kinds, which are frozen dataclasses.
+
+    A kind gives coefficients(order), its closed-form value __call__(z) and
+    descriptor(), a JSON-serializable dict that rebuilds it.  cap() and
+    tail_bound() below hold for members of the bounded class on ``domain``.
+    """
+
+    def cap(self) -> float:
+        """Certified bound on every |c_k|, k >= 1: members of the bounded class
+        on Omega(gamma) satisfy |c_k| <= (1 - |f(0)|^2)/(1 + gamma)."""
+        return (1.0 - abs(self(0.0)) ** 2) / (1.0 + self.domain.gamma)
+
+    def tail_bound(self, r: float, order: int) -> float:
+        """Certified bound on sum_{k > order} |c_k| r^k at radius r < 1."""
+        _check_radius(r)
+        return self.cap() * r ** (order + 1) / (1.0 - r)
+
+
 @dataclass(frozen=True)
-class Extremal:
-    """The extremal Mobius map of Omega(gamma) onto the disk, parameter a in [0,1)."""
+class Extremal(BoundedFunction):
+    """The extremal Mobius map of Omega(gamma) onto the disk, parameter a in [0,1).
+
+    c_0 = (a-gamma)/(1-a*gamma) and, for k >= 1,
+    c_k = -[(1-a^2)/(a(1-a*gamma))] * [a(1-gamma)/(1-a*gamma)]^k.
+    The k >= 1 formula has a removable singularity at a = 0, where the map is
+    the affine function -gamma - (1-gamma) z; that case is handled explicitly.
+    """
 
     domain: DomainParams
     a: float
@@ -95,9 +126,43 @@ class Extremal:
         if not (0.0 <= self.a < 1.0):
             raise ValueError(f"a must be in [0, 1), got {self.a}")
 
+    def coefficients(self, order: int) -> CoefficientSeries:
+        if order < 0:
+            raise ValueError("order must be >= 0")
+        g, a = self.domain.gamma, self.a
+        c = np.zeros(order + 1, dtype=np.complex128)
+        if a == 0.0:
+            c[0] = -g
+            if order >= 1:
+                c[1] = -(1.0 - g)
+            return CoefficientSeries(c)
+        c[0] = (a - g) / (1.0 - a * g)
+        q = a * (1.0 - g) / (1.0 - a * g)
+        pref = (1.0 - a * a) / (a * (1.0 - a * g))
+        k = np.arange(1, order + 1)
+        c[1:] = -pref * q ** k
+        return CoefficientSeries(c)
+
+    def __call__(self, z: complex) -> complex:
+        g, a = self.domain.gamma, self.a
+        return (a - g - (1.0 - g) * z) / (1.0 - a * g - a * (1.0 - g) * z)
+
+    def tail_bound(self, r: float, order: int) -> float:
+        """The geometric tail of the coefficients, summed exactly."""
+        _check_radius(r)
+        g, a = self.domain.gamma, self.a
+        if a == 0.0:
+            return 0.0 if order >= 1 else (1.0 - g) * r
+        q = a * (1.0 - g) / (1.0 - a * g)
+        pref = (1.0 - a * a) / (a * (1.0 - a * g))
+        return pref * (q * r) ** (order + 1) / (1.0 - q * r)
+
+    def descriptor(self) -> dict:
+        return {"kind": "extremal", "gamma": self.domain.gamma, "a": self.a}
+
 
 @dataclass(frozen=True)
-class BlaschkeComposed:
+class BlaschkeComposed(BoundedFunction):
     """A finite Blaschke product pre-composed with the affine map onto Omega(gamma)."""
 
     domain: DomainParams
@@ -114,42 +179,63 @@ class BlaschkeComposed:
         if abs(abs(self.rotation) - 1.0) > 1e-12:
             raise ValueError("rotation must be unimodular")
 
+    def coefficients(self, order: int) -> CoefficientSeries:
+        if order < 0:
+            raise ValueError("order must be >= 0")
+        return CoefficientSeries(
+            _kernels.blaschke_series(self.zeros, self.rotation, order, self.domain.gamma)
+        )
+
+    def __call__(self, z: complex) -> complex:
+        w = (1.0 - self.domain.gamma) * z + self.domain.gamma
+        val = self.rotation
+        for zero in self.zeros:
+            val *= (w - zero) / (1.0 - zero.conjugate() * w)
+        return complex(val)
+
+    def descriptor(self) -> dict:
+        return {
+            "kind": "blaschke",
+            "gamma": self.domain.gamma,
+            "zeros": [[z.real, z.imag] for z in self.zeros],
+            "rotation": [self.rotation.real, self.rotation.imag],
+        }
+
 
 @dataclass(frozen=True)
-class Raw:
+class Raw(BoundedFunction):
     """An arbitrary coefficient list; membership in the bounded class is not implied."""
 
     series: CoefficientSeries
 
+    def coefficients(self, order: int) -> CoefficientSeries:
+        return self.series.padded(order)
 
-BoundedFunction = Union[Extremal, BlaschkeComposed, Raw]
+    def __call__(self, z: complex) -> complex:
+        return self.series.evaluate(z)
+
+    def cap(self) -> float:
+        return 0.0  # the series is finite: nothing lies beyond it
+
+    def tail_bound(self, r: float, order: int) -> float:
+        """The stored coefficients beyond order, summed at r."""
+        _check_radius(r)
+        m = self.series.moduli()
+        if order >= self.series.order:
+            return 0.0
+        k = np.arange(order + 1, self.series.order + 1)
+        return float(np.sum(m[order + 1 :] * r ** k))
+
+    def descriptor(self) -> dict:
+        return {
+            "kind": "raw",
+            "coefficients": [[c.real, c.imag] for c in self.series.coefficients],
+        }
 
 
 def extremal_coefficients(domain: DomainParams, a: float, order: int) -> CoefficientSeries:
-    """Disk coefficients of the extremal map.
-
-    c_0 = (a-gamma)/(1-a*gamma) and, for k >= 1,
-    c_k = -[(1-a^2)/(a(1-a*gamma))] * [a(1-gamma)/(1-a*gamma)]^k.
-    The k >= 1 formula has a removable singularity at a = 0, where the map is
-    the affine function -gamma - (1-gamma) z; that case is returned explicitly.
-    """
-    if not (0.0 <= a < 1.0):
-        raise ValueError(f"a must be in [0, 1), got {a}")
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    g = domain.gamma
-    c = np.zeros(order + 1, dtype=np.complex128)
-    if a == 0.0:
-        c[0] = -g
-        if order >= 1:
-            c[1] = -(1.0 - g)
-        return CoefficientSeries(c)
-    c[0] = (a - g) / (1.0 - a * g)
-    q = a * (1.0 - g) / (1.0 - a * g)
-    pref = (1.0 - a * a) / (a * (1.0 - a * g))
-    k = np.arange(1, order + 1)
-    c[1:] = -pref * q ** k
-    return CoefficientSeries(c)
+    """Disk coefficients of the extremal map (see Extremal)."""
+    return Extremal(domain, a).coefficients(order)
 
 
 def blaschke_coefficients(zeros, rotation: complex, order: int) -> CoefficientSeries:
@@ -158,74 +244,17 @@ def blaschke_coefficients(zeros, rotation: complex, order: int) -> CoefficientSe
     Each factor is folded in by exact series division against its two-term
     denominator, in ceil(log2(order+1)) vectorised passes per zero.
     """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    zeros = np.asarray([complex(z) for z in zeros], dtype=np.complex128)
-    if zeros.size and np.max(np.abs(zeros)) >= 1.0:
-        raise ValueError("all Blaschke zeros must lie strictly inside the unit disk")
-    rotation = complex(rotation)
-    if abs(abs(rotation) - 1.0) > 1e-12:
-        raise ValueError("rotation must be unimodular")
-    return CoefficientSeries(_kernels.blaschke_series(zeros, rotation, order))
+    return BlaschkeComposed(DomainParams(0.0), zeros, rotation).coefficients(order)
 
 
 def coefficients_of(f: BoundedFunction, order: int) -> CoefficientSeries:
     """Disk coefficients of any test function, truncated or padded to order."""
-    if isinstance(f, Extremal):
-        return extremal_coefficients(f.domain, f.a, order)
-    if isinstance(f, BlaschkeComposed):
-        # the descriptor validated its zeros and rotation on construction
-        return CoefficientSeries(_kernels.blaschke_series(f.zeros, f.rotation, order, f.domain.gamma))
-    if isinstance(f, Raw):
-        return f.series.padded(order)
-    raise TypeError(f"not a bounded-function descriptor: {f!r}")
-
-
-def evaluate_direct(f: BoundedFunction, z: complex) -> complex:
-    """Closed-form evaluation, bypassing the series (oracle for truncation tests)."""
-    if isinstance(f, Extremal):
-        g, a = f.domain.gamma, f.a
-        return (a - g - (1.0 - g) * z) / (1.0 - a * g - a * (1.0 - g) * z)
-    if isinstance(f, BlaschkeComposed):
-        w = (1.0 - f.domain.gamma) * z + f.domain.gamma
-        val = f.rotation
-        for zero in f.zeros:
-            val *= (w - zero) / (1.0 - zero.conjugate() * w)
-        return complex(val)
-    if isinstance(f, Raw):
-        return f.series.evaluate(z)
-    raise TypeError(f"not a bounded-function descriptor: {f!r}")
+    return f.coefficients(order)
 
 
 def coefficient_cap(f: BoundedFunction, order: int) -> float:
-    """Certified bound on |c_k| for k > order (0 for Raw: the series is finite).
-
-    Members of the bounded class on Omega(gamma) satisfy
-    |c_k| <= (1 - |f(0)|^2)/(1 + gamma) for every k >= 1.
-    """
-    if isinstance(f, Raw):
-        return 0.0
-    return (1.0 - abs(evaluate_direct(f, 0.0)) ** 2) / (1.0 + f.domain.gamma)
-
-
-def tail_bound(f: BoundedFunction, r: float, order: int) -> float:
-    """Certified bound on sum_{k > order} |c_k| r^k at radius r < 1."""
-    if not (0.0 <= r < 1.0):
-        raise ValueError("r must be in [0, 1)")
-    if isinstance(f, Raw):
-        m = f.series.moduli()
-        if order >= f.series.order:
-            return 0.0
-        k = np.arange(order + 1, f.series.order + 1)
-        return float(np.sum(m[order + 1 :] * r ** k))
-    if isinstance(f, Extremal):
-        g, a = f.domain.gamma, f.a
-        if a == 0.0:
-            return 0.0 if order >= 1 else (1.0 - g) * r
-        q = a * (1.0 - g) / (1.0 - a * g)
-        pref = (1.0 - a * a) / (a * (1.0 - a * g))
-        return pref * (q * r) ** (order + 1) / (1.0 - q * r)
-    return coefficient_cap(f, order) * r ** (order + 1) / (1.0 - r)
+    """Certified bound on |c_k| for k > order (0 for Raw: the series is finite)."""
+    return f.cap()
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ and call the family's method; all evaluators are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Callable
@@ -39,6 +40,12 @@ class WeightFamily:
     def params(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
+    def _require_finite(self) -> None:
+        """Reject inf and nan in every float field; validators call it first."""
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+
 
 class MonomialFamily(WeightFamily):
     """phi_0 = 1; phi_k = c(k) r^k for k >= N, else 0.  A subclass gives
@@ -47,6 +54,7 @@ class MonomialFamily(WeightFamily):
     N = 1
 
     def __post_init__(self):
+        self._require_finite()
         if int(self.N) != self.N or self.N < 1:
             raise ValueError("N must be an integer >= 1")
         object.__setattr__(self, "N", int(self.N))
@@ -196,6 +204,7 @@ class BetaCesaro(WeightFamily):
     beta: float = 1.0
 
     def __post_init__(self):
+        self._require_finite()
         if not self.beta > 0:
             raise ValueError("beta must be > 0")
 
@@ -222,6 +231,7 @@ class AlphaCesaro(WeightFamily):
     alpha: float = 0.0
 
     def __post_init__(self):
+        self._require_finite()
         if not self.alpha > -1:
             raise ValueError("alpha must be > -1")
 
@@ -249,6 +259,7 @@ class Bernardi(WeightFamily):
     delta: float = 1.0
 
     def __post_init__(self):
+        self._require_finite()
         if int(self.m) != self.m or self.m < 1:
             raise ValueError("m must be an integer >= 1")
         object.__setattr__(self, "m", int(self.m))
@@ -342,7 +353,6 @@ def _phi_vector_cached(family, order, r):
     return v
 
 
-@lru_cache(maxsize=4096)
 def phi_tail_mass(family: WeightFamily, r: float, order: int) -> float:
     """Certified bound on sum_{k > order} phi_k(r) (non-negative)."""
     partial = float(np.sum(phi_vector(family, order, r)[1:]))

@@ -115,6 +115,20 @@ class TestTableCommand:
         x = by_beta[1]
         assert abs(2 * x - 3 * (1 - x) * math.log(1 / (1 - x))) <= 1e-9
 
+    @pytest.mark.parametrize("value", ["inf", "1.5"])
+    def test_non_integral_int_parameter_is_usage_error(self, capsys, value):
+        # --N inf ended in an OverflowError traceback; --N 1.5 silently ran N=1
+        code, out, err = run_cli(capsys, "table", "--family", "linear", "--N", value, "--gamma", "0")
+        assert code == 2
+        assert out == ""
+        assert err == "error: Linear N must be an integer\n"
+
+    def test_integral_float_parameter_echoed_as_int(self, capsys):
+        code, out, _ = run_cli(capsys, "table", "--family", "linear", "--N", "2.0", "--gamma", "0")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [row["params"] for row in rows] == ["N=2"]
+
     def test_rows_sorted_by_gamma_then_p(self, capsys):
         _, out, _ = run_cli(
             capsys, "table", "--family", "even", "--gamma", "0,0.5", "--p", "2,1",
@@ -218,6 +232,13 @@ class TestOperatorCommand:
 
         expected = [0.0, 0.5, (0.5 - 0.25j) / 3.0, 1e-17 / 4.0]
         np.testing.assert_array_equal(written.coefficients, expected)
+
+    def test_infinite_int_parameter_is_usage_error(self, capsys):
+        # ended in an OverflowError traceback
+        code, out, err = run_cli(capsys, "operator", "--bernardi", "inf", "1", "bound", "--r", "0.5")
+        assert code == 2
+        assert out == ""
+        assert err == "error: Bernardi m must be an integer\n"
 
     def test_missing_spec_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "operator", "radius", "--gamma", "0")

@@ -8,7 +8,6 @@ from bohrad.harness import (
     SuiteConfig,
     brute_force_tail,
     default_config,
-    function_descriptor,
     iter_cells,
     random_bounded_function,
     run_inequality_suite,
@@ -41,8 +40,8 @@ class TestRandomFunctions:
 
     def test_descriptor_deterministic(self):
         dom = DomainParams(0.3)
-        d1 = function_descriptor(random_bounded_function(dom, np.random.default_rng(99)))
-        d2 = function_descriptor(random_bounded_function(dom, np.random.default_rng(99)))
+        d1 = random_bounded_function(dom, np.random.default_rng(99)).descriptor()
+        d2 = random_bounded_function(dom, np.random.default_rng(99)).descriptor()
         assert d1 == d2
 
     def test_zeros_within_sampling_disk(self):
@@ -163,6 +162,12 @@ class TestCellIteration:
             SuiteConfig(p_grid=(3.0,))
         with pytest.raises(ValueError):
             SuiteConfig(tolerance=0.0)
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    def test_config_rejects_non_finite_tolerance(self, bad):
+        # an infinite tolerance passed every cell vacuously
+        with pytest.raises(ValueError):
+            SuiteConfig(tolerance=bad)
 
 
 class TestSharpnessSuite:

@@ -1,13 +1,21 @@
 """Core series generators: extremal map, composed and disk Blaschke products."""
 
+import json
+import math
+from dataclasses import dataclass
+
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bohrad.bohr import verify_up_to_radius
+from bohrad.cli import render_json
+from bohrad.radius import RadiusQuery, minimal_root
 from bohrad.series import (
     BlaschkeComposed,
+    BoundedFunction,
     CoefficientSeries,
     DomainParams,
     Extremal,
@@ -15,11 +23,10 @@ from bohrad.series import (
     blaschke_coefficients,
     coefficient_cap,
     coefficients_of,
-    evaluate_direct,
     extremal_coefficients,
     lemma_bound_report,
-    tail_bound,
 )
+from bohrad.weights import AlphaCesaro, Bernardi, OddPowers, PowerTail
 
 
 def blaschke_oracle(zeros, rotation, order):
@@ -73,9 +80,9 @@ class TestExtremalCoefficients:
         f = Extremal(DomainParams(0.4), 0.7)
         series = coefficients_of(f, 300)
         for z in (0.2, -0.5, 0.3 + 0.4j):
-            expected = evaluate_direct(f, z)
+            expected = f(z)
             got = series.evaluate(z)
-            assert abs(got - expected) <= tail_bound(f, abs(z), 300) + 1e-14
+            assert abs(got - expected) <= f.tail_bound(abs(z), 300) + 1e-14
 
 
 def composed_taylor(zeros, rotation, gamma, order):
@@ -154,8 +161,8 @@ class TestComposedBlaschke:
         f = BlaschkeComposed(DomainParams(gamma), (0.99,), 1.0)
         series = coefficients_of(f, 200)
         for z in (0.5, -0.5, 0.3 + 0.4j, 0.9, -0.9j, 0.6 + 0.6j):
-            err = abs(series.evaluate(z) - evaluate_direct(f, z))
-            assert err <= tail_bound(f, abs(z), 200) + 1e-14
+            err = abs(series.evaluate(z) - f(z))
+            assert err <= f.tail_bound(abs(z), 200) + 1e-14
 
 
 class TestCoefficientCap:
@@ -249,8 +256,8 @@ class TestCoefficientsOf:
         rng = np.random.default_rng(1)
         for _ in range(10):
             z = 0.9 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-            err = abs(series.evaluate(z) - evaluate_direct(f, z))
-            assert err <= tail_bound(f, abs(z), 260) + 1e-13
+            err = abs(series.evaluate(z) - f(z))
+            assert err <= f.tail_bound(abs(z), 260) + 1e-13
 
 
 class TestLemmaBoundReport:
@@ -304,3 +311,54 @@ class TestCoefficientSeries:
         assert s.padded(4).order == 4
         assert s.padded(1).order == 1
         np.testing.assert_array_equal(s.padded(1).coefficients, [1, 2])
+
+
+@dataclass(frozen=True)
+class Power(BoundedFunction):
+    """f = ((1-gamma) z + gamma)^n, the power w^n composed onto Omega(gamma):
+    a test-function kind defined only here."""
+
+    domain: DomainParams
+    n: int
+
+    def coefficients(self, order):
+        g, n = self.domain.gamma, self.n
+        return CoefficientSeries(
+            [math.comb(n, k) * (1 - g) ** k * g ** (n - k) if k <= n else 0.0 for k in range(order + 1)]
+        )
+
+    def __call__(self, z):
+        return ((1.0 - self.domain.gamma) * z + self.domain.gamma) ** self.n
+
+    def descriptor(self):
+        return {"kind": "power", "gamma": self.domain.gamma, "n": self.n}
+
+
+POWERS = [Power(DomainParams(g), n) for g in (0.0, 0.3, 0.75) for n in (1, 2, 5)]
+
+
+class TestNewKindIsOneClass:
+    @pytest.mark.parametrize("f", POWERS, ids=repr)
+    def test_coefficients_are_binomial(self, f):
+        g = f.domain.gamma
+        expected = np.zeros(9)
+        expected[: f.n + 1] = np.polynomial.polynomial.polypow([g, 1 - g], f.n)
+        np.testing.assert_allclose(coefficients_of(f, 8).coefficients, expected, rtol=1e-14, atol=1e-16)
+
+    @pytest.mark.parametrize("f", POWERS, ids=repr)
+    def test_cap_bounds_every_coefficient(self, f):
+        cap = coefficient_cap(f, 20)
+        assert cap == pytest.approx((1 - f.domain.gamma ** (2 * f.n)) / (1 + f.domain.gamma), rel=1e-14)
+        assert np.all(np.abs(coefficients_of(f, 20).coefficients[1:]) <= cap * (1 + 1e-12))
+        assert f.tail_bound(0.5, 2) == pytest.approx(cap * 0.5 ** 3 / 0.5, rel=1e-15)
+
+    @pytest.mark.parametrize("family", [PowerTail(1), OddPowers(), AlphaCesaro(0.0), Bernardi(1, 1.0)], ids=repr)
+    def test_verifies_up_to_radius(self, family):
+        for f in POWERS:
+            query = RadiusQuery(family, f.domain, 1.0)
+            report = verify_up_to_radius(f, query, minimal_root(query).radius)
+            assert report.passed
+
+    def test_descriptor_renders(self):
+        f = Power(DomainParams(0.25), 3)
+        assert json.loads(render_json(f.descriptor())) == {"kind": "power", "gamma": 0.25, "n": 3}

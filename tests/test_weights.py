@@ -1,7 +1,7 @@
 """Weight families: closed forms against brute-force summation oracles."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import mpmath as mp
 import numpy as np
@@ -247,6 +247,18 @@ class TestValidationAndRegistry:
             Bernardi(0, 1.0)
         with pytest.raises(ValueError):
             Bernardi(2, -2.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "cls, field",
+        [(cls, f.name) for cls in FAMILY_CLASSES.values() for f in fields(cls)],
+        ids=lambda v: getattr(v, "__name__", v),
+    )
+    def test_rejects_non_finite_parameter(self, cls, field, bad):
+        # BetaCesaro(inf) answered "no root" from NaN gaps, AlphaCesaro(inf)
+        # raised RuntimeError after a long scan, PowerTail(N=inf) OverflowError
+        with pytest.raises(ValueError):
+            cls(**{field: bad})
 
     def test_registry_round_trip(self):
         for fam in ALL_FAMILIES:
