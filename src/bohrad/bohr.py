@@ -100,7 +100,7 @@ def verify_up_to_radius(
     sums = pmat[:, 0] * m[0] ** query.p + pmat[:, 1:] @ m[1:]
     phi0s = pmat[:, 0]
     trunc = cap * allowance
-    max_excess = float(np.max(sums - phi0s))
+    max_excess = float((sums - phi0s).max())
     return BohrReport(
         radii=radii,
         bohr_sums=sums,

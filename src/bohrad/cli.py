@@ -15,6 +15,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -507,6 +508,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_radius.set_defaults(func=cmd_radius)
 
     p_table = sub.add_parser("table", help="radius sweep over gamma/p/param ranges")
+    # a list or range may start with a negative number ("--delta -0.5,1"):
+    # read every argument that starts like a number as a value, not an option
+    p_table._negative_number_matcher = re.compile(r"-\.?\d")
     _add_family_options(p_table, multi=True)
     p_table.add_argument("--gamma", type=str, required=True, help="value, list, or lo:hi:step")
     p_table.add_argument("--p", type=str, default="1")

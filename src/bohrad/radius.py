@@ -26,6 +26,13 @@ DEFAULT_TOL = 1e-12
 WINDOW_SAMPLES = 32  # gap evaluations in the sharpness window
 _BLOCK = 128
 
+# the scan grids and the 16-section fractions, built once and read-only
+_COARSE = np.append(np.arange(1, 1000) * SCAN_STEP, SCAN_END)
+_FINE = np.arange(1, 2001) * FINE_STEP
+_SECTIONS = np.arange(1, 16) / 16.0
+for _grid in (_COARSE, _FINE, _SECTIONS):
+    _grid.flags.writeable = False
+
 
 class NoRootError(Exception):
     """The gap never crosses from positive to non-positive on (0, 1)."""
@@ -66,32 +73,30 @@ def _first_bracket(query: RadiusQuery):
     at the very first coarse point, a 1e-6 scan near 0 guards families whose
     gap needs care there (the Bernardi family vanishes at 0+).
     """
-    coarse = np.append(np.arange(1, 1000) * SCAN_STEP, SCAN_END)
     evals = 1
     start = 1
-    prev = coarse[0]
-    if float(gap(query, coarse[0])) <= 0.0:
-        fine = np.arange(1, 2001) * FINE_STEP
-        gf = np.asarray(gap(query, fine))
-        evals += fine.size
-        pos = np.nonzero(gf > 0.0)[0]
+    prev = _COARSE[0]
+    if float(gap(query, _COARSE[0])) <= 0.0:
+        gf = np.asarray(gap(query, _FINE))
+        evals += _FINE.size
+        pos = (gf > 0.0).nonzero()[0]
         if pos.size == 0:
             raise NoRootError(
                 "gap(x) <= 0 at all sampled points in (0, 2e-3): "
                 "no positive-to-nonpositive crossing exists"
             )
         i = int(pos[0])
-        nonpos_after = np.nonzero(gf[i + 1 :] <= 0.0)[0]
+        nonpos_after = (gf[i + 1 :] <= 0.0).nonzero()[0]
         if nonpos_after.size:
             j = i + 1 + int(nonpos_after[0])
-            return (float(fine[j - 1]), float(fine[j])), evals
-        prev = fine[-1]
+            return (float(_FINE[j - 1]), float(_FINE[j])), evals
+        prev = _FINE[-1]
         start = 2  # fine scan already covered up to 2e-3
-    for lo_i in range(start, coarse.size, _BLOCK):
-        block = coarse[lo_i : lo_i + _BLOCK]
+    for lo_i in range(start, _COARSE.size, _BLOCK):
+        block = _COARSE[lo_i : lo_i + _BLOCK]
         gb = np.asarray(gap(query, block))
         evals += block.size
-        nonpos = np.nonzero(gb <= 0.0)[0]
+        nonpos = (gb <= 0.0).nonzero()[0]
         if nonpos.size:
             j = int(nonpos[0])
             lo = prev if j == 0 else block[j - 1]
@@ -110,14 +115,13 @@ def minimal_root(query: RadiusQuery, tol: float = DEFAULT_TOL) -> RadiusResult:
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     (lo, hi), evals = _first_bracket(query)
-    frac = np.arange(1, 16) / 16.0
     while hi - lo > tol:
-        pts = lo + (hi - lo) * frac
+        pts = lo + (hi - lo) * _SECTIONS
         if pts[0] <= lo or pts[-1] >= hi:  # float spacing exhausted
             break
         gp = np.asarray(gap(query, pts))
         evals += pts.size
-        nonpos = np.nonzero(gp <= 0.0)[0]
+        nonpos = (gp <= 0.0).nonzero()[0]
         if nonpos.size:
             j = int(nonpos[0])
             hi = float(pts[j])
@@ -144,4 +148,4 @@ def sharpness_window_check(query: RadiusQuery, radius: float, epsilon: float) ->
     if radius + epsilon >= 1.0:
         raise ValueError("window (radius, radius+epsilon) must stay inside [0, 1)")
     pts = radius + epsilon * np.arange(1, WINDOW_SAMPLES + 1) / (WINDOW_SAMPLES + 1.0)
-    return bool(np.all(np.asarray(gap(query, pts)) < 0.0))
+    return bool((np.asarray(gap(query, pts)) < 0.0).all())

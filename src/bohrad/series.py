@@ -51,7 +51,7 @@ class CoefficientSeries:
         arr = np.asarray(coefficients, dtype=np.complex128)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("coefficients must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("coefficients must be finite")
         object.__setattr__(self, "coefficients", arr)
 

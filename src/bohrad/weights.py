@@ -311,9 +311,9 @@ class CustomFamily(WeightFamily):
 
 def _prepare_r(r):
     arr = np.asarray(r, dtype=np.float64)
-    if np.any(arr < 0.0) or np.any(arr >= 1.0):
+    if not ((arr >= 0.0) & (arr < 1.0)).all():  # one pass; false for nan too
         raise ValueError("r must lie in [0, 1)")
-    return arr, np.ndim(r) == 0
+    return arr, arr.ndim == 0
 
 
 def _unwrap(value, scalar):
@@ -342,12 +342,12 @@ def tail_sum(family: WeightFamily, r):
 
 def phi_vector(family: WeightFamily, order: int, r: float) -> np.ndarray:
     """[phi_0(r), ..., phi_order(r)] as a read-only vector (cached)."""
+    _prepare_r(r)  # before float(r), so that a nan in a list is a ValueError too
     return _phi_vector_cached(family, int(order), float(r))
 
 
 @lru_cache(maxsize=4096)
 def _phi_vector_cached(family, order, r):
-    _prepare_r(r)
     v = family.vector(order, r)
     v.flags.writeable = False
     return v

@@ -129,6 +129,25 @@ class TestTableCommand:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert [row["params"] for row in rows] == ["N=2"]
 
+    @pytest.mark.parametrize(
+        "family, option, value",
+        [("bernardi", "--delta", "-0.5,1"), ("alpha-cesaro", "--alpha", "-0.5:0.5:0.25")],
+    )
+    def test_negative_list_or_range_is_a_value(self, capsys, family, option, value):
+        # argparse read "-0.5,1" as an unknown option: "expected one argument"
+        extra = ["--m", "1"] if family == "bernardi" else []
+        spaced = run_cli(capsys, "table", "--family", family, *extra, option, value, "--gamma", "0")
+        joined = run_cli(capsys, "table", "--family", family, *extra, f"{option}={value}", "--gamma", "0")
+        assert spaced == joined
+        assert spaced[0] == 0 and spaced[2] == ""
+        assert len(list(csv.DictReader(io.StringIO(spaced[1])))) == (2 if family == "bernardi" else 5)
+
+    def test_missing_value_is_still_a_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "table", "--family", "even", "--p", "--gamma", "0")
+        assert code == 2
+        assert out == ""
+        assert "argument --p: expected one argument" in err
+
     def test_rows_sorted_by_gamma_then_p(self, capsys):
         _, out, _ = run_cli(
             capsys, "table", "--family", "even", "--gamma", "0,0.5", "--p", "2,1",

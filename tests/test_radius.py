@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from bohrad import radius, weights
 from bohrad.radius import (
     NoRootError,
     RadiusQuery,
@@ -63,6 +64,24 @@ class TestGap:
     def test_rejects_x_out_of_range(self):
         with pytest.raises(ValueError):
             gap(q(PowerTail(1)), 1.0)
+
+    @pytest.mark.parametrize("family", BUILTINS, ids=str)
+    def test_is_weight_difference_to_the_bit(self, family):
+        query = q(family, 0.3, 0.7)
+        for x in (0.45, np.linspace(0.0, 0.9, 7)):
+            expected = (1.0 + 0.3) * weights.phi0(family, x) - (2.0 / 0.7) * weights.tail_sum(family, x)
+            got = gap(query, x)
+            assert type(got) is type(expected)
+            assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+
+def test_scan_grids_are_read_only_constants():
+    for grid in (radius._COARSE, radius._FINE, radius._SECTIONS):
+        assert not grid.flags.writeable
+        with pytest.raises(ValueError):
+            grid[0] = 0.5
+    assert radius._COARSE.size == 1000 and radius._COARSE[-1] == radius.SCAN_END
+    assert radius._FINE.size == 2000 and radius._SECTIONS.size == 15
 
 
 class TestMinimalRoot:

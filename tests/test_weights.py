@@ -1,6 +1,7 @@
 """Weight families: closed forms against brute-force summation oracles."""
 
 import math
+import time
 from dataclasses import dataclass, fields
 
 import mpmath as mp
@@ -115,6 +116,58 @@ class TestPhi0:
             phi0(PowerTail(1), 1.0)
         with pytest.raises(ValueError):
             phi0(BetaCesaro(1.0), -0.1)
+
+
+R_CHECKED = {
+    "phi0": phi0,
+    "phi_k": lambda fam, r: phi_k(fam, 3, r),
+    "tail_sum": tail_sum,
+    "phi_vector": lambda fam, r: phi_vector(fam, 5, r),
+    "phi_tail_mass": lambda fam, r: phi_tail_mass(fam, r, 5),
+    "gap": lambda fam, r: gap(RadiusQuery(fam, DomainParams(0.3), 1.0), r),
+}
+
+
+def shaped(x, ndim):
+    """x as a 0-d, 1-d or 2-d input, next to valid radii in 1-d and 2-d."""
+    return [np.asarray(x), [0.2, x], [[0.2], [x]]][ndim]
+
+
+class TestRangeCheck:
+    @pytest.mark.parametrize("r", [math.nan, [0.2, math.nan]], ids=["nan", "list"])
+    @pytest.mark.parametrize("fn", R_CHECKED)
+    @pytest.mark.parametrize("cls", FAMILY_CLASSES.values(), ids=lambda c: c.__name__)
+    def test_nan_rejected_at_once(self, cls, fn, r):
+        # nan passed the check: BetaCesaro phi0 read 1.0, AlphaCesaro phi0 and
+        # the Bernardi tail raised RuntimeError after a long scan, and
+        # phi_vector cached a vector of nans
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError):
+            R_CHECKED[fn](cls(), r)
+        assert time.perf_counter() - t0 < 0.1
+
+    @pytest.mark.parametrize("ndim", [0, 1, 2])
+    @pytest.mark.parametrize("x", [0.0, -0.0, float(np.nextafter(1.0, 0.0))])
+    def test_accepted(self, x, ndim):
+        r = shaped(x, ndim)
+        for fn in (phi0, tail_sum):
+            value = fn(PowerTail(1), r)
+            assert np.shape(value) == np.shape(r)
+            assert np.isfinite(value).all()
+        assert isinstance(tail_sum(PowerTail(1), x), float)
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    def test_empty_accepted(self, shape):
+        for fam in ALL_FAMILIES:
+            assert tail_sum(fam, np.empty(shape)).shape == shape
+
+    @pytest.mark.parametrize("ndim", [0, 1, 2])
+    @pytest.mark.parametrize("x", [1.0, -5e-324, math.inf, -math.inf])
+    def test_rejected(self, x, ndim):
+        for fn in R_CHECKED.values():
+            for fam in (PowerTail(1), AlphaCesaro(0.0)):
+                with pytest.raises(ValueError):
+                    fn(fam, x if ndim == 0 else shaped(x, ndim))
 
 
 class TestPhiK:
