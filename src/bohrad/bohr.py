@@ -7,6 +7,7 @@ series, so a true member is never flagged because of a finite cutoff.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -64,10 +65,14 @@ def bohr_sum(series: CoefficientSeries, family: WeightFamily, p: float, r: float
 def _phi_matrix(family, radius: float, grid_points: int, order: int):
     """The read-only grid linspace(0, radius, grid_points), the read-only matrix
     whose row i holds [phi_0(r_i), ..., phi_order(r_i)], and the truncation
-    allowance: the largest certified sum_{k > order} phi_k(r_i) over the grid."""
+    allowance: the largest certified sum_{k > order} phi_k(r_i) over the grid.
+
+    The grid lies in [0, radius] with radius checked by verify_up_to_radius,
+    so the weights are read unchecked."""
     radii = np.linspace(0.0, radius, grid_points)
-    mat = np.vstack([weights.phi_vector(family, order, float(r)) for r in radii])
-    allowance = max(weights.phi_tail_mass(family, float(r), order) for r in radii)
+    points = radii.tolist()
+    mat = np.vstack([weights._phi_vector_cached(family, order, r) for r in points])
+    allowance = max(weights._tail_mass(family, r, order) for r in points)
     radii.flags.writeable = False
     mat.flags.writeable = False
     return radii, mat, allowance
@@ -88,6 +93,8 @@ def verify_up_to_radius(
     """
     if not (0.0 <= radius < 1.0):
         raise ValueError("radius must be in [0, 1)")
+    if not math.isfinite(tol):
+        raise ValueError("tolerance must be finite")
     if grid_points < 1:
         raise ValueError("grid_points must be >= 1")
     if isinstance(f, Raw):
@@ -152,7 +159,7 @@ def extremal_margin(
 def p_bound_check(x, p: float):
     """(1 - x^p)/(1 - x^2) - p/2, which is >= 0 on [0,1) for p in (0,2]."""
     arr = np.asarray(x, dtype=np.float64)
-    if np.any(arr < 0.0) or np.any(arr >= 1.0):
+    if not ((arr >= 0.0) & (arr < 1.0)).all():  # one pass; false for nan too
         raise ValueError("x must lie in [0, 1)")
     if not (0.0 < p <= 2.0):
         raise ValueError(f"p must be in (0, 2], got {p}")

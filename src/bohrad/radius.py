@@ -30,7 +30,8 @@ _BLOCK = 128
 _COARSE = np.append(np.arange(1, 1000) * SCAN_STEP, SCAN_END)
 _FINE = np.arange(1, 2001) * FINE_STEP
 _SECTIONS = np.arange(1, 16) / 16.0
-for _grid in (_COARSE, _FINE, _SECTIONS):
+_FIRST = np.asarray(_COARSE[0])  # the first coarse point as a 0-d array
+for _grid in (_COARSE, _FINE, _SECTIONS, _FIRST):
     _grid.flags.writeable = False
 
 
@@ -60,10 +61,14 @@ class RadiusResult:
 
 def gap(query: RadiusQuery, x):
     """(1+gamma) phi_0(x) - (2/p) sum_{k>=1} phi_k(x); positive below the radius."""
-    g = query.domain.gamma
-    return (1.0 + g) * weights.phi0(query.family, x) - (2.0 / query.p) * weights.tail_sum(
-        query.family, x
-    )
+    arr, scalar = weights._prepare_r(x)
+    return weights._unwrap(_gap(query, arr), scalar)
+
+
+def _gap(query: RadiusQuery, x: np.ndarray):
+    """gap at a float array x inside [0, 1) that the caller has checked or built."""
+    family = query.family
+    return (1.0 + query.domain.gamma) * family.phi0(x) - (2.0 / query.p) * family.tail(x)
 
 
 def _first_bracket(query: RadiusQuery):
@@ -76,8 +81,8 @@ def _first_bracket(query: RadiusQuery):
     evals = 1
     start = 1
     prev = _COARSE[0]
-    if float(gap(query, _COARSE[0])) <= 0.0:
-        gf = np.asarray(gap(query, _FINE))
+    if float(_gap(query, _FIRST)) <= 0.0:
+        gf = np.asarray(_gap(query, _FINE))
         evals += _FINE.size
         pos = (gf > 0.0).nonzero()[0]
         if pos.size == 0:
@@ -94,7 +99,7 @@ def _first_bracket(query: RadiusQuery):
         start = 2  # fine scan already covered up to 2e-3
     for lo_i in range(start, _COARSE.size, _BLOCK):
         block = _COARSE[lo_i : lo_i + _BLOCK]
-        gb = np.asarray(gap(query, block))
+        gb = np.asarray(_gap(query, block))
         evals += block.size
         nonpos = (gb <= 0.0).nonzero()[0]
         if nonpos.size:
@@ -119,7 +124,7 @@ def minimal_root(query: RadiusQuery, tol: float = DEFAULT_TOL) -> RadiusResult:
         pts = lo + (hi - lo) * _SECTIONS
         if pts[0] <= lo or pts[-1] >= hi:  # float spacing exhausted
             break
-        gp = np.asarray(gap(query, pts))
+        gp = np.asarray(_gap(query, pts))
         evals += pts.size
         nonpos = (gp <= 0.0).nonzero()[0]
         if nonpos.size:
@@ -130,7 +135,7 @@ def minimal_root(query: RadiusQuery, tol: float = DEFAULT_TOL) -> RadiusResult:
         else:
             lo = float(pts[-1])
     radius = 0.5 * (lo + hi)
-    residual = float(gap(query, radius))
+    residual = float(_gap(query, np.asarray(radius)))
     evals += 1
     ok = sharpness_window_check(query, radius, min(0.05, 0.5 * (1.0 - radius)))
     evals += WINDOW_SAMPLES

@@ -5,8 +5,13 @@ elementary families share a monomial base, phi_k = c(k) r^k from k = N on;
 the beta-Cesaro, alpha-Cesaro and Bernardi families arise from the integral
 operators they are named after and are summed by the kernels in _kernels.
 
-The module functions take a scalar r or a numpy array, check r in [0, 1)
-and call the family's method; all evaluators are pure.
+The module functions phi0, phi_k, tail_sum, phi_vector and phi_tail_mass
+take a scalar r or a numpy array, check r in [0, 1) once and call the
+family's method; radius.gap and radius.sharpness_window_check are the
+checked entry points for the gap.  The methods check nothing: they take an
+already-checked float array (vector takes a float).  Only code that builds
+its own grid inside [0, 1), such as the radius solver and the verification
+grid, calls them directly.  All evaluators are pure.
 """
 
 from __future__ import annotations
@@ -27,15 +32,19 @@ class WeightFamily:
     """Base of the families, which are frozen dataclasses.
 
     A family defines ``name`` (its CLI name) and the methods phi0(r),
-    phi_k(k, r) and tail(r) = sum_{k>=1} phi_k(r), each taking r as a checked
-    float array.  ``is_operator`` marks families an integral operator induces.
+    phi_k(k, r) and tail(r) = sum_{k>=1} phi_k(r).  Each takes r as a float
+    array, 0-d or not, that is already known to lie in [0, 1), and checks
+    nothing; vector(order, r) takes such an r as a float.  Callers outside a
+    grid they built themselves go through the module functions, which check
+    r.  ``is_operator`` marks families an integral operator induces.
     """
 
     is_operator = False
 
     def vector(self, order: int, r: float) -> np.ndarray:
         """[phi_0(r), ..., phi_order(r)], one phi_k at a time."""
-        return np.array([phi_k(self, k, r) for k in range(order + 1)], dtype=np.float64)
+        arr = np.asarray(r, dtype=np.float64)
+        return np.array([float(self.phi_k(k, arr)) for k in range(order + 1)])
 
     def params(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -355,8 +364,14 @@ def _phi_vector_cached(family, order, r):
 
 def phi_tail_mass(family: WeightFamily, r: float, order: int) -> float:
     """Certified bound on sum_{k > order} phi_k(r) (non-negative)."""
-    partial = float(np.sum(phi_vector(family, order, r)[1:]))
-    return max(float(tail_sum(family, r)) - partial, 0.0)
+    _prepare_r(r)
+    return _tail_mass(family, float(r), int(order))
+
+
+def _tail_mass(family, r, order):
+    """phi_tail_mass at a float r already known to lie in [0, 1)."""
+    partial = float(np.sum(_phi_vector_cached(family, order, r)[1:]))
+    return max(float(family.tail(np.asarray(r))) - partial, 0.0)
 
 
 # ---------------------------------------------------------------------------

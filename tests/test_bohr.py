@@ -1,8 +1,11 @@
 """Weighted Bohr sums, verification reports, extremal margins."""
 
+import math
+
 import numpy as np
 import pytest
 
+from bohrad import bohr
 from bohrad.bohr import bohr_sum, extremal_margin, p_bound_check, verify_up_to_radius
 from bohrad.radius import RadiusQuery, minimal_root
 from bohrad.series import (
@@ -122,6 +125,28 @@ class TestVerifyUpToRadius:
         assert rep.passed == (rep.max_excess <= rep.tolerance + rep.truncation_bound)
         assert rep.truncation_bound >= 0.0
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_tolerance(self, tol):
+        # a nan tol read passed=False; an infinite one passed every function
+        query = RadiusQuery(PowerTail(1), DomainParams(0.0), 1.0)
+        with pytest.raises(ValueError, match="tolerance must be finite"):
+            verify_up_to_radius(Extremal(DomainParams(0.0), 0.9), query, 0.3, tol=tol)
+
+    def test_negative_tolerance_still_accepted(self):
+        query = RadiusQuery(PowerTail(1), DomainParams(0.0), 1.0)
+        rep = verify_up_to_radius(Raw(CoefficientSeries([0.7])), query, 0.3, tol=-1.0)
+        assert rep.tolerance == -1.0 and not rep.passed
+
+    @pytest.mark.parametrize("family", BUILTINS, ids=str)
+    def test_phi_matrix_reads_weights_unchecked(self, family, range_checks):
+        # the grid lies inside [0, radius], which verify_up_to_radius checks:
+        # the matrix and the allowance re-ran the range check 36 times a cell
+        query = RadiusQuery(family, DomainParams(0.3), 1.0)
+        bohr._phi_matrix.cache_clear()
+        verify_up_to_radius(Extremal(DomainParams(0.3), 0.9), query, 0.31, grid_points=12)
+        assert bohr._phi_matrix.cache_info().misses == 1
+        assert range_checks == []
+
     def test_raw_series_never_truncated(self):
         long_raw = Raw(CoefficientSeries(np.full(400, 1e-3)))
         query = RadiusQuery(PowerTail(1), DomainParams(0.0), 1.0)
@@ -179,8 +204,10 @@ class TestPBound:
             assert np.min(p_bound_check(xs, p)) >= -1e-15
 
     def test_rejects_domain_violations(self):
-        with pytest.raises(ValueError):
-            p_bound_check(1.0, 1.0)
+        # nan passed the two-pass check: nan read nan, [0.2, nan] read [1/3, nan]
+        for x in (1.0, -0.1, math.nan, [0.2, math.nan]):
+            with pytest.raises(ValueError, match="x must lie in"):
+                p_bound_check(x, 1.0)
         with pytest.raises(ValueError):
             p_bound_check(0.5, 2.5)
 

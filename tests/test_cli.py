@@ -200,6 +200,16 @@ class TestVerifyCommand:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tolerance_is_usage_error(self, capsys, tol):
+        # it ran the whole check, then failed to serialize the report
+        code, out, err = run_cli(
+            capsys, "verify", "--fn", "constant:0.5", "--family", "even",
+            "--gamma", "0", "--tolerance", tol,
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: tolerance must be finite\n"
+
     def test_parse_error_exit_code(self, capsys, tmp_path):
         mangled = tmp_path / "mangled.txt"
         mangled.write_text("zero point five\n")

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bohrad import radius, weights
+from bohrad import bohr, radius, weights
 from bohrad.radius import (
     NoRootError,
     RadiusQuery,
@@ -25,6 +25,7 @@ from bohrad.weights import (
     OddPowers,
     PowerTail,
     Quadratic,
+    FAMILY_CLASSES,
 )
 
 BUILTINS = [
@@ -38,6 +39,13 @@ BUILTINS = [
     AlphaCesaro(0.0),
     Bernardi(1, 1.0),
 ]
+
+GEOMETRIC = CustomFamily(
+    name="geometric",
+    phi0_fn=lambda r: np.ones_like(r),
+    phi_k_fn=lambda k, r: r ** k,
+    tail_fn=lambda r: r / (1.0 - r),
+)
 
 
 def q(family, gamma=0.0, p=1.0):
@@ -65,14 +73,31 @@ class TestGap:
         with pytest.raises(ValueError):
             gap(q(PowerTail(1)), 1.0)
 
-    @pytest.mark.parametrize("family", BUILTINS, ids=str)
+    @pytest.mark.parametrize(
+        "family", [*(cls() for cls in FAMILY_CLASSES.values()), pytest.param(GEOMETRIC, id="geometric")], ids=str
+    )
     def test_is_weight_difference_to_the_bit(self, family):
+        # the solver's unchecked _gap, the checked gap and the checked weight
+        # functions are one formula; so are _phi_matrix and phi_tail_mass
         query = q(family, 0.3, 0.7)
-        for x in (0.45, np.linspace(0.0, 0.9, 7)):
-            expected = (1.0 + 0.3) * weights.phi0(family, x) - (2.0 / 0.7) * weights.tail_sum(family, x)
-            got = gap(query, x)
-            assert type(got) is type(expected)
+
+        def weight_gap(x):
+            return (1.0 + 0.3) * weights.phi0(family, x) - (2.0 / 0.7) * weights.tail_sum(family, x)
+
+        def same_bits(got, expected):
+            assert np.shape(got) == np.shape(expected)
             assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+        for x in (0.45, np.float64(0.45), np.asarray(0.45), np.linspace(0.0, 0.9, 7),
+                  np.linspace(0.1, 0.9, 6).reshape(2, 3)):
+            got, expected = gap(query, x), weight_gap(x)
+            assert type(got) is type(expected)
+            same_bits(got, expected)
+        for built in (radius._FIRST, radius._FINE, radius._COARSE[128:256],
+                      0.4 + 0.01 * radius._SECTIONS, np.asarray(0.45)):
+            same_bits(radius._gap(query, built), weight_gap(built))
+        radii, _, allowance = bohr._phi_matrix(family, 0.45, 12, 60)
+        same_bits(allowance, max(weights.phi_tail_mass(family, r, 60) for r in radii))
 
 
 def test_scan_grids_are_read_only_constants():
@@ -144,6 +169,16 @@ class TestMinimalRoot:
     def test_monotone_in_p(self, family):
         radii = [minimal_root(q(family, 0.3, p)).radius for p in (0.25, 0.5, 1.0, 1.5, 2.0)]
         assert all(b >= a - 1e-12 for a, b in zip(radii, radii[1:]))
+
+    @pytest.mark.parametrize("name", FAMILY_CLASSES)
+    def test_one_range_check_per_query(self, name, range_checks):
+        # the scan, the 16-section loop and the residual evaluate the gap on
+        # points the solver built inside (0, 1); only the checked sharpness
+        # window is left, where each gap evaluation ran two checks
+        for gamma, p in ((0.0, 1.0), (0.3, 0.7), (0.9, 2.0)):
+            range_checks.clear()
+            minimal_root(q(FAMILY_CLASSES[name](), gamma, p))
+            assert len(range_checks) <= 1
 
     def test_rejects_invalid_p(self):
         with pytest.raises(ValueError):
