@@ -3,7 +3,9 @@
 The weight tables are correlations of two recurrence-built sequences; the
 scalar weights are the literal term loops with their stopping rule; phi_0 of
 the alpha-Cesaro family and the Bernardi tail are one block sum, 128 terms
-at a time over all radii at once; the Blaschke kernel is a log-depth scan.
+at a time over all radii at once; the Blaschke kernel samples the closed-form
+product on a circle and takes one inverse FFT, with the number of points and
+the circle chosen by a Cauchy estimate so that aliasing stays under 1e-17.
 
 Series kernels certify their truncation: term recurrences run until the next
 term is below 1e-16 of the accumulated sum and a ratio-test bound puts the
@@ -12,6 +14,9 @@ recurrence, never from Gamma values, so there is no overflow for large index.
 """
 
 from __future__ import annotations
+
+import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -173,30 +178,87 @@ def bernardi_tail(m: int, delta: float, r: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Blaschke products pre-composed with the affine map w = (1-gamma) z + gamma.
-# In z the factor (w - a)/(1 - conj(a) w) is (u + v z)/(1 - q z), where
-# d = 1 - conj(a) gamma, u = (gamma - a)/d, v = (1-gamma)/d and
-# q = conj(a) (1-gamma)/d with |q| <= |a| < 1.  Each factor is folded in
-# exactly: the two-tap numerator, then y_n = q y_(n-1) + x_n as a log-depth
-# scan (after the pass at shift d, y_n = sum_{j < 2d} q^j x_(n-j)).
+# Blaschke products pre-composed with the affine map w = (1-gamma) z + gamma,
+# from one inverse FFT of the closed form sampled on a circle |z| = rho.
 # gamma = 0 is the plain product on the unit disk.
 
+_ALIAS_LOG = math.log(2e17)  # log(2 / alias budget), alias budget 1e-17
+_MAX_UNIT_POINTS = 1 << 16
+
+
+@lru_cache(maxsize=4)
+def _circle_grid(n: int, rho: float, gamma: float) -> np.ndarray:
+    """w = (1-gamma) z + gamma at z = rho exp(-2 pi i j/n), j = 0 ... n-1."""
+    t = np.arange(n) / n
+    t -= np.rint(t)  # angles in [-pi, pi]: half the rounding of [0, 2 pi)
+    w = np.exp(-2j * np.pi * t)
+    w *= rho * (1.0 - gamma)
+    w += gamma
+    w.flags.writeable = False
+    return w
+
+
+def _fft_plan(moduli: list, gamma: float, order: int) -> tuple:
+    """(N, rho) for blaschke_series: see its docstring for the bound."""
+    n = 1 << order.bit_length()  # the smallest power of two >= order + 1
+    amax = max(max(moduli), 1e-8)
+    wr = amax ** -0.5
+    r = (wr - gamma) / (1.0 - gamma)
+    if amax * wr < 1.0 and r > 1.0:  # false when max|a| rounds too close to 1
+        m = 1.0
+        for x in moduli:
+            m *= (wr - x) / (1.0 - x * wr)
+        need = (math.log(m) + _ALIAS_LOG) / math.log(r)
+        if need <= _MAX_UNIT_POINTS:
+            while n < need:
+                n *= 2
+            return n, 1.0
+    n = max(_MAX_UNIT_POINTS, 1 << (32 * (order + 1) - 1).bit_length())
+    return n, 10.0 ** (-17.0 / n)
+
+
 def blaschke_series(zeros, rotation: complex, order: int, gamma: float = 0.0) -> np.ndarray:
-    """Coefficients of rotation * prod (w - a)/(1 - conj(a) w), w = (1-gamma) z + gamma."""
-    order, gamma = int(order), float(gamma)
-    s = np.zeros(order + 1, dtype=np.complex128)
-    s[0] = complex(rotation)
-    for a in zeros:
-        a = complex(a)
-        ac = a.conjugate()
-        d = 1.0 - ac * gamma
-        x = ((gamma - a) / d) * s
-        x[1:] += ((1.0 - gamma) / d) * s[:-1]
-        q = ac * (1.0 - gamma) / d
-        shift = 1
-        while shift <= order:
-            x[shift:] += q * x[:-shift]
-            q *= q
-            shift *= 2
-        s = x
-    return s
+    """Coefficients of rotation * prod (w - a)/(1 - conj(a) w), w = (1-gamma) z + gamma.
+
+    The product f is sampled at z_j = rho exp(-2 pi i j/N), j < N, and one
+    inverse FFT gives rho^k sum_{m>=0} c_(k+mN) rho^(mN): c_k plus its aliases.
+
+    rho = 1.  On |z| = R, |w| <= W = gamma + (1-gamma) R, and a disk
+    automorphism has |(w - a)/(1 - conj(a) w)| <= (W - |a|)/(1 - |a| W) on
+    |w| <= W < 1/|a|.  With W = 1/sqrt(max|a|) (max|a| floored at 1e-8),
+    R = (W - gamma)/(1 - gamma) and M_R the product of these bounds, Cauchy
+    gives |c_n| <= M_R R^(-n), so every c_k, k <= order < N,
+    is off by at most M_R R^(-N)/(1 - R^(-N)).  N is the smallest power of
+    two >= order + 1 that puts this at or below 1e-17: 256-512 points at
+    order 200 for zeros in |a| <= 0.8; at gamma = 0, 8,192 for a zero at
+    0.99 and 16,384 for a double zero there.
+
+    rho < 1.  Past 2^16 points the zeros are too close to the circle for
+    rho = 1.  Then N = max(2^16, 32 (order+1)) rounded up to a power of two
+    and rho = 10^(-17/N).  |f| <= 1 on the unit disk, so |c_n| <= 1 and,
+    after the scaling by rho^(-k), the alias error is at most
+    rho^N/(1 - rho^N) ~ 1e-17; the scaling multiplies the round-off of the
+    transform by rho^(-k) <= 10^(17 order/N) < 3.4.  Every zero strictly
+    inside the disk ends here in bounded memory: 1 MiB per array at order
+    200, whatever the zeros.
+
+    A zero-free product is [rotation, 0, ..., 0] exactly.
+    """
+    order, gamma, rotation = int(order), float(gamma), complex(rotation)
+    zeros = [complex(a) for a in zeros]
+    if not zeros:
+        s = np.zeros(order + 1, dtype=np.complex128)
+        s[0] = rotation
+        return s
+    n, rho = _fft_plan([abs(a) for a in zeros], gamma, order)
+    w = _circle_grid(n, rho, gamma)
+    num = w - zeros[0]
+    den = 1.0 - zeros[0].conjugate() * w
+    for a in zeros[1:]:
+        num *= w - a
+        den *= 1.0 - a.conjugate() * w
+    num /= den
+    c = rotation * np.fft.ifft(num)[: order + 1]
+    if rho < 1.0:
+        c *= rho ** -np.arange(order + 1.0)
+    return c

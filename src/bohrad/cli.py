@@ -508,9 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_radius.set_defaults(func=cmd_radius)
 
     p_table = sub.add_parser("table", help="radius sweep over gamma/p/param ranges")
-    # a list or range may start with a negative number ("--delta -0.5,1"):
-    # read every argument that starts like a number as a value, not an option
-    p_table._negative_number_matcher = re.compile(r"-\.?\d")
     _add_family_options(p_table, multi=True)
     p_table.add_argument("--gamma", type=str, required=True, help="value, list, or lo:hi:step")
     p_table.add_argument("--p", type=str, default="1")
@@ -550,6 +547,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("--out", type=str, default=None)
     p_suite.set_defaults(func=cmd_suite)
 
+    # a value may start with a minus sign ("--delta -0.5,1", "--alpha -5e-1"):
+    # on every command, read an argument that starts like a number as a value
+    number_like = re.compile(r"-\.?\d")
+    for command in sub.choices.values():
+        command._negative_number_matcher = number_like
     return parser
 
 

@@ -31,12 +31,21 @@ def run_cli(capsys, *argv):
 
 def test_import_does_not_load_scipy_signal():
     # scipy.signal costs about a second of import time and nothing uses it;
-    # scipy.special costs a third of one and only the quadrature forms use it
+    # scipy.special costs a third of one and only the quadrature forms use it.
+    # numpy 2 loads numpy.fft on first use, and only the Blaschke kernel uses
+    # it: importing bohrad.cli must load no numpy.fft module that a bare
+    # "import numpy" does not (numpy 1.x loads numpy.fft with numpy itself)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = "import sys, bohrad.cli; print([m in sys.modules for m in ('scipy.signal', 'scipy.special')])"
+    probe = (
+        "import sys, numpy\n"
+        "bare = {m for m in sys.modules if m.startswith('numpy.fft')}\n"
+        "import bohrad.cli\n"
+        "print([m in sys.modules for m in ('scipy.signal', 'scipy.special')],"
+        " sorted(m for m in sys.modules if m.startswith('numpy.fft') and m not in bare))"
+    )
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[False, False]"
+    assert proc.stdout.strip() == "[False, False] []"
 
 
 class TestRadiusCommand:
@@ -155,6 +164,40 @@ class TestTableCommand:
         rows = list(csv.DictReader(io.StringIO(out)))
         keys = [(float(r["gamma"]), float(r["p"])) for r in rows]
         assert keys == sorted(keys)
+
+
+class TestNegativeValues:
+    # argparse's own matcher takes "-0.5" and "-.5" but not "-5e-1": without
+    # the shared matcher, exponent forms exit 2 with "expected one argument"
+    @pytest.mark.parametrize(
+        "before, option, value, after",
+        [
+            (["radius", "--family", "alpha-cesaro"], "--alpha", "-5e-1", ["--gamma", "0"]),
+            (["radius", "--family", "bernardi", "--m", "1"], "--delta", "-.5", ["--gamma", "0"]),
+            (["verify", "--fn", "blaschke:3", "--family", "even", "--gamma", "0"],
+             "--tolerance", "-1e-3", []),
+            (["operator"], "--alpha-cesaro", "-5e-1", ["radius"]),
+        ],
+    )
+    def test_spaced_form_matches_joined_form(self, capsys, before, option, value, after):
+        spaced = run_cli(capsys, *before, option, value, *after)
+        joined = run_cli(capsys, *before, f"{option}={value}", *after)
+        assert spaced == joined
+        assert spaced[0] == 0 and spaced[2] == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["radius", "--family", "even"],
+            ["verify", "--fn", "constant:0", "--family", "even"],
+            ["operator", "bound", "--alpha-cesaro", "1"],
+        ],
+    )
+    def test_option_is_still_not_a_value(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--p", "--gamma", "0")
+        assert code == 2
+        assert out == ""
+        assert "argument --p: expected one argument" in err
 
 
 class TestVerifyCommand:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 from dataclasses import dataclass
 
 import mpmath
@@ -99,6 +100,59 @@ def composed_taylor(zeros, rotation, gamma, order):
 
     with mpmath.workdps(40):
         return np.array([complex(c) for c in mpmath.taylor(f, 0, order)])
+
+
+def recurrence_oracle(zeros, rotation, gamma, order):
+    """Coefficients at 40 digits from the factor recurrence, free of aliasing:
+    the factor (u + v z)/(1 - q z) maps s to y_n = q y_(n-1) + u s_n + v s_(n-1)."""
+    with mpmath.workdps(40):
+        g = mpmath.mpf(gamma)
+        s = [mpmath.mpc(rotation)] + [mpmath.mpc(0)] * order
+        for a in zeros:
+            a = mpmath.mpc(a)
+            d = 1 - mpmath.conj(a) * g
+            u, v = (g - a) / d, (1 - g) / d
+            q = mpmath.conj(a) * v
+            y, prev = [], 0
+            for n in range(order + 1):
+                prev = q * prev + u * s[n] + (v * s[n - 1] if n else 0)
+                y.append(prev)
+            s = y
+        return np.array([complex(c) for c in s])
+
+
+class TestAliasing:
+    # the coefficients come from one FFT of samples on a circle, which folds
+    # c_(k+mN) onto c_k: high orders and zeros near the circle would show a
+    # grid that is too coarse or a radius that is too small
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 0.95])
+    @pytest.mark.parametrize("modulus", [0.8, 0.99, 1 - 1e-12])
+    @pytest.mark.parametrize("order", [200, 3000])
+    def test_matches_recurrence_oracle(self, order, modulus, gamma):
+        a = modulus * np.exp(0.7j)
+        zeros = (a, a, -0.5 + 0.1j)  # a repeated zero is the worst case
+        f = BlaschkeComposed(DomainParams(gamma), zeros, np.exp(0.3j))
+        expected = recurrence_oracle(zeros, np.exp(0.3j), gamma, order)
+        np.testing.assert_allclose(coefficients_of(f, order).coefficients, expected, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.95])
+    @pytest.mark.parametrize("modulus", [1 - 1e-12, math.nextafter(1.0, 0.0)])
+    def test_zero_near_circle_is_fast(self, modulus, gamma):
+        f = BlaschkeComposed(DomainParams(gamma), (modulus * 1j, modulus * 1j), 1.0)
+        start = time.perf_counter()
+        c = coefficients_of(f, 3000).coefficients
+        assert time.perf_counter() - start < 0.5
+        assert np.abs(c).max() <= 1.0 + 1e-14
+
+    @given(st.floats(0.0, 0.99), st.floats(0, 2 * np.pi), st.integers(0, 300))
+    @settings(max_examples=60, deadline=None)
+    def test_zero_free_product_is_exact(self, gamma, theta, order):
+        rotation = np.exp(1j * theta)
+        expected = np.zeros(order + 1, dtype=np.complex128)
+        expected[0] = rotation
+        f = BlaschkeComposed(DomainParams(gamma), (), rotation)
+        np.testing.assert_array_equal(coefficients_of(f, order).coefficients, expected)
 
 
 class TestComposedBlaschke:
