@@ -58,6 +58,7 @@ from .weights import (
     LinearPlusOne,
     MonomialFamily,
     OddPowers,
+    OperatorFamily,
     PowerTail,
     Quadratic,
     WeightFamily,

@@ -1,16 +1,17 @@
 """Hot numeric kernels, one numpy implementation each.
 
-The weight tables are correlations of two recurrence-built sequences; the
-scalar weights are the literal term loops with their stopping rule; phi_0 of
-the alpha-Cesaro family and the Bernardi tail are one block sum, 128 terms
+The weight tables are correlations of two recurrence-built sequences; phi_0
+of the alpha-Cesaro family and the Bernardi tail are one block sum, 128 terms
 at a time over all radii at once; the Blaschke kernel samples the closed-form
 product on a circle and takes one inverse FFT, with the number of points and
 the circle chosen by a Cauchy estimate so that aliasing stays under 1e-17.
+The coefficient sequences of the Cesaro operators and the Gauss-Jacobi rules
+of their integral forms live here too.
 
-Series kernels certify their truncation: term recurrences run until the next
-term is below 1e-16 of the accumulated sum and a ratio-test bound puts the
-remaining mass under 1e-14.  Rising-factorial ratios are always built by
-recurrence, never from Gamma values, so there is no overflow for large index.
+Series kernels certify their truncation: the tables take enough terms, and
+the block sums run long enough, that a ratio-test bound puts the remaining
+mass under 1e-16.  Rising-factorial ratios are always built by recurrence,
+never from Gamma values, so there is no overflow for large index.
 """
 
 from __future__ import annotations
@@ -22,6 +23,44 @@ import numpy as np
 
 _MAX_TERMS = 4_000_000
 _NONCONV = "weight series did not converge: r is too close to 1 for this family"
+
+
+# ---------------------------------------------------------------------------
+# operator coefficient sequences and quadrature rules
+
+def gamma_ratio_sequence(n: int, beta: float) -> np.ndarray:
+    """[G_0, ..., G_n], G_j = Gamma(j+beta) / (Gamma(j+1) Gamma(beta)) by recurrence."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    out = np.empty(n + 1)
+    out[0] = 1.0
+    for j in range(1, n + 1):
+        out[j] = out[j - 1] * (j - 1.0 + beta) / j
+    return out
+
+
+def pochhammer_sequence(n: int, alpha: float) -> np.ndarray:
+    """[A_0, ..., A_n] with A_k = (alpha+1)_k / k! by recurrence."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    out = np.empty(n + 1)
+    out[0] = 1.0
+    for k in range(1, n + 1):
+        out[k] = out[k - 1] * (alpha + k) / k
+    return out
+
+
+@lru_cache(maxsize=256)
+def jacobi_rule(n: int, a: float, b: float) -> tuple:
+    """n-node Gauss rule (nodes, weights) on [0, 1] for the weight (1-t)^a t^b."""
+    # imported here: scipy.special costs about 0.7 s cold and only the
+    # integral form of the operators needs it
+    from scipy.special import roots_jacobi
+
+    x, w = roots_jacobi(n, a, b)
+    t, w = 0.5 * (x + 1.0), w * 2.0 ** (-a - b - 1.0)
+    t.flags.writeable = w.flags.writeable = False  # shared by every caller
+    return t, w
 
 
 # ---------------------------------------------------------------------------
@@ -73,26 +112,6 @@ def beta_phi_table(beta: float, r: float, order: int) -> np.ndarray:
     return np.correlate(u, g, mode="valid")
 
 
-def beta_phi_scalar(beta: float, k: int, r: float) -> float:
-    beta, k, r = float(beta), int(k), float(r)
-    if r == 0.0:
-        return 1.0 if k == 0 else 0.0
-    acc = 0.0
-    c = r ** k  # G_j * r^(k+j), single running product
-    j = 0
-    while True:
-        term = c / (k + j + 1.0)
-        acc += term
-        j += 1
-        c *= (j - 1.0 + beta) * r / j
-        if term <= 1e-16 * acc:
-            rho = r * max(1.0, (j + beta) / (j + 1.0))
-            if rho < 1.0 and c / ((k + j + 1.0) * (1.0 - rho)) < 1e-14:
-                return acc
-        if j > _MAX_TERMS:
-            raise RuntimeError(_NONCONV)
-
-
 # ---------------------------------------------------------------------------
 # alpha-Cesaro weights: phi_n(r) = sum_j A_j^alpha r^(n+j) / A_(n+j)^(alpha+1)
 # with Pochhammer ratios A_k^a = (a+1)_k / k! by recurrence.
@@ -110,29 +129,6 @@ def alpha_phi_table(alpha: float, r: float, order: int) -> np.ndarray:
     u[0] = 1.0
     np.cumprod(r * k / (alpha + 1.0 + k), out=u[1:])
     return np.correlate(u, w, mode="valid")
-
-
-def alpha_phi_scalar(alpha: float, k: int, r: float) -> float:
-    alpha, k, r = float(alpha), int(k), float(r)
-    if r == 0.0:
-        return 1.0 if k == 0 else 0.0
-    # c tracks A_j^alpha r^(k+j) / A_(k+j)^(alpha+1), single running product
-    c = r ** k
-    for i in range(1, k + 1):
-        c *= i / (alpha + 1.0 + i)
-    acc = 0.0
-    j = 0
-    while True:
-        acc += c
-        term = c
-        j += 1
-        c *= (alpha + j) * r * (k + j) / (j * (alpha + 1.0 + k + j))
-        if term <= 1e-16 * acc:
-            rho = r * max(1.0, (alpha + j + 1.0) / (j + 1.0))
-            if rho < 1.0 and c / (1.0 - rho) < 1e-14:
-                return acc
-        if j > _MAX_TERMS:
-            raise RuntimeError(_NONCONV)
 
 
 # ---------------------------------------------------------------------------

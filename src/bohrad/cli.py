@@ -547,9 +547,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("--out", type=str, default=None)
     p_suite.set_defaults(func=cmd_suite)
 
-    # a value may start with a minus sign ("--delta -0.5,1", "--alpha -5e-1"):
-    # on every command, read an argument that starts like a number as a value
-    number_like = re.compile(r"-\.?\d")
+    # a value may start with a minus sign ("--delta -0.5,1", "--alpha -5e-1",
+    # "--tolerance -inf"): on every command, read an argument that starts like
+    # a number, an infinity or a nan as a value
+    number_like = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
     for command in sub.choices.values():
         command._negative_number_matcher = number_like
     return parser

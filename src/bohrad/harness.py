@@ -285,4 +285,4 @@ def brute_force_tail(family: WeightFamily, r: float, terms: int) -> float:
     """sum_{k=1}^{terms} phi_k(r) by direct summation; no closed forms anywhere."""
     if terms < 1:
         raise ValueError("terms must be >= 1")
-    return math.fsum(weights.phi_k(family, k, r) for k in range(1, terms + 1))
+    return math.fsum(weights.phi_vector(family, terms, r)[1:])

@@ -1,9 +1,10 @@
 """Weight families {phi_k(r)}: non-negative continuous functions on [0, 1).
 
 Each family is one frozen dataclass holding all that is known about it. The
-elementary families share a monomial base, phi_k = c(k) r^k from k = N on;
-the beta-Cesaro, alpha-Cesaro and Bernardi families arise from the integral
-operators they are named after and are summed by the kernels in _kernels.
+elementary families share a monomial base, phi_k = c(k) r^k from k = N on.
+The beta-Cesaro, alpha-Cesaro and Bernardi families arise from the integral
+operators they are named after; they share the OperatorFamily base, which
+also holds the operator itself, and are summed by the kernels in _kernels.
 
 The module functions phi0, phi_k, tail_sum, phi_vector and phi_tail_mass
 take a scalar r or a numpy array, check r in [0, 1) once and call the
@@ -32,19 +33,20 @@ class WeightFamily:
     """Base of the families, which are frozen dataclasses.
 
     A family defines ``name`` (its CLI name) and the methods phi0(r),
-    phi_k(k, r) and tail(r) = sum_{k>=1} phi_k(r).  Each takes r as a float
-    array, 0-d or not, that is already known to lie in [0, 1), and checks
-    nothing; vector(order, r) takes such an r as a float.  Callers outside a
-    grid they built themselves go through the module functions, which check
-    r.  ``is_operator`` marks families an integral operator induces.
+    tail(r) = sum_{k>=1} phi_k(r) and vector(order, r) = [phi_0(r), ...,
+    phi_order(r)].  phi0 and tail take r as a float array, 0-d or not, that
+    is already known to lie in [0, 1), and check nothing; vector takes such
+    an r as a float.  phi_k(k, r) reads entry k of vector(k, x) at each
+    point; a family with a closed form for phi_k may override it.  Callers
+    outside a grid they built themselves go through the module functions,
+    which check r.  ``is_operator`` marks the OperatorFamily subclasses.
     """
 
     is_operator = False
 
-    def vector(self, order: int, r: float) -> np.ndarray:
-        """[phi_0(r), ..., phi_order(r)], one phi_k at a time."""
-        arr = np.asarray(r, dtype=np.float64)
-        return np.array([float(self.phi_k(k, arr)) for k in range(order + 1)])
+    def phi_k(self, k, r):
+        """phi_k at every point of r, in r's shape."""
+        return np.array([self.vector(k, x)[k] for x in r.ravel().tolist()]).reshape(r.shape)
 
     def params(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -173,13 +175,27 @@ class Quadratic(MonomialFamily):
         return r ** n * num / (1.0 - r) ** 3
 
 
+class OperatorFamily(WeightFamily):
+    """A family induced by an integral operator T; the family also holds T.
+
+    transform(a) maps the Taylor coefficients a_0 ... a_n of f to those of
+    T f, quadrature(f, z, n) evaluates T f(z) from its integral form with an
+    n-node Gauss rule, and radius_equation(gamma, x) is the printed equation
+    of the p = 1 radius, zero at the radius.  It is evaluated apart from
+    phi0 and tail, so it checks the solver's root independently.  The
+    sup-norm bound of T over the unit-bounded class at |z| = r is phi_0(r).
+    """
+
+    is_operator = True
+
+
+def _samples(f, t, z):
+    """f(t z) at every quadrature node t."""
+    return np.array([f(ti * z) for ti in t], dtype=np.complex128)
+
+
 # The operator families hand their kernels 1-d arrays: numpy's 0-d paths
 # are slower and can differ from its 1-d ones in the last bits.
-
-def _each_point(kernel, param, k, r):
-    """kernel(param, k, x) at every point of r, in r's shape."""
-    return np.array([kernel(param, k, x) for x in r.ravel()]).reshape(r.shape)
-
 
 def _beta_phi0(beta: float, r: np.ndarray) -> np.ndarray:
     out = np.ones_like(r)
@@ -205,11 +221,10 @@ def _beta_total(beta: float, r: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class BetaCesaro(WeightFamily):
+class BetaCesaro(OperatorFamily):
     """Weights induced by the beta-Cesaro operator (beta > 0)."""
 
     name = "beta-cesaro"
-    is_operator = True
     beta: float = 1.0
 
     def __post_init__(self):
@@ -220,9 +235,6 @@ class BetaCesaro(WeightFamily):
     def phi0(self, r):
         return _beta_phi0(self.beta, np.atleast_1d(r)).reshape(r.shape)
 
-    def phi_k(self, k, r):
-        return _each_point(_kernels.beta_phi_scalar, self.beta, k, r)
-
     def tail(self, r):
         r1 = np.atleast_1d(r)
         return (_beta_total(self.beta, r1) - _beta_phi0(self.beta, r1)).reshape(r.shape)
@@ -230,13 +242,29 @@ class BetaCesaro(WeightFamily):
     def vector(self, order, r):
         return _kernels.beta_phi_table(self.beta, r, order)
 
+    def transform(self, a):
+        """b_n = (1/(n+1)) sum_k gamma_ratio(n-k, beta) a_k."""
+        n = len(a) - 1
+        g = _kernels.gamma_ratio_sequence(n, self.beta)
+        return np.convolve(a, g)[: n + 1] / np.arange(1, n + 2)
+
+    def quadrature(self, f, z, n):
+        """int_0^1 f(tz) (1-tz)^(-beta) dt."""
+        t, w = _kernels.jacobi_rule(n, 0.0, 0.0)
+        return complex(np.sum(w * _samples(f, t, z) / (1.0 - t * z) ** self.beta))
+
+    def radius_equation(self, gamma, x):
+        """(3+gamma) phi_0(x) - 2 sum_{n>=0} phi_n(x): phi_0 from the series
+        table, the sum in closed form."""
+        total = _beta_total(self.beta, np.array([x]))[0]
+        return float((3.0 + gamma) * self.vector(0, x)[0] - 2.0 * total)
+
 
 @dataclass(frozen=True)
-class AlphaCesaro(WeightFamily):
+class AlphaCesaro(OperatorFamily):
     """Weights induced by the alpha-Cesaro operator (alpha > -1)."""
 
     name = "alpha-cesaro"
-    is_operator = True
     alpha: float = 0.0
 
     def __post_init__(self):
@@ -247,9 +275,6 @@ class AlphaCesaro(WeightFamily):
     def phi0(self, r):
         return _kernels.alpha_phi0(self.alpha, np.atleast_1d(r)).reshape(r.shape)
 
-    def phi_k(self, k, r):
-        return _each_point(_kernels.alpha_phi_scalar, self.alpha, k, r)
-
     def tail(self, r):
         r1 = np.atleast_1d(r)
         return (1.0 / (1.0 - r1) - _kernels.alpha_phi0(self.alpha, r1)).reshape(r.shape)
@@ -257,13 +282,31 @@ class AlphaCesaro(WeightFamily):
     def vector(self, order, r):
         return _kernels.alpha_phi_table(self.alpha, r, order)
 
+    def transform(self, a):
+        """b_n = (1/A_n^{alpha+1}) sum_k A_{n-k}^{alpha} a_k."""
+        n = len(a) - 1
+        w = _kernels.pochhammer_sequence(n, self.alpha)
+        d = _kernels.pochhammer_sequence(n, self.alpha + 1.0)
+        return np.convolve(a, w)[: n + 1] / d
+
+    def quadrature(self, f, z, n):
+        """(alpha+1) int_0^1 f(tz) (1-t)^alpha (1-tz)^(-alpha-1) dt."""
+        # the endpoint factor (1-t)^alpha is integrable for alpha > -1; it
+        # lives in the Gauss-Jacobi weight, so nodes never touch it
+        t, w = _kernels.jacobi_rule(n, self.alpha, 0.0)
+        vals = _samples(f, t, z)
+        return complex((self.alpha + 1.0) * np.sum(w * vals / (1.0 - t * z) ** (self.alpha + 1.0)))
+
+    def radius_equation(self, gamma, x):
+        """(3+gamma) phi_0(x) - 2/(1-x): phi_0 from the series table."""
+        return float((3.0 + gamma) * self.vector(0, x)[0] - 2.0 / (1.0 - x))
+
 
 @dataclass(frozen=True)
-class Bernardi(WeightFamily):
+class Bernardi(OperatorFamily):
     """phi_n(r) = r^(n+m) / (n+m+delta); note phi_0(0) = 0, unlike every other family."""
 
     name = "bernardi"
-    is_operator = True
     m: int = 1
     delta: float = 1.0
 
@@ -288,6 +331,35 @@ class Bernardi(WeightFamily):
         k = np.arange(order + 1)
         return r ** (k + float(self.m)) / (k + self.m + self.delta)
 
+    def transform(self, a):
+        """b_n = a_n / (n + delta), requiring a_k = 0 for k < m."""
+        if np.any(a[: self.m] != 0):
+            raise ValueError(
+                f"Bernardi operator requires coefficients below index m={self.m} to be zero"
+            )
+        b = np.zeros_like(a)
+        b[self.m :] = a[self.m :] / (np.arange(self.m, len(a)) + self.delta)
+        return b
+
+    def quadrature(self, f, z, n):
+        """int_0^1 f(tz) t^(delta-1) dt."""
+        # f vanishes to order m at 0, so fold t^(m+delta-1) into the weight
+        # and integrate the smooth part f(tz)/t^m
+        t, w = _kernels.jacobi_rule(n, 0.0, self.m + self.delta - 1.0)
+        return complex(np.sum(w * _samples(f, t, z) / t ** self.m))
+
+    def radius_equation(self, gamma, x):
+        """(1+gamma)/(m+delta) - 2 sum_{k>=1} x^k/(k+m+delta): the p = 1 gap
+        over x^m, summed directly to a remainder under 1e-17."""
+        c = self.m + self.delta
+        # after K terms the remainder is below x^(K+1)/((K+1+c)(1-x)); as
+        # K+1+c > 1, x^(K+1)/(1-x) < 1e-17 suffices
+        terms = int(math.log(1e-17 * (1.0 - x)) / math.log(x)) + 1 if x > 0.0 else 0
+        if terms > _kernels._MAX_TERMS:
+            raise RuntimeError(_kernels._NONCONV)
+        k = np.arange(1.0, terms + 1.0)
+        return float((1.0 + gamma) / c - 2.0 * np.sum(x ** k / (k + c)))
+
 
 @dataclass(frozen=True)
 class CustomFamily(WeightFamily):
@@ -304,6 +376,11 @@ class CustomFamily(WeightFamily):
 
     def phi0(self, r):
         return self.phi0_fn(r)
+
+    def vector(self, order, r):
+        """[phi_0(r), ..., phi_order(r)], one phi_k at a time."""
+        arr = np.asarray(r, dtype=np.float64)
+        return np.array([float(self.phi_k_fn(k, arr)) for k in range(order + 1)])
 
     def phi_k(self, k, r):
         return self.phi_k_fn(k, r)
@@ -336,7 +413,7 @@ def phi0(family: WeightFamily, r):
 
 
 def phi_k(family: WeightFamily, k: int, r):
-    """phi_k(r); exact for monomial families, certified summation otherwise."""
+    """phi_k(r); exact for the monomial and Bernardi families, from the certified table otherwise."""
     if int(k) != k or k < 0:
         raise ValueError("k must be an integer >= 0")
     arr, scalar = _prepare_r(r)

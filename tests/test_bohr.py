@@ -43,7 +43,7 @@ BUILTINS = [
 
 
 def bohr_sum_oracle(series, family, p, r):
-    """Term-by-term summation through scalar phi_k, independent of phi_vector."""
+    """Term-by-term summation through scalar phi_k, apart from bohr_sum's matrix product."""
     m = np.abs(series.coefficients)
     total = m[0] ** p * phi_k(family, 0, r)
     for k in range(1, series.order + 1):

@@ -29,23 +29,31 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
-def test_import_does_not_load_scipy_signal():
+def test_import_does_not_load_scipy_signal(tmp_path):
     # scipy.signal costs about a second of import time and nothing uses it;
-    # scipy.special costs a third of one and only the quadrature forms use it.
+    # scipy.special costs about 0.7 s cold and only the quadrature forms use
+    # it, so neither the import nor an operator radius or apply may load it.
     # numpy 2 loads numpy.fft on first use, and only the Blaschke kernel uses
     # it: importing bohrad.cli must load no numpy.fft module that a bare
     # "import numpy" does not (numpy 1.x loads numpy.fft with numpy itself)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    (tmp_path / "in.txt").write_text("0.5 0\n0.25 0.1\n")
     probe = (
         "import sys, numpy\n"
         "bare = {m for m in sys.modules if m.startswith('numpy.fft')}\n"
         "import bohrad.cli\n"
         "print([m in sys.modules for m in ('scipy.signal', 'scipy.special')],"
-        " sorted(m for m in sys.modules if m.startswith('numpy.fft') and m not in bare))"
+        " sorted(m for m in sys.modules if m.startswith('numpy.fft') and m not in bare))\n"
+        "codes = [bohrad.cli.main(['operator', '--beta-cesaro', '1', 'radius', '--gamma', '0']),\n"
+        "         bohrad.cli.main(['operator', '--alpha-cesaro', '0', 'apply',\n"
+        "                          '--coeffs', 'in.txt', '--out', 'out.txt'])]\n"
+        "print(codes, 'scipy.special' in sys.modules, file=sys.stderr)"
     )
-    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[False, False] []"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                          check=True, cwd=tmp_path)
+    assert proc.stdout.splitlines()[0] == "[False, False] []"
+    assert proc.stderr.strip() == "[0, 0] False"
 
 
 class TestRadiusCommand:
@@ -184,6 +192,27 @@ class TestNegativeValues:
         joined = run_cli(capsys, *before, f"{option}={value}", *after)
         assert spaced == joined
         assert spaced[0] == 0 and spaced[2] == ""
+
+    @pytest.mark.parametrize(
+        "before, option, value, after, message",
+        [
+            (["verify", "--fn", "constant:0", "--family", "even", "--gamma", "0"],
+             "--tolerance", "-inf", [], "tolerance must be finite"),
+            (["verify", "--fn", "constant:0", "--family", "even", "--gamma", "0"],
+             "--tolerance", "-NaN", [], "tolerance must be finite"),
+            (["radius", "--family", "alpha-cesaro"], "--alpha", "-Infinity", ["--gamma", "0"],
+             "alpha must be finite"),
+            (["radius", "--family", "bernardi", "--m", "1"], "--delta", "-nan", ["--gamma", "0"],
+             "delta must be finite"),
+            (["operator"], "--beta-cesaro", "-INF", ["radius"], "beta must be finite"),
+        ],
+    )
+    def test_negative_non_finite_reaches_the_validator(self, capsys, before, option, value, after, message):
+        # "-inf" and "-nan" were read as options: exit 2 with "expected one argument"
+        code, out, err = run_cli(capsys, *before, option, value, *after)
+        assert (code, out) == (2, "")
+        assert message in err
+        assert "expected one argument" not in err
 
     @pytest.mark.parametrize(
         "argv",

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from bohrad import _kernels
+from bohrad.weights import AlphaCesaro, BetaCesaro, phi_k
 
 R_ORACLE = np.linspace(0.0, 0.95, 12)
 ORDER = 30
@@ -43,35 +44,44 @@ def test_bernardi_tail_matches_hypergeometric(m, delta):
     assert_matches(_kernels.bernardi_tail(m, delta, R_ORACLE), oracle)
 
 
+def beta_phi(beta, k, r):
+    with mp.workdps(30):
+        return mp.mpf(float(r)) ** k / (k + 1) * hyp2f1(beta, k + 1, k + 2, r)
+
+
+def alpha_phi(alpha, k, r):
+    with mp.workdps(30):
+        scale = mp.mpf(float(r)) ** k * mp.factorial(k) / mp.rf(alpha + 2, k)
+        return scale * hyp2f1(alpha + 1, k + 1, alpha + k + 2, r)
+
+
 @pytest.mark.parametrize("beta", [0.3, 1.0, 2.0, 3.7])
 def test_beta_phi_table_matches_hypergeometric(beta):
     for r in R_ORACLE:
-        with mp.workdps(30):
-            x = mp.mpf(float(r))
-            oracle = [x ** k / (k + 1) * hyp2f1(beta, k + 1, k + 2, r) for k in range(ORDER + 1)]
+        oracle = [beta_phi(beta, k, r) for k in range(ORDER + 1)]
         assert_matches(_kernels.beta_phi_table(beta, float(r), ORDER), oracle)
 
 
 @pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.0, 1.0, 2.5])
 def test_alpha_phi_table_matches_hypergeometric(alpha):
     for r in R_ORACLE:
-        with mp.workdps(30):
-            x = mp.mpf(float(r))
-            oracle = [
-                x ** k * mp.factorial(k) / mp.rf(alpha + 2, k) * hyp2f1(alpha + 1, k + 1, alpha + k + 2, r)
-                for k in range(ORDER + 1)
-            ]
+        oracle = [alpha_phi(alpha, k, r) for k in range(ORDER + 1)]
         assert_matches(_kernels.alpha_phi_table(alpha, float(r), ORDER), oracle)
 
 
-def test_table_matches_scalar_definition():
-    # the dense table and the literal stopping-rule loop are separate code
-    # paths; they must agree on every entry
-    for beta in (0.5, 1.0, 2.0):
-        table = _kernels.beta_phi_table(beta, 0.55, 20)
-        direct = [_kernels.beta_phi_scalar(beta, k, 0.55) for k in range(21)]
-        np.testing.assert_allclose(table, direct, rtol=1e-12)
-    for alpha in (-0.5, 0.0, 1.0):
-        table = _kernels.alpha_phi_table(alpha, 0.55, 20)
-        direct = [_kernels.alpha_phi_scalar(alpha, k, 0.55) for k in range(21)]
-        np.testing.assert_allclose(table, direct, rtol=1e-12)
+@pytest.mark.parametrize("family", [BetaCesaro(0.3), BetaCesaro(1.0), BetaCesaro(3.7),
+                                    AlphaCesaro(-0.9), AlphaCesaro(0.0), AlphaCesaro(2.5)], ids=str)
+@pytest.mark.parametrize("k", [0, 3, 17])
+@pytest.mark.parametrize(
+    "r", [np.array(0.55), np.array([0.0, 0.3, 0.9]), np.array([[0.1, 0.5], [0.7, 0.95]])],
+    ids=["0-d", "1-d", "2-d"],
+)
+def test_public_phi_k_matches_hypergeometric(family, k, r):
+    # weights.phi_k reads entry k of the table at each point, in r's shape
+    got = phi_k(family, k, r)
+    assert np.shape(got) == np.shape(r)
+    if isinstance(family, BetaCesaro):
+        oracle = [beta_phi(family.beta, k, x) for x in np.ravel(r)]
+    else:
+        oracle = [alpha_phi(family.alpha, k, x) for x in np.ravel(r)]
+    assert_matches(np.ravel(got), oracle)

@@ -2,9 +2,11 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from bohrad import _kernels, weights
 from bohrad.bohr import bohr_sum
 from bohrad.operators import (
     apply_coefficient_form,
@@ -13,7 +15,6 @@ from bohrad.operators import (
     gamma_ratio_sequence,
     operator_bohr_radius,
     operator_bound,
-    operator_equation_residual,
     pochhammer_ratio,
     pochhammer_sequence,
 )
@@ -206,6 +207,32 @@ class TestOperatorBound:
             operator_bound(BetaCesaro(1.0), 1.0)
 
 
+RADIUS_SPECS = [
+    BetaCesaro(0.5), BetaCesaro(1.0), BetaCesaro(2.0), AlphaCesaro(-0.5),
+    AlphaCesaro(0.0), AlphaCesaro(1.0), Bernardi(1, 1.0), Bernardi(2, 0.5),
+]
+
+
+def printed_equation_oracle(spec, gamma, x):
+    """spec.radius_equation(gamma, x) in 30-digit arithmetic, from 2F1 closed forms (DLMF 15.2).
+
+    beta:     (3+gamma) 2F1(beta, 1; 2; x) - 2 [(1-x)^(-beta) - 1] / (beta x)
+    alpha:    (3+gamma) 2F1(1, alpha+1; alpha+2; x) - 2/(1-x)
+    Bernardi: (1+gamma)/(m+delta) - 2 x/(m+1+delta) 2F1(1, m+1+delta; m+2+delta; x)
+    """
+    with mp.workdps(30):
+        x, g = mp.mpf(x), mp.mpf(gamma)
+        if isinstance(spec, BetaCesaro):
+            b = mp.mpf(spec.beta)
+            total = ((1 - x) ** -b - 1) / (b * x)
+            return (3 + g) * mp.hyp2f1(b, 1, 2, x) - 2 * total
+        if isinstance(spec, AlphaCesaro):
+            a = mp.mpf(spec.alpha)
+            return (3 + g) * mp.hyp2f1(1, a + 1, a + 2, x) - 2 / (1 - x)
+        c = spec.m + mp.mpf(spec.delta)
+        return (1 + g) / c - 2 * x / (c + 1) * mp.hyp2f1(1, c + 1, c + 2, x)
+
+
 class TestOperatorRadius:
     def test_cesaro_radius_bracket(self):
         res = operator_bohr_radius(BetaCesaro(1.0), DomainParams(0.0))
@@ -224,16 +251,36 @@ class TestOperatorRadius:
         radii = [operator_bohr_radius(BetaCesaro(1.0), DomainParams(g)).radius for g in (0.0, 0.3, 0.6)]
         assert radii[0] < radii[1] < radii[2]
 
-    @pytest.mark.parametrize(
-        "spec",
-        [BetaCesaro(0.5), BetaCesaro(1.0), BetaCesaro(2.0), AlphaCesaro(-0.5),
-         AlphaCesaro(0.0), AlphaCesaro(1.0), Bernardi(1, 1.0), Bernardi(2, 0.5)],
-        ids=str,
-    )
+    @pytest.mark.parametrize("spec", RADIUS_SPECS, ids=str)
     @pytest.mark.parametrize("gamma", [0.0, 0.4])
     def test_printed_equation_residual_small(self, spec, gamma):
         res = operator_bohr_radius(spec, DomainParams(gamma))
-        assert abs(operator_equation_residual(spec, DomainParams(gamma), res.radius)) <= 1e-9
+        assert abs(spec.radius_equation(gamma, res.radius)) <= 1e-9
+
+    @pytest.mark.parametrize("spec", RADIUS_SPECS, ids=str)
+    @pytest.mark.parametrize("gamma", [0.0, 0.4])
+    def test_printed_equation_matches_mpmath(self, spec, gamma):
+        # the computed radius is a root of the printed equation, and the
+        # double-precision equation agrees with its 30-digit value there
+        x = operator_bohr_radius(spec, DomainParams(gamma)).radius
+        exact = float(printed_equation_oracle(spec, gamma, x))
+        assert abs(exact) <= 1e-9
+        assert spec.radius_equation(gamma, x) == pytest.approx(exact, abs=1e-11)
+
+    @pytest.mark.parametrize("spec", RADIUS_SPECS, ids=str)
+    def test_cross_check_does_not_reuse_the_gap(self, spec, monkeypatch):
+        # scale phi_0 of the beta and alpha families and the Bernardi tail by
+        # 1 + 1e-6 (a relative change: an added constant would leave the
+        # Bernardi gap negative near 0): the solver's root moves, and the
+        # printed equation must notice
+        def shifted(fn):
+            return lambda *args: fn(*args) * (1.0 + 1e-6)
+
+        monkeypatch.setattr(weights, "_beta_phi0", shifted(weights._beta_phi0))
+        monkeypatch.setattr(_kernels, "alpha_phi0", shifted(_kernels.alpha_phi0))
+        monkeypatch.setattr(_kernels, "bernardi_tail", shifted(_kernels.bernardi_tail))
+        with pytest.raises(RuntimeError, match="cross-check"):
+            operator_bohr_radius(spec, DomainParams(0.0), p=1.0)
 
     def test_radius_continuity_across_beta_one(self):
         base = operator_bohr_radius(BetaCesaro(1.0), DomainParams(0.0)).radius
