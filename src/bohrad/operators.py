@@ -74,7 +74,8 @@ def operator_bound(spec: OperatorSpec, r: float) -> float:
     """Sharp sup-norm bound over the unit-bounded class at |z| = r.
 
     Beta-Cesaro:  (1/r) [1 - (1-r)^(1-beta)] / (1-beta), the log form at beta = 1
-    Alpha-Cesaro: (alpha+1) sum_n r^n / (n+alpha+1), summed with certified tail
+    Alpha-Cesaro: (alpha+1) sum_n r^n / (n+alpha+1), from the Lerch kernel
+                  (direct series, or the connection series near r = 1)
     Bernardi:     r^m / (m+delta)
     All three equal phi_0 of the induced weight family.
     """

@@ -67,8 +67,8 @@ def gap(query: RadiusQuery, x):
 
 def _gap(query: RadiusQuery, x: np.ndarray):
     """gap at a float array x inside [0, 1) that the caller has checked or built."""
-    family = query.family
-    return (1.0 + query.domain.gamma) * family.phi0(x) - (2.0 / query.p) * family.tail(x)
+    phi0, tail = query.family.phi0_tail(x)
+    return (1.0 + query.domain.gamma) * phi0 - (2.0 / query.p) * tail
 
 
 def _first_bracket(query: RadiusQuery):

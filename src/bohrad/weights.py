@@ -36,7 +36,9 @@ class WeightFamily:
     tail(r) = sum_{k>=1} phi_k(r) and vector(order, r) = [phi_0(r), ...,
     phi_order(r)].  phi0 and tail take r as a float array, 0-d or not, that
     is already known to lie in [0, 1), and check nothing; vector takes such
-    an r as a float.  phi_k(k, r) reads entry k of vector(k, x) at each
+    an r as a float.  phi0_tail(r) is the pair (phi0(r), tail(r)) for the
+    radius gap; a family whose tail is built from its phi_0 overrides it to
+    evaluate phi_0 once.  phi_k(k, r) reads entry k of vector(k, x) at each
     point; a family with a closed form for phi_k may override it.  Callers
     outside a grid they built themselves go through the module functions,
     which check r.  ``is_operator`` marks the OperatorFamily subclasses.
@@ -47,6 +49,10 @@ class WeightFamily:
     def phi_k(self, k, r):
         """phi_k at every point of r, in r's shape."""
         return np.array([self.vector(k, x)[k] for x in r.ravel().tolist()]).reshape(r.shape)
+
+    def phi0_tail(self, r):
+        """(phi0(r), tail(r))."""
+        return self.phi0(r), self.tail(r)
 
     def params(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -236,8 +242,12 @@ class BetaCesaro(OperatorFamily):
         return _beta_phi0(self.beta, np.atleast_1d(r)).reshape(r.shape)
 
     def tail(self, r):
+        return self.phi0_tail(r)[1]
+
+    def phi0_tail(self, r):
         r1 = np.atleast_1d(r)
-        return (_beta_total(self.beta, r1) - _beta_phi0(self.beta, r1)).reshape(r.shape)
+        p0 = _beta_phi0(self.beta, r1)
+        return p0.reshape(r.shape), (_beta_total(self.beta, r1) - p0).reshape(r.shape)
 
     def vector(self, order, r):
         return _kernels.beta_phi_table(self.beta, r, order)
@@ -276,8 +286,12 @@ class AlphaCesaro(OperatorFamily):
         return _kernels.alpha_phi0(self.alpha, np.atleast_1d(r)).reshape(r.shape)
 
     def tail(self, r):
+        return self.phi0_tail(r)[1]
+
+    def phi0_tail(self, r):
         r1 = np.atleast_1d(r)
-        return (1.0 / (1.0 - r1) - _kernels.alpha_phi0(self.alpha, r1)).reshape(r.shape)
+        p0 = _kernels.alpha_phi0(self.alpha, r1)
+        return p0.reshape(r.shape), (1.0 / (1.0 - r1) - p0).reshape(r.shape)
 
     def vector(self, order, r):
         return _kernels.alpha_phi_table(self.alpha, r, order)
@@ -421,7 +435,9 @@ def phi_k(family: WeightFamily, k: int, r):
 
 
 def tail_sum(family: WeightFamily, r):
-    """Closed-form sum_{k>=1} phi_k(r) (certified summation for Bernardi)."""
+    """sum_{k>=1} phi_k(r): in closed form for the elementary and beta-Cesaro
+    families, from the Lerch kernel (_kernels.lerch_phi) for alpha-Cesaro and
+    Bernardi."""
     arr, scalar = _prepare_r(r)
     return _unwrap(family.tail(arr), scalar)
 

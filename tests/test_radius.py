@@ -1,11 +1,16 @@
 """Root location for the gap equation (1+gamma) phi_0 = (2/p) tail."""
 
 import math
+import time
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bohrad import bohr, radius, weights
+from bohrad.operators import operator_bohr_radius
 from bohrad.radius import (
     NoRootError,
     RadiusQuery,
@@ -254,3 +259,120 @@ class TestSharpnessWindow:
     def test_all_builtins_have_sharp_windows(self, family):
         res = minimal_root(q(family, 0.25, 1.0))
         assert res.sharp_window_ok is True
+
+
+# ---------------------------------------------------------------------------
+# alpha-Cesaro and Bernardi radii near 1, against 40-digit mpmath
+
+def mp_gap(query):
+    """The gap of an alpha-Cesaro or Bernardi query in 40-digit arithmetic.
+
+    Both weight sums are the Lerch sum Phi(x, 1, b) = sum_k x^k/(k+b), which
+    mpmath has as lerchphi(x, 1, b); it is evaluated here as the equal
+    2F1(1, b; b+1; x)/b (DLMF 15.2, 25.14), about twenty times faster.
+    """
+    family = query.family
+
+    def gap_at(x):
+        with mp.workdps(40):
+            x, g, p = mp.mpf(x), mp.mpf(query.domain.gamma), mp.mpf(query.p)
+            if isinstance(family, AlphaCesaro):
+                b = mp.mpf(family.alpha) + 1
+                head = mp.hyp2f1(1, b, b + 1, x)
+                tail = 1 / (1 - x) - head
+            else:
+                b = mp.mpf(family.delta) + family.m + 1
+                head = x ** family.m / (b - 1)
+                tail = x ** (family.m + 1) * mp.hyp2f1(1, b, b + 1, x) / b
+            return (1 + g) * head - 2 / p * tail
+
+    return gap_at
+
+
+def mp_root(query, near):
+    """mpmath.findroot of the 40-digit gap from a bracket around a float root."""
+    h = min(1e-8, 0.5 * near, 0.5 * (1.0 - near))
+    with mp.workdps(40):
+        return float(mp.findroot(mp_gap(query), (mp.mpf(near - h), mp.mpf(near + h)), solver="anderson"))
+
+
+def ended(query, seconds):
+    """minimal_root(query), or the NoRootError it raised, after checking it took under seconds."""
+    t0 = time.perf_counter()
+    try:
+        result = minimal_root(query)
+    except NoRootError as exc:
+        result = exc
+    assert time.perf_counter() - t0 < seconds
+    return result
+
+
+def assert_matches_mpmath(query, result):
+    """A radius is mpmath's root to 1e-10; a NoRootError tells the truth about the gap."""
+    if isinstance(result, NoRootError):
+        if "(0, 2e-3)" in str(result):
+            assert mp_gap(query)(radius._FINE[-1]) <= 0
+        else:
+            assert mp_gap(query)(radius.SCAN_END) > 0
+    else:
+        assert abs(result.radius - mp_root(query, result.radius)) <= 1e-10
+
+
+class TestRadiiNearOne:
+    """Radii in the scan's last block (above about 0.897) need the weights up
+    to r = 1 - 1e-9; each query ends within 0.5 s in a radius or a NoRootError."""
+
+    @pytest.mark.parametrize("alpha,gamma", [(5.0, 0.9), (10.0, 0.5), (20.0, 0.0)])
+    def test_alpha_cesaro_p1_radius(self, alpha, gamma):
+        query = q(AlphaCesaro(alpha), gamma, 1.0)
+        res = ended(query, 0.5)
+        assert 0.897 < res.radius < 1.0
+        assert_matches_mpmath(query, res)
+
+    def test_alpha_cesaro_50_radius(self):
+        res = ended(q(AlphaCesaro(50.0)), 0.5)
+        assert res.radius == pytest.approx(0.97260576670043, abs=1e-12)
+
+    @pytest.mark.parametrize("gamma,p", [(0.0, 2.0), (0.9, 1.0)])
+    def test_bernardi_2_minus_1_5_radius(self, gamma, p):
+        query = q(Bernardi(2, -1.5), gamma, p)
+        res = ended(query, 0.5)
+        assert 0.897 < res.radius < 1.0
+        assert_matches_mpmath(query, res)
+
+    def test_bernardi_1_minus_0_999_has_no_root(self):
+        # the gap stays positive at every float below 1
+        query = q(Bernardi(1, -0.999))
+        assert isinstance(ended(query, 0.5), NoRootError)
+        assert mp_gap(query)(radius.SCAN_END) > 0
+
+    def test_operator_radius(self):
+        t0 = time.perf_counter()
+        res = operator_bohr_radius(AlphaCesaro(10.0), DomainParams(0.5))
+        assert time.perf_counter() - t0 < 0.5
+        assert res.radius > 0.897
+        assert_matches_mpmath(q(AlphaCesaro(10.0), 0.5), res)
+
+    @pytest.mark.parametrize("family", [AlphaCesaro(1000.0), Bernardi(1, -0.9999)], ids=str)
+    def test_validator_extremes(self, family):
+        query = q(family)
+        assert_matches_mpmath(query, ended(query, 1.0))
+
+
+alpha_families = st.floats(-1.0, 60.0, exclude_min=True).map(AlphaCesaro)
+bernardi_families = st.integers(1, 5).flatmap(
+    lambda m: st.floats(-float(m), 5.0, exclude_min=True).map(lambda delta: Bernardi(m, delta))
+)
+
+
+@given(
+    st.one_of(alpha_families, bernardi_families),
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.floats(0.0, 2.0, exclude_min=True),
+)
+@settings(derandomize=True, deadline=None, max_examples=300)
+def test_operator_families_end_and_match_mpmath(family, gamma, p):
+    # the validated domain: alpha in (-1, 60], m in 1..5, delta in (-m, 5],
+    # gamma in [0, 1), p in (0, 2]
+    query = q(family, gamma, p)
+    assert_matches_mpmath(query, ended(query, 0.5))
