@@ -1,21 +1,27 @@
 """Hot numeric kernels, one numpy implementation each.
 
-The weight tables are correlations of two recurrence-built sequences.  phi_0
-of the alpha-Cesaro family and the Bernardi tail are one Lerch sum
+The beta- and alpha-Cesaro operators are one Euler-integral operator with
+parameters (a, c) = (beta, 2) or (alpha+1, alpha+2), and one table kernel
+sums the weights of both, phi_n = sum_j G_j(a) r^(n+j) / G_(n+j)(c) with
+G_j(x) = (x)_j/j!, as the correlation of two sequences each built by one
+cumulative product.  rising_ratios builds G_j(x) for the tables, for the
+operators' coefficient transform and for the public ratio functions; the
+Gauss-Jacobi rules of the integral forms live here too.  phi_0 of the
+alpha-Cesaro family and the Bernardi tail are one Lerch sum
 Phi(r, 1, b) = sum_k r^k/(k+b) = 2F1(1, b; b+1; r)/b with two branches: the
 direct series below max(0.9, 1 - 1/b), as matrix products over all radii at
 once, and above it the log-case connection series in powers of 1 - r
 (DLMF 15.8.10), 32 terms at every r up to 1 - 1e-9.  The Blaschke kernel
 samples the closed-form product on a circle and takes one inverse FFT, with
 the number of points and the circle chosen by a Cauchy estimate so that
-aliasing stays under 1e-17.  The coefficient sequences of the Cesaro
-operators and the Gauss-Jacobi rules of their integral forms live here too.
+aliasing stays under 1e-17.
 
-Series kernels certify their truncation: the tables and the direct Lerch
+Series kernels certify their truncation: the table and the direct Lerch
 series take enough terms that a ratio-test bound puts the remaining mass
 under 1e-16, and the connection series' 32 terms leave less than 1e-17/b.
 Rising-factorial ratios are always built by recurrence, never from Gamma
-values, so there is no overflow for large index.
+values.  G_j(a) itself still overflows at large a and j: the alpha-Cesaro
+table does for alpha above about 150 near its p = 1 radius at gamma = 0.
 """
 
 from __future__ import annotations
@@ -30,27 +36,16 @@ _NONCONV = "weight series did not converge: r is too close to 1 for this family"
 
 
 # ---------------------------------------------------------------------------
-# operator coefficient sequences and quadrature rules
+# the Cesaro operators' coefficient sequences, weight tables and quadrature
 
-def gamma_ratio_sequence(n: int, beta: float) -> np.ndarray:
-    """[G_0, ..., G_n], G_j = Gamma(j+beta) / (Gamma(j+1) Gamma(beta)) by recurrence."""
+def rising_ratios(n: int, x: float) -> np.ndarray:
+    """[G_0(x), ..., G_n(x)], G_j(x) = (x)_j / j!, by one cumulative product."""
     if n < 0:
         raise ValueError("n must be >= 0")
+    j = np.arange(1, n + 1)
     out = np.empty(n + 1)
     out[0] = 1.0
-    for j in range(1, n + 1):
-        out[j] = out[j - 1] * (j - 1.0 + beta) / j
-    return out
-
-
-def pochhammer_sequence(n: int, alpha: float) -> np.ndarray:
-    """[A_0, ..., A_n] with A_k = (alpha+1)_k / k! by recurrence."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    out = np.empty(n + 1)
-    out[0] = 1.0
-    for k in range(1, n + 1):
-        out[k] = out[k - 1] * (alpha + k) / k
+    np.cumprod((j - 1.0 + x) / j, out=out[1:])
     return out
 
 
@@ -67,72 +62,42 @@ def jacobi_rule(n: int, a: float, b: float) -> tuple:
     return t, w
 
 
-# ---------------------------------------------------------------------------
-# term-count selection for the tables
+def _cesaro_nterms(a: float, c: float, r: float) -> int:
+    """J for cesaro_phi_table: every phi_n series of (a, c) has a tail below 1e-16 after term J.
 
-def _beta_nterms(beta: float, r: float) -> int:
-    """Terms needed so the beta-Cesaro phi series tail is below 1e-16."""
+    With c > 1, G_k(c) does not decrease in k, so term j of phi_n is at most
+    term j of phi_0, t_j = (a)_j/(c)_j r^j.  The ratio t_(j+1)/t_j =
+    r (j+a)/(j+c) is at most rho = r max(1, (J+a)/(J+c)) for j >= J, so every
+    tail after term J is at most t_J rho/(1 - rho).
+    """
     if r <= 0.0:
         return 1
     nterms = 64
     while True:
-        j = np.arange(1, nterms + 1)
-        # G_nterms * r^nterms as one product, to dodge overflow/underflow
-        g_last = float(np.prod((j - 1.0 + beta) * r / j))
-        rho = r * max(1.0, (nterms + beta) / (nterms + 1.0))
-        if rho < 1.0 and g_last * rho / (1.0 - rho) < 1e-16:
+        j = np.arange(nterms)
+        # (a)_J/(c)_J r^J as one product, not a quotient of two that overflow
+        t = float(np.prod((a + j) / (c + j) * r))
+        rho = r * max(1.0, (nterms + a) / (nterms + c))
+        if rho < 1.0 and t * rho / (1.0 - rho) < 1e-16:
             return nterms
         nterms *= 2
         if nterms > _MAX_TERMS:
             raise RuntimeError(_NONCONV)
 
 
-def _alpha_nterms(alpha: float, r: float) -> int:
-    """Terms needed so the alpha-Cesaro phi series tail is below 1e-16."""
-    if r <= 0.0:
-        return 1
-    nterms = 64
-    while (alpha + 1.0) * r ** (nterms + 1) / ((nterms + alpha + 2.0) * (1.0 - r)) >= 1e-16:
-        nterms *= 2
-        if nterms > _MAX_TERMS:
-            raise RuntimeError(_NONCONV)
-    return nterms
+def cesaro_phi_table(a: float, c: float, r: float, order: int) -> np.ndarray:
+    """[phi_0(r), ..., phi_order(r)], phi_n = sum_j G_j(a) r^(n+j) / G_(n+j)(c), c > 1.
 
-
-# ---------------------------------------------------------------------------
-# beta-Cesaro weights: phi_n(r) = sum_j G_j(beta) r^(n+j) / (n+j+1),
-# G_j the ratio Gamma(j+beta)/(Gamma(j+1)Gamma(beta)) built by recurrence.
-
-def beta_phi_table(beta: float, r: float, order: int) -> np.ndarray:
-    """Vector [phi_0(r), ..., phi_order(r)] for the beta-Cesaro weight family."""
-    beta, r, order = float(beta), float(r), int(order)
-    nterms = _beta_nterms(beta, r)
-    j = np.arange(1, nterms + 1)
-    g = np.empty(nterms + 1)
-    g[0] = 1.0
-    np.cumprod((j - 1.0 + beta) / j, out=g[1:])
-    k = np.arange(order + nterms + 1)
-    u = r ** k / (k + 1.0)
-    return np.correlate(u, g, mode="valid")
-
-
-# ---------------------------------------------------------------------------
-# alpha-Cesaro weights: phi_n(r) = sum_j A_j^alpha r^(n+j) / A_(n+j)^(alpha+1)
-# with Pochhammer ratios A_k^a = (a+1)_k / k! by recurrence.
-
-def alpha_phi_table(alpha: float, r: float, order: int) -> np.ndarray:
-    """Vector [phi_0(r), ..., phi_order(r)] for the alpha-Cesaro weight family."""
-    alpha, r, order = float(alpha), float(r), int(order)
-    nterms = _alpha_nterms(alpha, r)
-    j = np.arange(1, nterms + 1)
-    w = np.empty(nterms + 1)
-    w[0] = 1.0
-    np.cumprod((alpha + j) / j, out=w[1:])
+    The correlation of G_j(a) with u_k = r^k / G_k(c), itself one cumulative
+    product, truncated after the term that _cesaro_nterms certifies.
+    """
+    a, c, r, order = float(a), float(c), float(r), int(order)
+    nterms = _cesaro_nterms(a, c, r)
     k = np.arange(1, order + nterms + 1)
     u = np.empty(order + nterms + 1)
     u[0] = 1.0
-    np.cumprod(r * k / (alpha + 1.0 + k), out=u[1:])
-    return np.correlate(u, w, mode="valid")
+    np.cumprod(r * k / (k - 1.0 + c), out=u[1:])
+    return np.correlate(u, rising_ratios(nterms, a), mode="valid")
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,13 @@ Each operator is available in two independent forms — a coefficient transform
 and a quadrature of its integral representation — which the test suite plays
 against each other.  Both live on the operator's class in
 :mod:`bohrad.weights`, an :class:`~bohrad.weights.OperatorFamily`: an operator
-and the weight family its majorant induces carry exactly the same data.  This
-module holds the public entry points.
+and the weight family its majorant induces carry exactly the same data.  The
+two Cesaro operators are one Euler-integral operator (DLMF 15.6.1),
+(c-1) int_0^1 f(tz) (1-t)^(c-2) (1-tz)^(-a) dt with (a, c) = (beta, 2) or
+(alpha+1, alpha+2), so both forms are shared by the two.  This module holds
+the public entry points.  operator_bohr_radius checks each p = 1 radius
+against the two sides of the printed radius equation: both must be finite
+and agree to CROSS_CHECK_TOL relative to their size.
 
 Sup-norm bounds over the unit-bounded class coincide with phi_0 of the induced
 family (attained by f identically 1, and by z^m for the Bernardi operator).
@@ -13,36 +18,37 @@ family (attained by f identically 1, and by z^m for the Bernardi operator).
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 from . import weights
-from ._kernels import gamma_ratio_sequence, pochhammer_sequence
+from ._kernels import rising_ratios
 from .radius import DEFAULT_TOL, RadiusQuery, RadiusResult, minimal_root
 from .series import CoefficientSeries, DomainParams
 from .weights import OperatorFamily
 
 OperatorSpec = OperatorFamily
 
-CROSS_CHECK_TOL = 1e-9
+CROSS_CHECK_TOL = 1e-9  # relative: |lhs - rhs| <= tol (|lhs| + |rhs|)
 QUADRATURE_NODES = 64  # first Gauss rule of the integral form; doubled up to 4 times
 
 
 def gamma_ratio(j: int, beta: float) -> float:
-    """Gamma(j+beta) / (Gamma(j+1) Gamma(beta)): the last entry of gamma_ratio_sequence."""
+    """Gamma(j+beta) / (Gamma(j+1) Gamma(beta)) = G_j(beta): the last entry of rising_ratios(j, beta)."""
     if j < 0:
         raise ValueError("j must be >= 0")
     if not beta > 0:
         raise ValueError("beta must be > 0")
-    return float(gamma_ratio_sequence(j, beta)[-1])
+    return float(rising_ratios(j, beta)[-1])
 
 
 def pochhammer_ratio(k: int, alpha: float) -> float:
-    """A_k = (alpha+1)_k / k!: the last entry of pochhammer_sequence."""
+    """A_k = (alpha+1)_k / k! = G_k(alpha+1): the last entry of rising_ratios(k, alpha+1)."""
     if k < 0:
         raise ValueError("k must be >= 0")
     if not alpha > -1:
         raise ValueError("alpha must be > -1")
-    return float(pochhammer_sequence(k, alpha)[-1])
+    return float(rising_ratios(k, alpha + 1.0)[-1])
 
 
 def apply_coefficient_form(spec: OperatorSpec, series: CoefficientSeries) -> CoefficientSeries:
@@ -95,9 +101,11 @@ def operator_bohr_radius(
     """
     result = minimal_root(RadiusQuery(spec, domain, p), tol=tol)
     if p == 1.0:
-        resid = spec.radius_equation(domain.gamma, result.radius)
-        if abs(resid) > CROSS_CHECK_TOL:
+        lhs, rhs = spec.radius_equation(domain.gamma, result.radius)
+        # finite first: inf <= tol * inf holds
+        if not (math.isfinite(lhs) and math.isfinite(rhs)
+                and abs(lhs - rhs) <= CROSS_CHECK_TOL * (abs(lhs) + abs(rhs))):
             raise RuntimeError(
-                f"operator radius cross-check failed: printed-equation residual {resid:.3e}"
+                f"operator radius cross-check failed: printed equation sides {lhs:.17g} and {rhs:.17g}"
             )
     return result

@@ -5,6 +5,10 @@ elementary families share a monomial base, phi_k = c(k) r^k from k = N on.
 The beta-Cesaro, alpha-Cesaro and Bernardi families arise from the integral
 operators they are named after; they share the OperatorFamily base, which
 also holds the operator itself, and are summed by the kernels in _kernels.
+The two Cesaro operators are one Euler-integral operator with parameters
+(a, c): CesaroFamily holds its table, transform, quadrature and radius
+equation, and BetaCesaro and AlphaCesaro hold only their field, (a, c) and
+the closed forms of phi_0 and of the sum of all weights.
 
 The module functions phi0, phi_k, tail_sum, phi_vector and phi_tail_mass
 take a scalar r or a numpy array, check r in [0, 1) once and call the
@@ -186,10 +190,11 @@ class OperatorFamily(WeightFamily):
 
     transform(a) maps the Taylor coefficients a_0 ... a_n of f to those of
     T f, quadrature(f, z, n) evaluates T f(z) from its integral form with an
-    n-node Gauss rule, and radius_equation(gamma, x) is the printed equation
-    of the p = 1 radius, zero at the radius.  It is evaluated apart from
-    phi0 and tail, so it checks the solver's root independently.  The
-    sup-norm bound of T over the unit-bounded class at |z| = r is phi_0(r).
+    n-node Gauss rule, and radius_equation(gamma, x) returns the two sides
+    (lhs, rhs) of the printed equation of the p = 1 radius, equal at the
+    radius.  They are evaluated apart from phi0 and tail, so they check the
+    solver's root independently, relative to their size.  The sup-norm bound
+    of T over the unit-bounded class at |z| = r is phi_0(r).
     """
 
     is_operator = True
@@ -226,9 +231,59 @@ def _beta_total(beta: float, r: np.ndarray) -> np.ndarray:
     return out
 
 
+class CesaroFamily(OperatorFamily):
+    """The Euler-integral operator (DLMF 15.6.1) with parameters (a, c), c > 1,
+
+        T f(z) = (c-1) int_0^1 f(tz) (1-t)^(c-2) (1-tz)^(-a) dt,
+
+    and the weights of its majorant, with G_j(x) = (x)_j / j!:
+
+        b_n = sum_k G_(n-k)(a) a_k / G_n(c)                          (transform)
+        phi_n(r) = sum_j G_j(a) r^(n+j) / G_(n+j)(c)
+                 = r^n / G_n(c) 2F1(a, n+1; n+c; r)                   (vector)
+        sum_{n>=0} phi_n(r) = 2F1(a+1, 1; c; r)                       (total)
+
+    A subclass gives its parameter field, ``ac`` = (a, c) as a property, and
+    the closed forms phi0(r) and total(r); total takes a 1-d float array.
+    The series table reads only ``ac``, so the radius equation plays it
+    against the closed forms that the solver uses.
+    """
+
+    def tail(self, r):
+        return self.phi0_tail(r)[1]
+
+    def phi0_tail(self, r):
+        r1 = np.atleast_1d(r)
+        p0 = self.phi0(r1)
+        return p0.reshape(r.shape), (self.total(r1) - p0).reshape(r.shape)
+
+    def vector(self, order, r):
+        return _kernels.cesaro_phi_table(*self.ac, r, order)
+
+    def transform(self, a):
+        """b_n = sum_k G_(n-k)(a) a_k / G_n(c)."""
+        n = len(a) - 1
+        num, den = (_kernels.rising_ratios(n, x) for x in self.ac)
+        return np.convolve(a, num)[: n + 1] / den
+
+    def quadrature(self, f, z, n):
+        """(c-1) int_0^1 f(tz) (1-t)^(c-2) (1-tz)^(-a) dt."""
+        # the endpoint factor (1-t)^(c-2) is integrable for c > 1; it lives
+        # in the Gauss-Jacobi weight, so nodes never touch it
+        a, c = self.ac
+        t, w = _kernels.jacobi_rule(n, c - 2.0, 0.0)
+        return complex((c - 1.0) * np.sum(w * _samples(f, t, z) / (1.0 - t * z) ** a))
+
+    def radius_equation(self, gamma, x):
+        """((3+gamma) phi_0(x), 2 sum_{n>=0} phi_n(x)): phi_0 from the series
+        table, the sum in closed form."""
+        total = float(self.total(np.array([x]))[0])
+        return (3.0 + gamma) * float(self.vector(0, x)[0]), 2.0 * total
+
+
 @dataclass(frozen=True)
-class BetaCesaro(OperatorFamily):
-    """Weights induced by the beta-Cesaro operator (beta > 0)."""
+class BetaCesaro(CesaroFamily):
+    """Weights induced by the beta-Cesaro operator (beta > 0): (a, c) = (beta, 2)."""
 
     name = "beta-cesaro"
     beta: float = 1.0
@@ -238,41 +293,20 @@ class BetaCesaro(OperatorFamily):
         if not self.beta > 0:
             raise ValueError("beta must be > 0")
 
+    @property
+    def ac(self):
+        return self.beta, 2.0
+
     def phi0(self, r):
         return _beta_phi0(self.beta, np.atleast_1d(r)).reshape(r.shape)
 
-    def tail(self, r):
-        return self.phi0_tail(r)[1]
-
-    def phi0_tail(self, r):
-        r1 = np.atleast_1d(r)
-        p0 = _beta_phi0(self.beta, r1)
-        return p0.reshape(r.shape), (_beta_total(self.beta, r1) - p0).reshape(r.shape)
-
-    def vector(self, order, r):
-        return _kernels.beta_phi_table(self.beta, r, order)
-
-    def transform(self, a):
-        """b_n = (1/(n+1)) sum_k gamma_ratio(n-k, beta) a_k."""
-        n = len(a) - 1
-        g = _kernels.gamma_ratio_sequence(n, self.beta)
-        return np.convolve(a, g)[: n + 1] / np.arange(1, n + 2)
-
-    def quadrature(self, f, z, n):
-        """int_0^1 f(tz) (1-tz)^(-beta) dt."""
-        t, w = _kernels.jacobi_rule(n, 0.0, 0.0)
-        return complex(np.sum(w * _samples(f, t, z) / (1.0 - t * z) ** self.beta))
-
-    def radius_equation(self, gamma, x):
-        """(3+gamma) phi_0(x) - 2 sum_{n>=0} phi_n(x): phi_0 from the series
-        table, the sum in closed form."""
-        total = _beta_total(self.beta, np.array([x]))[0]
-        return float((3.0 + gamma) * self.vector(0, x)[0] - 2.0 * total)
+    def total(self, r):
+        return _beta_total(self.beta, r)
 
 
 @dataclass(frozen=True)
-class AlphaCesaro(OperatorFamily):
-    """Weights induced by the alpha-Cesaro operator (alpha > -1)."""
+class AlphaCesaro(CesaroFamily):
+    """Weights induced by the alpha-Cesaro operator (alpha > -1): (a, c) = (alpha+1, alpha+2)."""
 
     name = "alpha-cesaro"
     alpha: float = 0.0
@@ -282,38 +316,15 @@ class AlphaCesaro(OperatorFamily):
         if not self.alpha > -1:
             raise ValueError("alpha must be > -1")
 
+    @property
+    def ac(self):
+        return self.alpha + 1.0, self.alpha + 2.0
+
     def phi0(self, r):
         return _kernels.alpha_phi0(self.alpha, np.atleast_1d(r)).reshape(r.shape)
 
-    def tail(self, r):
-        return self.phi0_tail(r)[1]
-
-    def phi0_tail(self, r):
-        r1 = np.atleast_1d(r)
-        p0 = _kernels.alpha_phi0(self.alpha, r1)
-        return p0.reshape(r.shape), (1.0 / (1.0 - r1) - p0).reshape(r.shape)
-
-    def vector(self, order, r):
-        return _kernels.alpha_phi_table(self.alpha, r, order)
-
-    def transform(self, a):
-        """b_n = (1/A_n^{alpha+1}) sum_k A_{n-k}^{alpha} a_k."""
-        n = len(a) - 1
-        w = _kernels.pochhammer_sequence(n, self.alpha)
-        d = _kernels.pochhammer_sequence(n, self.alpha + 1.0)
-        return np.convolve(a, w)[: n + 1] / d
-
-    def quadrature(self, f, z, n):
-        """(alpha+1) int_0^1 f(tz) (1-t)^alpha (1-tz)^(-alpha-1) dt."""
-        # the endpoint factor (1-t)^alpha is integrable for alpha > -1; it
-        # lives in the Gauss-Jacobi weight, so nodes never touch it
-        t, w = _kernels.jacobi_rule(n, self.alpha, 0.0)
-        vals = _samples(f, t, z)
-        return complex((self.alpha + 1.0) * np.sum(w * vals / (1.0 - t * z) ** (self.alpha + 1.0)))
-
-    def radius_equation(self, gamma, x):
-        """(3+gamma) phi_0(x) - 2/(1-x): phi_0 from the series table."""
-        return float((3.0 + gamma) * self.vector(0, x)[0] - 2.0 / (1.0 - x))
+    def total(self, r):
+        return 1.0 / (1.0 - r)
 
 
 @dataclass(frozen=True)
@@ -363,8 +374,8 @@ class Bernardi(OperatorFamily):
         return complex(np.sum(w * _samples(f, t, z) / t ** self.m))
 
     def radius_equation(self, gamma, x):
-        """(1+gamma)/(m+delta) - 2 sum_{k>=1} x^k/(k+m+delta): the p = 1 gap
-        over x^m, summed directly to a remainder under 1e-17."""
+        """((1+gamma)/(m+delta), 2 sum_{k>=1} x^k/(k+m+delta)): the two sides
+        of the p = 1 gap over x^m, the sum taken directly to a remainder under 1e-17."""
         c = self.m + self.delta
         # after K terms the remainder is below x^(K+1)/((K+1+c)(1-x)); as
         # K+1+c > 1, x^(K+1)/(1-x) < 1e-17 suffices
@@ -372,7 +383,7 @@ class Bernardi(OperatorFamily):
         if terms > _kernels._MAX_TERMS:
             raise RuntimeError(_kernels._NONCONV)
         k = np.arange(1.0, terms + 1.0)
-        return float((1.0 + gamma) / c - 2.0 * np.sum(x ** k / (k + c)))
+        return (1.0 + gamma) / c, 2.0 * float(np.sum(x ** k / (k + c)))
 
 
 @dataclass(frozen=True)

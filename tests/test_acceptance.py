@@ -21,8 +21,8 @@ from bohrad.operators import (
     apply_integral_form,
     operator_bohr_radius,
     operator_bound,
-    pochhammer_sequence,
 )
+from bohrad._kernels import rising_ratios
 from bohrad.radius import RadiusQuery, minimal_root
 from bohrad.series import CoefficientSeries, DomainParams, coefficients_of, extremal_coefficients, lemma_bound_report
 from bohrad.weights import (
@@ -201,8 +201,8 @@ def test_c07_operator_oracle():
 def test_c08_algebraic_identities():
     poch_worst = 0.0
     for alpha in (-0.5, 0.0, 0.7, 2.0):
-        a = pochhammer_sequence(50, alpha)
-        a_up = pochhammer_sequence(50, alpha + 1.0)
+        a = rising_ratios(50, alpha + 1.0)
+        a_up = rising_ratios(50, alpha + 2.0)
         poch_worst = max(poch_worst, float(np.max(np.abs(np.cumsum(a) / a_up - 1.0))))
     rows_ok = True
     ones = CoefficientSeries(np.ones(60))

@@ -309,6 +309,11 @@ class TestOperatorCommand:
         assert data["bound"] == pytest.approx(0.25, abs=1e-15)
         jsonschema.validate(data, load_schema("operator_result.schema.json"))
 
+    def test_large_beta_radius_passes_the_cross_check(self, capsys):
+        code, out, _ = run_cli(capsys, "operator", "--beta-cesaro", "40", "radius", "--gamma", "0.9")
+        assert code == 0
+        jsonschema.validate(json.loads(out), load_schema("operator_result.schema.json"))
+
     def test_alpha_equals_beta_radius(self, capsys):
         _, out1, _ = run_cli(capsys, "operator", "--alpha-cesaro", "0", "radius", "--gamma", "0")
         _, out2, _ = run_cli(capsys, "operator", "--beta-cesaro", "1", "radius", "--gamma", "0")

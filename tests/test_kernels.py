@@ -3,8 +3,7 @@
 Each weight series is a 2F1 (DLMF 15.2):
     alpha phi_0    = 2F1(1, alpha+1; alpha+2; r)
     Bernardi tail  = r^(m+1)/(m+1+delta) 2F1(1, m+1+delta; m+2+delta; r)
-    beta phi_k     = r^k/(k+1) 2F1(beta, k+1; k+2; r)
-    alpha phi_k    = r^k k!/(alpha+2)_k 2F1(alpha+1, k+1; alpha+k+2; r)
+    Cesaro phi_k   = r^k k!/(c)_k 2F1(a, k+1; k+c; r), (a, c) = (beta, 2) or (alpha+1, alpha+2)
 The first two are b Phi(r, 1, b) and r^(m+1) Phi(r, 1, b), with the Lerch sum
 Phi(r, 1, b) = sum_k r^k/(k+b) = 2F1(1, b; b+1; r)/b (DLMF 25.14).
 """
@@ -82,29 +81,23 @@ def test_lerch_kernel_temporaries_stay_under_one_mebibyte():
         assert peak <= 1 << 20
 
 
-def beta_phi(beta, k, r):
+CESARO = [BetaCesaro(0.3), BetaCesaro(1.0), BetaCesaro(2.0), BetaCesaro(3.7),
+          AlphaCesaro(-0.9), AlphaCesaro(-0.5), AlphaCesaro(0.0), AlphaCesaro(1.0), AlphaCesaro(2.5)]
+
+
+def cesaro_phi(family, k, r):
+    """r^k k!/(c)_k 2F1(a, k+1; k+c; r) for the family's (a, c)."""
+    a, c = family.ac
     with mp.workdps(30):
-        return mp.mpf(float(r)) ** k / (k + 1) * hyp2f1(beta, k + 1, k + 2, r)
+        scale = mp.mpf(float(r)) ** k * mp.factorial(k) / mp.rf(c, k)
+        return scale * hyp2f1(a, k + 1, k + c, r)
 
 
-def alpha_phi(alpha, k, r):
-    with mp.workdps(30):
-        scale = mp.mpf(float(r)) ** k * mp.factorial(k) / mp.rf(alpha + 2, k)
-        return scale * hyp2f1(alpha + 1, k + 1, alpha + k + 2, r)
-
-
-@pytest.mark.parametrize("beta", [0.3, 1.0, 2.0, 3.7])
-def test_beta_phi_table_matches_hypergeometric(beta):
-    for r in R_ORACLE:
-        oracle = [beta_phi(beta, k, r) for k in range(ORDER + 1)]
-        assert_matches(_kernels.beta_phi_table(beta, float(r), ORDER), oracle)
-
-
-@pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.0, 1.0, 2.5])
-def test_alpha_phi_table_matches_hypergeometric(alpha):
-    for r in R_ORACLE:
-        oracle = [alpha_phi(alpha, k, r) for k in range(ORDER + 1)]
-        assert_matches(_kernels.alpha_phi_table(alpha, float(r), ORDER), oracle)
+@pytest.mark.parametrize("family", CESARO, ids=str)
+def test_cesaro_phi_table_matches_hypergeometric(family):
+    for r in [*R_ORACLE, 0.99]:
+        oracle = [cesaro_phi(family, k, r) for k in range(ORDER + 1)]
+        assert_matches(_kernels.cesaro_phi_table(*family.ac, float(r), ORDER), oracle)
 
 
 @pytest.mark.parametrize("family", [BetaCesaro(0.3), BetaCesaro(1.0), BetaCesaro(3.7),
@@ -118,8 +111,4 @@ def test_public_phi_k_matches_hypergeometric(family, k, r):
     # weights.phi_k reads entry k of the table at each point, in r's shape
     got = phi_k(family, k, r)
     assert np.shape(got) == np.shape(r)
-    if isinstance(family, BetaCesaro):
-        oracle = [beta_phi(family.beta, k, x) for x in np.ravel(r)]
-    else:
-        oracle = [alpha_phi(family.alpha, k, x) for x in np.ravel(r)]
-    assert_matches(np.ravel(got), oracle)
+    assert_matches(np.ravel(got), [cesaro_phi(family, k, x) for x in np.ravel(r)])

@@ -1,22 +1,22 @@
 """Integral operators: coefficient form vs quadrature, bounds, radii."""
 
 import math
+import time
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from bohrad import _kernels, weights
+from bohrad._kernels import rising_ratios
 from bohrad.bohr import bohr_sum
 from bohrad.operators import (
     apply_coefficient_form,
     apply_integral_form,
     gamma_ratio,
-    gamma_ratio_sequence,
     operator_bohr_radius,
     operator_bound,
     pochhammer_ratio,
-    pochhammer_sequence,
 )
 from bohrad.series import CoefficientSeries, DomainParams, coefficients_of
 from bohrad.weights import AlphaCesaro, Bernardi, BetaCesaro
@@ -59,8 +59,8 @@ class TestRatioRecurrences:
     @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.7, 2.0])
     def test_pochhammer_cumulative_identity(self, alpha):
         # sum_{k<=n} A_k^alpha = A_n^(alpha+1)
-        a = pochhammer_sequence(50, alpha)
-        a_up = pochhammer_sequence(50, alpha + 1.0)
+        a = rising_ratios(50, alpha + 1.0)
+        a_up = rising_ratios(50, alpha + 2.0)
         np.testing.assert_allclose(np.cumsum(a), a_up, rtol=1e-12)
 
     def test_pochhammer_generating_function(self):
@@ -68,7 +68,7 @@ class TestRatioRecurrences:
         # convention of A_k
         z = 0.4
         for alpha in (-0.5, 0.3, 2.0):
-            a = pochhammer_sequence(200, alpha)
+            a = rising_ratios(200, alpha + 1.0)
             s = float(np.sum(a * z ** np.arange(201)))
             assert s == pytest.approx((1 - z) ** (-(1 + alpha)), rel=1e-13)
 
@@ -100,7 +100,7 @@ class TestCoefficientForm:
     def test_beta_transform_against_double_sum(self):
         series = random_member_series(3, order=30)
         out = apply_coefficient_form(BetaCesaro(0.7), series)
-        g = gamma_ratio_sequence(30, 0.7)
+        g = rising_ratios(30, 0.7)
         for n in (0, 5, 17, 30):
             expected = sum(g[n - k] * series.coefficients[k] for k in range(n + 1)) / (n + 1)
             assert out.coefficients[n] == pytest.approx(expected, rel=1e-13)
@@ -214,7 +214,7 @@ RADIUS_SPECS = [
 
 
 def printed_equation_oracle(spec, gamma, x):
-    """spec.radius_equation(gamma, x) in 30-digit arithmetic, from 2F1 closed forms (DLMF 15.2).
+    """lhs - rhs of spec.radius_equation(gamma, x) in 30-digit arithmetic, from 2F1 closed forms (DLMF 15.2).
 
     beta:     (3+gamma) 2F1(beta, 1; 2; x) - 2 [(1-x)^(-beta) - 1] / (beta x)
     alpha:    (3+gamma) 2F1(1, alpha+1; alpha+2; x) - 2/(1-x)
@@ -243,9 +243,19 @@ class TestOperatorRadius:
         assert abs(eq(res.radius)) <= 1e-9
 
     def test_alpha_zero_equals_beta_one(self):
-        r1 = operator_bohr_radius(BetaCesaro(1.0), DomainParams(0.0)).radius
-        r2 = operator_bohr_radius(AlphaCesaro(0.0), DomainParams(0.0)).radius
-        assert abs(r1 - r2) <= 1e-10
+        # both are the (a, c) = (1, 2) operator: the same bytes from every path
+        alpha, beta = AlphaCesaro(0.0), BetaCesaro(1.0)
+        for r in (0.0, 0.3, 0.7, 0.95, 0.99):
+            assert alpha.vector(200, r).tobytes() == beta.vector(200, r).tobytes()
+        a = random_member_series(5, order=200).coefficients
+        assert alpha.transform(a).tobytes() == beta.transform(a).tobytes()
+        f = random_member_series(7, order=100).evaluate
+        for z in (0.4, 0.3 - 0.5j):
+            assert alpha.quadrature(f, z, 64) == beta.quadrature(f, z, 64)
+        for gamma in (0.0, 0.5):
+            r1 = operator_bohr_radius(beta, DomainParams(gamma)).radius
+            r2 = operator_bohr_radius(alpha, DomainParams(gamma)).radius
+            assert r1 == r2
 
     def test_radius_increases_with_gamma(self):
         radii = [operator_bohr_radius(BetaCesaro(1.0), DomainParams(g)).radius for g in (0.0, 0.3, 0.6)]
@@ -255,7 +265,8 @@ class TestOperatorRadius:
     @pytest.mark.parametrize("gamma", [0.0, 0.4])
     def test_printed_equation_residual_small(self, spec, gamma):
         res = operator_bohr_radius(spec, DomainParams(gamma))
-        assert abs(spec.radius_equation(gamma, res.radius)) <= 1e-9
+        lhs, rhs = spec.radius_equation(gamma, res.radius)
+        assert abs(lhs - rhs) <= 1e-9
 
     @pytest.mark.parametrize("spec", RADIUS_SPECS, ids=str)
     @pytest.mark.parametrize("gamma", [0.0, 0.4])
@@ -265,7 +276,8 @@ class TestOperatorRadius:
         x = operator_bohr_radius(spec, DomainParams(gamma)).radius
         exact = float(printed_equation_oracle(spec, gamma, x))
         assert abs(exact) <= 1e-9
-        assert spec.radius_equation(gamma, x) == pytest.approx(exact, abs=1e-11)
+        lhs, rhs = spec.radius_equation(gamma, x)
+        assert lhs - rhs == pytest.approx(exact, abs=1e-11)
 
     @pytest.mark.parametrize("spec", RADIUS_SPECS, ids=str)
     def test_cross_check_does_not_reuse_the_gap(self, spec, monkeypatch):
@@ -281,6 +293,34 @@ class TestOperatorRadius:
         monkeypatch.setattr(_kernels, "bernardi_tail", shifted(_kernels.bernardi_tail))
         with pytest.raises(RuntimeError, match="cross-check"):
             operator_bohr_radius(spec, DomainParams(0.0), p=1.0)
+
+    @pytest.mark.parametrize("spec", [BetaCesaro(40.0), BetaCesaro(200.0)], ids=str)
+    def test_cross_check_is_relative_for_large_beta(self, spec):
+        # at gamma = 0.9 both sides of the printed equation are large (the
+        # sum of the weights grows like (1-x)^(-beta)): an absolute 1e-9
+        # refused radii whose relative residual is near 1e-13
+        res = operator_bohr_radius(spec, DomainParams(0.9))
+        lhs, rhs = spec.radius_equation(0.9, res.radius)
+        assert abs(lhs - rhs) <= 1e-12 * (abs(lhs) + abs(rhs))
+
+    def test_cross_check_is_relative_near_one(self):
+        # the radius lies 6.4e-5 below 1, where the Bernardi equation is
+        # steep: its residual -1.2e-9 is -3.2e-11 of its scale
+        spec = Bernardi(1, -0.9)
+        res = operator_bohr_radius(spec, DomainParams(0.9))
+        assert res.radius == pytest.approx(0.99993579267807, abs=1e-12)
+        lhs, rhs = spec.radius_equation(0.9, res.radius)
+        assert abs(lhs - rhs) <= 1e-10 * (abs(lhs) + abs(rhs))
+
+    @pytest.mark.parametrize("alpha", [300.0, 1000.0])
+    def test_cross_check_refuses_non_finite_sides(self, alpha):
+        # the series table overflows for alpha above about 150 at gamma = 0:
+        # phi_0 reads inf at alpha = 300 and nan at alpha = 1000, and neither
+        # may pass the check (abs(nan) > tol and inf <= tol * inf both fail)
+        start = time.perf_counter()
+        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(RuntimeError, match="cross-check"):
+            operator_bohr_radius(AlphaCesaro(alpha), DomainParams(0.0))
+        assert time.perf_counter() - start <= 0.5
 
     def test_radius_continuity_across_beta_one(self):
         base = operator_bohr_radius(BetaCesaro(1.0), DomainParams(0.0)).radius
@@ -300,7 +340,7 @@ class TestMajorantSwap:
         res = operator_bohr_radius(spec, dom)
         series = random_member_series(31, order=350)
         m = np.abs(series.coefficients)
-        g = gamma_ratio_sequence(350, beta)
+        g = rising_ratios(350, beta)
         for r in (0.3, res.radius):
             rows = np.convolve(m, g)[:351] / np.arange(1, 352)
             double_sum = float(rows @ r ** np.arange(351.0))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from bohrad.harness import brute_force_tail
-from bohrad.operators import gamma_ratio_sequence
+from bohrad._kernels import rising_ratios
 from bohrad.radius import RadiusQuery, gap, minimal_root
 from bohrad.series import DomainParams
 from bohrad.weights import (
@@ -88,7 +88,7 @@ class TestPhi0:
         assert phi0(BetaCesaro(2.0), 0.5) == pytest.approx(2.0, abs=1e-14)
         double_sum = sum(
             (1.0 / (k + 1.0)) * g * 0.5 ** k
-            for k, g in enumerate(gamma_ratio_sequence(200, 2.0))
+            for k, g in enumerate(rising_ratios(200, 2.0))
         )
         assert phi0(BetaCesaro(2.0), 0.5) == pytest.approx(double_sum, abs=1e-13)
 
@@ -194,7 +194,7 @@ class TestPhiK:
         r = 0.6
         for beta in (0.5, 2.0):
             for k in (0, 1, 4):
-                g = gamma_ratio_sequence(400, beta)
+                g = rising_ratios(400, beta)
                 expected = sum(g[j] * r ** (k + j) / (k + j + 1.0) for j in range(401))
                 assert phi_k(BetaCesaro(beta), k, r) == pytest.approx(expected, rel=1e-12)
 
@@ -279,7 +279,7 @@ class TestBetaDoubleSumSwap:
         # truncates the weight series at k <= K
         K, r = 60, 0.55
         for beta in (0.5, 1.0, 2.0):
-            g = gamma_ratio_sequence(K, beta)
+            g = rising_ratios(K, beta)
             rows = sum(np.cumsum(g)[n] / (n + 1.0) * r ** n for n in range(K + 1))
             cols = sum(
                 sum(g[k - n] * r ** k / (k + 1.0) for k in range(n, K + 1))
