@@ -14,7 +14,11 @@ once, and above it the log-case connection series in powers of 1 - r
 (DLMF 15.8.10), 32 terms at every r up to 1 - 1e-9.  The Blaschke kernel
 samples the closed-form product on a circle and takes one inverse FFT, with
 the number of points and the circle chosen by a Cauchy estimate so that
-aliasing stays under 1e-17.
+aliasing stays under 1e-17.  It expands many products at once, one row
+each: the inequality suite calls it once per cell for all of the cell's
+random members, and a single function is one row.  Rows that share a plan
+share their sampling pass and their FFT, and each row's bits are those of
+its call alone.
 
 Series kernels certify their truncation: the table and the direct Lerch
 series take enough terms that a ratio-test bound puts the remaining mass
@@ -241,6 +245,7 @@ def bernardi_tail(m: int, delta: float, r: np.ndarray) -> np.ndarray:
 
 _ALIAS_LOG = math.log(2e17)  # log(2 / alias budget), alias budget 1e-17
 _MAX_UNIT_POINTS = 1 << 16
+_BLOCK_ELEMENTS = 1 << 12  # samples per temporary of blaschke_series (64 KiB of complex)
 
 
 @lru_cache(maxsize=4)
@@ -274,10 +279,11 @@ def _fft_plan(moduli: list, gamma: float, order: int) -> tuple:
     return n, 10.0 ** (-17.0 / n)
 
 
-def blaschke_series(zeros, rotation: complex, order: int, gamma: float = 0.0) -> np.ndarray:
-    """Coefficients of rotation * prod (w - a)/(1 - conj(a) w), w = (1-gamma) z + gamma.
+def blaschke_series(zero_sets, rotations, order: int, gamma: float = 0.0) -> np.ndarray:
+    """Row i: coefficients of rotations[i] * prod (w - a)/(1 - conj(a) w) over
+    the zeros a of zero_sets[i], w = (1-gamma) z + gamma; an (F, order+1) array.
 
-    The product f is sampled at z_j = rho exp(-2 pi i j/N), j < N, and one
+    Each product f is sampled at z_j = rho exp(-2 pi i j/N), j < N, and one
     inverse FFT gives rho^k sum_{m>=0} c_(k+mN) rho^(mN): c_k plus its aliases.
 
     rho = 1.  On |z| = R, |w| <= W = gamma + (1-gamma) R, and a disk
@@ -299,23 +305,52 @@ def blaschke_series(zeros, rotation: complex, order: int, gamma: float = 0.0) ->
     inside the disk ends here in bounded memory: 1 MiB per array at order
     200, whatever the zeros.
 
-    A zero-free product is [rotation, 0, ..., 0] exactly.
+    Batching.  The plan (N, rho) is made per row; the rows that share one
+    are sampled together, a block of at most _BLOCK_ELEMENTS samples at a
+    time, and transformed by one ifft along the rows.  The product runs
+    over zero slots: slot s multiplies every row with more than s zeros.
+    Each row goes through the same operations in the same order as it
+    would alone, so a row's bits do not depend on the other rows (F = 1 is
+    a single function).  A zero-free row is [rotation, 0, ..., 0] exactly.
     """
-    order, gamma, rotation = int(order), float(gamma), complex(rotation)
-    zeros = [complex(a) for a in zeros]
-    if not zeros:
-        s = np.zeros(order + 1, dtype=np.complex128)
-        s[0] = rotation
-        return s
-    n, rho = _fft_plan([abs(a) for a in zeros], gamma, order)
-    w = _circle_grid(n, rho, gamma)
-    num = w - zeros[0]
-    den = 1.0 - zeros[0].conjugate() * w
-    for a in zeros[1:]:
-        num *= w - a
-        den *= 1.0 - a.conjugate() * w
+    order, gamma = int(order), float(gamma)
+    zero_sets = [[complex(a) for a in zeros] for zeros in zero_sets]
+    out = np.zeros((len(zero_sets), order + 1), dtype=np.complex128)
+    out[:, 0] = rotations
+    plans = {}
+    for i, zeros in enumerate(zero_sets):
+        if zeros:
+            plans.setdefault(_fft_plan([abs(a) for a in zeros], gamma, order), []).append(i)
+    for (n, rho), rows in plans.items():
+        w = _circle_grid(n, rho, gamma)
+        rows.sort(key=lambda i: -len(zero_sets[i]))  # a slot's rows are a leading run
+        step = max(1, _BLOCK_ELEMENTS // n)
+        for b in range(0, len(rows), step):
+            block = rows[b : b + step]
+            # a slice for a lone row, which a single function always is: a
+            # list index costs it a copy in and out
+            rows_of = slice(block[0], block[0] + 1) if len(block) == 1 else block
+            c = out[rows_of, :1] * _blaschke_block([zero_sets[i] for i in block], w, order)
+            if rho < 1.0:
+                c *= rho ** -np.arange(order + 1.0)
+            out[rows_of] = c
+    return out
+
+
+def _blaschke_block(zero_sets, w, order):
+    """c_0 ... c_order of the products over zero_sets on the circle w, the
+    rows sorted by falling zero count, before the rotation and the rho scaling."""
+    counts = [len(zeros) for zeros in zero_sets]
+    # slot s of every row as a column, padded where a row has fewer zeros
+    a = np.array([zeros + [0j] * (counts[0] - len(zeros)) for zeros in zero_sets]).T[:, :, None]
+    conj = a.conjugate()
+    num = w - a[0]
+    den = 1.0 - conj[0] * w
+    k = len(counts)
+    for s in range(1, counts[0]):
+        while counts[k - 1] <= s:
+            k -= 1  # the rows with a zero in slot s are the first k
+        num[:k] *= w - a[s, :k]
+        den[:k] *= 1.0 - conj[s, :k] * w
     num /= den
-    c = rotation * np.fft.ifft(num)[: order + 1]
-    if rho < 1.0:
-        c *= rho ** -np.arange(order + 1.0)
-    return c
+    return np.fft.ifft(num)[:, : order + 1]

@@ -3,6 +3,14 @@
 Verification is truncation-aware: a failure is only declared when the excess
 over phi_0 exceeds the certified bound on the mass dropped by truncating the
 series, so a true member is never flagged because of a finite cutoff.
+
+verify_up_to_radius is the check of one function, and a suite calls it once
+per function.  What it shares with the other functions of a suite cell is
+built once per cell: the phi table over the grid, from one family.vector
+call, and its truncation allowance (both cached by _phi_matrix).  A caller
+that already holds the function's coefficients, as the suite does after its
+one kernel call per cell, passes them as series=; the check's arithmetic is
+the same either way.
 """
 
 from __future__ import annotations
@@ -61,18 +69,32 @@ def bohr_sum(series: CoefficientSeries, family: WeightFamily, p: float, r: float
     return float(m[0] ** p * v[0] + m[1:] @ v[1:])
 
 
+def verification_order(f: BoundedFunction, order: int) -> int:
+    """The order verify_up_to_radius checks f at: order, or all of a longer Raw series."""
+    if isinstance(f, Raw):
+        return max(order, f.series.order)  # keep the stored series intact
+    return order
+
+
 @lru_cache(maxsize=512)
 def _phi_matrix(family, radius: float, grid_points: int, order: int):
     """The read-only grid linspace(0, radius, grid_points), the read-only matrix
     whose row i holds [phi_0(r_i), ..., phi_order(r_i)], and the truncation
     allowance: the largest certified sum_{k > order} phi_k(r_i) over the grid.
 
-    The grid lies in [0, radius] with radius checked by verify_up_to_radius,
-    so the weights are read unchecked."""
+    The matrix is one family.vector call over the grid.  The allowance keeps
+    the arithmetic of phi_tail_mass, a 0-d tail at each point less the sum
+    of its row.  The grid lies in [0, radius] with radius checked by
+    verify_up_to_radius, so the weights are read unchecked.  A table that is
+    not finite raises RuntimeError: a Bohr sum over it would mean nothing."""
     radii = np.linspace(0.0, radius, grid_points)
-    points = radii.tolist()
-    mat = np.vstack([weights._phi_vector_cached(family, order, r) for r in points])
-    allowance = max(weights._tail_mass(family, r, order) for r in points)
+    mat = family.vector(order, radii)
+    allowance = max(weights._tail_beyond(family, r, row) for r, row in zip(radii.tolist(), mat))
+    if not (np.isfinite(mat).all() and math.isfinite(allowance)):
+        raise RuntimeError(
+            f"the {family.name} weight table overflowed: phi_0 ... phi_{order} or their tail "
+            f"are not finite on [0, {radius}]"
+        )
     radii.flags.writeable = False
     mat.flags.writeable = False
     return radii, mat, allowance
@@ -85,11 +107,14 @@ def verify_up_to_radius(
     grid_points: int = 16,
     order: int = DEFAULT_ORDER,
     tol: float = 1e-9,
+    series: CoefficientSeries | None = None,
 ) -> BohrReport:
     """Evaluate the Bohr sum of f on a uniform grid over [0, radius].
 
     Membership of f in the bounded class on the query's domain is a caller
     assertion; feeding a non-member is how negative controls are run.
+    series, if given, holds f's coefficients to verification_order(f, order),
+    as coefficients_of(f, ...) would build them, and is used in their place.
     """
     if not (0.0 <= radius < 1.0):
         raise ValueError("radius must be in [0, 1)")
@@ -97,9 +122,11 @@ def verify_up_to_radius(
         raise ValueError("tolerance must be finite")
     if grid_points < 1:
         raise ValueError("grid_points must be >= 1")
-    if isinstance(f, Raw):
-        order = max(order, f.series.order)  # keep the stored series intact
-    series = coefficients_of(f, order)
+    order = verification_order(f, order)
+    if series is None:
+        series = coefficients_of(f, order)
+    elif series.order != order:
+        raise ValueError(f"series has order {series.order}; verification needs {order}")
     cap = coefficient_cap(f, order)
     radius, grid_points, order = float(radius), int(grid_points), int(order)
     radii, pmat, allowance = _phi_matrix(query.family, radius, grid_points, order)

@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bohr import verify_up_to_radius
+from .bohr import verification_order, verify_up_to_radius
 from .harness import (
     SuiteConfig,
     default_config,
@@ -306,11 +306,15 @@ def cmd_verify(args) -> int:
     target = res.radius + args.r_beyond
     if not (0.0 <= target < 1.0):
         raise ValueError("--r-beyond pushes the grid outside [0, 1)")
+    # one build: all of a longer coeffs: series is verified, its first
+    # --order + 1 coefficients are screened
+    series = coefficients_of(f, verification_order(f, args.order))
     report = verify_up_to_radius(
-        f, query, target, grid_points=args.grid_points, order=args.order, tol=args.tolerance
+        f, query, target, grid_points=args.grid_points, order=args.order, tol=args.tolerance,
+        series=series,
     )
     # membership screen: the coefficient bound is necessary for class members
-    series_m = coefficients_of(f, args.order)
+    series_m = series.padded(args.order)
     c0 = abs(series_m.coefficients[0])
     if c0 > 1.0 + 1e-12:
         membership_ok = False

@@ -4,6 +4,14 @@ Every cell of a suite is a (family, gamma, p) triple.  Cells draw their own
 deterministic RNG stream from (seed, cell index), so two runs with the same
 config produce byte-identical reports and any failure replays from the report
 alone via the serialized worst-offender descriptor.
+
+The inequality suite does its per-cell work once per cell: one radius solve,
+one draw pass over the cell's random members, one Blaschke kernel call for
+all their coefficients, and one phi table over the verification grid (the
+cached bohr._phi_matrix).  verify_up_to_radius still runs once per
+function: it gives each function its own verdict and excess, and the worst
+offender is the function whose report has the largest excess.  Neither the
+draw nor the batched coefficients change a bit of any function's report.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from .series import (
     DomainParams,
     Extremal,
     Raw,
+    composed_coefficients,
     lemma_bound_report,
 )
 from .weights import (
@@ -157,20 +166,76 @@ class SuiteReport:
         }
 
 
+def random_bounded_functions(domain: DomainParams, rng: np.random.Generator, count: int) -> list:
+    """Draw count functions, each with 0-5 Blaschke zeros uniformly in |z| <= 0.8
+    plus a random rotation.
+
+    Member j takes from rng its number of zeros n_j, then 2 n_j + 1 uniforms:
+    the squared radii over 0.64, the angles over 2 pi and the rotation's
+    angle over 2 pi.  The uniforms are drawn member by member, so the stream
+    does not depend on count; the zeros and rotations of all members are
+    then formed in one pass.
+    """
+    sizes, draws = [], []
+    for _ in range(count):
+        n = int(rng.integers(0, 6))
+        sizes.append(n)
+        draws.append(rng.random(2 * n + 1))
+    if not draws:
+        return []
+    u = np.concatenate(draws)
+    # the zero count of its member and its place in the member, per uniform
+    widths = 2 * np.array(sizes) + 1
+    count_at = np.repeat(sizes, widths)
+    place = np.arange(u.size) - np.repeat(np.cumsum(widths) - widths, widths)
+    radii = 0.8 * np.sqrt(u[place < count_at])
+    angles = 2.0 * np.pi * u[(place >= count_at) & (place < 2 * count_at)]
+    zeros = (radii * np.exp(1j * angles)).tolist()
+    rotations = np.exp(2j * np.pi * u[place == 2 * count_at]).tolist()
+    out, k = [], 0
+    for n, rotation in zip(sizes, rotations):
+        out.append(BlaschkeComposed(domain, tuple(zeros[k : k + n]), rotation))
+        k += n
+    return out
+
+
 def random_bounded_function(domain: DomainParams, rng: np.random.Generator) -> BlaschkeComposed:
-    """Draw 0-5 Blaschke zeros uniformly in |z| <= 0.8 plus a random rotation."""
-    n = int(rng.integers(0, 6))
-    radii = 0.8 * np.sqrt(rng.uniform(size=n))
-    angles = 2.0 * np.pi * rng.uniform(size=n)
-    zeros = tuple(radii * np.exp(1j * angles))
-    rotation = np.exp(2j * np.pi * rng.uniform())
-    return BlaschkeComposed(domain, zeros, rotation)
+    """One member drawn as random_bounded_functions draws each."""
+    return random_bounded_functions(domain, rng, 1)[0]
 
 
 def _deterministic_functions(domain: DomainParams):
     fns = [Raw(CoefficientSeries([c])) for c in (0.0, 1.0, -1.0, 0.5)]
     fns += [Extremal(domain, a) for a in (0.5, 0.9, 0.999)]
     return fns
+
+
+def _verify_functions(cell: CellResult, query: RadiusQuery, config: SuiteConfig, rng) -> None:
+    """Count the verdicts of one cell's functions into cell: its random members,
+    drawn in one pass and expanded by one kernel call, then the deterministic
+    set.  verify_up_to_radius runs once per function, on the cell's one phi
+    table; the cell's arrays are freed when it returns."""
+    members = random_bounded_functions(query.domain, rng, config.samples_per_cell)
+    fns = members + _deterministic_functions(query.domain)
+    coefficients = composed_coefficients(members, config.truncation_order)
+    coefficients += [None] * (len(fns) - len(members))  # the deterministic set builds its own
+    for f, series in zip(fns, coefficients):
+        report = verify_up_to_radius(
+            f,
+            query,
+            cell.radius,
+            grid_points=config.grid_points,
+            order=config.truncation_order,
+            tol=config.tolerance,
+            series=series,
+        )
+        if report.passed:
+            cell.n_pass += 1
+        else:
+            cell.n_fail += 1
+        if report.max_excess > cell.worst_excess:
+            cell.worst_excess = report.max_excess
+            cell.worst_function = f.descriptor()
 
 
 def run_inequality_suite(config: SuiteConfig) -> SuiteReport:
@@ -189,25 +254,7 @@ def run_inequality_suite(config: SuiteConfig) -> SuiteReport:
             cells.append(cell)
             continue
         cell.radius = root.radius
-        rng = np.random.default_rng([config.seed, idx])
-        fns = [random_bounded_function(domain, rng) for _ in range(config.samples_per_cell)]
-        fns.extend(_deterministic_functions(domain))
-        for f in fns:
-            report = verify_up_to_radius(
-                f,
-                query,
-                root.radius,
-                grid_points=config.grid_points,
-                order=config.truncation_order,
-                tol=config.tolerance,
-            )
-            if report.passed:
-                cell.n_pass += 1
-            else:
-                cell.n_fail += 1
-            if report.max_excess > cell.worst_excess:
-                cell.worst_excess = report.max_excess
-                cell.worst_function = f.descriptor()
+        _verify_functions(cell, query, config, np.random.default_rng([config.seed, idx]))
         if config.negative_controls:
             any_controls = True
             # the control is flagged if either check catches it: the

@@ -14,9 +14,9 @@ The module functions phi0, phi_k, tail_sum, phi_vector and phi_tail_mass
 take a scalar r or a numpy array, check r in [0, 1) once and call the
 family's method; radius.gap and radius.sharpness_window_check are the
 checked entry points for the gap.  The methods check nothing: they take an
-already-checked float array (vector takes a float).  Only code that builds
-its own grid inside [0, 1), such as the radius solver and the verification
-grid, calls them directly.  All evaluators are pure.
+already-checked float array (vector takes a float or a 1-d array).  Only
+code that builds its own grid inside [0, 1), such as the radius solver and
+the verification grid, calls them directly.  All evaluators are pure.
 """
 
 from __future__ import annotations
@@ -40,15 +40,27 @@ class WeightFamily:
     tail(r) = sum_{k>=1} phi_k(r) and vector(order, r) = [phi_0(r), ...,
     phi_order(r)].  phi0 and tail take r as a float array, 0-d or not, that
     is already known to lie in [0, 1), and check nothing; vector takes such
-    an r as a float.  phi0_tail(r) is the pair (phi0(r), tail(r)) for the
-    radius gap; a family whose tail is built from its phi_0 overrides it to
-    evaluate phi_0 once.  phi_k(k, r) reads entry k of vector(k, x) at each
-    point; a family with a closed form for phi_k may override it.  Callers
-    outside a grid they built themselves go through the module functions,
-    which check r.  ``is_operator`` marks the OperatorFamily subclasses.
+    an r as a float, or as a 1-d array, for which it returns the table with
+    one row per point, each row bit for bit the vector at that point.  A
+    family without a closed form over a grid gives _vector_at(order, r) at a
+    float r and inherits vector, which loops over the points.  phi0_tail(r)
+    is the pair (phi0(r), tail(r)) for the radius gap; a family whose tail
+    is built from its phi_0 overrides it to evaluate phi_0 once.
+    phi_k(k, r) reads entry k of vector(k, x) at each point; a family with a
+    closed form for phi_k may override it.  Callers outside a grid they
+    built themselves go through the module functions, which check r.
+    ``is_operator`` marks the OperatorFamily subclasses.
     """
 
     is_operator = False
+
+    def vector(self, order, r):
+        """[phi_0(r), ..., phi_order(r)] at a float r; at a 1-d r, the table
+        whose row i is the vector at r[i], built one point at a time by the
+        family's _vector_at(order, r)."""
+        if np.ndim(r) == 0:
+            return self._vector_at(order, float(r))
+        return np.array([self._vector_at(order, x) for x in r.tolist()]).reshape(len(r), order + 1)
 
     def phi_k(self, k, r):
         """phi_k at every point of r, in r's shape."""
@@ -92,9 +104,9 @@ class MonomialFamily(WeightFamily):
 
     def vector(self, order, r):
         k = np.arange(order + 1)
-        v = self.coef(k) * r ** k.astype(float)
-        v[0] = 1.0
-        v[1 : self.N] = 0.0
+        v = self.coef(k) * np.asarray(r)[..., None] ** k.astype(float)
+        v[..., 0] = 1.0
+        v[..., 1 : self.N] = 0.0
         return v
 
 
@@ -257,7 +269,7 @@ class CesaroFamily(OperatorFamily):
         p0 = self.phi0(r1)
         return p0.reshape(r.shape), (self.total(r1) - p0).reshape(r.shape)
 
-    def vector(self, order, r):
+    def _vector_at(self, order, r):
         return _kernels.cesaro_phi_table(*self.ac, r, order)
 
     def transform(self, a):
@@ -354,7 +366,7 @@ class Bernardi(OperatorFamily):
 
     def vector(self, order, r):
         k = np.arange(order + 1)
-        return r ** (k + float(self.m)) / (k + self.m + self.delta)
+        return np.asarray(r)[..., None] ** (k + float(self.m)) / (k + self.m + self.delta)
 
     def transform(self, a):
         """b_n = a_n / (n + delta), requiring a_k = 0 for k < m."""
@@ -402,7 +414,7 @@ class CustomFamily(WeightFamily):
     def phi0(self, r):
         return self.phi0_fn(r)
 
-    def vector(self, order, r):
+    def _vector_at(self, order, r):
         """[phi_0(r), ..., phi_order(r)], one phi_k at a time."""
         arr = np.asarray(r, dtype=np.float64)
         return np.array([float(self.phi_k_fn(k, arr)) for k in range(order + 1)])
@@ -469,12 +481,15 @@ def _phi_vector_cached(family, order, r):
 def phi_tail_mass(family: WeightFamily, r: float, order: int) -> float:
     """Certified bound on sum_{k > order} phi_k(r) (non-negative)."""
     _prepare_r(r)
-    return _tail_mass(family, float(r), int(order))
+    r = float(r)
+    return _tail_beyond(family, r, _phi_vector_cached(family, int(order), r))
 
 
-def _tail_mass(family, r, order):
-    """phi_tail_mass at a float r already known to lie in [0, 1)."""
-    partial = float(np.sum(_phi_vector_cached(family, order, r)[1:]))
+def _tail_beyond(family, r, vector):
+    """phi_tail_mass from vector = [phi_0(r), ..., phi_order(r)]: tail(r) less
+    the sum of phi_1(r) ... phi_order(r), at least 0, at a float r already
+    known to lie in [0, 1)."""
+    partial = float(np.sum(vector[1:]))
     return max(float(family.tail(np.asarray(r))) - partial, 0.0)
 
 

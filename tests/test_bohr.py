@@ -9,10 +9,13 @@ from bohrad import bohr
 from bohrad.bohr import bohr_sum, extremal_margin, p_bound_check, verify_up_to_radius
 from bohrad.radius import RadiusQuery, minimal_root
 from bohrad.series import (
+    BlaschkeComposed,
     CoefficientSeries,
     DomainParams,
     Extremal,
     Raw,
+    coefficients_of,
+    composed_coefficients,
     extremal_coefficients,
 )
 from bohrad.weights import (
@@ -153,6 +156,48 @@ class TestVerifyUpToRadius:
         rep = verify_up_to_radius(long_raw, query, 0.3, order=200)
         assert rep.truncation_bound == 0.0
         assert rep.passed
+
+
+class TestGivenSeries:
+    # the suite hands verify_up_to_radius the coefficients it built for a
+    # whole cell; the report must be the one verify builds for itself
+
+    def test_report_is_unchanged(self):
+        dom = DomainParams(0.4)
+        query = RadiusQuery(AlphaCesaro(0.5), dom, 1.0)
+        radius = minimal_root(query).radius
+        fns = [BlaschkeComposed(dom, (0.3 + 0.2j, -0.5), np.exp(0.4j)), BlaschkeComposed(dom, (), -1.0),
+               BlaschkeComposed(dom, (0.7j,) * 3, 1.0)]
+        for f, series in zip(fns, composed_coefficients(fns, 150)):
+            own = verify_up_to_radius(f, query, radius, grid_points=9, order=150).to_dict()
+            given = verify_up_to_radius(f, query, radius, grid_points=9, order=150, series=series).to_dict()
+            assert given == own
+
+    def test_raw_series_is_given_at_its_own_length(self):
+        long_raw = Raw(CoefficientSeries(np.full(300, 1e-3)))
+        query = RadiusQuery(PowerTail(1), DomainParams(0.0), 1.0)
+        assert bohr.verification_order(long_raw, 200) == 299
+        assert bohr.verification_order(long_raw, 400) == 400
+        own = verify_up_to_radius(long_raw, query, 0.3, order=200)
+        given = verify_up_to_radius(long_raw, query, 0.3, order=200, series=long_raw.series)
+        assert given.to_dict() == own.to_dict()
+
+    def test_series_of_another_order_is_refused(self):
+        f = Extremal(DomainParams(0.0), 0.9)
+        query = RadiusQuery(PowerTail(1), DomainParams(0.0), 1.0)
+        with pytest.raises(ValueError, match="order 100; verification needs 200"):
+            verify_up_to_radius(f, query, 0.3, series=coefficients_of(f, 100))
+
+
+def test_overflowing_weight_table_is_refused():
+    # G_j(300) overflows in the beta-Cesaro table: phi_0 read nan, and the
+    # CLI failed only when it came to serialize the report
+    query = RadiusQuery(BetaCesaro(300.0), DomainParams(0.9), 1.0)
+    radius = minimal_root(query).radius
+    f = Raw(CoefficientSeries([0.5]))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(RuntimeError, match="beta-cesaro weight table overflowed"):
+            verify_up_to_radius(f, query, radius)
 
 
 class TestExtremalMargin:

@@ -260,6 +260,35 @@ class TestVerifyCommand:
         data = json.loads(out)
         assert data["membership_ok"] is False
 
+    def test_long_coefficient_file_verified_whole_screened_to_order(self, capsys, tmp_path):
+        # c_4 = 0.9 breaks the membership bound, but the screen reads only
+        # c_0 ... c_order; the Bohr sums take every stored coefficient
+        coeffs = tmp_path / "long.txt"
+        coeffs.write_text("0.5 0\n0.1 0\n0 0.2\n0 0\n0.9 0\n")
+        code, out, _ = run_cli(
+            capsys, "verify", "--fn", f"coeffs:{coeffs}", "--family", "power-tail",
+            "--N", "1", "--gamma", "0", "--p", "1", "--order", "2", "--grid-points", "4",
+        )
+        data = json.loads(out)
+        assert data["membership_ok"] is True
+        assert data["truncation_bound"] == 0.0
+        r = data["radii"][-1]
+        assert data["bohr_sums"][-1] == pytest.approx(0.5 + 0.1 * r + 0.2 * r ** 2 + 0.9 * r ** 4, rel=1e-14)
+        code, out, _ = run_cli(
+            capsys, "verify", "--fn", f"coeffs:{coeffs}", "--family", "power-tail",
+            "--N", "1", "--gamma", "0", "--p", "1", "--order", "4", "--grid-points", "4",
+        )
+        assert json.loads(out)["membership_ok"] is False
+
+    def test_overflowing_weight_table_is_usage_error(self, capsys):
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code, out, err = run_cli(
+                capsys, "verify", "--family", "beta-cesaro", "--beta", "300", "--fn", "constant:0.5",
+                "--gamma", "0.9", "--p", "1",
+            )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: the beta-cesaro weight table overflowed")
+
     def test_blaschke_descriptors(self, capsys):
         code, _, _ = run_cli(
             capsys, "verify", "--fn", "blaschke:42", "--family", "even",

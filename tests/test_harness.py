@@ -1,5 +1,7 @@
 """Suite runners: determinism, controls, coverage, oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,21 @@ from bohrad.harness import (
     default_config,
     iter_cells,
     random_bounded_function,
+    random_bounded_functions,
     run_inequality_suite,
     run_sharpness_suite,
 )
-from bohrad.series import DomainParams, coefficients_of, lemma_bound_report
+from bohrad.bohr import verify_up_to_radius
+from bohrad.radius import NoRootError, RadiusQuery, minimal_root
+from bohrad.series import (
+    BlaschkeComposed,
+    CoefficientSeries,
+    DomainParams,
+    Extremal,
+    Raw,
+    coefficients_of,
+    lemma_bound_report,
+)
 from bohrad.weights import (
     AlphaCesaro,
     Bernardi,
@@ -21,7 +34,18 @@ from bohrad.weights import (
     CustomFamily,
     Linear,
     PowerTail,
+    Quadratic,
 )
+
+
+def one_member_draw(domain, rng):
+    """The draw of one member as four calls on rng: the stream the cell draw keeps."""
+    n = int(rng.integers(0, 6))
+    radii = 0.8 * np.sqrt(rng.uniform(size=n))
+    angles = 2.0 * np.pi * rng.uniform(size=n)
+    zeros = tuple(radii * np.exp(1j * angles))
+    rotation = np.exp(2j * np.pi * rng.uniform())
+    return BlaschkeComposed(domain, zeros, rotation)
 
 
 class TestRandomFunctions:
@@ -61,7 +85,78 @@ class TestRandomFunctions:
                 assert rep.max_violation <= 1e-10
 
 
+class TestCellDraw:
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    def test_reproduces_the_one_member_stream(self, gamma):
+        dom = DomainParams(gamma)
+        rng, ref = np.random.default_rng([20260811, 3]), np.random.default_rng([20260811, 3])
+        drawn = random_bounded_functions(dom, rng, 500)
+        expected = [one_member_draw(dom, ref) for _ in range(500)]
+        assert [f.descriptor() for f in drawn] == [f.descriptor() for f in expected]
+        assert all(f.zeros == g.zeros and f.rotation == g.rotation for f, g in zip(drawn, expected))
+        # the stream goes on where the per-member draws left it
+        assert random_bounded_function(dom, rng).descriptor() == one_member_draw(dom, ref).descriptor()
+        assert rng.random() == ref.random()
+
+    def test_counts_split_the_stream_anywhere(self):
+        dom = DomainParams(0.25)
+        rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+        drawn = [f for count in (0, 1, 7, 0, 42) for f in random_bounded_functions(dom, rng, count)]
+        assert [f.descriptor() for f in drawn] == [one_member_draw(dom, ref).descriptor() for _ in range(50)]
+
+
+def per_function_suite(config):
+    """(n_pass, n_fail, worst_excess, worst descriptor) per cell, from one member
+    drawn, expanded and verified at a time, each function building its own
+    coefficients: the suite's per-cell batching must not change any of them."""
+    out = []
+    for idx, (family, gamma, p) in enumerate(iter_cells(config)):
+        domain = DomainParams(gamma)
+        query = RadiusQuery(family, domain, p)
+        try:
+            radius = minimal_root(query).radius
+        except NoRootError:
+            out.append(None)
+            continue
+        rng = np.random.default_rng([config.seed, idx])
+        fns = [one_member_draw(domain, rng) for _ in range(config.samples_per_cell)]
+        fns += [Raw(CoefficientSeries([c])) for c in (0.0, 1.0, -1.0, 0.5)]
+        fns += [Extremal(domain, a) for a in (0.5, 0.9, 0.999)]
+        n_pass = n_fail = 0
+        worst, worst_fn = -math.inf, None
+        for f in fns:
+            rep = verify_up_to_radius(f, query, radius, grid_points=config.grid_points,
+                                      order=config.truncation_order, tol=config.tolerance)
+            n_pass += rep.passed
+            n_fail += not rep.passed
+            if rep.max_excess > worst:
+                worst, worst_fn = rep.max_excess, f.descriptor()
+        out.append((n_pass, n_fail, worst, worst_fn))
+    return out
+
+
 class TestInequalitySuite:
+    def test_cell_batching_matches_per_function_loop(self):
+        # a tolerance under the round-off of the sums fails some functions,
+        # so the counts are tested as well as the worst excess
+        cfg = SuiteConfig(
+            seed=5,
+            samples_per_cell=60,
+            gamma_grid=(0.0, 0.5, 0.75),
+            p_grid=(0.5, 1.0),
+            families=(PowerTail(1), Quadratic(1), BetaCesaro(2.0), AlphaCesaro(0.5), Bernardi(1, 0.5)),
+            tolerance=1e-17,
+            truncation_order=120,
+        )
+        cells = run_inequality_suite(cfg).cells
+        expected = per_function_suite(cfg)
+        assert len(cells) == len(expected) == 21
+        for cell, ref in zip(cells, expected):
+            assert cell.skipped is None
+            got = (cell.n_pass, cell.n_fail, cell.worst_excess, cell.worst_function)
+            assert got == ref
+        assert sum(c.n_fail for c in cells) > 0
+
     def test_single_cell_classical(self):
         cfg = SuiteConfig(
             samples_per_cell=1,

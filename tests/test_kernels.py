@@ -112,3 +112,65 @@ def test_public_phi_k_matches_hypergeometric(family, k, r):
     got = phi_k(family, k, r)
     assert np.shape(got) == np.shape(r)
     assert_matches(np.ravel(got), [cesaro_phi(family, k, x) for x in np.ravel(r)])
+
+
+# ---------------------------------------------------------------------------
+# the Blaschke kernel over many rows: every row bit for bit its F = 1 call
+
+def blaschke_rows(gamma):
+    """Zero sets of every kind the suite and the CLI give the kernel: random
+    draws in |z| <= 0.8, zero-free rows, repeated zeros, and a zero at
+    1 - 1e-9, whose plan takes the rho < 1 path."""
+    rng = np.random.default_rng([17, int(100 * gamma)])
+    rows = []
+    for i in range(120):
+        n = int(rng.integers(0, 6))
+        zeros = (0.8 * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))).tolist()
+        if i % 10 == 1 and zeros:
+            zeros = [zeros[0]] * 3
+        rows.append(zeros)
+    rows += [[], [1 - 1e-9], [0.5j, 1 - 1e-9, 0.5j], [0.99 * np.exp(0.3j)] * 2, [], [0.0]]
+    rotations = np.exp(2j * np.pi * rng.uniform(size=len(rows))).tolist()
+    return rows, rotations
+
+
+@pytest.mark.parametrize("order", [0, 40, 200])
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 0.95])
+def test_blaschke_rows_match_single_rows_to_the_bit(gamma, order):
+    zero_sets, rotations = blaschke_rows(gamma)
+    got = _kernels.blaschke_series(zero_sets, rotations, order, gamma)
+    assert got.shape == (len(zero_sets), order + 1)
+    assert _kernels._fft_plan([1 - 1e-9], gamma, order)[1] < 1.0  # the rho < 1 path is covered
+    for zeros, rotation, row in zip(zero_sets, rotations, got):
+        single = _kernels.blaschke_series([zeros], [rotation], order, gamma)
+        assert single.shape == (1, order + 1)
+        assert row.tobytes() == single[0].tobytes()
+        if not zeros:
+            expected = np.zeros(order + 1, dtype=np.complex128)
+            expected[0] = rotation
+            assert row.tobytes() == expected.tobytes()
+
+
+def test_blaschke_rows_do_not_depend_on_their_neighbours():
+    zero_sets, rotations = blaschke_rows(0.5)
+    whole = _kernels.blaschke_series(zero_sets, rotations, 200, 0.5)
+    perm = np.random.default_rng(3).permutation(len(zero_sets))
+    shuffled = _kernels.blaschke_series([zero_sets[i] for i in perm], [rotations[i] for i in perm], 200, 0.5)
+    assert shuffled.tobytes() == whole[perm].tobytes()
+    assert _kernels.blaschke_series([], [], 200, 0.5).shape == (0, 201)
+
+
+def test_blaschke_kernel_works_in_blocks_of_rows():
+    # 480 rows at N = 256 sampled at once would hold about 2 MiB per
+    # temporary, about 12 MiB in all; blocks of at most 2^12 samples keep the
+    # whole pass under 1 MiB.  A row on the rho < 1 path has 2^16 samples and
+    # runs alone, at the 4 MiB that one such row always needed.
+    zero_sets, rotations = blaschke_rows(0.25)
+    for rows, bound in ((zero_sets[:120] * 4, 1 << 20), ([[1 - 1e-9]] * 3, 5 << 20)):
+        tracemalloc.start()
+        try:
+            out = _kernels.blaschke_series(rows, (rotations[:120] * 4)[: len(rows)], 200, 0.25)
+            peak = tracemalloc.get_traced_memory()[1] - out.nbytes
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound

@@ -257,6 +257,27 @@ class TestPhiVector:
             direct = [phi_k(fam, k, r) for k in range(13)]
             np.testing.assert_allclose(vec, direct, rtol=1e-12, atol=1e-300)
 
+    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=str)
+    def test_vector_over_a_grid_is_the_stacked_vectors(self, family):
+        # _phi_matrix takes a cell's whole table from one call; every row must
+        # be bit for bit the vector at its point
+        for radii in (np.linspace(0.0, 0.63, 12), np.array([0.3]), np.linspace(0.1, 0.95, 5)):
+            table = family.vector(40, radii)
+            assert table.shape == (radii.size, 41)
+            stacked = np.vstack([family.vector(40, r) for r in radii.tolist()])
+            assert table.tobytes() == stacked.tobytes()
+
+    def test_custom_vector_over_a_grid(self):
+        fam = CustomFamily(
+            name="half-geometric",
+            phi0_fn=lambda r: np.ones_like(r),
+            phi_k_fn=lambda k, r: 0.5 * r ** k,
+            tail_fn=lambda r: 0.5 * r / (1.0 - r),
+        )
+        radii = np.linspace(0.0, 0.8, 7)
+        stacked = np.vstack([fam.vector(9, r) for r in radii.tolist()])
+        assert fam.vector(9, radii).tobytes() == stacked.tobytes()
+
     def test_vector_is_read_only(self):
         vec = phi_vector(PowerTail(1), 5, 0.5)
         with pytest.raises(ValueError):
