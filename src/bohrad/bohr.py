@@ -10,7 +10,11 @@ built once per cell: the phi table over the grid, from one family.vector
 call, and its truncation allowance (both cached by _phi_matrix).  A caller
 that already holds the function's coefficients, as the suite does after its
 one kernel call per cell, passes them as series=; the check's arithmetic is
-the same either way.
+the same either way.  The check itself stays per function: each function
+has its own cap, verdict and excess, and the traced benchmark
+(perfbench/run.py --trace 1) counts one verify_up_to_radius call per
+verified function, so one matrix product per cell must wait until the
+benchmark counts verified functions instead.
 """
 
 from __future__ import annotations
