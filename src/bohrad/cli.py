@@ -3,6 +3,12 @@
 Exit codes: 0 success/pass, 1 verification failure, 2 usage error, 3 no root.
 All floating-point output is printed with 17 significant digits so results
 round-trip and reruns are comparable byte for byte.
+
+Each JSON record is a header {"command", "version"}, the echo of the
+command's arguments, then the fields of the library object it ran: a
+RadiusResult, a report's to_dict(), or, for a suite, every SuiteConfig field
+as the echoed config.  A table row has the columns _TABLE_COLUMNS, filled from
+the RadiusResult; CSV and JSONL both render each cell with render_json.
 """
 
 from __future__ import annotations
@@ -55,6 +61,9 @@ _PARAM_TYPES = {
     f.name: type(f.default) for cls in FAMILY_CLASSES.values() for f in dataclasses.fields(cls)
 }
 _OPERATOR_CLASSES = tuple(cls for cls in FAMILY_CLASSES.values() if cls.is_operator)
+_TABLE_COLUMNS = ("family", "params", "gamma", "p", "radius", "residual", "sharp_window_ok", "error")
+# the SuiteConfig fields a config file must give; the others keep their defaults
+_SUITE_REQUIRED = ("seed", "samples_per_cell", "gamma_grid", "p_grid", "families", "tolerance")
 
 
 # ---------------------------------------------------------------------------
@@ -97,8 +106,8 @@ def render_json(obj, level: int = 0, compact: bool = False) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def emit(record: dict) -> None:
-    sys.stdout.write(render_json(record) + "\n")
+def emit(command: str, record: dict) -> None:
+    sys.stdout.write(render_json({"command": command, "version": __version__, **record}) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +131,11 @@ def _collect_params(args, name: str) -> dict:
             raise ValueError(f"parameter --{f} is not valid for family {name!r}")
         params[f] = v
     return params
+
+
+def _echo(args, *names: str) -> dict:
+    """The named arguments as given; "params" is the family's parameters."""
+    return {n: _collect_params(args, args.family) if n == "params" else getattr(args, n) for n in names}
 
 
 def _build_family(args):
@@ -207,22 +221,8 @@ def cmd_radius(args) -> int:
     query = RadiusQuery(family, DomainParams(args.gamma), args.p)
     res = minimal_root(query, tol=args.tol)
     emit(
-        {
-            "command": "radius",
-            "version": __version__,
-            "parameters": {
-                "family": args.family,
-                "params": _collect_params(args, args.family),
-                "gamma": args.gamma,
-                "p": args.p,
-                "tol": args.tol,
-            },
-            "radius": res.radius,
-            "bracket": list(res.bracket),
-            "residual": res.residual,
-            "sharp_window_ok": res.sharp_window_ok,
-            "evaluations": res.evaluations,
-        }
+        "radius",
+        {"parameters": _echo(args, "family", "params", "gamma", "p", "tol"), **dataclasses.asdict(res)},
     )
     return EXIT_OK
 
@@ -247,27 +247,27 @@ def _table_rows(args):
                 yield gamma, p, params
 
 
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, dict):  # family parameters, as given on the command line
+        return ";".join(f"{k}={v}" for k, v in value.items())
+    return render_json(value)
+
+
 def cmd_table(args) -> int:
     name = args.family
     _collect_params(args, name)  # rejects parameters the family does not take
     rows = []
     for gamma, p, params in _table_rows(args):
-        row = {
-            "family": name,
-            "params": params,
-            "gamma": gamma,
-            "p": p,
-            "radius": None,
-            "residual": None,
-            "sharp_window_ok": None,
-            "error": None,
-        }
+        row = dict.fromkeys(_TABLE_COLUMNS)
+        row.update(family=name, params=params, gamma=gamma, p=p)
         try:
             family = make_family(name, params)
             res = minimal_root(RadiusQuery(family, DomainParams(gamma), p), tol=args.tol)
-            row.update(
-                radius=res.radius, residual=res.residual, sharp_window_ok=res.sharp_window_ok
-            )
+            row.update((k, v) for k, v in dataclasses.asdict(res).items() if k in row)
         except NoRootError as exc:
             row["error"] = f"no root: {exc}"
         except (ValueError, RuntimeError) as exc:
@@ -275,21 +275,8 @@ def cmd_table(args) -> int:
         rows.append(row)
     if args.format == "csv":
         writer = csv.writer(sys.stdout)
-        writer.writerow(["family", "params", "gamma", "p", "radius", "residual", "sharp_window_ok", "error"])
-        for row in rows:
-            params_txt = ";".join(f"{k}={v}" for k, v in row["params"].items())
-            writer.writerow(
-                [
-                    row["family"],
-                    params_txt,
-                    format_float(row["gamma"]),
-                    format_float(row["p"]),
-                    "" if row["radius"] is None else format_float(row["radius"]),
-                    "" if row["residual"] is None else format_float(row["residual"]),
-                    "" if row["sharp_window_ok"] is None else str(row["sharp_window_ok"]).lower(),
-                    row["error"] or "",
-                ]
-            )
+        writer.writerow(_TABLE_COLUMNS)
+        writer.writerows([_csv_cell(v) for v in row.values()] for row in rows)
     else:
         for row in rows:
             record = {k: v for k, v in row.items() if not (k == "error" and v is None)}
@@ -324,25 +311,17 @@ def cmd_verify(args) -> int:
         membership_ok = membership.max_violation <= 1e-10
         membership_violation = membership.max_violation
     emit(
+        "verify",
         {
-            "command": "verify",
-            "version": __version__,
-            "parameters": {
-                "fn": args.fn,
-                "family": args.family,
-                "params": _collect_params(args, args.family),
-                "gamma": args.gamma,
-                "p": args.p,
-                "r_beyond": args.r_beyond,
-                "grid_points": args.grid_points,
-                "order": args.order,
-            },
+            "parameters": _echo(
+                args, "fn", "family", "params", "gamma", "p", "r_beyond", "grid_points", "order"
+            ),
             "radius": res.radius,
             "verified_up_to": target,
             "membership_ok": membership_ok,
             "membership_max_violation": membership_violation,
             **report.to_dict(),
-        }
+        },
     )
     return EXIT_OK if (report.passed and membership_ok) else EXIT_FAIL
 
@@ -375,58 +354,39 @@ def _operator_spec(args):
 
 def cmd_operator(args) -> int:
     spec = _operator_spec(args)
-    echo = {"operator": type(spec).__name__, "params": spec.params()}
+    echo = {"action": args.action, "operator": type(spec).__name__, "params": spec.params()}
     if args.action == "bound":
         if args.r is None:
             raise ValueError("bound requires --r")
-        emit(
-            {
-                "command": "operator",
-                "version": __version__,
-                "action": "bound",
-                **echo,
-                "r": args.r,
-                "bound": operator_bound(spec, args.r),
-            }
-        )
-        return EXIT_OK
-    if args.action == "radius":
+        emit("operator", {**echo, **_echo(args, "r"), "bound": operator_bound(spec, args.r)})
+    elif args.action == "radius":
         res = operator_bohr_radius(spec, DomainParams(args.gamma), tol=args.tol, p=args.p)
-        emit(
-            {
-                "command": "operator",
-                "version": __version__,
-                "action": "radius",
-                **echo,
-                "gamma": args.gamma,
-                "p": args.p,
-                "tol": args.tol,
-                "radius": res.radius,
-                "bracket": list(res.bracket),
-                "residual": res.residual,
-                "sharp_window_ok": res.sharp_window_ok,
-                "evaluations": res.evaluations,
-            }
-        )
-        return EXIT_OK
-    # apply
-    if args.coeffs is None or args.out is None:
-        raise ValueError("apply requires --coeffs and --out")
-    series = read_coefficients(args.coeffs)
-    transformed = apply_coefficient_form(spec, series)
-    write_coefficients(args.out, transformed)
-    emit(
-        {
-            "command": "operator",
-            "version": __version__,
-            "action": "apply",
-            **echo,
-            "coeffs": args.coeffs,
-            "out": args.out,
-            "n_coefficients": len(transformed),
-        }
-    )
+        emit("operator", {**echo, **_echo(args, "gamma", "p", "tol"), **dataclasses.asdict(res)})
+    else:
+        if args.coeffs is None or args.out is None:
+            raise ValueError("apply requires --coeffs and --out")
+        transformed = apply_coefficient_form(spec, read_coefficients(args.coeffs))
+        write_coefficients(args.out, transformed)
+        emit("operator", {**echo, **_echo(args, "coeffs", "out"), "n_coefficients": len(transformed)})
     return EXIT_OK
+
+
+def _config_value(name: str, kind: type, value):
+    """SuiteConfig field name, whose default has type kind, from its JSON value."""
+    if name == "families":
+        return tuple(make_family(entry["name"], entry.get("params")) for entry in value)
+    if kind is tuple:
+        return tuple(float(v) for v in value)
+    if kind is float:
+        return float(value)
+    if kind is bool:
+        if not isinstance(value, bool):
+            raise ValueError(f"config key {name!r} must be true or false")
+        return value
+    # int: an integral JSON number; type() keeps out true and false
+    if not (type(value) is int or type(value) is float and value.is_integer()):
+        raise ValueError(f"config key {name!r} must be an integer, got {value!r}")
+    return int(value)
 
 
 def load_suite_config(path: str) -> SuiteConfig:
@@ -434,27 +394,13 @@ def load_suite_config(path: str) -> SuiteConfig:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError("config must be a JSON object")
-    required = ("seed", "samples_per_cell", "gamma_grid", "p_grid", "families", "tolerance")
-    missing = [k for k in required if k not in data]
+    fields = dataclasses.fields(SuiteConfig)
+    missing = [f.name for f in fields if f.name in _SUITE_REQUIRED and f.name not in data]
     if missing:
         raise ValueError(f"config is missing keys: {missing}")
-    families = tuple(
-        make_family(entry["name"], entry.get("params")) for entry in data["families"]
+    return SuiteConfig(
+        **{f.name: _config_value(f.name, type(f.default), data[f.name]) for f in fields if f.name in data}
     )
-    kwargs = dict(
-        seed=int(data["seed"]),
-        samples_per_cell=int(data["samples_per_cell"]),
-        gamma_grid=tuple(float(g) for g in data["gamma_grid"]),
-        p_grid=tuple(float(p) for p in data["p_grid"]),
-        families=families,
-        tolerance=float(data["tolerance"]),
-    )
-    for opt in ("grid_points", "truncation_order"):
-        if opt in data:
-            kwargs[opt] = int(data[opt])
-    if "negative_controls" in data:
-        kwargs["negative_controls"] = bool(data["negative_controls"])
-    return SuiteConfig(**kwargs)
 
 
 def cmd_suite(args) -> int:
@@ -467,23 +413,9 @@ def cmd_suite(args) -> int:
         config = dataclasses.replace(config, seed=int(env_seed))
     runner = run_sharpness_suite if args.kind == "sharpness" else run_inequality_suite
     report = runner(config)
-    record = {
-        "command": "suite",
-        "version": __version__,
-        "config": {
-            "seed": config.seed,
-            "samples_per_cell": config.samples_per_cell,
-            "gamma_grid": list(config.gamma_grid),
-            "p_grid": list(config.p_grid),
-            "families": [
-                {"name": f.name, "params": f.params()} for f in config.families
-            ],
-            "tolerance": config.tolerance,
-            "grid_points": config.grid_points,
-            "negative_controls": config.negative_controls,
-        },
-        **report.to_dict(),
-    }
+    echo = {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
+    echo["families"] = [{"name": f.name, "params": f.params()} for f in config.families]
+    record = {"command": "suite", "version": __version__, "config": echo, **report.to_dict()}
     text = render_json(record) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -13,7 +13,7 @@ import jsonschema
 import pytest
 
 from bohrad import __version__
-from bohrad.cli import main, read_coefficients, write_coefficients
+from bohrad.cli import load_suite_config, main, read_coefficients, write_coefficients
 from bohrad.series import CoefficientSeries
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "bohrad" / "schemas"
@@ -131,6 +131,38 @@ class TestTableCommand:
         # beta = 1 row solves 2x = 3(1-x) log(1/(1-x))
         x = by_beta[1]
         assert abs(2 * x - 3 * (1 - x) * math.log(1 / (1 - x))) <= 1e-9
+
+    def test_csv_and_jsonl_give_the_same_values(self, capsys):
+        # solved rows (sharp_window_ok is a bool), a RuntimeError row
+        # (alpha = 1e5) and a ValueError row (gamma = 1.5)
+        argv = ("table", "--family", "alpha-cesaro", "--alpha", "0.5,1e5", "--gamma", "0,1.5")
+        code, out_csv, _ = run_cli(capsys, *argv)
+        assert code == 0
+        code, out_jsonl, _ = run_cli(capsys, *argv, "--format", "jsonl")
+        assert code == 0
+        csv_rows = list(csv.DictReader(io.StringIO(out_csv)))
+        json_rows = [json.loads(line) for line in out_jsonl.splitlines()]
+        assert len(csv_rows) == len(json_rows) == 4
+        assert {"error" in row for row in json_rows} == {True, False}
+        assert any(row["sharp_window_ok"] is True for row in json_rows)
+
+        def value(text):
+            if text == "":
+                return None
+            if text in ("true", "false"):
+                return text == "true"
+            try:
+                return float(text)
+            except ValueError:
+                return text
+
+        for row_csv, row_json in zip(csv_rows, json_rows):
+            for column, text in row_csv.items():
+                if column == "params":
+                    pairs = (kv.split("=") for kv in text.split(";") if kv)
+                    assert {k: float(v) for k, v in pairs} == row_json["params"]
+                else:
+                    assert value(text) == row_json.get(column), column
 
     @pytest.mark.parametrize("value", ["inf", "1.5"])
     def test_non_integral_int_parameter_is_usage_error(self, capsys, value):
@@ -429,6 +461,47 @@ class TestSuiteCommand:
         path.write_text("{not json")
         code, _, _ = run_cli(capsys, "suite", "--config", str(path))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("samples_per_cell", 2.7),
+            ("grid_points", 4.9),
+            ("truncation_order", "40"),
+            ("seed", True),
+            ("negative_controls", "false"),
+            ("negative_controls", 0),
+        ],
+    )
+    def test_coerced_value_is_usage_error(self, capsys, tmp_path, key, value):
+        # once read as int(2.7) == 2, int(True) == 1 and bool("false") is True
+        path = self._config(tmp_path, **{key: value})
+        code, out, err = run_cli(capsys, "suite", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert f"config key '{key}' must be" in err
+
+    def test_integral_float_is_an_int(self, capsys, tmp_path):
+        path = self._config(tmp_path, seed=11.0, samples_per_cell=2.0)
+        code, out, _ = run_cli(capsys, "suite", "--config", str(path))
+        assert code == 0
+        config = json.loads(out)["config"]
+        assert (config["seed"], config["samples_per_cell"]) == (11, 2)
+
+    def test_echoed_config_replays(self, capsys, tmp_path):
+        # the echo carries every SuiteConfig field, so a run at a
+        # non-default truncation order replays from its own report: the
+        # replayed config is the config that ran, and the report repeats
+        path = self._config(tmp_path, truncation_order=40, grid_points=5, negative_controls=False)
+        code, out, _ = run_cli(capsys, "suite", "--config", str(path))
+        assert code == 0
+        first = json.loads(out)
+        replay = tmp_path / "replay.json"
+        replay.write_text(json.dumps(first["config"]))
+        code, out_replay, _ = run_cli(capsys, "suite", "--config", str(replay))
+        assert code == 0
+        assert out_replay == out  # cells and echo, byte for byte
+        assert load_suite_config(str(replay)) == load_suite_config(str(path))
 
     def test_env_seed_override(self, capsys, tmp_path, monkeypatch):
         path = self._config(tmp_path)
