@@ -15,18 +15,15 @@ from .harness import (
     SuiteReport,
     brute_force_tail,
     default_config,
-    random_bounded_function,
+    random_bounded_functions,
     run_inequality_suite,
     run_sharpness_suite,
 )
 from .operators import (
-    OperatorSpec,
     apply_coefficient_form,
     apply_integral_form,
-    gamma_ratio,
     operator_bohr_radius,
     operator_bound,
-    pochhammer_ratio,
 )
 from .radius import (
     NoRootError,
@@ -43,9 +40,6 @@ from .series import (
     DomainParams,
     Extremal,
     Raw,
-    blaschke_coefficients,
-    coefficients_of,
-    extremal_coefficients,
     lemma_bound_report,
 )
 from .weights import (

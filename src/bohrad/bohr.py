@@ -32,10 +32,8 @@ from .series import (
     BoundedFunction,
     CoefficientSeries,
     DomainParams,
+    Extremal,
     Raw,
-    coefficient_cap,
-    coefficients_of,
-    extremal_coefficients,
 )
 from .weights import WeightFamily
 
@@ -118,7 +116,7 @@ def verify_up_to_radius(
     Membership of f in the bounded class on the query's domain is a caller
     assertion; feeding a non-member is how negative controls are run.
     series, if given, holds f's coefficients to verification_order(f, order),
-    as coefficients_of(f, ...) would build them, and is used in their place.
+    as f.coefficients(...) would build them, and is used in their place.
     """
     if not (0.0 <= radius < 1.0):
         raise ValueError("radius must be in [0, 1)")
@@ -128,10 +126,10 @@ def verify_up_to_radius(
         raise ValueError("grid_points must be >= 1")
     order = verification_order(f, order)
     if series is None:
-        series = coefficients_of(f, order)
+        series = f.coefficients(order)
     elif series.order != order:
         raise ValueError(f"series has order {series.order}; verification needs {order}")
-    cap = coefficient_cap(f, order)
+    cap = f.cap()
     radius, grid_points, order = float(radius), int(grid_points), int(order)
     radii, pmat, allowance = _phi_matrix(query.family, radius, grid_points, order)
     m = series.moduli()
@@ -176,7 +174,7 @@ def extremal_margin(
     """
     if not (domain.gamma < a < 1.0):
         raise ValueError(f"requires gamma < a < 1, got gamma={domain.gamma}, a={a}")
-    series = extremal_coefficients(domain, a, order)
+    series = Extremal(domain, a).coefficients(order)
     p0 = float(weights.phi0(family, r))
     margin = bohr_sum(series, family, p, r) - p0
     pred = (

@@ -31,7 +31,7 @@ from .bohr import verification_order, verify_up_to_radius
 from .harness import (
     SuiteConfig,
     default_config,
-    random_bounded_function,
+    random_bounded_functions,
     run_inequality_suite,
     run_sharpness_suite,
 )
@@ -43,10 +43,9 @@ from .series import (
     DomainParams,
     Extremal,
     Raw,
-    coefficients_of,
     lemma_bound_report,
 )
-from .weights import FAMILY_CLASSES, make_family
+from .weights import FAMILY_CLASSES, OperatorFamily, make_family
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -60,7 +59,7 @@ _PARAM_FIELDS = {
 _PARAM_TYPES = {
     f.name: type(f.default) for cls in FAMILY_CLASSES.values() for f in dataclasses.fields(cls)
 }
-_OPERATOR_CLASSES = tuple(cls for cls in FAMILY_CLASSES.values() if cls.is_operator)
+_OPERATOR_CLASSES = tuple(cls for cls in FAMILY_CLASSES.values() if issubclass(cls, OperatorFamily))
 _TABLE_COLUMNS = ("family", "params", "gamma", "p", "radius", "residual", "sharp_window_ok", "error")
 # the SuiteConfig fields a config file must give; the others keep their defaults
 _SUITE_REQUIRED = ("seed", "samples_per_cell", "gamma_grid", "p_grid", "families", "tolerance")
@@ -207,7 +206,7 @@ def parse_function(text: str, domain: DomainParams):
         except ValueError:
             zeros = [complex(tok) for tok in payload.split(",") if tok.strip()]
             return BlaschkeComposed(domain, tuple(zeros), 1.0)
-        return random_bounded_function(domain, np.random.default_rng(seed))
+        return random_bounded_functions(domain, np.random.default_rng(seed), 1)[0]
     if kind == "coeffs":
         return Raw(read_coefficients(payload))
     raise ValueError(f"unknown function kind {kind!r}")
@@ -295,21 +294,13 @@ def cmd_verify(args) -> int:
         raise ValueError("--r-beyond pushes the grid outside [0, 1)")
     # one build: all of a longer coeffs: series is verified, its first
     # --order + 1 coefficients are screened
-    series = coefficients_of(f, verification_order(f, args.order))
+    series = f.coefficients(verification_order(f, args.order))
     report = verify_up_to_radius(
         f, query, target, grid_points=args.grid_points, order=args.order, tol=args.tolerance,
         series=series,
     )
     # membership screen: the coefficient bound is necessary for class members
-    series_m = series.padded(args.order)
-    c0 = abs(series_m.coefficients[0])
-    if c0 > 1.0 + 1e-12:
-        membership_ok = False
-        membership_violation = c0 - 1.0
-    else:
-        membership = lemma_bound_report(series_m, domain)
-        membership_ok = membership.max_violation <= 1e-10
-        membership_violation = membership.max_violation
+    membership = lemma_bound_report(series.padded(args.order), domain)
     emit(
         "verify",
         {
@@ -318,12 +309,12 @@ def cmd_verify(args) -> int:
             ),
             "radius": res.radius,
             "verified_up_to": target,
-            "membership_ok": membership_ok,
-            "membership_max_violation": membership_violation,
+            "membership_ok": membership.ok,
+            "membership_max_violation": membership.max_violation,
             **report.to_dict(),
         },
     )
-    return EXIT_OK if (report.passed and membership_ok) else EXIT_FAIL
+    return EXIT_OK if (report.passed and membership.ok) else EXIT_FAIL
 
 
 def _add_operator_options(parser: argparse.ArgumentParser) -> None:
@@ -410,6 +401,8 @@ def cmd_suite(args) -> int:
         raise ValueError(f"malformed config: {exc}") from exc
     env_seed = os.environ.get("BOHR_SEED")
     if env_seed is not None:
+        if not re.fullmatch(r"[0-9]+", env_seed):
+            raise ValueError(f"BOHR_SEED must be a non-negative integer, got {env_seed!r}")
         config = dataclasses.replace(config, seed=int(env_seed))
     runner = run_sharpness_suite if args.kind == "sharpness" else run_inequality_suite
     report = runner(config)

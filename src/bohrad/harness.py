@@ -41,6 +41,7 @@ from .weights import (
     Linear,
     LinearPlusOne,
     OddPowers,
+    OperatorFamily,
     PowerTail,
     Quadratic,
     WeightFamily,
@@ -75,6 +76,8 @@ class SuiteConfig:
     negative_controls: bool = True
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.samples_per_cell < 1:
             raise ValueError("samples_per_cell must be >= 1")
         for g in self.gamma_grid:
@@ -100,7 +103,7 @@ def iter_cells(config: SuiteConfig):
     """Cells in deterministic order; operator families run at p = 1 only."""
     for family in config.families:
         p_values = config.p_grid
-        if family.is_operator:
+        if isinstance(family, OperatorFamily):
             p_values = tuple(p for p in config.p_grid if p == 1.0)
         for gamma in config.gamma_grid:
             for p in p_values:
@@ -199,11 +202,6 @@ def random_bounded_functions(domain: DomainParams, rng: np.random.Generator, cou
     return out
 
 
-def random_bounded_function(domain: DomainParams, rng: np.random.Generator) -> BlaschkeComposed:
-    """One member drawn as random_bounded_functions draws each."""
-    return random_bounded_functions(domain, rng, 1)[0]
-
-
 def _deterministic_functions(domain: DomainParams):
     fns = [Raw(CoefficientSeries([c])) for c in (0.0, 1.0, -1.0, 0.5)]
     fns += [Extremal(domain, a) for a in (0.5, 0.9, 0.999)]
@@ -238,25 +236,37 @@ def _verify_functions(cell: CellResult, query: RadiusQuery, config: SuiteConfig,
             cell.worst_function = f.descriptor()
 
 
-def run_inequality_suite(config: SuiteConfig) -> SuiteReport:
-    """Verify the weighted inequality per cell: random members plus the
-    deterministic set, all checked up to the computed sharp radius."""
-    cells = []
-    any_controls = False
+def _solved_cells(config: SuiteConfig, cells: list):
+    """Append one CellResult per cell of config to cells, in iter_cells order,
+    and yield (index, cell, query, root) for each cell whose radius solves,
+    with cell.radius set; index counts every cell, skipped or not.  A cell
+    with no root is appended skipped, with the solver's reason."""
     for idx, (family, gamma, p) in enumerate(iter_cells(config)):
-        domain = DomainParams(gamma)
-        query = RadiusQuery(family, domain, p)
+        query = RadiusQuery(family, DomainParams(gamma), p)
         cell = CellResult(family=family, gamma=gamma, p=p)
+        cells.append(cell)
         try:
             root = minimal_root(query)
         except NoRootError as exc:
             cell.skipped = f"no root: {exc}"
-            cells.append(cell)
             continue
         cell.radius = root.radius
+        yield idx, cell, query, root
+
+
+def _report(kind: str, config: SuiteConfig, cells: list, controls_ok: bool | None = None) -> SuiteReport:
+    """The suite passes when no cell that ran has a failure; skipped cells do not count."""
+    overall = all(c.n_fail == 0 for c in cells if c.skipped is None)
+    return SuiteReport(kind=kind, seed=config.seed, cells=cells, overall_pass=overall, controls_ok=controls_ok)
+
+
+def run_inequality_suite(config: SuiteConfig) -> SuiteReport:
+    """Verify the weighted inequality per cell: random members plus the
+    deterministic set, all checked up to the computed sharp radius."""
+    cells = []
+    for idx, cell, query, root in _solved_cells(config, cells):
         _verify_functions(cell, query, config, np.random.default_rng([config.seed, idx]))
         if config.negative_controls:
-            any_controls = True
             # the control is flagged if either check catches it: the
             # coefficient bound (|a_1| = 2 cannot belong to the class) or,
             # failing that, the inequality itself
@@ -269,46 +279,29 @@ def run_inequality_suite(config: SuiteConfig) -> SuiteReport:
                 order=config.truncation_order,
                 tol=config.tolerance,
             )
-            membership = lemma_bound_report(control.series, domain)
-            cell.control_ok = (membership.max_violation > 1e-10) or (not report.passed)
-        cells.append(cell)
-    overall = all(c.n_fail == 0 for c in cells if c.skipped is None)
-    controls = (
-        all(c.control_ok for c in cells if c.control_ok is not None) if any_controls else None
-    )
-    return SuiteReport(
-        kind="inequality", seed=config.seed, cells=cells, overall_pass=overall, controls_ok=controls
-    )
+            membership = lemma_bound_report(control.series, query.domain)
+            cell.control_ok = not membership.ok or not report.passed
+    controls = [c.control_ok for c in cells if c.control_ok is not None]
+    return _report("inequality", config, cells, all(controls) if controls else None)
 
 
 def run_sharpness_suite(config: SuiteConfig) -> SuiteReport:
     """Check that the extremal family violates the inequality just beyond the
     radius, and record the Richardson ladder of the first-order expansion."""
     cells = []
-    for family, gamma, p in iter_cells(config):
-        domain = DomainParams(gamma)
-        query = RadiusQuery(family, domain, p)
-        cell = CellResult(family=family, gamma=gamma, p=p)
-        try:
-            root = minimal_root(query)
-        except NoRootError as exc:
-            cell.skipped = f"no root: {exc}"
-            cells.append(cell)
-            continue
-        cell.radius = root.radius
+    for _, cell, query, root in _solved_cells(config, cells):
         r_test = root.radius + SHARPNESS_OFFSET
         if r_test >= 1.0:
             cell.skipped = "radius too close to 1 for the sharpness window"
-            cells.append(cell)
             continue
-        if 1.0 - min(SHARPNESS_A_STEPS) <= gamma:
+        # extremal_margin needs gamma < a on every rung; the lowest is a = 1 - max(SHARPNESS_A_STEPS)
+        if 1.0 - max(SHARPNESS_A_STEPS) <= cell.gamma:
             cell.skipped = "gamma too close to 1 for the extremal parameter ladder"
-            cells.append(cell)
             continue
         ratios = []
         margins = {}
         for one_minus_a in SHARPNESS_A_STEPS:
-            em = extremal_margin(domain, 1.0 - one_minus_a, family, p, r_test)
+            em = extremal_margin(query.domain, 1.0 - one_minus_a, query.family, query.p, r_test)
             margins[one_minus_a] = em.margin
             ratios.append(abs(em.margin - em.first_order_prediction) / one_minus_a)
         cell.margin = margins[1e-3]
@@ -321,11 +314,7 @@ def run_sharpness_suite(config: SuiteConfig) -> SuiteReport:
         else:
             cell.status = "fail"
             cell.n_fail = 1
-        cells.append(cell)
-    overall = all(c.n_fail == 0 for c in cells if c.skipped is None)
-    return SuiteReport(
-        kind="sharpness", seed=config.seed, cells=cells, overall_pass=overall, controls_ok=None
-    )
+    return _report("sharpness", config, cells)
 
 
 def brute_force_tail(family: WeightFamily, r: float, terms: int) -> float:

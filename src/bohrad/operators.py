@@ -22,41 +22,20 @@ import math
 from typing import Callable
 
 from . import weights
-from ._kernels import rising_ratios
 from .radius import DEFAULT_TOL, RadiusQuery, RadiusResult, minimal_root
 from .series import CoefficientSeries, DomainParams
 from .weights import OperatorFamily
-
-OperatorSpec = OperatorFamily
 
 CROSS_CHECK_TOL = 1e-9  # relative: |lhs - rhs| <= tol (|lhs| + |rhs|)
 QUADRATURE_NODES = 64  # first Gauss rule of the integral form; doubled up to 4 times
 
 
-def gamma_ratio(j: int, beta: float) -> float:
-    """Gamma(j+beta) / (Gamma(j+1) Gamma(beta)) = G_j(beta): the last entry of rising_ratios(j, beta)."""
-    if j < 0:
-        raise ValueError("j must be >= 0")
-    if not beta > 0:
-        raise ValueError("beta must be > 0")
-    return float(rising_ratios(j, beta)[-1])
-
-
-def pochhammer_ratio(k: int, alpha: float) -> float:
-    """A_k = (alpha+1)_k / k! = G_k(alpha+1): the last entry of rising_ratios(k, alpha+1)."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if not alpha > -1:
-        raise ValueError("alpha must be > -1")
-    return float(rising_ratios(k, alpha + 1.0)[-1])
-
-
-def apply_coefficient_form(spec: OperatorSpec, series: CoefficientSeries) -> CoefficientSeries:
+def apply_coefficient_form(spec: OperatorFamily, series: CoefficientSeries) -> CoefficientSeries:
     """Transform Taylor coefficients; the truncation order is preserved."""
     return CoefficientSeries(spec.transform(series.coefficients))
 
 
-def apply_integral_form(spec: OperatorSpec, f: Callable, z: complex) -> complex:
+def apply_integral_form(spec: OperatorFamily, f: Callable, z: complex) -> complex:
     """Evaluate the operator at z through its integral representation.
 
     Node counts double until two successive estimates agree to near machine
@@ -76,7 +55,7 @@ def apply_integral_form(spec: OperatorSpec, f: Callable, z: complex) -> complex:
     return prev
 
 
-def operator_bound(spec: OperatorSpec, r: float) -> float:
+def operator_bound(spec: OperatorFamily, r: float) -> float:
     """Sharp sup-norm bound over the unit-bounded class at |z| = r.
 
     Beta-Cesaro:  (1/r) [1 - (1-r)^(1-beta)] / (1-beta), the log form at beta = 1
@@ -91,7 +70,7 @@ def operator_bound(spec: OperatorSpec, r: float) -> float:
 
 
 def operator_bohr_radius(
-    spec: OperatorSpec, domain: DomainParams, tol: float = DEFAULT_TOL, p: float = 1.0
+    spec: OperatorFamily, domain: DomainParams, tol: float = DEFAULT_TOL, p: float = 1.0
 ) -> RadiusResult:
     """Bohr-type radius of the operator: the sharp radius of its weight family.
 

@@ -15,9 +15,8 @@ tail bound, and a descriptor.  The coefficients are exact up to rounding:
   affine map w = (1-gamma) z + gamma that sends Omega(gamma) onto the unit
   disk.  The coefficients come from one inverse FFT of the closed form
   sampled on a circle, with no truncate-then-compose step and an alias error
-  of at most 1e-17 (``_kernels.blaschke_series`` states the bound);
-  ``blaschke_coefficients`` is its gamma = 0 case, coefficients decaying like
-  max|zero|^k;
+  of at most 1e-17 (``_kernels.blaschke_series`` states the bound); at
+  gamma = 0 it is the plain product, coefficients decaying like max|zero|^k;
 * ``Raw`` — an arbitrary finite coefficient list.
 """
 
@@ -30,6 +29,7 @@ import numpy as np
 from . import _kernels
 
 DEFAULT_ORDER = 200
+MEMBERSHIP_TOL = 1e-10  # excess over the coefficient bound allowed for round-off
 
 
 @dataclass(frozen=True)
@@ -86,6 +86,12 @@ class CoefficientSeries:
         return f"CoefficientSeries(order={self.order})"
 
 
+def coefficient_bound(c0: float, gamma: float) -> float:
+    """(1 - |c_0|^2)/(1 + gamma), given |c_0|: the bound on every |c_k|, k >= 1,
+    of a member of the bounded class on Omega(gamma)."""
+    return (1.0 - c0 ** 2) / (1.0 + gamma)
+
+
 def _check_radius(r: float) -> None:
     if not (0.0 <= r < 1.0):
         raise ValueError("r must be in [0, 1)")
@@ -102,7 +108,7 @@ class BoundedFunction:
     def cap(self) -> float:
         """Certified bound on every |c_k|, k >= 1: members of the bounded class
         on Omega(gamma) satisfy |c_k| <= (1 - |f(0)|^2)/(1 + gamma)."""
-        return (1.0 - abs(self(0.0)) ** 2) / (1.0 + self.domain.gamma)
+        return coefficient_bound(abs(self(0.0)), self.domain.gamma)
 
     def tail_bound(self, r: float, order: int) -> float:
         """Certified bound on sum_{k > order} |c_k| r^k at radius r < 1."""
@@ -247,52 +253,33 @@ def composed_coefficients(fns, order: int) -> list:
     return [CoefficientSeries(row) for row in rows]
 
 
-def extremal_coefficients(domain: DomainParams, a: float, order: int) -> CoefficientSeries:
-    """Disk coefficients of the extremal map (see Extremal)."""
-    return Extremal(domain, a).coefficients(order)
-
-
-def blaschke_coefficients(zeros, rotation: complex, order: int) -> CoefficientSeries:
-    """Taylor coefficients of rotation * prod (z - z_i)/(1 - conj(z_i) z).
-
-    The product is sampled on N points of a circle and one inverse FFT gives
-    the coefficients; N and the circle come from a Cauchy estimate that keeps
-    the alias error of every coefficient at or below 1e-17 (see
-    ``_kernels.blaschke_series``).  A zero-free product is exact.
-    """
-    return BlaschkeComposed(DomainParams(0.0), zeros, rotation).coefficients(order)
-
-
-def coefficients_of(f: BoundedFunction, order: int) -> CoefficientSeries:
-    """Disk coefficients of any test function, truncated or padded to order."""
-    return f.coefficients(order)
-
-
-def coefficient_cap(f: BoundedFunction, order: int) -> float:
-    """Certified bound on |c_k| for k > order (0 for Raw: the series is finite)."""
-    return f.cap()
-
-
 @dataclass(frozen=True)
 class LemmaBoundReport:
-    """Worst excess of |c_n| over the membership bound (1-|c_0|^2)/(1+gamma)."""
+    """Worst excess of |c_n| over the membership bound (1-|c_0|^2)/(1+gamma);
+    worst_index 0 means |c_0| exceeds 1 and the excess is |c_0| - 1."""
 
     max_violation: float
     worst_index: int
+
+    @property
+    def ok(self) -> bool:
+        """The membership screen: no excess over MEMBERSHIP_TOL, and |c_0| within
+        1e-12 of the unit disk (a |c_0| past that fails at any excess)."""
+        return self.worst_index != 0 and self.max_violation <= MEMBERSHIP_TOL
 
 
 def lemma_bound_report(series: CoefficientSeries, domain: DomainParams) -> LemmaBoundReport:
     """Check |c_n| <= (1-|c_0|^2)/(1+gamma) for n >= 1 over the stored coefficients.
 
     A non-positive max_violation means the bound holds; members of the bounded
-    class on Omega(gamma) always satisfy it.
+    class on Omega(gamma) always satisfy it.  A series with |c_0| > 1 is no
+    candidate member: its report is the excess |c_0| - 1 at index 0.
     """
     m = series.moduli()
     if m[0] > 1.0 + 1e-12:
-        raise ValueError(f"|c_0| = {m[0]} exceeds 1: not a candidate member")
+        return LemmaBoundReport(float(m[0] - 1.0), 0)
     if series.order == 0:
         return LemmaBoundReport(0.0, -1)
-    cap = (1.0 - m[0] ** 2) / (1.0 + domain.gamma)
-    excess = m[1:] - cap
+    excess = m[1:] - coefficient_bound(m[0], domain.gamma)
     worst = int(np.argmax(excess))
     return LemmaBoundReport(float(excess[worst]), worst + 1)

@@ -49,10 +49,7 @@ class WeightFamily:
     phi_k(k, r) reads entry k of vector(k, x) at each point; a family with a
     closed form for phi_k may override it.  Callers outside a grid they
     built themselves go through the module functions, which check r.
-    ``is_operator`` marks the OperatorFamily subclasses.
     """
-
-    is_operator = False
 
     def vector(self, order, r):
         """[phi_0(r), ..., phi_order(r)] at a float r; at a 1-d r, the table
@@ -208,8 +205,6 @@ class OperatorFamily(WeightFamily):
     solver's root independently, relative to their size.  The sup-norm bound
     of T over the unit-bounded class at |z| = r is phi_0(r).
     """
-
-    is_operator = True
 
 
 def _samples(f, t, z):

@@ -12,7 +12,7 @@ from bohrad.bohr import p_bound_check
 from bohrad.harness import (
     brute_force_tail,
     default_config,
-    random_bounded_function,
+    random_bounded_functions,
     run_inequality_suite,
     run_sharpness_suite,
 )
@@ -24,7 +24,7 @@ from bohrad.operators import (
 )
 from bohrad._kernels import rising_ratios
 from bohrad.radius import RadiusQuery, minimal_root
-from bohrad.series import CoefficientSeries, DomainParams, coefficients_of, extremal_coefficients, lemma_bound_report
+from bohrad.series import CoefficientSeries, DomainParams, Extremal, lemma_bound_report
 from bohrad.weights import (
     AlphaCesaro,
     Bernardi,
@@ -139,15 +139,14 @@ def test_c06_lemma_suite():
     for gamma in (0.0, 0.25, 0.5, 0.75):
         dom = DomainParams(gamma)
         rng = np.random.default_rng(2026)
-        for _ in range(2500):
-            f = random_bounded_function(dom, rng)
-            rep = lemma_bound_report(coefficients_of(f, 200), dom)
+        for f in random_bounded_functions(dom, rng, 2500):
+            rep = lemma_bound_report(f.coefficients(200), dom)
             worst = max(worst, rep.max_violation)
             count += 1
     eq_worst = 0.0
     for gamma in (0.0, 0.25, 0.5, 0.75):
         for a in (0.1, 0.5, 0.9, 0.999):
-            c = extremal_coefficients(DomainParams(gamma), a, 1).coefficients
+            c = Extremal(DomainParams(gamma), a).coefficients(1).coefficients
             cap = (1 - abs(c[0]) ** 2) / (1 + gamma)
             eq_worst = max(eq_worst, abs(abs(c[1]) - cap))
     ok = count == 10_000 and worst <= 1e-10 and eq_worst <= 1e-12
@@ -162,7 +161,7 @@ def test_c06_lemma_suite():
 def test_c07_operator_oracle():
     worst = 0.0
     rng = np.random.default_rng(99)
-    base = coefficients_of(random_bounded_function(DomainParams(0.0), rng), 300)
+    base = random_bounded_functions(DomainParams(0.0), rng, 1)[0].coefficients(300)
     specs = [BetaCesaro(0.5), BetaCesaro(1.0), BetaCesaro(2.0),
              AlphaCesaro(-0.5), AlphaCesaro(0.0), AlphaCesaro(1.0)]
     sample_rng = np.random.default_rng(7)

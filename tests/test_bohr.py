@@ -14,9 +14,7 @@ from bohrad.series import (
     DomainParams,
     Extremal,
     Raw,
-    coefficients_of,
     composed_coefficients,
-    extremal_coefficients,
 )
 from bohrad.weights import (
     AlphaCesaro,
@@ -68,7 +66,7 @@ class TestBohrSum:
     def test_extremal_below_one_at_classical_radius(self):
         # closed form: a + (1-a^2)/(3-a) at r = 1/3 for the unit disk
         for a in (0.5, 0.9, 0.99, 0.999):
-            series = extremal_coefficients(DomainParams(0.0), a, 400)
+            series = Extremal(DomainParams(0.0), a).coefficients(400)
             got = bohr_sum(series, PowerTail(1), 1.0, 1.0 / 3.0)
             closed = a + (1 - a * a) / (3 - a)
             assert got == pytest.approx(closed, abs=1e-13)
@@ -86,7 +84,7 @@ class TestBohrSum:
             assert got == pytest.approx(bohr_sum_oracle(s, family, 1.0, r), rel=1e-12, abs=1e-300)
 
     def test_monotone_in_r(self):
-        series = extremal_coefficients(DomainParams(0.25), 0.8, 200)
+        series = Extremal(DomainParams(0.25), 0.8).coefficients(200)
         for fam in BUILTINS:
             vals = [bohr_sum(series, fam, 1.0, r) for r in np.linspace(0.0, 0.9, 15)]
             assert all(b >= a - 1e-14 for a, b in zip(vals, vals[1:]))
@@ -186,7 +184,7 @@ class TestGivenSeries:
         f = Extremal(DomainParams(0.0), 0.9)
         query = RadiusQuery(PowerTail(1), DomainParams(0.0), 1.0)
         with pytest.raises(ValueError, match="order 100; verification needs 200"):
-            verify_up_to_radius(f, query, 0.3, series=coefficients_of(f, 100))
+            verify_up_to_radius(f, query, 0.3, series=f.coefficients(100))
 
 
 def test_overflowing_weight_table_is_refused():
@@ -260,7 +258,7 @@ class TestPBound:
 class TestInequalityInstances:
     @pytest.mark.parametrize("family", BUILTINS, ids=str)
     def test_random_members_pass_at_radius(self, family):
-        from bohrad.harness import random_bounded_function
+        from bohrad.harness import random_bounded_functions
 
         p = 1.0
         for gamma in (0.0, 0.5):
@@ -268,7 +266,6 @@ class TestInequalityInstances:
             query = RadiusQuery(family, dom, p)
             res = minimal_root(query)
             rng = np.random.default_rng(11)
-            for _ in range(25):
-                f = random_bounded_function(dom, rng)
+            for f in random_bounded_functions(dom, rng, 25):
                 rep = verify_up_to_radius(f, query, res.radius, grid_points=8)
                 assert rep.passed, (family, gamma, rep.max_excess)

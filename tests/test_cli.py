@@ -312,6 +312,18 @@ class TestVerifyCommand:
         )
         assert json.loads(out)["membership_ok"] is False
 
+    @pytest.mark.parametrize("c0, violation", [("1.5", 0.5), ("-2j", 1.0), ("1.00000000001", 1.000000082740371e-11)])
+    def test_constant_term_above_one_fails_the_screen(self, capsys, c0, violation):
+        # |c_0| > 1 fails the screen at any excess, reported as |c_0| - 1
+        code, out, _ = run_cli(
+            capsys, "verify", "--fn", f"constant:{c0}", "--family", "power-tail",
+            "--N", "1", "--gamma", "0.5", "--p", "1",
+        )
+        data = json.loads(out)
+        assert code == 1
+        assert data["membership_ok"] is False
+        assert data["membership_max_violation"] == violation
+
     def test_overflowing_weight_table_is_usage_error(self, capsys):
         with pytest.warns(RuntimeWarning, match="overflow"):
             code, out, err = run_cli(
@@ -509,6 +521,37 @@ class TestSuiteCommand:
         code, out, _ = run_cli(capsys, "suite", "--config", str(path))
         assert code == 0
         assert json.loads(out)["seed"] == 777
+
+    @pytest.mark.parametrize("value", ["x", "7_0", " 7 ", "-3", "+7", "", "7.0", "٧"])
+    def test_malformed_env_seed_is_usage_error(self, capsys, tmp_path, monkeypatch, value):
+        # int() once read "7_0" as 70, " 7 " as 7 and "٧" (Arabic-Indic seven) as 7
+        path = self._config(tmp_path)
+        monkeypatch.setenv("BOHR_SEED", value)
+        code, out, err = run_cli(capsys, "suite", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: BOHR_SEED must be a non-negative integer, got {value!r}\n"
+
+    def test_negative_config_seed_is_usage_error(self, capsys, tmp_path):
+        # once numpy's "expected non-negative integer", naming no key
+        path = self._config(tmp_path, seed=-1)
+        code, out, err = run_cli(capsys, "suite", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: seed must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("gamma", [0.995, 0.9999])
+    def test_sharpness_gamma_beyond_the_ladder_is_skipped(self, capsys, tmp_path, gamma):
+        # gamma = 0.995 once exited 2: "requires gamma < a < 1, got gamma=0.995, a=0.99"
+        path = self._config(tmp_path, gamma_grid=[0.0, gamma])
+        code, out, err = run_cli(capsys, "suite", "--config", str(path), "--kind", "sharpness")
+        assert code == 0
+        assert err == ""
+        data = json.loads(out)
+        skipped = [c["skipped"] for c in data["cells"] if c["query"]["gamma"] == gamma]
+        assert skipped == ["gamma too close to 1 for the extremal parameter ladder"] * 2
+        assert data["overall_pass"] is True
+        jsonschema.validate(data, load_schema("suite_report.schema.json"))
 
     def test_sharpness_kind(self, capsys, tmp_path):
         path = self._config(tmp_path)

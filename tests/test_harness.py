@@ -11,7 +11,6 @@ from bohrad.harness import (
     brute_force_tail,
     default_config,
     iter_cells,
-    random_bounded_function,
     random_bounded_functions,
     run_inequality_suite,
     run_sharpness_suite,
@@ -24,7 +23,6 @@ from bohrad.series import (
     DomainParams,
     Extremal,
     Raw,
-    coefficients_of,
     lemma_bound_report,
 )
 from bohrad.weights import (
@@ -35,6 +33,15 @@ from bohrad.weights import (
     Linear,
     PowerTail,
     Quadratic,
+)
+
+
+# phi_0 = 1 and no tail: minimal_root finds no radius for it
+DEAD = CustomFamily(
+    name="no-tail",
+    phi0_fn=lambda r: np.ones_like(r),
+    phi_k_fn=lambda k, r: np.zeros_like(r),
+    tail_fn=lambda r: np.zeros_like(r),
 )
 
 
@@ -52,10 +59,9 @@ class TestRandomFunctions:
     def test_zero_zeros_gives_unimodular_constant(self):
         dom = DomainParams(0.0)
         rng = np.random.default_rng(0)
-        for _ in range(200):
-            f = random_bounded_function(dom, rng)
+        for f in random_bounded_functions(dom, rng, 200):
             if not f.zeros:
-                series = coefficients_of(f, 4)
+                series = f.coefficients(4)
                 assert abs(abs(series.coefficients[0]) - 1.0) < 1e-12
                 assert np.all(series.coefficients[1:] == 0)
                 break
@@ -64,14 +70,13 @@ class TestRandomFunctions:
 
     def test_descriptor_deterministic(self):
         dom = DomainParams(0.3)
-        d1 = random_bounded_function(dom, np.random.default_rng(99)).descriptor()
-        d2 = random_bounded_function(dom, np.random.default_rng(99)).descriptor()
+        d1 = random_bounded_functions(dom, np.random.default_rng(99), 1)[0].descriptor()
+        d2 = random_bounded_functions(dom, np.random.default_rng(99), 1)[0].descriptor()
         assert d1 == d2
 
     def test_zeros_within_sampling_disk(self):
         rng = np.random.default_rng(5)
-        for _ in range(100):
-            f = random_bounded_function(DomainParams(0.5), rng)
+        for f in random_bounded_functions(DomainParams(0.5), rng, 100):
             assert all(abs(z) <= 0.8 for z in f.zeros)
             assert len(f.zeros) <= 5
 
@@ -79,9 +84,8 @@ class TestRandomFunctions:
         for gamma in (0.0, 0.4, 0.8):
             dom = DomainParams(gamma)
             rng = np.random.default_rng(7)
-            for _ in range(100):
-                f = random_bounded_function(dom, rng)
-                rep = lemma_bound_report(coefficients_of(f, 200), dom)
+            for f in random_bounded_functions(dom, rng, 100):
+                rep = lemma_bound_report(f.coefficients(200), dom)
                 assert rep.max_violation <= 1e-10
 
 
@@ -95,7 +99,7 @@ class TestCellDraw:
         assert [f.descriptor() for f in drawn] == [f.descriptor() for f in expected]
         assert all(f.zeros == g.zeros and f.rotation == g.rotation for f, g in zip(drawn, expected))
         # the stream goes on where the per-member draws left it
-        assert random_bounded_function(dom, rng).descriptor() == one_member_draw(dom, ref).descriptor()
+        assert random_bounded_functions(dom, rng, 1)[0].descriptor() == one_member_draw(dom, ref).descriptor()
         assert rng.random() == ref.random()
 
     def test_counts_split_the_stream_anywhere(self):
@@ -202,20 +206,26 @@ class TestInequalitySuite:
         assert rep.cells[0].control_ok is None
 
     def test_no_root_cell_skipped_with_reason(self):
-        dead = CustomFamily(
-            name="no-tail",
-            phi0_fn=lambda r: np.ones_like(r),
-            phi_k_fn=lambda k, r: np.zeros_like(r),
-            tail_fn=lambda r: np.zeros_like(r),
-        )
         cfg = SuiteConfig(
-            samples_per_cell=1, gamma_grid=(0.0,), p_grid=(1.0,), families=(dead, PowerTail(1))
+            samples_per_cell=1, gamma_grid=(0.0,), p_grid=(1.0,), families=(DEAD, PowerTail(1))
         )
         rep = run_inequality_suite(cfg)
         assert rep.cells[0].skipped is not None
         assert "no root" in rep.cells[0].skipped
         assert rep.cells[1].skipped is None
         assert rep.overall_pass  # skipped cells do not fail the suite
+
+    def test_skipped_cells_keep_their_stream_index(self):
+        # cell idx draws from [seed, idx] with idx counting skipped cells too
+        cfg = SuiteConfig(
+            seed=11, samples_per_cell=8, gamma_grid=(0.0, 0.5), p_grid=(1.0,), families=(DEAD, PowerTail(1))
+        )
+        cells = run_inequality_suite(cfg).cells
+        expected = per_function_suite(cfg)
+        assert [c.skipped is not None for c in cells] == [True, True, False, False]
+        assert expected[:2] == [None, None]
+        for cell, ref in zip(cells[2:], expected[2:]):
+            assert (cell.n_pass, cell.n_fail, cell.worst_excess, cell.worst_function) == ref
 
     def test_reports_byte_identical_across_runs(self):
         cfg = SuiteConfig(
@@ -257,6 +267,8 @@ class TestCellIteration:
             SuiteConfig(p_grid=(3.0,))
         with pytest.raises(ValueError):
             SuiteConfig(tolerance=0.0)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            SuiteConfig(seed=-1)
 
     @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
     def test_config_rejects_non_finite_tolerance(self, bad):
@@ -298,6 +310,42 @@ class TestSharpnessSuite:
             assert len(r) == 3
             assert 0.05 <= r[1] / r[0] <= 0.2
             assert 0.05 <= r[2] / r[1] <= 0.2
+
+    def test_no_root_cell_skipped_with_reason(self):
+        cfg = SuiteConfig(
+            samples_per_cell=1, gamma_grid=(0.0,), p_grid=(1.0,), families=(DEAD, PowerTail(1))
+        )
+        rep = run_sharpness_suite(cfg)
+        dead, live = rep.cells
+        assert dead.skipped.startswith("no root: ")
+        assert dead.radius is None and dead.status is None
+        assert live.skipped is None and live.status == "pass"
+        assert rep.overall_pass
+
+    @pytest.mark.parametrize("gamma", [0.99, 0.995, 0.9999])
+    def test_gamma_beyond_the_ladder_skipped(self, gamma):
+        # the ladder's first rung, a = 0.99, already needs gamma < a
+        cfg = SuiteConfig(
+            samples_per_cell=1, gamma_grid=(0.0, gamma), p_grid=(1.0,), families=(PowerTail(1),)
+        )
+        rep = run_sharpness_suite(cfg)
+        near = rep.cells[1]
+        assert near.skipped == "gamma too close to 1 for the extremal parameter ladder"
+        assert 0.49 < near.radius < 0.5  # solved: only the ladder is out of reach
+        assert near.status is None and near.margin is None
+        assert rep.cells[0].status == "pass"
+        assert rep.overall_pass
+
+    def test_radius_near_one_skipped(self):
+        cfg = SuiteConfig(
+            samples_per_cell=1, gamma_grid=(0.0,), p_grid=(1.0,), families=(PowerTail(2000),)
+        )
+        rep = run_sharpness_suite(cfg)
+        cell = rep.cells[0]
+        assert cell.radius == pytest.approx(0.99679, abs=1e-5)
+        assert cell.skipped == "radius too close to 1 for the sharpness window"
+        assert cell.status is None
+        assert rep.overall_pass
 
 
 class TestBruteForceTail:

@@ -13,32 +13,32 @@ from bohrad.bohr import bohr_sum
 from bohrad.operators import (
     apply_coefficient_form,
     apply_integral_form,
-    gamma_ratio,
     operator_bohr_radius,
     operator_bound,
-    pochhammer_ratio,
 )
-from bohrad.series import CoefficientSeries, DomainParams, coefficients_of
+from bohrad.series import CoefficientSeries, DomainParams
 from bohrad.weights import AlphaCesaro, Bernardi, BetaCesaro
 
 
 def random_member_series(seed, order=300):
-    from bohrad.harness import random_bounded_function
+    from bohrad.harness import random_bounded_functions
 
     rng = np.random.default_rng(seed)
-    f = random_bounded_function(DomainParams(0.0), rng)
-    return coefficients_of(f, order)
+    f = random_bounded_functions(DomainParams(0.0), rng, 1)[0]
+    return f.coefficients(order)
 
 
 class TestRatioRecurrences:
+    # rising_ratios(n, x)[j] = Gamma(j+x) / (Gamma(j+1) Gamma(x)) = (x)_j / j!:
+    # G_j(beta) for the beta-Cesaro operator, A_j = G_j(alpha+1) for alpha-Cesaro
+
     def test_gamma_ratio_base_cases(self):
-        assert gamma_ratio(0, 2.7) == 1.0
-        assert gamma_ratio(1, 2.7) == pytest.approx(2.7)
-        assert gamma_ratio(2, 2.7) == pytest.approx(2.7 * 3.7 / 2.0)
+        np.testing.assert_allclose(rising_ratios(2, 2.7), [1.0, 2.7, 2.7 * 3.7 / 2.0], rtol=1e-15)
+        assert rising_ratios(0, 2.7).tolist() == [1.0]
 
     def test_gamma_ratio_is_one_for_beta_one(self):
         for j in (0, 1, 5, 100):
-            assert gamma_ratio(j, 1.0) == 1.0
+            assert rising_ratios(j, 1.0).tolist() == [1.0] * (j + 1)
 
     def test_gamma_ratio_large_index_no_overflow(self):
         # naive Gamma(j+beta)/Gamma(j+1) overflows near j ~ 170; the
@@ -46,15 +46,16 @@ class TestRatioRecurrences:
         from scipy.special import gammaln
 
         for j, beta in ((500, 1.5), (2000, 3.2), (170, 0.4)):
-            v = gamma_ratio(j, beta)
+            v = rising_ratios(j, beta)[-1]
             assert np.isfinite(v)
             expected = math.exp(gammaln(j + beta) - gammaln(j + 1.0) - gammaln(beta))
             assert v == pytest.approx(expected, rel=1e-11)
 
     def test_pochhammer_base_cases(self):
-        assert pochhammer_ratio(7, 0.0) == 1.0
+        # alpha = 0: A_k = 1; alpha = 1: A_k = k + 1
+        assert rising_ratios(7, 1.0)[-1] == 1.0
         for k in (0, 1, 4, 19):
-            assert pochhammer_ratio(k, 1.0) == pytest.approx(k + 1.0)
+            assert rising_ratios(k, 2.0)[-1] == pytest.approx(k + 1.0)
 
     @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.7, 2.0])
     def test_pochhammer_cumulative_identity(self, alpha):

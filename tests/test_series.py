@@ -21,10 +21,6 @@ from bohrad.series import (
     DomainParams,
     Extremal,
     Raw,
-    blaschke_coefficients,
-    coefficient_cap,
-    coefficients_of,
-    extremal_coefficients,
     lemma_bound_report,
 )
 from bohrad.weights import AlphaCesaro, Bernardi, OddPowers, PowerTail
@@ -46,16 +42,16 @@ def blaschke_oracle(zeros, rotation, order):
 class TestExtremalCoefficients:
     def test_unit_disk_case(self):
         # gamma = 0 reduces to (a - z)/(1 - a z): c_k = -(1-a^2) a^(k-1)
-        c = extremal_coefficients(DomainParams(0.0), 0.5, 2).coefficients
+        c = Extremal(DomainParams(0.0), 0.5).coefficients(2).coefficients
         np.testing.assert_allclose(c, [0.5, -0.75, -0.375], rtol=0, atol=1e-15)
 
     def test_a_equals_gamma_kills_constant_term(self):
-        c = extremal_coefficients(DomainParams(0.5), 0.5, 0).coefficients
+        c = Extremal(DomainParams(0.5), 0.5).coefficients(0).coefficients
         assert c[0] == 0.0
 
     def test_first_coefficient_attains_membership_bound(self):
         # algebraic identity: (1-a g)^2 - (a-g)^2 = (1-a^2)(1-g^2)
-        c = extremal_coefficients(DomainParams(0.2), 0.6, 1).coefficients
+        c = Extremal(DomainParams(0.2), 0.6).coefficients(1).coefficients
         lhs = abs(c[1])
         rhs = (1.0 - abs(c[0]) ** 2) / (1.0 + 0.2)
         assert lhs == pytest.approx(rhs, abs=1e-15)
@@ -63,23 +59,23 @@ class TestExtremalCoefficients:
     @pytest.mark.parametrize("gamma", [0.0, 0.25, 0.5, 0.75, 0.9])
     @pytest.mark.parametrize("a", [0.05, 0.3, 0.6, 0.95])
     def test_equality_case_across_parameters(self, gamma, a):
-        c = extremal_coefficients(DomainParams(gamma), a, 1).coefficients
+        c = Extremal(DomainParams(gamma), a).coefficients(1).coefficients
         cap = (1.0 - abs(c[0]) ** 2) / (1.0 + gamma)
         assert abs(c[1]) == pytest.approx(cap, abs=1e-12)
 
     def test_a_zero_special_case(self):
-        c = extremal_coefficients(DomainParams(0.3), 0.0, 4).coefficients
+        c = Extremal(DomainParams(0.3), 0.0).coefficients(4).coefficients
         np.testing.assert_allclose(c, [-0.3, -0.7, 0, 0, 0], atol=0)
 
     def test_rejects_a_outside_range(self):
         with pytest.raises(ValueError):
-            extremal_coefficients(DomainParams(0.0), 1.0, 3)
+            Extremal(DomainParams(0.0), 1.0).coefficients(3)
         with pytest.raises(ValueError):
-            extremal_coefficients(DomainParams(0.0), -0.1, 3)
+            Extremal(DomainParams(0.0), -0.1).coefficients(3)
 
     def test_matches_direct_evaluation(self):
         f = Extremal(DomainParams(0.4), 0.7)
-        series = coefficients_of(f, 300)
+        series = f.coefficients(300)
         for z in (0.2, -0.5, 0.3 + 0.4j):
             expected = f(z)
             got = series.evaluate(z)
@@ -134,14 +130,14 @@ class TestAliasing:
         zeros = (a, a, -0.5 + 0.1j)  # a repeated zero is the worst case
         f = BlaschkeComposed(DomainParams(gamma), zeros, np.exp(0.3j))
         expected = recurrence_oracle(zeros, np.exp(0.3j), gamma, order)
-        np.testing.assert_allclose(coefficients_of(f, order).coefficients, expected, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(f.coefficients(order).coefficients, expected, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("gamma", [0.0, 0.95])
     @pytest.mark.parametrize("modulus", [1 - 1e-12, math.nextafter(1.0, 0.0)])
     def test_zero_near_circle_is_fast(self, modulus, gamma):
         f = BlaschkeComposed(DomainParams(gamma), (modulus * 1j, modulus * 1j), 1.0)
         start = time.perf_counter()
-        c = coefficients_of(f, 3000).coefficients
+        c = f.coefficients(3000).coefficients
         assert time.perf_counter() - start < 0.5
         assert np.abs(c).max() <= 1.0 + 1e-14
 
@@ -152,20 +148,21 @@ class TestAliasing:
         expected = np.zeros(order + 1, dtype=np.complex128)
         expected[0] = rotation
         f = BlaschkeComposed(DomainParams(gamma), (), rotation)
-        np.testing.assert_array_equal(coefficients_of(f, order).coefficients, expected)
+        np.testing.assert_array_equal(f.coefficients(order).coefficients, expected)
 
 
 class TestComposedBlaschke:
     def test_identity_function(self):
         # a single zero at the origin leaves w = (1-gamma) z + gamma itself
-        out = coefficients_of(BlaschkeComposed(DomainParams(0.3), (0.0,), 1.0), 3)
+        out = BlaschkeComposed(DomainParams(0.3), (0.0,), 1.0).coefficients(3)
         np.testing.assert_allclose(out.coefficients, [0.3, 0.7, 0.0, 0.0], atol=1e-15)
 
     def test_gamma_zero_is_identity(self):
+        # at gamma = 0 the affine map is the identity: the plain disk product
         zeros, rotation = (0.5, 0.2j, -0.7 + 0.1j), np.exp(0.4j)
-        out = coefficients_of(BlaschkeComposed(DomainParams(0.0), zeros, rotation), 40)
-        expected = blaschke_coefficients(zeros, rotation, 40)
-        np.testing.assert_array_equal(out.coefficients, expected.coefficients)
+        out = BlaschkeComposed(DomainParams(0.0), zeros, rotation).coefficients(40)
+        expected = blaschke_oracle(zeros, rotation, 40)
+        np.testing.assert_allclose(out.coefficients, expected, rtol=0, atol=1e-14)
 
     @given(
         st.lists(st.complex_numbers(max_magnitude=0.95, allow_nan=False), max_size=5),
@@ -174,9 +171,9 @@ class TestComposedBlaschke:
     @settings(max_examples=50, deadline=None)
     def test_gamma_zero_identity_property(self, zeros, theta):
         rotation = np.exp(1j * theta)
-        out = coefficients_of(BlaschkeComposed(DomainParams(0.0), tuple(zeros), rotation), 30)
-        expected = blaschke_coefficients(zeros, rotation, 30)
-        np.testing.assert_array_equal(out.coefficients, expected.coefficients)
+        out = BlaschkeComposed(DomainParams(0.0), tuple(zeros), rotation).coefficients(30)
+        expected = blaschke_oracle(zeros, rotation, 30)
+        np.testing.assert_allclose(out.coefficients, expected, rtol=0, atol=1e-12)
 
     def test_disk_automorphism_reproduces_extremal(self):
         # -(w - a)/(1 - a w) = (a - w)/(1 - a w) composed with w is the
@@ -184,8 +181,8 @@ class TestComposedBlaschke:
         for gamma in (0.0, 0.35, 0.9):
             for a in (0.0, 0.6, 0.99):
                 domain = DomainParams(gamma)
-                composed = coefficients_of(BlaschkeComposed(domain, (a,), -1.0), 200)
-                expected = extremal_coefficients(domain, a, 200)
+                composed = BlaschkeComposed(domain, (a,), -1.0).coefficients(200)
+                expected = Extremal(domain, a).coefficients(200)
                 np.testing.assert_allclose(
                     composed.coefficients, expected.coefficients, rtol=0, atol=1e-15
                 )
@@ -203,7 +200,7 @@ class TestComposedBlaschke:
         # each drawn zero repeats 1-3 times: repeated zeros are the worst case
         zeros = tuple(rad * np.exp(1j * ang) for rad, ang, times in spec for _ in range(times))
         rotation = np.exp(1j * theta)
-        got = coefficients_of(BlaschkeComposed(DomainParams(gamma), zeros, rotation), 40)
+        got = BlaschkeComposed(DomainParams(gamma), zeros, rotation).coefficients(40)
         expected = composed_taylor(zeros, rotation, gamma, 40)
         np.testing.assert_allclose(got.coefficients, expected, rtol=0, atol=1e-13)
 
@@ -213,7 +210,7 @@ class TestComposedBlaschke:
         # 4.0e-3 (gamma 0.5) and 1.3e-2 (gamma 0.9) on the coefficients,
         # far above a tail bound near 1e-62 at |z| = 0.5 and 1e-9 at 0.9
         f = BlaschkeComposed(DomainParams(gamma), (0.99,), 1.0)
-        series = coefficients_of(f, 200)
+        series = f.coefficients(200)
         for z in (0.5, -0.5, 0.3 + 0.4j, 0.9, -0.9j, 0.6 + 0.6j):
             err = abs(series.evaluate(z) - f(z))
             assert err <= f.tail_bound(abs(z), 200) + 1e-14
@@ -228,39 +225,39 @@ class TestCoefficientCap:
         # the cap uses f(0) = B(gamma), not B(0): (1 - |B(gamma)|^2)/(1 + gamma)
         f = BlaschkeComposed(DomainParams(gamma), zeros, np.exp(0.3j))
         b_gamma = np.exp(0.3j) * np.prod([(gamma - a) / (1 - np.conj(a) * gamma) for a in zeros])
-        cap = coefficient_cap(f, 200)
+        cap = f.cap()
         assert cap == pytest.approx((1 - abs(b_gamma) ** 2) / (1 + gamma), rel=1e-14)
-        c = coefficients_of(f, 200).coefficients
+        c = f.coefficients(200).coefficients
         assert np.max(np.abs(c[1:])) <= cap * (1 + 1e-12)
 
     def test_single_zero_attains_cap(self):
         # blaschke:0.99 at gamma 0.9: the cap read 0.0105 from B(0), under |c_1| = 0.1675
         f = BlaschkeComposed(DomainParams(0.9), (0.99,), 1.0)
-        c1 = abs(coefficients_of(f, 1).coefficients[1])
-        assert coefficient_cap(f, 200) == pytest.approx(c1, rel=1e-12)
+        c1 = abs(f.coefficients(1).coefficients[1])
+        assert f.cap() == pytest.approx(c1, rel=1e-12)
         assert c1 == pytest.approx(0.1675, abs=1e-4)
 
 
 class TestBlaschkeCoefficients:
     def test_empty_product(self):
-        c = blaschke_coefficients([], 1.0, 3).coefficients
+        c = BlaschkeComposed(DomainParams(0.0), (), 1.0).coefficients(3).coefficients
         np.testing.assert_array_equal(c, [1, 0, 0, 0])
 
     def test_zero_at_origin(self):
-        c = blaschke_coefficients([0.0], 1.0, 2).coefficients
+        c = BlaschkeComposed(DomainParams(0.0), (0.0,), 1.0).coefficients(2).coefficients
         np.testing.assert_allclose(c, [0, 1, 0], atol=1e-16)
 
     def test_half_zero_expansion(self):
-        c = blaschke_coefficients([0.5], 1.0, 2).coefficients
+        c = BlaschkeComposed(DomainParams(0.0), (0.5,), 1.0).coefficients(2).coefficients
         np.testing.assert_allclose(c, [-0.5, 0.75, 0.375], atol=1e-15)
 
     def test_rejects_zero_on_circle(self):
         with pytest.raises(ValueError):
-            blaschke_coefficients([1.0], 1.0, 2)
+            BlaschkeComposed(DomainParams(0.0), (1.0,), 1.0)
 
     def test_rejects_non_unimodular_rotation(self):
         with pytest.raises(ValueError):
-            blaschke_coefficients([0.2], 0.5, 2)
+            BlaschkeComposed(DomainParams(0.0), (0.2,), 0.5)
 
     @given(
         st.lists(st.complex_numbers(max_magnitude=0.8, allow_nan=False), max_size=5),
@@ -269,7 +266,7 @@ class TestBlaschkeCoefficients:
     @settings(max_examples=60, deadline=None)
     def test_matches_convolution_oracle(self, zeros, theta):
         rotation = np.exp(1j * theta)
-        got = blaschke_coefficients(zeros, rotation, 40).coefficients
+        got = BlaschkeComposed(DomainParams(0.0), tuple(zeros), rotation).coefficients(40).coefficients
         expected = blaschke_oracle(zeros, rotation, 40)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
@@ -280,7 +277,7 @@ class TestBlaschkeCoefficients:
             n = rng.integers(0, 6)
             zeros = 0.8 * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
             order = 3000
-            c = blaschke_coefficients(zeros, 1.0, order).coefficients
+            c = BlaschkeComposed(DomainParams(0.0), zeros, 1.0).coefficients(order).coefficients
             for rad in (0.3, 0.6, 0.9, 0.99):
                 z = rad * np.exp(2j * np.pi * rng.uniform())
                 val = np.polyval(c[::-1], z)
@@ -288,25 +285,25 @@ class TestBlaschkeCoefficients:
                 assert abs(val) <= 1.0 + slack + 1e-12
 
 
-class TestCoefficientsOf:
+class TestCoefficientsMethod:
     def test_extremal_dispatch(self):
-        got = coefficients_of(Extremal(DomainParams(0.0), 0.5), 2).coefficients
+        got = Extremal(DomainParams(0.0), 0.5).coefficients(2).coefficients
         np.testing.assert_allclose(got, [0.5, -0.75, -0.375], atol=1e-15)
 
     def test_raw_padding(self):
-        got = coefficients_of(Raw(CoefficientSeries([0.25])), 3).coefficients
+        got = Raw(CoefficientSeries([0.25])).coefficients(3).coefficients
         np.testing.assert_array_equal(got, [0.25, 0, 0, 0])
 
     def test_blaschke_composed_gamma_zero(self):
         f = BlaschkeComposed(DomainParams(0.0), (0.5,), 1.0)
-        got = coefficients_of(f, 2).coefficients
+        got = f.coefficients(2).coefficients
         expected = blaschke_oracle([0.5], 1.0, 2)
         np.testing.assert_allclose(got, expected, atol=1e-15)
 
     def test_composition_consistency(self):
         # series evaluation agrees with the closed form within the tail bound
         f = BlaschkeComposed(DomainParams(0.45), (0.3 + 0.2j, -0.6, 0.1j), np.exp(0.7j))
-        series = coefficients_of(f, 260)
+        series = f.coefficients(260)
         rng = np.random.default_rng(1)
         for _ in range(10):
             z = 0.9 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
@@ -321,7 +318,7 @@ class TestLemmaBoundReport:
         assert rep.worst_index == -1
 
     def test_extremal_attains_equality_at_first_index(self):
-        series = coefficients_of(Extremal(DomainParams(0.2), 0.6), 20)
+        series = Extremal(DomainParams(0.2), 0.6).coefficients(20)
         rep = lemma_bound_report(series, DomainParams(0.2))
         assert rep.worst_index == 1
         assert abs(rep.max_violation) <= 1e-12
@@ -331,9 +328,19 @@ class TestLemmaBoundReport:
         assert rep.max_violation == pytest.approx(1.0, abs=1e-15)
         assert rep.worst_index == 1
 
-    def test_rejects_large_constant_term(self):
-        with pytest.raises(ValueError):
-            lemma_bound_report(CoefficientSeries([1.5]), DomainParams(0.0))
+    def test_reports_large_constant_term(self):
+        # |c_0| > 1: no candidate member, reported as the excess |c_0| - 1 at index 0
+        for coefficients in ([1.5], [1.5, 0.0], [-1.5j, 3.0]):
+            rep = lemma_bound_report(CoefficientSeries(coefficients), DomainParams(0.3))
+            assert rep.max_violation == 0.5
+            assert rep.worst_index == 0
+            assert not rep.ok
+
+    def test_screen_verdict(self):
+        assert lemma_bound_report(CoefficientSeries([1.0, 0.0]), DomainParams(0.0)).ok
+        assert lemma_bound_report(CoefficientSeries([0.0, 1.0 + 5e-11]), DomainParams(0.0)).ok
+        assert not lemma_bound_report(CoefficientSeries([0.0, 1.0 + 1e-9]), DomainParams(0.0)).ok
+        assert not lemma_bound_report(CoefficientSeries([1.0 + 1e-11]), DomainParams(0.0)).ok
 
     @given(
         st.lists(st.complex_numbers(max_magnitude=0.8, allow_nan=False), max_size=5),
@@ -343,7 +350,7 @@ class TestLemmaBoundReport:
     @settings(max_examples=80, deadline=None)
     def test_blaschke_members_always_satisfy_bound(self, zeros, gamma, theta):
         f = BlaschkeComposed(DomainParams(gamma), tuple(zeros), np.exp(1j * theta))
-        series = coefficients_of(f, 150)
+        series = f.coefficients(150)
         rep = lemma_bound_report(series, DomainParams(gamma))
         assert rep.max_violation <= 1e-10
 
@@ -397,13 +404,13 @@ class TestNewKindIsOneClass:
         g = f.domain.gamma
         expected = np.zeros(9)
         expected[: f.n + 1] = np.polynomial.polynomial.polypow([g, 1 - g], f.n)
-        np.testing.assert_allclose(coefficients_of(f, 8).coefficients, expected, rtol=1e-14, atol=1e-16)
+        np.testing.assert_allclose(f.coefficients(8).coefficients, expected, rtol=1e-14, atol=1e-16)
 
     @pytest.mark.parametrize("f", POWERS, ids=repr)
     def test_cap_bounds_every_coefficient(self, f):
-        cap = coefficient_cap(f, 20)
+        cap = f.cap()
         assert cap == pytest.approx((1 - f.domain.gamma ** (2 * f.n)) / (1 + f.domain.gamma), rel=1e-14)
-        assert np.all(np.abs(coefficients_of(f, 20).coefficients[1:]) <= cap * (1 + 1e-12))
+        assert np.all(np.abs(f.coefficients(20).coefficients[1:]) <= cap * (1 + 1e-12))
         assert f.tail_bound(0.5, 2) == pytest.approx(cap * 0.5 ** 3 / 0.5, rel=1e-15)
 
     @pytest.mark.parametrize("family", [PowerTail(1), OddPowers(), AlphaCesaro(0.0), Bernardi(1, 1.0)], ids=repr)
