@@ -63,6 +63,7 @@ _OPERATOR_CLASSES = tuple(cls for cls in FAMILY_CLASSES.values() if issubclass(c
 _TABLE_COLUMNS = ("family", "params", "gamma", "p", "radius", "residual", "sharp_window_ok", "error")
 # the SuiteConfig fields a config file must give; the others keep their defaults
 _SUITE_REQUIRED = ("seed", "samples_per_cell", "gamma_grid", "p_grid", "families", "tolerance")
+_SEED = re.compile(r"[0-9]+")  # a seed is ASCII digits only: no sign, space or underscore
 
 
 # ---------------------------------------------------------------------------
@@ -201,12 +202,10 @@ def parse_function(text: str, domain: DomainParams):
     if kind == "extremal":
         return Extremal(domain, float(payload))
     if kind == "blaschke":
-        try:
-            seed = int(payload)
-        except ValueError:
-            zeros = [complex(tok) for tok in payload.split(",") if tok.strip()]
-            return BlaschkeComposed(domain, tuple(zeros), 1.0)
-        return random_bounded_functions(domain, np.random.default_rng(seed), 1)[0]
+        if _SEED.fullmatch(payload):
+            return random_bounded_functions(domain, np.random.default_rng(int(payload)), 1)[0]
+        zeros = [complex(tok) for tok in payload.split(",") if tok.strip()]
+        return BlaschkeComposed(domain, tuple(zeros), 1.0)
     if kind == "coeffs":
         return Raw(read_coefficients(payload))
     raise ValueError(f"unknown function kind {kind!r}")
@@ -401,7 +400,7 @@ def cmd_suite(args) -> int:
         raise ValueError(f"malformed config: {exc}") from exc
     env_seed = os.environ.get("BOHR_SEED")
     if env_seed is not None:
-        if not re.fullmatch(r"[0-9]+", env_seed):
+        if not _SEED.fullmatch(env_seed):
             raise ValueError(f"BOHR_SEED must be a non-negative integer, got {env_seed!r}")
         config = dataclasses.replace(config, seed=int(env_seed))
     runner = run_sharpness_suite if args.kind == "sharpness" else run_inequality_suite

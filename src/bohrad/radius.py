@@ -1,12 +1,26 @@
 """Sharp radius computation for weighted Bohr inequalities on shifted disks.
 
-The radius is the minimal positive root of
+The radius is the minimal positive root of the gap
 
-    (1 + gamma) * phi_0(x) = (2/p) * sum_{k>=1} phi_k(x),
+    gap(x) = (1 + gamma) * phi_0(x) - (2/p) * sum_{k>=1} phi_k(x).
 
-located as the first positive-to-nonpositive sign change of the gap function
-on a refining scan, then bisected to tolerance.  The bracket is certain by
-construction: gap(lo) > 0 >= gap(hi) at every step.
+For every built-in family tail/phi_0 increases on (0, 1) from 0 at 0+, so
+the gap, phi_0 ((1 + gamma) - (2/p) tail/phi_0), changes sign at most once
+and the first crossing is the root:
+
+- the monomial families: phi_0 = 1 and the tail is a power series with
+  non-negative coefficients, not all zero;
+- Bernardi: phi_0 = r^m/(m+delta) and tail/phi_0 is the power series
+  (m+delta) sum_{n>=1} r^n/(n+m+delta), with positive coefficients;
+- beta- and alpha-Cesaro, (a, c) with a > 0: phi_0 = 2F1(a, 1; c; r) and
+  the sum of all weights is 2F1(a+1, 1; c; r), with coefficients (a)_n/(c)_n
+  and (a+1)_n/(c)_n.  Their ratio (a+n)/a increases in n, so by the lemma of
+  Biernacki and Krzyz (Ann. UMCS 9, 1955) total/phi_0 increases, and with
+  it tail/phi_0 = total/phi_0 - 1.
+
+The solver narrows a bracket over a 1e-3 grid up to 1 - 1e-9, then by
+16-sections, and certifies it: gap(lo) > 0 >= gap(hi) with each end
+evaluated alone, as the public gap evaluates it.
 """
 
 from __future__ import annotations
@@ -20,23 +34,22 @@ from .series import DomainParams
 from .weights import WeightFamily
 
 SCAN_STEP = 1e-3
-FINE_STEP = 1e-6
 SCAN_END = 1.0 - 1e-9
 DEFAULT_TOL = 1e-12
 WINDOW_SAMPLES = 32  # gap evaluations in the sharpness window
-_BLOCK = 128
+_CERTIFY_STEPS = 8  # outward steps of a bracket end whose lone sign fails
 
-# the scan grids and the 16-section fractions, built once and read-only
+# the scan grid, its blocks of 128 points (the first 129) and the 16-section
+# fractions, built once and read-only
 _COARSE = np.append(np.arange(1, 1000) * SCAN_STEP, SCAN_END)
-_FINE = np.arange(1, 2001) * FINE_STEP
 _SECTIONS = np.arange(1, 16) / 16.0
-_FIRST = np.asarray(_COARSE[0])  # the first coarse point as a 0-d array
-for _grid in (_COARSE, _FINE, _SECTIONS, _FIRST):
+for _grid in (_COARSE, _SECTIONS):
     _grid.flags.writeable = False
+_BLOCKS = tuple(np.split(_COARSE, range(129, _COARSE.size, 128)))
 
 
 class NoRootError(Exception):
-    """The gap never crosses from positive to non-positive on (0, 1)."""
+    """No certified crossing of the gap from positive to non-positive on (0, 1)."""
 
 
 @dataclass(frozen=True)
@@ -71,74 +84,58 @@ def _gap(query: RadiusQuery, x: np.ndarray):
     return (1.0 + query.domain.gamma) * phi0 - (2.0 / query.p) * tail
 
 
-def _first_bracket(query: RadiusQuery):
-    """Scan for the first sign change of gap from positive to non-positive.
-
-    Coarse step 1e-3 up to just below 1.  If the gap is already non-positive
-    at the very first coarse point, a 1e-6 scan near 0 guards families whose
-    gap needs care there (the Bernardi family vanishes at 0+).
-    """
-    evals = 1
-    start = 1
-    prev = _COARSE[0]
-    if float(_gap(query, _FIRST)) <= 0.0:
-        gf = np.asarray(_gap(query, _FINE))
-        evals += _FINE.size
-        pos = (gf > 0.0).nonzero()[0]
-        if pos.size == 0:
-            raise NoRootError(
-                "gap(x) <= 0 at all sampled points in (0, 2e-3): "
-                "no positive-to-nonpositive crossing exists"
-            )
-        i = int(pos[0])
-        nonpos_after = (gf[i + 1 :] <= 0.0).nonzero()[0]
-        if nonpos_after.size:
-            j = i + 1 + int(nonpos_after[0])
-            return (float(_FINE[j - 1]), float(_FINE[j])), evals
-        prev = _FINE[-1]
-        start = 2  # fine scan already covered up to 2e-3
-    for lo_i in range(start, _COARSE.size, _BLOCK):
-        block = _COARSE[lo_i : lo_i + _BLOCK]
-        gb = np.asarray(_gap(query, block))
-        evals += block.size
-        nonpos = (gb <= 0.0).nonzero()[0]
-        if nonpos.size:
-            j = int(nonpos[0])
-            lo = prev if j == 0 else block[j - 1]
-            return (float(lo), float(block[j])), evals
-        prev = block[-1]
-    raise NoRootError("gap(x) > 0 on all of (0, 1): the inequality holds up to 1")
+def _certified(query: RadiusQuery, lo: float, hi: float):
+    """A bracket with gap(lo) > 0 >= gap(hi), each end evaluated alone by the
+    one-point path of the public gap, and the evaluations that took.  A batch
+    can differ from it in the last bits, so an end whose sign fails steps
+    outward by the bracket width, at most _CERTIFY_STEPS times."""
+    for steps in range(_CERTIFY_STEPS + 1):
+        g_lo, g_hi = (float(_gap(query, np.asarray(x))) for x in (lo, hi))
+        if g_lo > 0.0 >= g_hi:
+            return (lo, hi), 2 * steps + 2
+        lo, hi = (lo if g_lo > 0.0 else max(2.0 * lo - hi, 0.0),
+                  hi if g_hi <= 0.0 else min(2.0 * hi - lo, SCAN_END))
+    raise NoRootError(f"no certified crossing near x = {lo!r}: evaluated alone, "
+                      f"gap(lo) > 0 >= gap(hi) fails after {_CERTIFY_STEPS} outward steps")
 
 
 def minimal_root(query: RadiusQuery, tol: float = DEFAULT_TOL) -> RadiusResult:
     """Locate the minimal positive root of the gap equation to |hi-lo| <= tol.
 
-    The bracket is refined by vectorized 16-section (bisection batched 15
-    interior points at a time); tracking the first non-positive interior
-    point keeps gap(lo) > 0 >= gap(hi) certain at every step.
+    One loop narrows (lo, hi) from lo = 0 by one step: until a non-positive
+    point is known it scans the next block of the grid, then it 16-sections
+    the bracket (15 interior points at a time).  Certifying the bracket can
+    widen it by a few steps of its width.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    (lo, hi), evals = _first_bracket(query)
-    while hi - lo > tol:
-        pts = lo + (hi - lo) * _SECTIONS
-        if pts[0] <= lo or pts[-1] >= hi:  # float spacing exhausted
-            break
-        gp = np.asarray(_gap(query, pts))
+    lo, hi, evals = 0.0, None, 0
+    blocks = iter(_BLOCKS)
+    # (0, hi) is no bracket: narrow it to DEFAULT_TOL at any tol before calling the gap non-positive
+    while hi is None or hi - lo > tol or (lo == 0.0 and hi > DEFAULT_TOL):
+        if hi is None:  # the next block of the grid
+            pts = next(blocks, None)
+            if pts is None:
+                raise NoRootError("gap(x) > 0 on all of (0, 1): the inequality holds up to 1")
+        else:  # a 16-section of the bracket
+            pts = lo + (hi - lo) * _SECTIONS
+            if pts[0] <= lo or pts[-1] >= hi:  # float spacing exhausted
+                break
+        # one step: the gap at the points in one call; keep the last positive and first non-positive
+        nonpos = (np.asarray(_gap(query, pts)) <= 0.0).nonzero()[0]
         evals += pts.size
-        nonpos = (gp <= 0.0).nonzero()[0]
         if nonpos.size:
             j = int(nonpos[0])
-            hi = float(pts[j])
-            if j > 0:
-                lo = float(pts[j - 1])
+            lo, hi = (float(pts[j - 1]) if j else lo), float(pts[j])
         else:
             lo = float(pts[-1])
+    if lo == 0.0:
+        raise NoRootError(f"gap(x) <= 0 at every sampled point of (0, {SCAN_STEP:g}]: no crossing exists")
+    (lo, hi), certify_evals = _certified(query, lo, hi)
     radius = 0.5 * (lo + hi)
     residual = float(_gap(query, np.asarray(radius)))
-    evals += 1
     ok = sharpness_window_check(query, radius, min(0.05, 0.5 * (1.0 - radius)))
-    evals += WINDOW_SAMPLES
+    evals += certify_evals + 1 + WINDOW_SAMPLES
     return RadiusResult(radius, (lo, hi), residual, ok, evals)
 
 

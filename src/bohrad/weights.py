@@ -398,7 +398,10 @@ class CustomFamily(WeightFamily):
     """Extension point: caller supplies phi_0, phi_k and the tail sum.
 
     The callables must be numpy-aware in r and come with the caller's own
-    convergence guarantee; nothing is re-verified here.
+    convergence guarantee; nothing is re-verified here.  The radius solver
+    returns the first sign change it finds on a 1e-3 grid; a root below
+    1e-3, found by 16-sections of (0, 1e-3), is the first crossing only if
+    tail/phi_0 increases there, as it does for every built-in family.
     """
 
     name: str

@@ -345,6 +345,16 @@ class TestVerifyCommand:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("payload, zero", [("-3", "(-3+0j)"), ("7_0", "(70+0j)"), (" 7", "(7+0j)")])
+    def test_blaschke_seed_is_digits_only(self, capsys, payload, zero):
+        # a seed takes BOHR_SEED's rule; int() once read "7_0" as 70 and " 7"
+        # as 7, and "-3" reached numpy; any other payload is a list of zeros
+        code, out, err = run_cli(
+            capsys, "verify", "--fn", f"blaschke:{payload}", "--family", "even", "--gamma", "0",
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: Blaschke zero {zero} must lie strictly inside the unit disk\n"
+
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_non_finite_tolerance_is_usage_error(self, capsys, tol):
         # it ran the whole check, then failed to serialize the report

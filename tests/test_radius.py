@@ -98,7 +98,7 @@ class TestGap:
             got, expected = gap(query, x), weight_gap(x)
             assert type(got) is type(expected)
             same_bits(got, expected)
-        for built in (radius._FIRST, radius._FINE, radius._COARSE[128:256],
+        for built in (*radius._BLOCKS[:2], radius._BLOCKS[-1],
                       0.4 + 0.01 * radius._SECTIONS, np.asarray(0.45)):
             same_bits(radius._gap(query, built), weight_gap(built))
         radii, _, allowance = bohr._phi_matrix(family, 0.45, 12, 60)
@@ -106,12 +106,15 @@ class TestGap:
 
 
 def test_scan_grids_are_read_only_constants():
-    for grid in (radius._COARSE, radius._FINE, radius._SECTIONS):
+    for grid in (radius._COARSE, radius._SECTIONS, *radius._BLOCKS):
         assert not grid.flags.writeable
         with pytest.raises(ValueError):
             grid[0] = 0.5
     assert radius._COARSE.size == 1000 and radius._COARSE[-1] == radius.SCAN_END
-    assert radius._FINE.size == 2000 and radius._SECTIONS.size == 15
+    assert radius._SECTIONS.size == 15
+    # the blocks tile the grid; the first one is a point longer than the rest
+    assert [b.size for b in radius._BLOCKS] == [129, *[128] * 6, 103]
+    assert np.concatenate(radius._BLOCKS).tobytes() == radius._COARSE.tobytes()
 
 
 class TestMinimalRoot:
@@ -206,8 +209,8 @@ class TestMinimalRoot:
             minimal_root(q(dead))
 
     def test_fine_scan_catches_tiny_root(self):
-        # gap is already negative at the first coarse point; the 1e-6 rescan
-        # near 0 must still isolate the crossing at about 1/2001
+        # gap is already negative at the first coarse point; the 16-section
+        # of (0, 1e-3) must still isolate the crossing at about 1/2001
         steep = CustomFamily(
             name="steep-tail",
             phi0_fn=lambda r: np.ones_like(r),
@@ -234,6 +237,115 @@ class TestMinimalRoot:
         assert gap(query, 1e-3) > 0.0
         res = minimal_root(query)
         assert 0.0 < res.radius < 1.0
+
+
+# the sum of c(k) x^k over k >= 1 for each monomial family's coefficient c(k)
+MP_MONOMIAL_SUMS = {
+    "power-tail": lambda x: mp.polylog(0, x),
+    "even": lambda x: (mp.polylog(0, x) + mp.polylog(0, -x)) / 2,
+    "odd": lambda x: (mp.polylog(0, x) - mp.polylog(0, -x)) / 2,
+    "linear-plus-one": lambda x: mp.polylog(-1, x) + mp.polylog(0, x),
+    "linear": lambda x: mp.polylog(-1, x),
+    "quadratic": lambda x: mp.polylog(-2, x),
+}
+
+
+def mp_tail_over_phi0(family, x):
+    """tail/phi_0 at x in 40-digit arithmetic, from the series that define the weights."""
+    with mp.workdps(40):
+        x = mp.mpf(x)
+        if isinstance(family, (BetaCesaro, AlphaCesaro)):
+            # phi_0 and the sum of all weights are 2F1(a, 1; c; x) and 2F1(a+1, 1; c; x)
+            a, c = (mp.mpf(v) for v in family.ac)
+            return mp.hyp2f1(a + 1, 1, c, x) / mp.hyp2f1(a, 1, c, x) - 1
+        if isinstance(family, Bernardi):
+            # (m+delta) sum_{n>=1} x^n/(n+m+delta) = (m+delta) x 2F1(1, b; b+1; x)/b
+            c = family.m + mp.mpf(family.delta)
+            return c * x * mp.hyp2f1(1, c + 1, c + 2, x) / (c + 1)
+        head = sum(family.coef(k) * x ** k for k in range(1, family.N))
+        return MP_MONOMIAL_SUMS[family.name](x) - head
+
+
+SINGLE_CROSSING = [
+    *(cls() for cls in FAMILY_CLASSES.values()),
+    *(cls(4) for cls in (PowerTail, LinearPlusOne, Linear, Quadratic)),
+    BetaCesaro(0.25), BetaCesaro(7.3), BetaCesaro(40.0),
+    AlphaCesaro(-0.9), AlphaCesaro(0.17783250054616684), AlphaCesaro(50.0),
+    Bernardi(1, -0.999), Bernardi(3, 5.0),
+]
+
+
+@pytest.mark.parametrize("family", SINGLE_CROSSING, ids=str)
+def test_tail_over_phi0_increases(family):
+    # the single-crossing property of the radius module's docstring: the gap
+    # is phi_0 times (1+gamma) - (2/p) tail/phi_0, so it changes sign once
+    xs = [*np.linspace(1e-4, 0.99, 60), 0.999, 0.9999]
+    ratio = [mp_tail_over_phi0(family, x) for x in xs]
+    assert all(b > a for a, b in zip(ratio, ratio[1:]))
+    assert ratio[0] < 1e-3  # tail/phi_0 starts from 0 at 0+, so the gap starts positive
+    for x, expected in zip(xs, ratio):
+        got = weights.tail_sum(family, x) / weights.phi0(family, x)
+        assert got == pytest.approx(float(expected), rel=1e-9)
+
+
+class TestCertifiedBracket:
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 0.9])
+    def test_root_below_first_grid_point(self, gamma):
+        # PowerTail(1) has r = c/(1+c), c = p(1+gamma)/2; at p = 1e-4 the gap
+        # is already negative at 1e-3, so the 16-section of (0, 1e-3) finds it
+        query = q(PowerTail(1), gamma, 1e-4)
+        assert gap(query, radius._COARSE[0]) < 0.0
+        res = minimal_root(query)
+        c = 1e-4 * (1.0 + gamma) / 2.0
+        assert res.radius == pytest.approx(c / (1.0 + c), abs=1e-12)
+        lo, hi = res.bracket
+        assert gap(query, lo) > 0.0 >= gap(query, hi)
+
+    @pytest.mark.parametrize("family", [PowerTail(1), Bernardi(1, 1.0)], ids=str)
+    def test_root_below_first_grid_point_at_coarse_tol(self, family):
+        # a tolerance above the root still narrows (0, 1e-3) until a positive
+        # gap is seen, rather than report a gap that is never positive
+        query = q(family, 0.0, 1e-4)
+        res = minimal_root(query, tol=1e-3)
+        lo, hi = res.bracket
+        assert 0.0 < lo and gap(query, lo) > 0.0 >= gap(query, hi)
+        assert hi <= radius._COARSE[0]
+
+    def test_seed_109_alpha_cesaro(self):
+        # evaluated next to hi in the 16-section the lower end had a positive
+        # gap, and alone a gap of -8.9e-16; one outward step certifies it
+        query = q(AlphaCesaro(0.17783250054616684), 0.7, 0.5)
+        res = minimal_root(query)
+        lo, hi = res.bracket
+        assert gap(query, lo) > 0.0 >= gap(query, hi)
+        assert mp_gap(query)(lo) > 0 >= mp_gap(query)(hi)
+        assert hi - lo <= 1e-12
+        assert_matches_mpmath(query, res)
+
+    @staticmethod
+    def lone_shifted(shift):
+        # the power tail with a tail larger by shift where it is evaluated at
+        # one point: the batch and the lone path disagree near the root
+        return CustomFamily(
+            name="lone-shifted",
+            phi0_fn=lambda r: np.ones_like(r),
+            phi_k_fn=lambda k, r: r ** k,
+            tail_fn=lambda r: r / (1.0 - r) + (shift if r.ndim == 0 else 0.0),
+        )
+
+    def test_failing_end_steps_outward(self):
+        query = q(self.lone_shifted(2e-12))
+        res = minimal_root(query)
+        lo, hi = res.bracket
+        assert gap(query, lo) > 0.0 >= gap(query, hi)
+        assert res.radius == pytest.approx(1.0 / 3.0, abs=1e-11)
+        # 385 scan points, 120 section points, the residual and the window;
+        # the certificate took more than its two evaluations
+        assert res.evaluations > 385 + 120 + 2 + 1 + radius.WINDOW_SAMPLES
+
+    def test_uncertifiable_bracket_is_no_root(self):
+        with pytest.raises(NoRootError, match="no certified crossing"):
+            minimal_root(q(self.lone_shifted(1e-3)))
 
 
 class TestSharpnessWindow:
@@ -310,8 +422,8 @@ def ended(query, seconds):
 def assert_matches_mpmath(query, result):
     """A radius is mpmath's root to 1e-10; a NoRootError tells the truth about the gap."""
     if isinstance(result, NoRootError):
-        if "(0, 2e-3)" in str(result):
-            assert mp_gap(query)(radius._FINE[-1]) <= 0
+        if "(0, 0.001]" in str(result):
+            assert mp_gap(query)(radius._COARSE[0]) <= 0
         else:
             assert mp_gap(query)(radius.SCAN_END) > 0
     else:
