@@ -84,28 +84,15 @@ def _gap(query: RadiusQuery, x: np.ndarray):
     return (1.0 + query.domain.gamma) * phi0 - (2.0 / query.p) * tail
 
 
-def _certified(query: RadiusQuery, lo: float, hi: float):
-    """A bracket with gap(lo) > 0 >= gap(hi), each end evaluated alone by the
-    one-point path of the public gap, and the evaluations that took.  A batch
-    can differ from it in the last bits, so an end whose sign fails steps
-    outward by the bracket width, at most _CERTIFY_STEPS times."""
-    for steps in range(_CERTIFY_STEPS + 1):
-        g_lo, g_hi = (float(_gap(query, np.asarray(x))) for x in (lo, hi))
-        if g_lo > 0.0 >= g_hi:
-            return (lo, hi), 2 * steps + 2
-        lo, hi = (lo if g_lo > 0.0 else max(2.0 * lo - hi, 0.0),
-                  hi if g_hi <= 0.0 else min(2.0 * hi - lo, SCAN_END))
-    raise NoRootError(f"no certified crossing near x = {lo!r}: evaluated alone, "
-                      f"gap(lo) > 0 >= gap(hi) fails after {_CERTIFY_STEPS} outward steps")
-
-
 def minimal_root(query: RadiusQuery, tol: float = DEFAULT_TOL) -> RadiusResult:
     """Locate the minimal positive root of the gap equation to |hi-lo| <= tol.
 
     One loop narrows (lo, hi) from lo = 0 by one step: until a non-positive
     point is known it scans the next block of the grid, then it 16-sections
-    the bracket (15 interior points at a time).  Certifying the bracket can
-    widen it by a few steps of its width.
+    the bracket (15 interior points at a time).  A second loop certifies the
+    bracket: gap(lo) > 0 >= gap(hi) with each end evaluated alone, by the
+    one-point path of the public gap, which can differ from a batch in the
+    last bits.  An end whose sign fails steps outward by the bracket width.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -121,21 +108,34 @@ def minimal_root(query: RadiusQuery, tol: float = DEFAULT_TOL) -> RadiusResult:
             pts = lo + (hi - lo) * _SECTIONS
             if pts[0] <= lo or pts[-1] >= hi:  # float spacing exhausted
                 break
-        # one step: the gap at the points in one call; keep the last positive and first non-positive
-        nonpos = (np.asarray(_gap(query, pts)) <= 0.0).nonzero()[0]
+        # one step: keep the last positive point and the first non-positive one after a positive
+        # one; while lo is 0 that skips the batch's leading zeros, where phi_0 underflows
+        g = np.asarray(_gap(query, pts))
         evals += pts.size
+        first = int((g > 0.0).argmax()) if lo == 0.0 else 0
+        nonpos = (g[first:] <= 0.0).nonzero()[0]
         if nonpos.size:
-            j = int(nonpos[0])
+            j = first + int(nonpos[0])
             lo, hi = (float(pts[j - 1]) if j else lo), float(pts[j])
         else:
             lo = float(pts[-1])
     if lo == 0.0:
         raise NoRootError(f"gap(x) <= 0 at every sampled point of (0, {SCAN_STEP:g}]: no crossing exists")
-    (lo, hi), certify_evals = _certified(query, lo, hi)
+    lone = {}  # x -> gap(x) evaluated alone: an end that did not move is not evaluated again
+    for _ in range(_CERTIFY_STEPS + 1):
+        for x in {lo, hi} - lone.keys():
+            lone[x] = float(_gap(query, np.asarray(x)))
+        if lone[lo] > 0.0 >= lone[hi]:
+            break
+        lo, hi = (lo if lone[lo] > 0.0 else max(2.0 * lo - hi, 0.0),
+                  hi if lone[hi] <= 0.0 else min(2.0 * hi - lo, SCAN_END))
+    else:
+        raise NoRootError(f"no certified crossing near x = {lo!r}: evaluated alone, "
+                          f"gap(lo) > 0 >= gap(hi) fails after {_CERTIFY_STEPS} outward steps")
     radius = 0.5 * (lo + hi)
     residual = float(_gap(query, np.asarray(radius)))
     ok = sharpness_window_check(query, radius, min(0.05, 0.5 * (1.0 - radius)))
-    evals += certify_evals + 1 + WINDOW_SAMPLES
+    evals += len(lone) + 1 + WINDOW_SAMPLES
     return RadiusResult(radius, (lo, hi), residual, ok, evals)
 
 

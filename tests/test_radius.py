@@ -208,7 +208,7 @@ class TestMinimalRoot:
         with pytest.raises(NoRootError):
             minimal_root(q(dead))
 
-    def test_fine_scan_catches_tiny_root(self):
+    def test_sixteen_section_catches_tiny_root(self):
         # gap is already negative at the first coarse point; the 16-section
         # of (0, 1e-3) must still isolate the crossing at about 1/2001
         steep = CustomFamily(
@@ -339,9 +339,15 @@ class TestCertifiedBracket:
         lo, hi = res.bracket
         assert gap(query, lo) > 0.0 >= gap(query, hi)
         assert res.radius == pytest.approx(1.0 / 3.0, abs=1e-11)
-        # 385 scan points, 120 section points, the residual and the window;
-        # the certificate took more than its two evaluations
-        assert res.evaluations > 385 + 120 + 2 + 1 + radius.WINDOW_SAMPLES
+        # the batches match the power tail's, so the loop ends in its bracket;
+        # only the lower end fails alone, and each of its outward steps doubles
+        # the width and costs one evaluation
+        plain = minimal_root(q(PowerTail(1)))
+        assert hi == plain.bracket[1]
+        steps = round(np.log2((hi - lo) / (plain.bracket[1] - plain.bracket[0])))
+        assert steps >= 1
+        assert hi - lo == 2 ** steps * (plain.bracket[1] - plain.bracket[0])
+        assert res.evaluations == plain.evaluations + steps
 
     def test_uncertifiable_bracket_is_no_root(self):
         with pytest.raises(NoRootError, match="no certified crossing"):
@@ -450,6 +456,17 @@ class TestRadiiNearOne:
         query = q(Bernardi(2, -1.5), gamma, p)
         res = ended(query, 0.5)
         assert 0.897 < res.radius < 1.0
+        assert_matches_mpmath(query, res)
+
+    @pytest.mark.parametrize("m", [110, 300])
+    def test_bernardi_large_m_skips_underflow_near_zero(self, m):
+        # phi_0 = x^m/(m+delta) and the tail underflow to 0 at the first grid
+        # points, so the gap reads 0 there; the crossing follows the first
+        # positive gap, near 1/3
+        query = q(Bernardi(m, 1.0), 0.0, 1.0)
+        assert gap(query, radius._COARSE[0]) == 0.0
+        res = ended(query, 0.5)
+        assert 0.33 < res.radius < 0.34
         assert_matches_mpmath(query, res)
 
     def test_bernardi_1_minus_0_999_has_no_root(self):
