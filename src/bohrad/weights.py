@@ -31,6 +31,7 @@ import numpy as np
 from . import _kernels
 
 BETA_LOG_BRANCH_WIDTH = 1e-9  # |beta - 1| below this routes to the log forms
+BETA_ZERO_LIMIT = 1e-17  # beta below this takes the beta -> 0 limit of the total
 
 
 class WeightFamily:
@@ -45,7 +46,8 @@ class WeightFamily:
     family without a closed form over a grid gives _vector_at(order, r) at a
     float r and inherits vector, which loops over the points.  phi0_tail(r)
     is the pair (phi0(r), tail(r)) for the radius gap; a family whose tail
-    is built from its phi_0 overrides it to evaluate phi_0 once.
+    is built from its phi_0 overrides it to evaluate phi_0 once, and one
+    whose phi_0 is exactly constant may give it as a float.
     phi_k(k, r) reads entry k of vector(k, x) at each point; a family with a
     closed form for phi_k may override it.  Callers outside a grid they
     built themselves go through the module functions, which check r.
@@ -91,6 +93,9 @@ class MonomialFamily(WeightFamily):
 
     def phi0(self, r):
         return np.ones_like(r)
+
+    def phi0_tail(self, r):
+        return 1.0, self.tail(r)
 
     def phi_k(self, k, r):
         if k == 0:
@@ -234,7 +239,13 @@ def _beta_total(beta: float, r: np.ndarray) -> np.ndarray:
     out = np.ones_like(r)
     nz = r > 0.0
     rr = r[nz]
-    out[nz] = np.expm1(-beta * np.log1p(-rr)) / (beta * rr)
+    log1m = np.log1p(-rr)
+    if beta < BETA_ZERO_LIMIT:
+        # expm1(t)/t = 1 + t/2 + ... with |t| = beta |log(1-r)| < 21 beta, under
+        # half an ulp; the product beta r itself would lose bits or underflow
+        out[nz] = -log1m / rr
+    else:
+        out[nz] = np.expm1(-beta * log1m) / (beta * rr)
     return out
 
 
@@ -399,9 +410,12 @@ class CustomFamily(WeightFamily):
 
     The callables must be numpy-aware in r and come with the caller's own
     convergence guarantee; nothing is re-verified here.  The radius solver
-    returns the first sign change it finds on a 1e-3 grid; a root below
-    1e-3, found by 16-sections of (0, 1e-3), is the first crossing only if
-    tail/phi_0 increases there, as it does for every built-in family.
+    takes the first sign change of the gap on a 32e-3 grid, then the first
+    one on the 1e-3 grid inside that cell, and a root below 1e-3 from
+    16-sections of (0, 1e-3).  That is the first crossing only if the gap
+    changes sign once, as it does where tail/phi_0 increases, for every
+    built-in family: a dip below 0 between two points of the 32e-3 grid is
+    not seen.
     """
 
     name: str

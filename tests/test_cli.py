@@ -93,6 +93,18 @@ class TestRadiusCommand:
         _, out, _ = run_cli(capsys, "radius", "--family", "even", "--gamma", "0")
         assert json.loads(out)["version"] == __version__
 
+    def test_overflowed_gap_is_no_root(self, capsys):
+        # the weights overflow near 0.299, below the crossing; tier-1 runs with
+        # RuntimeWarning as an error, so an unsilenced numpy overflow fails here
+        code, out, err = run_cli(capsys, "radius", "--family", "beta-cesaro", "--beta", "2000", "--gamma", "0")
+        assert code == 3 and out == ""
+        assert err.startswith("no root: gap(0.29") and "not finite" in err
+
+    def test_bernardi_past_the_underflow(self, capsys):
+        code, out, _ = run_cli(capsys, "radius", "--family", "bernardi", "--m", "400", "--delta", "1", "--gamma", "0")
+        assert code == 0
+        assert 0.33 < json.loads(out)["radius"] < 0.34
+
 
 class TestTableCommand:
     def test_gamma_sweep_matches_closed_form(self, capsys):

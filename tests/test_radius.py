@@ -1,6 +1,7 @@
 """Root location for the gap equation (1+gamma) phi_0 = (2/p) tail."""
 
 import math
+import re
 import time
 
 import mpmath as mp
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bohrad import bohr, radius, weights
+from bohrad import bohr, harness, radius, weights
 from bohrad.operators import operator_bohr_radius
 from bohrad.radius import (
     NoRootError,
@@ -98,7 +99,7 @@ class TestGap:
             got, expected = gap(query, x), weight_gap(x)
             assert type(got) is type(expected)
             same_bits(got, expected)
-        for built in (*radius._BLOCKS[:2], radius._BLOCKS[-1],
+        for built in (radius._SPARSE, radius._COARSE[:31], radius._COARSE[992:999],
                       0.4 + 0.01 * radius._SECTIONS, np.asarray(0.45)):
             same_bits(radius._gap(query, built), weight_gap(built))
         radii, _, allowance = bohr._phi_matrix(family, 0.45, 12, 60)
@@ -106,15 +107,101 @@ class TestGap:
 
 
 def test_scan_grids_are_read_only_constants():
-    for grid in (radius._COARSE, radius._SECTIONS, *radius._BLOCKS):
+    for grid in (radius._COARSE, radius._SPARSE, radius._SECTIONS):
         assert not grid.flags.writeable
         with pytest.raises(ValueError):
             grid[0] = 0.5
     assert radius._COARSE.size == 1000 and radius._COARSE[-1] == radius.SCAN_END
     assert radius._SECTIONS.size == 15
-    # the blocks tile the grid; the first one is a point longer than the rest
-    assert [b.size for b in radius._BLOCKS] == [129, *[128] * 6, 103]
-    assert np.concatenate(radius._BLOCKS).tobytes() == radius._COARSE.tobytes()
+    # the sparse grid is every 32nd grid point and the grid's last point, SCAN_END
+    assert radius._SPARSE.size == 32
+    expected = np.append(radius._COARSE[31::32], radius.SCAN_END)
+    assert radius._SPARSE.tobytes() == expected.tobytes()
+
+
+def grid_cell(query):
+    """The cell (lo, hi] of the 1e-3 grid where the gap, evaluated on the whole
+    grid in one batch, first stops being positive after a positive point,
+    leading exact zeros skipped; the first cell (0, 1e-3] if no point before
+    it is positive, and None if the gap is positive on the whole grid."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = np.asarray(radius._gap(query, radius._COARSE))
+    nonzero = np.flatnonzero(g != 0.0)
+    first = int(nonzero[0]) if nonzero.size else 0
+    ends = np.flatnonzero(~(g[first:] > 0.0))
+    if not ends.size:
+        return None
+    i = first + int(ends[0])
+    return (float(radius._COARSE[i - 1]), float(radius._COARSE[i])) if i > first else (0.0, radius._COARSE[0])
+
+
+def assert_bracket_in_grid_cell(query):
+    # the two scan batches find the cell that a scan of every grid point finds
+    cell = grid_cell(query)
+    try:
+        res = minimal_root(query)
+    except NoRootError as exc:
+        # no crossing on the grid, none after a positive point, or one the floats cannot resolve
+        assert cell is None or cell[0] == 0.0 or "not finite" in str(exc) or "underflows" in str(exc)
+        return
+    lo, hi = res.bracket
+    assert cell is not None and cell[0] <= lo < hi <= cell[1]
+
+
+class TestScan:
+    @pytest.mark.parametrize("idx", range(84))
+    def test_bracket_in_first_grid_cell_default_cells(self, idx):
+        cells = list(harness.iter_cells(harness.default_config()))
+        assert len(cells) == 84
+        family, gamma, p = cells[idx]
+        assert_bracket_in_grid_cell(q(family, gamma, p))
+
+    def test_power_tail_evaluations(self):
+        # 32 sparse points, the 31 grid points of the cell (0.320, 0.352), eight
+        # 16-sections of 15 points to a width under 1e-12, the two lone ends,
+        # the residual and the 32 window points; the block scan took 540
+        res = minimal_root(q(PowerTail(1)))
+        assert res.evaluations == 32 + 31 + 8 * 15 + 2 + 1 + 32
+
+    def test_leading_negative_gap_is_no_root(self):
+        # the gap is negative on (0, 0.2), positive on (0.2, 0.5) and negative
+        # after: it is not positive near 0, so no radius exists, and a scan that
+        # skipped the leading non-positive points would return 0.5
+        dip = CustomFamily(
+            name="leading-dip",
+            phi0_fn=lambda r: np.ones_like(r),
+            phi_k_fn=lambda k, r: r ** k,
+            tail_fn=lambda r: 0.5 * (1.0 - (r - 0.2) * (0.5 - r)),
+        )
+        query = q(dip)
+        assert gap(query, 0.1) < 0.0 < gap(query, 0.3) and gap(query, 0.6) < 0.0
+        with pytest.raises(NoRootError, match=r"\(0, 0.001\]"):
+            minimal_root(query)
+
+
+monomial_families = st.one_of(
+    st.sampled_from([EvenPowers(), OddPowers()]),
+    st.builds(lambda cls, n: cls(n), st.sampled_from([PowerTail, LinearPlusOne, Linear, Quadratic]),
+              st.integers(1, 5)),
+)
+
+
+@given(
+    st.one_of(
+        monomial_families,
+        st.floats(0.0, 60.0, exclude_min=True).map(BetaCesaro),
+        st.floats(-1.0, 60.0, exclude_min=True).map(AlphaCesaro),
+        st.integers(1, 5).flatmap(
+            lambda m: st.floats(-float(m), 5.0, exclude_min=True).map(lambda delta: Bernardi(m, delta))
+        ),
+    ),
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.floats(0.0, 2.0, exclude_min=True),
+)
+@settings(derandomize=True, deadline=None, max_examples=300)
+def test_bracket_in_first_grid_cell_sweep(family, gamma, p):
+    # the validated domain of every family
+    assert_bracket_in_grid_cell(q(family, gamma, p))
 
 
 class TestMinimalRoot:
@@ -149,6 +236,7 @@ class TestMinimalRoot:
         assert hi - lo <= 1e-12
         assert 0.0 < res.radius < 1.0
         assert res.evaluations > 0
+        assert res.residual == gap(query, res.radius)
 
     @pytest.mark.parametrize("family", BUILTINS, ids=str)
     def test_root_is_genuine_not_grid_artifact(self, family):
@@ -354,6 +442,56 @@ class TestCertifiedBracket:
             minimal_root(q(self.lone_shifted(1e-3)))
 
 
+BETA_GRID = [
+    (beta, gamma, p)
+    for beta in (60.0, 100.0, 200.0, 300.0, 400.0, 500.0, 750.0, 1000.0, 1500.0, 2000.0, 2500.0, 3000.0)
+    for gamma in (0.0, 0.3, 0.6, 0.9)
+    for p in (0.5, 1.0, 2.0)
+]
+
+
+class TestOverflow:
+    """beta-Cesaro weights overflow from where (1-x)^(-beta) passes the floats,
+    about 1 - exp(-709.8/beta); the gap there is -inf or nan."""
+
+    @pytest.mark.parametrize("beta,gamma,p", [
+        # returned the overflow edge as a radius, with a residual of about 1e305
+        (1500.0, 0.0, 2.0), (1500.0, 0.9, 1.0), (750.0, 0.6, 2.0),
+        # reported a gap > 0 on all of (0, 1), reading a nan gap as positive
+        (2000.0, 0.0, 1.0), (1000.0, 0.3, 2.0), (3000.0, 0.9, 0.5),
+    ])
+    def test_overflow_ends_in_no_root_naming_the_point(self, beta, gamma, p):
+        query = q(BetaCesaro(beta), gamma, p)
+        with pytest.raises(NoRootError, match="not finite") as info:
+            minimal_root(query)
+        x = float(re.match(r"gap\((.+?)\) = ", str(info.value)).group(1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(radius._gap(query, np.asarray(x)))
+        # the 40-digit gap is still positive there: the crossing lies past the overflow
+        assert (1 + gamma) - 2 / mp.mpf(p) * mp_tail_over_phi0(query.family, x) > 0
+
+    def test_root_below_the_overflow_is_kept(self):
+        # the weights overflow from about 0.508, past the crossing near 0.5005
+        res = minimal_root(q(BetaCesaro(1000.0), 0.0, 2.0))
+        assert res.radius == pytest.approx(0.5004999999998836, abs=1e-12)
+
+    @pytest.mark.parametrize("beta,gamma,p", BETA_GRID)
+    def test_large_beta_ends_certified(self, beta, gamma, p):
+        # a radius whose bracket and residual are finite and certified, or a
+        # NoRootError naming a point where the gap is not finite
+        query = q(BetaCesaro(beta), gamma, p)
+        try:
+            res = minimal_root(query)
+        except NoRootError as exc:
+            x = float(re.match(r"gap\((.+?)\) = ", str(exc)).group(1))
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert not np.isfinite(radius._gap(query, np.asarray(x)))
+            return
+        lo, hi = res.bracket
+        assert gap(query, lo) > 0.0 >= gap(query, hi) > -math.inf
+        assert math.isfinite(res.residual) and lo <= res.radius <= hi
+
+
 class TestSharpnessWindow:
     def test_classical_window(self):
         assert sharpness_window_check(q(PowerTail(1)), 1.0 / 3.0, 0.05) is True
@@ -458,16 +596,41 @@ class TestRadiiNearOne:
         assert 0.897 < res.radius < 1.0
         assert_matches_mpmath(query, res)
 
-    @pytest.mark.parametrize("m", [110, 300])
+    @pytest.mark.parametrize("m", [110, 300, 400, 600])
     def test_bernardi_large_m_skips_underflow_near_zero(self, m):
         # phi_0 = x^m/(m+delta) and the tail underflow to 0 at the first grid
         # points, so the gap reads 0 there; the crossing follows the first
-        # positive gap, near 1/3
+        # positive gap, near 1/3 (from m = 361 the zeros reach past 0.129)
         query = q(Bernardi(m, 1.0), 0.0, 1.0)
         assert gap(query, radius._COARSE[0]) == 0.0
         res = ended(query, 0.5)
         assert 0.33 < res.radius < 0.34
         assert_matches_mpmath(query, res)
+
+    @pytest.mark.parametrize("delta,gamma,p", [(1.0, 0.0, 1.0), (3.0, 0.9, 0.5)])
+    def test_bernardi_subnormal_phi0_is_no_root(self, delta, gamma, p):
+        # from m = 640 at (1, 0, 1) and m = 621 at (3, 0.9, 0.5) phi_0 at the
+        # radius falls below the normal floats, where the gap keeps too few
+        # bits to place the crossing: below that a radius matches mpmath, above
+        # it the query ends in NoRootError, never in a radius off by up to 1e-2
+        for m in range(600, 700, 4):
+            query = q(Bernardi(m, delta), gamma, p)
+            result = ended(query, 0.5)
+            if isinstance(result, NoRootError):
+                assert m > 620
+            else:
+                assert abs(result.radius - mp_root(query, result.radius)) <= 1e-10
+        with pytest.raises(NoRootError, match="underflows below the normal floats"):
+            minimal_root(q(Bernardi(640, 1.0)))
+
+    @pytest.mark.parametrize("beta", [5e-324, 1e-320, 1e-300, 1e-18])
+    def test_beta_cesaro_tiny_beta_takes_the_limit(self, beta):
+        # beta r underflowed or lost bits, so the total read inf or nan and
+        # the radius was wrong (0.58221 at beta = 1e-320); as beta -> 0 the
+        # total tends to -log(1-x)/x, and at gamma = 0, p = 1 that equals 1.5
+        with mp.workdps(40):
+            root = float(mp.findroot(lambda x: -mp.log(1 - x) / x - mp.mpf(1.5), 0.58))
+        assert minimal_root(q(BetaCesaro(beta))).radius == pytest.approx(root, abs=1e-12)
 
     def test_bernardi_1_minus_0_999_has_no_root(self):
         # the gap stays positive at every float below 1
