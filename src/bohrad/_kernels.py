@@ -24,8 +24,9 @@ Series kernels certify their truncation: the table and the direct Lerch
 series take enough terms that a ratio-test bound puts the remaining mass
 under 1e-16, and the connection series' 32 terms leave less than 1e-17/b.
 Rising-factorial ratios are always built by recurrence, never from Gamma
-values.  G_j(a) itself still overflows at large a and j: the alpha-Cesaro
-table does for alpha above about 150 near its p = 1 radius at gamma = 0.
+values.  G_j(a) itself still overflows at large a and j, as the alpha-Cesaro
+table does for alpha above about 150 near its p = 1 radius at gamma = 0; the
+terms (a)_j/(c)_j r^j of phi_0 alone (cesaro_terms) stay finite with phi_0.
 """
 
 from __future__ import annotations
@@ -66,24 +67,24 @@ def jacobi_rule(n: int, a: float, b: float) -> tuple:
     return t, w
 
 
-def _cesaro_nterms(a: float, c: float, r: float) -> int:
-    """J for cesaro_phi_table: every phi_n series of (a, c) has a tail below 1e-16 after term J.
+def cesaro_terms(a: float, c: float, r: float) -> np.ndarray:
+    """[t_0, ..., t_J], t_j = (a)_j/(c)_j r^j: the terms of 2F1(a, 1; c; r), c > 0,
+    from one cumulative product, never a quotient of two that overflow apart.
 
-    With c > 1, G_k(c) does not decrease in k, so term j of phi_n is at most
-    term j of phi_0, t_j = (a)_j/(c)_j r^j.  The ratio t_(j+1)/t_j =
-    r (j+a)/(j+c) is at most rho = r max(1, (J+a)/(J+c)) for j >= J, so every
-    tail after term J is at most t_J rho/(1 - rho).
+    J, a power of two from 64, puts the tail below 1e-16: the ratio
+    t_(j+1)/t_j = r (j+a)/(j+c) is at most rho = r max(1, (J+a)/(J+c)) for
+    j >= J, so the tail is at most t_J rho/(1 - rho).  With c > 1, G_k(c) does
+    not decrease in k, so the same J bounds every phi_n of cesaro_phi_table.
     """
     if r <= 0.0:
-        return 1
+        return np.array([1.0, 0.0])
     nterms = 64
     while True:
         j = np.arange(nterms)
-        # (a)_J/(c)_J r^J as one product, not a quotient of two that overflow
-        t = float(np.prod((a + j) / (c + j) * r))
+        t = np.cumprod(np.append(1.0, (a + j) / (c + j) * r))
         rho = r * max(1.0, (nterms + a) / (nterms + c))
-        if rho < 1.0 and t * rho / (1.0 - rho) < 1e-16:
-            return nterms
+        if rho < 1.0 and t[-1] * rho / (1.0 - rho) < 1e-16:
+            return t
         nterms *= 2
         if nterms > _MAX_TERMS:
             raise RuntimeError(_NONCONV)
@@ -93,10 +94,10 @@ def cesaro_phi_table(a: float, c: float, r: float, order: int) -> np.ndarray:
     """[phi_0(r), ..., phi_order(r)], phi_n = sum_j G_j(a) r^(n+j) / G_(n+j)(c), c > 1.
 
     The correlation of G_j(a) with u_k = r^k / G_k(c), itself one cumulative
-    product, truncated after the term that _cesaro_nterms certifies.
+    product, truncated after the term J that cesaro_terms certifies.
     """
     a, c, r, order = float(a), float(c), float(r), int(order)
-    nterms = _cesaro_nterms(a, c, r)
+    nterms = cesaro_terms(a, c, r).size - 1
     k = np.arange(1, order + nterms + 1)
     u = np.empty(order + nterms + 1)
     u[0] = 1.0

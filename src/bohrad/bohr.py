@@ -7,14 +7,13 @@ series, so a true member is never flagged because of a finite cutoff.
 verify_up_to_radius is the check of one function, and a suite calls it once
 per function.  What it shares with the other functions of a suite cell is
 built once per cell: the phi table over the grid, from one family.vector
-call, and its truncation allowance (both cached by _phi_matrix).  A caller
-that already holds the function's coefficients, as the suite does after its
-one kernel call per cell, passes them as series=; the check's arithmetic is
-the same either way.  The check itself stays per function: each function
-has its own cap, verdict and excess, and the traced benchmark
-(perfbench/run.py --trace 1) counts one verify_up_to_radius call per
-verified function, so one matrix product per cell must wait until the
-benchmark counts verified functions instead.
+call, and its truncation allowance (both cached by _phi_matrix).  The check
+reads only |c_k|: the suite takes them for a whole cell from its one kernel
+call and passes each function's row as moduli=, with the same arithmetic.
+The check itself stays per function: each function has its own cap, verdict
+and excess, and the traced benchmark (perfbench/run.py --trace 1) counts one
+verify_up_to_radius call per verified function, so one matrix product per
+cell must wait until the benchmark counts verified functions instead.
 """
 
 from __future__ import annotations
@@ -109,14 +108,14 @@ def verify_up_to_radius(
     grid_points: int = 16,
     order: int = DEFAULT_ORDER,
     tol: float = 1e-9,
-    series: CoefficientSeries | None = None,
+    moduli: np.ndarray | None = None,
 ) -> BohrReport:
     """Evaluate the Bohr sum of f on a uniform grid over [0, radius].
 
     Membership of f in the bounded class on the query's domain is a caller
     assertion; feeding a non-member is how negative controls are run.
-    series, if given, holds f's coefficients to verification_order(f, order),
-    as f.coefficients(...) would build them, and is used in their place.
+    moduli, if given, is f.coefficients(n).moduli() at n = verification_order(f,
+    order), and is used in its place; another length raises ValueError.
     """
     if not (0.0 <= radius < 1.0):
         raise ValueError("radius must be in [0, 1)")
@@ -125,15 +124,14 @@ def verify_up_to_radius(
     if grid_points < 1:
         raise ValueError("grid_points must be >= 1")
     order = verification_order(f, order)
-    if series is None:
-        series = f.coefficients(order)
-    elif series.order != order:
-        raise ValueError(f"series has order {series.order}; verification needs {order}")
+    if moduli is None:
+        moduli = f.coefficients(order).moduli()
+    elif len(moduli) != order + 1:
+        raise ValueError(f"moduli has {len(moduli)} entries; verification needs {order + 1}")
     cap = f.cap()
     radius, grid_points, order = float(radius), int(grid_points), int(order)
     radii, pmat, allowance = _phi_matrix(query.family, radius, grid_points, order)
-    m = series.moduli()
-    sums = pmat[:, 0] * m[0] ** query.p + pmat[:, 1:] @ m[1:]
+    sums = pmat[:, 0] * moduli[0] ** query.p + pmat[:, 1:] @ moduli[1:]
     phi0s = pmat[:, 0]
     trunc = cap * allowance
     max_excess = float((sums - phi0s).max())

@@ -296,7 +296,7 @@ def cmd_verify(args) -> int:
     series = f.coefficients(verification_order(f, args.order))
     report = verify_up_to_radius(
         f, query, target, grid_points=args.grid_points, order=args.order, tol=args.tolerance,
-        series=series,
+        moduli=series.moduli(),
     )
     # membership screen: the coefficient bound is necessary for class members
     membership = lemma_bound_report(series.padded(args.order), domain)

@@ -7,11 +7,12 @@ alone via the serialized worst-offender descriptor.
 
 The inequality suite does its per-cell work once per cell: one radius solve,
 one draw pass over the cell's random members, one Blaschke kernel call for
-all their coefficients, and one phi table over the verification grid (the
-cached bohr._phi_matrix).  verify_up_to_radius still runs once per
-function: it gives each function its own verdict and excess, and the worst
-offender is the function whose report has the largest excess.  Neither the
-draw nor the batched coefficients change a bit of any function's report.
+all their coefficients and one np.abs of it (the inequality reads only
+|c_k|), and one phi table over the grid (the cached bohr._phi_matrix).
+verify_up_to_radius still runs once per function, on its row of moduli: it
+gives each function its own verdict and excess, and the worst offender is
+the function whose report has the largest excess.  Neither the draw nor the
+batched coefficients change a bit of any function's report.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import weights
+from . import _kernels, weights
 from .bohr import extremal_margin, verify_up_to_radius
 from .radius import NoRootError, RadiusQuery, minimal_root
 from .series import (
@@ -30,7 +31,6 @@ from .series import (
     DomainParams,
     Extremal,
     Raw,
-    composed_coefficients,
     lemma_bound_report,
 )
 from .weights import (
@@ -90,6 +90,10 @@ class SuiteConfig:
             raise ValueError("tolerance must be positive")
         if not math.isfinite(self.tolerance):
             raise ValueError("tolerance must be finite")
+        if self.grid_points < 1:
+            raise ValueError("grid_points must be >= 1")
+        if self.truncation_order < 0:
+            raise ValueError("truncation_order must be >= 0")
         object.__setattr__(self, "gamma_grid", tuple(float(g) for g in self.gamma_grid))
         object.__setattr__(self, "p_grid", tuple(float(p) for p in self.p_grid))
         object.__setattr__(self, "families", tuple(self.families))
@@ -211,13 +215,16 @@ def _deterministic_functions(domain: DomainParams):
 def _verify_functions(cell: CellResult, query: RadiusQuery, config: SuiteConfig, rng) -> None:
     """Count the verdicts of one cell's functions into cell: its random members,
     drawn in one pass and expanded by one kernel call, then the deterministic
-    set.  verify_up_to_radius runs once per function, on the cell's one phi
-    table; the cell's arrays are freed when it returns."""
+    set.  verify_up_to_radius runs once per function, on its row of moduli
+    and the cell's one phi table; the cell's arrays are freed when it returns."""
     members = random_bounded_functions(query.domain, rng, config.samples_per_cell)
+    moduli = np.abs(_kernels.blaschke_series([f.zeros for f in members], [f.rotation for f in members],
+                                             config.truncation_order, query.domain.gamma))
+    if not np.isfinite(moduli).all():
+        raise ValueError("coefficients must be finite")
     fns = members + _deterministic_functions(query.domain)
-    coefficients = composed_coefficients(members, config.truncation_order)
-    coefficients += [None] * (len(fns) - len(members))  # the deterministic set builds its own
-    for f, series in zip(fns, coefficients):
+    rows = list(moduli) + [None] * (len(fns) - len(members))  # the deterministic set builds its own
+    for f, row in zip(fns, rows):
         report = verify_up_to_radius(
             f,
             query,
@@ -225,7 +232,7 @@ def _verify_functions(cell: CellResult, query: RadiusQuery, config: SuiteConfig,
             grid_points=config.grid_points,
             order=config.truncation_order,
             tol=config.tolerance,
-            series=series,
+            moduli=row,
         )
         if report.passed:
             cell.n_pass += 1

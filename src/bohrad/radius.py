@@ -166,14 +166,21 @@ def minimal_root(query: RadiusQuery, tol: float = DEFAULT_TOL) -> RadiusResult:
 
 
 def sharpness_window_check(query: RadiusQuery, radius: float, epsilon: float) -> bool:
-    """True iff gap < 0 at all sample points in (radius, radius + epsilon).
+    """True iff gap < 0 at all sample points in (radius, radius + epsilon), or
+    at every point before a trailing run of nan gaps, where the weights overflow.
 
     A strictly negative window certifies the radius cannot be enlarged; a
-    tangent gap leaves the check false (reported as indeterminate upstream).
+    tangent gap leaves the check false (reported as indeterminate upstream),
+    and so does a nan at the first point or between finite gaps.
     """
     if not epsilon > 0.0:
         raise ValueError("epsilon must be positive")
     if radius + epsilon >= 1.0:
         raise ValueError("window (radius, radius+epsilon) must stay inside [0, 1)")
     pts = radius + epsilon * np.arange(1, WINDOW_SAMPLES + 1) / (WINDOW_SAMPLES + 1.0)
-    return bool((np.asarray(gap(query, pts)) < 0.0).all())
+    g = np.asarray(gap(query, pts))
+    if (g < 0.0).all():
+        return True
+    nan = np.isnan(g)
+    first = int(nan.argmax())  # 0 with no nan, or with a nan at the first point
+    return first > 0 and bool((g[:first] < 0.0).all() and nan[first:].all())

@@ -187,7 +187,10 @@ class BlaschkeComposed(BoundedFunction):
             raise ValueError("rotation must be unimodular")
 
     def coefficients(self, order: int) -> CoefficientSeries:
-        return composed_coefficients([self], order)[0]
+        if order < 0:
+            raise ValueError("order must be >= 0")
+        rows = _kernels.blaschke_series([self.zeros], [self.rotation], order, self.domain.gamma)
+        return CoefficientSeries(rows[0])
 
     def __call__(self, z: complex) -> complex:
         w = (1.0 - self.domain.gamma) * z + self.domain.gamma
@@ -234,23 +237,6 @@ class Raw(BoundedFunction):
             "kind": "raw",
             "coefficients": [[c.real, c.imag] for c in self.series.coefficients],
         }
-
-
-def composed_coefficients(fns, order: int) -> list:
-    """The coefficients of BlaschkeComposed functions on one domain, one
-    CoefficientSeries each, from one call of _kernels.blaschke_series.
-
-    Every row is bit for bit what the function's own coefficients(order)
-    gives: the kernel treats each row alone."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    if not fns:
-        return []
-    gamma = fns[0].domain.gamma
-    if any(f.domain.gamma != gamma for f in fns):
-        raise ValueError("the functions must share one domain")
-    rows = _kernels.blaschke_series([f.zeros for f in fns], [f.rotation for f in fns], order, gamma)
-    return [CoefficientSeries(row) for row in rows]
 
 
 @dataclass(frozen=True)

@@ -293,10 +293,10 @@ class CesaroFamily(OperatorFamily):
         return complex((c - 1.0) * np.sum(w * _samples(f, t, z) / (1.0 - t * z) ** a))
 
     def radius_equation(self, gamma, x):
-        """((3+gamma) phi_0(x), 2 sum_{n>=0} phi_n(x)): phi_0 from the series
-        table, the sum in closed form."""
+        """((3+gamma) phi_0(x), 2 sum_{n>=0} phi_n(x)): phi_0 summed from its terms
+        (a)_j/(c)_j x^j, finite where phi_0 is, and the sum in closed form."""
         total = float(self.total(np.array([x]))[0])
-        return (3.0 + gamma) * float(self.vector(0, x)[0]), 2.0 * total
+        return (3.0 + gamma) * float(np.sum(_kernels.cesaro_terms(*self.ac, x))), 2.0 * total
 
 
 @dataclass(frozen=True)
@@ -392,16 +392,12 @@ class Bernardi(OperatorFamily):
         return complex(np.sum(w * _samples(f, t, z) / t ** self.m))
 
     def radius_equation(self, gamma, x):
-        """((1+gamma)/(m+delta), 2 sum_{k>=1} x^k/(k+m+delta)): the two sides
-        of the p = 1 gap over x^m, the sum taken directly to a remainder under 1e-17."""
+        """((1+gamma)/c, 2 sum_{k>=1} x^k/(k+c)), c = m+delta: the two sides of
+        the p = 1 gap over x^m.  The sum is x/(c+1) 2F1(c+1, 1; c+2; x),
+        summed from its terms (c+1)_j/(c+2)_j x^j as the Cesaro phi_0 is."""
         c = self.m + self.delta
-        # after K terms the remainder is below x^(K+1)/((K+1+c)(1-x)); as
-        # K+1+c > 1, x^(K+1)/(1-x) < 1e-17 suffices
-        terms = int(math.log(1e-17 * (1.0 - x)) / math.log(x)) + 1 if x > 0.0 else 0
-        if terms > _kernels._MAX_TERMS:
-            raise RuntimeError(_kernels._NONCONV)
-        k = np.arange(1.0, terms + 1.0)
-        return (1.0 + gamma) / c, 2.0 * float(np.sum(x ** k / (k + c)))
+        terms = _kernels.cesaro_terms(c + 1.0, c + 2.0, x)
+        return (1.0 + gamma) / c, 2.0 * x / (c + 1.0) * float(np.sum(terms))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bohrad import bohr
+from bohrad import _kernels, bohr
 from bohrad.bohr import bohr_sum, extremal_margin, p_bound_check, verify_up_to_radius
 from bohrad.radius import RadiusQuery, minimal_root
 from bohrad.series import (
@@ -14,7 +14,6 @@ from bohrad.series import (
     DomainParams,
     Extremal,
     Raw,
-    composed_coefficients,
 )
 from bohrad.weights import (
     AlphaCesaro,
@@ -156,9 +155,10 @@ class TestVerifyUpToRadius:
         assert rep.passed
 
 
-class TestGivenSeries:
-    # the suite hands verify_up_to_radius the coefficients it built for a
-    # whole cell; the report must be the one verify builds for itself
+class TestGivenModuli:
+    # the suite hands verify_up_to_radius each function's row of the moduli
+    # it built for a whole cell; the report must be the one verify builds
+    # for itself
 
     def test_report_is_unchanged(self):
         dom = DomainParams(0.4)
@@ -166,9 +166,10 @@ class TestGivenSeries:
         radius = minimal_root(query).radius
         fns = [BlaschkeComposed(dom, (0.3 + 0.2j, -0.5), np.exp(0.4j)), BlaschkeComposed(dom, (), -1.0),
                BlaschkeComposed(dom, (0.7j,) * 3, 1.0)]
-        for f, series in zip(fns, composed_coefficients(fns, 150)):
+        rows = np.abs(_kernels.blaschke_series([f.zeros for f in fns], [f.rotation for f in fns], 150, 0.4))
+        for f, row in zip(fns, rows):
             own = verify_up_to_radius(f, query, radius, grid_points=9, order=150).to_dict()
-            given = verify_up_to_radius(f, query, radius, grid_points=9, order=150, series=series).to_dict()
+            given = verify_up_to_radius(f, query, radius, grid_points=9, order=150, moduli=row).to_dict()
             assert given == own
 
     def test_raw_series_is_given_at_its_own_length(self):
@@ -177,14 +178,15 @@ class TestGivenSeries:
         assert bohr.verification_order(long_raw, 200) == 299
         assert bohr.verification_order(long_raw, 400) == 400
         own = verify_up_to_radius(long_raw, query, 0.3, order=200)
-        given = verify_up_to_radius(long_raw, query, 0.3, order=200, series=long_raw.series)
+        given = verify_up_to_radius(long_raw, query, 0.3, order=200, moduli=long_raw.series.moduli())
         assert given.to_dict() == own.to_dict()
 
-    def test_series_of_another_order_is_refused(self):
+    @pytest.mark.parametrize("order", [100, 201])
+    def test_moduli_of_another_length_are_refused(self, order):
         f = Extremal(DomainParams(0.0), 0.9)
         query = RadiusQuery(PowerTail(1), DomainParams(0.0), 1.0)
-        with pytest.raises(ValueError, match="order 100; verification needs 200"):
-            verify_up_to_radius(f, query, 0.3, series=f.coefficients(100))
+        with pytest.raises(ValueError, match=f"moduli has {order + 1} entries; verification needs 201"):
+            verify_up_to_radius(f, query, 0.3, moduli=f.coefficients(order).moduli())
 
 
 def test_overflowing_weight_table_is_refused():

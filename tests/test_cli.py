@@ -562,6 +562,14 @@ class TestSuiteCommand:
         assert out == ""
         assert err == "error: seed must be >= 0, got -1\n"
 
+    @pytest.mark.parametrize("kind", ["inequality", "sharpness"])
+    def test_negative_truncation_order_is_usage_error(self, capsys, tmp_path, kind):
+        # once "error: order must be >= 0" from the first cell's coefficients,
+        # and no error at all from the sharpness suite, which builds none
+        path = self._config(tmp_path, truncation_order=-1)
+        code, out, err = run_cli(capsys, "suite", "--config", str(path), "--kind", kind)
+        assert (code, out, err) == (2, "", "error: truncation_order must be >= 0\n")
+
     @pytest.mark.parametrize("gamma", [0.995, 0.9999])
     def test_sharpness_gamma_beyond_the_ladder_is_skipped(self, capsys, tmp_path, gamma):
         # gamma = 0.995 once exited 2: "requires gamma < a < 1, got gamma=0.995, a=0.99"

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from bohrad import harness
 from bohrad.cli import render_json
 from bohrad.harness import (
+    CellResult,
     SuiteConfig,
     brute_force_tail,
     default_config,
@@ -126,17 +128,42 @@ def per_function_suite(config):
         fns = [one_member_draw(domain, rng) for _ in range(config.samples_per_cell)]
         fns += [Raw(CoefficientSeries([c])) for c in (0.0, 1.0, -1.0, 0.5)]
         fns += [Extremal(domain, a) for a in (0.5, 0.9, 0.999)]
-        n_pass = n_fail = 0
-        worst, worst_fn = -math.inf, None
-        for f in fns:
-            rep = verify_up_to_radius(f, query, radius, grid_points=config.grid_points,
-                                      order=config.truncation_order, tol=config.tolerance)
-            n_pass += rep.passed
-            n_fail += not rep.passed
-            if rep.max_excess > worst:
-                worst, worst_fn = rep.max_excess, f.descriptor()
-        out.append((n_pass, n_fail, worst, worst_fn))
+        out.append(own_verdicts(fns, query, radius, config))
     return out
+
+
+def own_verdicts(fns, query, radius, config):
+    """(n_pass, n_fail, worst_excess, worst descriptor) of fns, each function
+    building its own coefficients in verify_up_to_radius."""
+    n_pass = n_fail = 0
+    worst, worst_fn = -math.inf, None
+    for f in fns:
+        rep = verify_up_to_radius(f, query, radius, grid_points=config.grid_points,
+                                  order=config.truncation_order, tol=config.tolerance)
+        n_pass += rep.passed
+        n_fail += not rep.passed
+        if rep.max_excess > worst:
+            worst, worst_fn = rep.max_excess, f.descriptor()
+    return n_pass, n_fail, worst, worst_fn
+
+
+class TestVerifyFunctions:
+    @pytest.mark.parametrize("family,gamma,p", [
+        (Quadratic(1), 0.5, 0.5), (AlphaCesaro(0.5), 0.75, 1.0), (Bernardi(1, 0.5), 0.0, 1.0),
+    ], ids=str)
+    def test_cell_matches_members_building_their_own_coefficients(self, family, gamma, p):
+        # one kernel call and one np.abs per cell give each function the
+        # report its own coefficients give; a tolerance under the round-off
+        # fails some functions, so the counts are tested too
+        config = SuiteConfig(samples_per_cell=80, tolerance=1e-17, truncation_order=120)
+        query = RadiusQuery(family, DomainParams(gamma), p)
+        cell = CellResult(family=family, gamma=gamma, p=p, radius=minimal_root(query).radius)
+        harness._verify_functions(cell, query, config, np.random.default_rng(3))
+        members = random_bounded_functions(query.domain, np.random.default_rng(3), 80)
+        fns = members + harness._deterministic_functions(query.domain)
+        expected = own_verdicts(fns, query, cell.radius, config)
+        assert (cell.n_pass, cell.n_fail, cell.worst_excess, cell.worst_function) == expected
+        assert cell.n_pass + cell.n_fail == 87
 
 
 class TestInequalitySuite:
@@ -269,6 +296,13 @@ class TestCellIteration:
             SuiteConfig(tolerance=0.0)
         with pytest.raises(ValueError, match="seed must be >= 0"):
             SuiteConfig(seed=-1)
+
+    @pytest.mark.parametrize("field,value", [("truncation_order", -1), ("grid_points", 0)])
+    def test_config_rejects_empty_series_and_grid(self, field, value):
+        # a negative truncation order reached the Blaschke kernel, which
+        # raised IndexError
+        with pytest.raises(ValueError, match=f"{field} must be >= "):
+            SuiteConfig(**{field: value})
 
     @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
     def test_config_rejects_non_finite_tolerance(self, bad):

@@ -100,6 +100,17 @@ def test_cesaro_phi_table_matches_hypergeometric(family):
         assert_matches(_kernels.cesaro_phi_table(*family.ac, float(r), ORDER), oracle)
 
 
+@pytest.mark.parametrize("a, c, r", [(1500.0, 2.0, 0.3337777777778683), (1001.0, 1002.0, 0.9985509341027354),
+                                     (10001.0, 10002.0, 0.999854694894424), (3.0, 4.0, 0.0)])
+def test_cesaro_terms_sum_to_phi0_where_the_table_overflows(a, c, r):
+    # at these p = 1 radii G_j(a) and r^k / G_k(c) overflow apart, while
+    # the terms (a)_j/(c)_j r^j, one recurrence, sum to 2F1(a, 1; c; r)
+    terms = _kernels.cesaro_terms(a, c, r)
+    last = terms.size - 1  # J: a power of two from 64, or 1 at r = 0
+    assert last == 1 if r == 0.0 else last >= 64 and last & (last - 1) == 0
+    assert float(np.sum(terms)) == pytest.approx(float(hyp2f1(a, 1, c, r)), rel=1e-14)
+
+
 @pytest.mark.parametrize("family", [BetaCesaro(0.3), BetaCesaro(1.0), BetaCesaro(3.7),
                                     AlphaCesaro(-0.9), AlphaCesaro(0.0), AlphaCesaro(2.5)], ids=str)
 @pytest.mark.parametrize("k", [0, 3, 17])

@@ -313,15 +313,37 @@ class TestOperatorRadius:
         lhs, rhs = spec.radius_equation(0.9, res.radius)
         assert abs(lhs - rhs) <= 1e-10 * (abs(lhs) + abs(rhs))
 
-    @pytest.mark.parametrize("alpha", [300.0, 1000.0])
-    def test_cross_check_refuses_non_finite_sides(self, alpha):
-        # the series table overflows for alpha above about 150 at gamma = 0:
-        # phi_0 reads inf at alpha = 300 and nan at alpha = 1000, and neither
-        # may pass the check (abs(nan) > tol and inf <= tol * inf both fail)
+    @pytest.mark.parametrize("sides", [(math.nan, 1.0), (math.inf, math.inf), (math.inf, 1.0)], ids=str)
+    def test_cross_check_refuses_non_finite_sides(self, sides, monkeypatch):
+        # a side that overflowed may not pass the check: abs(nan) > tol and
+        # inf - inf = nan fail the comparison, and inf <= tol * inf holds,
+        # which the finiteness test catches
+        monkeypatch.setattr(AlphaCesaro, "radius_equation", lambda self, gamma, x: sides)
+        with pytest.raises(RuntimeError, match="cross-check"):
+            operator_bohr_radius(AlphaCesaro(0.0), DomainParams(0.0))
+
+    @pytest.mark.parametrize("spec, gamma", [
+        pytest.param(BetaCesaro(1500.0), 0.0, id="beta-1500-gamma-0"),
+        pytest.param(BetaCesaro(1000.0), 0.5, id="beta-1000-gamma-0.5"),
+        pytest.param(AlphaCesaro(160.0), 0.0, id="alpha-160-gamma-0"),
+        pytest.param(AlphaCesaro(300.0), 0.0, id="alpha-300-gamma-0"),
+        pytest.param(AlphaCesaro(500.0), 0.0, id="alpha-500-gamma-0"),
+        pytest.param(AlphaCesaro(1000.0), 0.0, id="alpha-1000-gamma-0"),
+        pytest.param(AlphaCesaro(2000.0), 0.0, id="alpha-2000-gamma-0"),
+        pytest.param(AlphaCesaro(1e4), 0.0, id="alpha-10000-gamma-0"),
+    ])
+    def test_printed_equation_past_the_table_overflow(self, spec, gamma):
+        # phi_0 of the printed equation once came from the series table,
+        # whose G_j(a) and r^k / G_k(c) overflow apart: it read inf or nan
+        # and the cross-check refused these radii
         start = time.perf_counter()
-        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(RuntimeError, match="cross-check"):
-            operator_bohr_radius(AlphaCesaro(alpha), DomainParams(0.0))
-        assert time.perf_counter() - start <= 0.5
+        x = operator_bohr_radius(spec, DomainParams(gamma)).radius
+        lhs, rhs = spec.radius_equation(gamma, x)
+        scale = abs(lhs) + abs(rhs)
+        exact = float(printed_equation_oracle(spec, gamma, x))
+        assert abs(exact) <= 1e-10 * scale
+        assert abs((lhs - rhs) - exact) <= 1e-13 * scale
+        assert time.perf_counter() - start < 1.0
 
     def test_radius_continuity_across_beta_one(self):
         base = operator_bohr_radius(BetaCesaro(1.0), DomainParams(0.0)).radius

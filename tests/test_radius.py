@@ -516,6 +516,32 @@ class TestSharpnessWindow:
         res = minimal_root(q(family, 0.25, 1.0))
         assert res.sharp_window_ok is True
 
+    @pytest.mark.parametrize("beta,p", [(1500.0, 1.0), (1000.0, 2.0)])
+    def test_window_ends_at_the_overflow(self, beta, p):
+        # the weights overflow inside the window, where the gap is nan; every
+        # gap before that is negative, and the window read false
+        query = q(BetaCesaro(beta), 0.0, p)
+        res = minimal_root(query)
+        eps = min(0.05, 0.5 * (1.0 - res.radius))
+        pts = res.radius + eps * np.arange(1, radius.WINDOW_SAMPLES + 1) / (radius.WINDOW_SAMPLES + 1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = radius._gap(query, pts)
+        assert np.isnan(g[-1]) and (g[~np.isnan(g)] < 0.0).all()
+        assert res.sharp_window_ok is True
+
+    @pytest.mark.parametrize("gaps,ok", [
+        ([-1.0] * 28 + [math.nan] * 4, True),
+        ([-1.0] * 5 + [math.nan] * 27, True),
+        ([math.nan] + [-1.0] * 31, False),
+        ([math.nan] * 32, False),
+        ([-1.0] * 10 + [math.nan] + [-1.0] * 21, False),
+        ([-1.0] * 10 + [math.nan] * 21 + [-1.0], False),
+        ([-1.0] * 3 + [0.5] + [-1.0] * 16 + [math.nan] * 12, False),
+    ])
+    def test_only_a_trailing_run_of_nan_ends_the_window(self, gaps, ok, monkeypatch):
+        monkeypatch.setattr(radius, "gap", lambda query, x: np.array(gaps))
+        assert sharpness_window_check(q(PowerTail(1)), 0.5, 0.05) is ok
+
 
 # ---------------------------------------------------------------------------
 # alpha-Cesaro and Bernardi radii near 1, against 40-digit mpmath
