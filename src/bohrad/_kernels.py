@@ -15,10 +15,11 @@ once, and above it the log-case connection series in powers of 1 - r
 samples the closed-form product on a circle and takes one inverse FFT, with
 the number of points and the circle chosen by a Cauchy estimate so that
 aliasing stays under 1e-17.  It expands many products at once, one row
-each: the inequality suite calls it once per cell for all of the cell's
-random members, and a single function is one row.  Rows that share a plan
-share their sampling pass and their FFT, and each row's bits are those of
-its call alone.
+each, from a zero matrix padded past each row's zero count: the inequality
+suite hands it once per cell the (F x 5) matrix its draw formed, and a
+single function is one row.  Rows that share a plan share their sampling
+pass and their FFT, and each row's plan and bits are those of its call
+alone.
 
 Series kernels certify their truncation: the table and the direct Lerch
 series take enough terms that a ratio-test bound puts the remaining mass
@@ -280,9 +281,11 @@ def _fft_plan(moduli: list, gamma: float, order: int) -> tuple:
     return n, 10.0 ** (-17.0 / n)
 
 
-def blaschke_series(zero_sets, rotations, order: int, gamma: float = 0.0) -> np.ndarray:
+def blaschke_series(zeros, counts, rotations, order: int, gamma: float = 0.0) -> np.ndarray:
     """Row i: coefficients of rotations[i] * prod (w - a)/(1 - conj(a) w) over
-    the zeros a of zero_sets[i], w = (1-gamma) z + gamma; an (F, order+1) array.
+    the zeros a of zeros[i, :counts[i]], w = (1-gamma) z + gamma; an
+    (F, order+1) array.  zeros is an (F, S) matrix, each row padded past its
+    count; the padding is not read.  counts is a sequence of F ints.
 
     Each product f is sampled at z_j = rho exp(-2 pi i j/N), j < N, and one
     inverse FFT gives rho^k sum_{m>=0} c_(k+mN) rho^(mN): c_k plus its aliases.
@@ -308,42 +311,44 @@ def blaschke_series(zero_sets, rotations, order: int, gamma: float = 0.0) -> np.
 
     Batching.  The plan (N, rho) is made per row; the rows that share one
     are sampled together, a block of at most _BLOCK_ELEMENTS samples at a
-    time, and transformed by one ifft along the rows.  The product runs
-    over zero slots: slot s multiplies every row with more than s zeros.
-    Each row goes through the same operations in the same order as it
-    would alone, so a row's bits do not depend on the other rows (F = 1 is
-    a single function).  A zero-free row is [rotation, 0, ..., 0] exactly.
+    time sliced from zeros, and transformed by one ifft along the rows.  The product runs over zero slots: slot s
+    multiplies every row with more than s zeros.  Each row goes through the
+    same operations in the same order as it would alone, so a row's plan
+    and bits do not depend on the other rows (F = 1 is a single function).
+    A zero-free row is [rotation, 0, ..., 0] exactly.
     """
     order, gamma = int(order), float(gamma)
-    zero_sets = [[complex(a) for a in zeros] for zeros in zero_sets]
-    out = np.zeros((len(zero_sets), order + 1), dtype=np.complex128)
+    out = np.zeros((len(counts), order + 1), dtype=np.complex128)
     out[:, 0] = rotations
+    if not any(counts):  # every row is [rotation, 0, ..., 0]
+        return out
+    zeros = np.asarray(zeros, dtype=np.complex128)
     plans = {}
-    for i, zeros in enumerate(zero_sets):
-        if zeros:
-            plans.setdefault(_fft_plan([abs(a) for a in zeros], gamma, order), []).append(i)
+    for i, (row, count) in enumerate(zip(zeros.tolist(), counts)):
+        if count:
+            plans.setdefault(_fft_plan([abs(a) for a in row[:count]], gamma, order), []).append(i)
     for (n, rho), rows in plans.items():
         w = _circle_grid(n, rho, gamma)
-        rows.sort(key=lambda i: -len(zero_sets[i]))  # a slot's rows are a leading run
+        rows.sort(key=counts.__getitem__, reverse=True)  # a slot's rows are a leading run
         step = max(1, _BLOCK_ELEMENTS // n)
         for b in range(0, len(rows), step):
             block = rows[b : b + step]
             # a slice for a lone row, which a single function always is: a
             # list index costs it a copy in and out
             rows_of = slice(block[0], block[0] + 1) if len(block) == 1 else block
-            c = out[rows_of, :1] * _blaschke_block([zero_sets[i] for i in block], w, order)
+            block_counts = [counts[i] for i in block]
+            c = out[rows_of, :1] * _blaschke_block(zeros[rows_of, : block_counts[0]], block_counts, w, order)
             if rho < 1.0:
                 c *= rho ** -np.arange(order + 1.0)
             out[rows_of] = c
     return out
 
 
-def _blaschke_block(zero_sets, w, order):
-    """c_0 ... c_order of the products over zero_sets on the circle w, the
-    rows sorted by falling zero count, before the rotation and the rho scaling."""
-    counts = [len(zeros) for zeros in zero_sets]
-    # slot s of every row as a column, padded where a row has fewer zeros
-    a = np.array([zeros + [0j] * (counts[0] - len(zeros)) for zeros in zero_sets]).T[:, :, None]
+def _blaschke_block(zeros, counts, w, order):
+    """c_0 ... c_order of the products over the rows of zeros on the circle w,
+    row j with the zeros zeros[j, :counts[j]] and the rows sorted by falling
+    zero count, before the rotation and the rho scaling."""
+    a = zeros.T[:, :, None]  # slot s of every row as a column
     conj = a.conjugate()
     num = w - a[0]
     den = 1.0 - conj[0] * w

@@ -7,10 +7,13 @@ series, so a true member is never flagged because of a finite cutoff.
 verify_up_to_radius is the check of one function, and a suite calls it once
 per function.  What it shares with the other functions of a suite cell is
 built once per cell: the phi table over the grid, from one family.vector
-call, and its truncation allowance (both cached by _phi_matrix).  The check
-reads only |c_k|: the suite takes them for a whole cell from its one kernel
-call and passes each function's row as moduli=, with the same arithmetic.
-The check itself stays per function: each function has its own cap, verdict
+call, and its truncation allowance, whose row sums are one reduction over
+the table (both cached by _phi_matrix, which hands the check the phi_0
+column and the k >= 1 block as read-only views).  The check reads only
+|c_k|: the suite takes them for its random members from one kernel call
+per cell, and for its fixed set from rows cached per (gamma, order), and
+passes each function's row as moduli=, with the same arithmetic.  The
+check itself stays per function: each function has its own cap, verdict
 and excess, and the traced benchmark (perfbench/run.py --trace 1) counts one
 verify_up_to_radius call per verified function, so one matrix product per
 cell must wait until the benchmark counts verified functions instead.
@@ -79,26 +82,30 @@ def verification_order(f: BoundedFunction, order: int) -> int:
 
 @lru_cache(maxsize=512)
 def _phi_matrix(family, radius: float, grid_points: int, order: int):
-    """The read-only grid linspace(0, radius, grid_points), the read-only matrix
-    whose row i holds [phi_0(r_i), ..., phi_order(r_i)], and the truncation
-    allowance: the largest certified sum_{k > order} phi_k(r_i) over the grid.
+    """The read-only grid r = linspace(0, radius, grid_points), read-only views
+    of the table whose row i holds [phi_0(r_i), ..., phi_order(r_i)] -- its
+    phi_0 column and its k >= 1 block -- and the truncation allowance: the
+    largest certified sum_{k > order} phi_k(r_i) over the grid.
 
-    The matrix is one family.vector call over the grid.  The allowance keeps
+    The table is one family.vector call over the grid.  The allowance keeps
     the arithmetic of phi_tail_mass, a 0-d tail at each point less the sum
-    of its row.  The grid lies in [0, radius] with radius checked by
+    of its row, with the row sums of the k >= 1 block taken in one
+    reduction.  The grid lies in [0, radius] with radius checked by
     verify_up_to_radius, so the weights are read unchecked.  A table that is
     not finite raises RuntimeError: a Bohr sum over it would mean nothing."""
     radii = np.linspace(0.0, radius, grid_points)
     mat = family.vector(order, radii)
-    allowance = max(weights._tail_beyond(family, r, row) for r, row in zip(radii.tolist(), mat))
+    mat.flags.writeable = False  # and so are the views of it
+    phi0, block = mat[:, 0], mat[:, 1:]
+    partials = block.sum(axis=1).tolist()
+    allowance = max(weights._tail_beyond(family, r, partial) for r, partial in zip(radii.tolist(), partials))
     if not (np.isfinite(mat).all() and math.isfinite(allowance)):
         raise RuntimeError(
             f"the {family.name} weight table overflowed: phi_0 ... phi_{order} or their tail "
             f"are not finite on [0, {radius}]"
         )
     radii.flags.writeable = False
-    mat.flags.writeable = False
-    return radii, mat, allowance
+    return radii, phi0, block, allowance
 
 
 def verify_up_to_radius(
@@ -130,9 +137,8 @@ def verify_up_to_radius(
         raise ValueError(f"moduli has {len(moduli)} entries; verification needs {order + 1}")
     cap = f.cap()
     radius, grid_points, order = float(radius), int(grid_points), int(order)
-    radii, pmat, allowance = _phi_matrix(query.family, radius, grid_points, order)
-    sums = pmat[:, 0] * moduli[0] ** query.p + pmat[:, 1:] @ moduli[1:]
-    phi0s = pmat[:, 0]
+    radii, phi0s, block, allowance = _phi_matrix(query.family, radius, grid_points, order)
+    sums = phi0s * moduli[0] ** query.p + block @ moduli[1:]
     trunc = cap * allowance
     max_excess = float((sums - phi0s).max())
     return BohrReport(

@@ -5,25 +5,31 @@ deterministic RNG stream from (seed, cell index), so two runs with the same
 config produce byte-identical reports and any failure replays from the report
 alone via the serialized worst-offender descriptor.
 
-The inequality suite does its per-cell work once per cell: one radius solve,
-one draw pass over the cell's random members, one Blaschke kernel call for
-all their coefficients and one np.abs of it (the inequality reads only
-|c_k|), and one phi table over the grid (the cached bohr._phi_matrix).
+The inequality suite builds each input of a cell once.  Per cell: one radius
+solve, one draw pass that forms the random members' zeros as one padded
+(F x 5) matrix, one Blaschke kernel call on that matrix and one np.abs of
+it (the inequality reads only |c_k|), and one phi table over the grid (the
+cached bohr._phi_matrix).  Per (gamma, truncation_order), cached across
+cells: the moduli rows of the fixed set (four constants and three extremal
+maps) and of the negative control, with the control's membership verdict.
 verify_up_to_radius still runs once per function, on its row of moduli: it
 gives each function its own verdict and excess, and the worst offender is
 the function whose report has the largest excess.  Neither the draw nor the
-batched coefficients change a bit of any function's report.
+batched or cached rows change a bit of any function's report.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from . import _kernels, weights
-from .bohr import extremal_margin, verify_up_to_radius
+from .bohr import extremal_margin, verification_order, verify_up_to_radius
 from .radius import NoRootError, RadiusQuery, minimal_root
 from .series import (
     BlaschkeComposed,
@@ -76,6 +82,14 @@ class SuiteConfig:
     negative_controls: bool = True
 
     def __post_init__(self):
+        for name in ("seed", "samples_per_cell", "grid_points", "truncation_order"):
+            value = getattr(self, name)
+            # a bool is an Integral; a float is taken only when it is integral
+            if isinstance(value, bool) or not (
+                isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
+            ):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.samples_per_cell < 1:
@@ -173,9 +187,11 @@ class SuiteReport:
         }
 
 
-def random_bounded_functions(domain: DomainParams, rng: np.random.Generator, count: int) -> list:
-    """Draw count functions, each with 0-5 Blaschke zeros uniformly in |z| <= 0.8
-    plus a random rotation.
+def _draw(rng: np.random.Generator, count: int) -> tuple:
+    """(zeros, counts, rotations) of count members, each with 0-5 Blaschke zeros
+    uniformly in |z| <= 0.8 plus a random rotation: the (count, 5) zero
+    matrix, row j holding member j's zeros in its first counts[j] entries
+    and 0 after them, the list of zero counts and the array of rotations.
 
     Member j takes from rng its number of zeros n_j, then 2 n_j + 1 uniforms:
     the squared radii over 0.64, the angles over 2 pi and the rotation's
@@ -188,43 +204,75 @@ def random_bounded_functions(domain: DomainParams, rng: np.random.Generator, cou
         n = int(rng.integers(0, 6))
         sizes.append(n)
         draws.append(rng.random(2 * n + 1))
+    zeros = np.zeros((count, 5), dtype=np.complex128)
     if not draws:
-        return []
+        return zeros, sizes, np.zeros(0, dtype=np.complex128)
     u = np.concatenate(draws)
     # the zero count of its member and its place in the member, per uniform
-    widths = 2 * np.array(sizes) + 1
-    count_at = np.repeat(sizes, widths)
+    counts = np.array(sizes)
+    widths = 2 * counts + 1
+    count_at = np.repeat(counts, widths)
     place = np.arange(u.size) - np.repeat(np.cumsum(widths) - widths, widths)
     radii = 0.8 * np.sqrt(u[place < count_at])
     angles = 2.0 * np.pi * u[(place >= count_at) & (place < 2 * count_at)]
-    zeros = (radii * np.exp(1j * angles)).tolist()
-    rotations = np.exp(2j * np.pi * u[place == 2 * count_at]).tolist()
-    out, k = [], 0
-    for n, rotation in zip(sizes, rotations):
-        out.append(BlaschkeComposed(domain, tuple(zeros[k : k + n]), rotation))
-        k += n
-    return out
+    zeros[np.arange(5) < counts[:, None]] = radii * np.exp(1j * angles)
+    rotations = np.exp(2j * np.pi * u[place == 2 * count_at])
+    return zeros, sizes, rotations
 
 
-def _deterministic_functions(domain: DomainParams):
-    fns = [Raw(CoefficientSeries([c])) for c in (0.0, 1.0, -1.0, 0.5)]
-    fns += [Extremal(domain, a) for a in (0.5, 0.9, 0.999)]
-    return fns
+def _members(domain: DomainParams, zeros: np.ndarray, counts: list, rotations: np.ndarray) -> list:
+    """One BlaschkeComposed per row of a _draw."""
+    return [
+        BlaschkeComposed(domain, tuple(row[:n]), rotation)
+        for row, n, rotation in zip(zeros.tolist(), counts, rotations.tolist())
+    ]
+
+
+def random_bounded_functions(domain: DomainParams, rng: np.random.Generator, count: int) -> list:
+    """Draw count functions, each with 0-5 Blaschke zeros uniformly in |z| <= 0.8
+    plus a random rotation (the stream of _draw)."""
+    return _members(domain, *_draw(rng, count))
+
+
+class _FixedSet(NamedTuple):
+    functions: tuple
+    rows: tuple
+    control: Raw
+    control_row: np.ndarray
+    control_is_member: bool
+
+
+@lru_cache(maxsize=64)
+def _fixed_set(gamma: float, order: int) -> _FixedSet:
+    """What every inequality cell on Omega(gamma) verifies at order besides its
+    random members, built once: the constants 0, 1, -1, 1/2 and the extremal
+    maps at a = 0.5, 0.9, 0.999 with their read-only moduli rows, then the
+    negative control [0, 2], its row and its membership verdict.  A row is
+    f.coefficients(n).moduli() at n = verification_order(f, order)."""
+    domain = DomainParams(gamma)
+    functions = tuple([Raw(CoefficientSeries([c])) for c in (0.0, 1.0, -1.0, 0.5)]
+                      + [Extremal(domain, a) for a in (0.5, 0.9, 0.999)])
+    control = Raw(CoefficientSeries([0.0, 2.0]))
+    *rows, control_row = [f.coefficients(verification_order(f, order)).moduli() for f in (*functions, control)]
+    for row in (*rows, control_row):
+        row.flags.writeable = False  # shared by every cell on (gamma, order)
+    return _FixedSet(functions, tuple(rows), control, control_row, lemma_bound_report(control.series, domain).ok)
 
 
 def _verify_functions(cell: CellResult, query: RadiusQuery, config: SuiteConfig, rng) -> None:
     """Count the verdicts of one cell's functions into cell: its random members,
-    drawn in one pass and expanded by one kernel call, then the deterministic
-    set.  verify_up_to_radius runs once per function, on its row of moduli
-    and the cell's one phi table; the cell's arrays are freed when it returns."""
-    members = random_bounded_functions(query.domain, rng, config.samples_per_cell)
-    moduli = np.abs(_kernels.blaschke_series([f.zeros for f in members], [f.rotation for f in members],
-                                             config.truncation_order, query.domain.gamma))
+    drawn in one pass and expanded by one kernel call on the draw's zero
+    matrix, then the fixed set, whose rows are built once per (gamma, order).
+    verify_up_to_radius runs once per function, on its row of moduli and the
+    cell's one phi table; the cell's arrays are freed when it returns."""
+    zeros, counts, rotations = _draw(rng, config.samples_per_cell)
+    coefficients = _kernels.blaschke_series(zeros, counts, rotations, config.truncation_order, query.domain.gamma)
+    moduli = np.abs(coefficients)
     if not np.isfinite(moduli).all():
         raise ValueError("coefficients must be finite")
-    fns = members + _deterministic_functions(query.domain)
-    rows = list(moduli) + [None] * (len(fns) - len(members))  # the deterministic set builds its own
-    for f, row in zip(fns, rows):
+    fixed = _fixed_set(query.domain.gamma, config.truncation_order)
+    fns = _members(query.domain, zeros, counts, rotations) + list(fixed.functions)
+    for f, row in zip(fns, [*moduli, *fixed.rows]):
         report = verify_up_to_radius(
             f,
             query,
@@ -277,17 +325,17 @@ def run_inequality_suite(config: SuiteConfig) -> SuiteReport:
             # the control is flagged if either check catches it: the
             # coefficient bound (|a_1| = 2 cannot belong to the class) or,
             # failing that, the inequality itself
-            control = Raw(CoefficientSeries([0.0, 2.0]))
+            fixed = _fixed_set(query.domain.gamma, config.truncation_order)
             report = verify_up_to_radius(
-                control,
+                fixed.control,
                 query,
                 root.radius,
                 grid_points=config.grid_points,
                 order=config.truncation_order,
                 tol=config.tolerance,
+                moduli=fixed.control_row,
             )
-            membership = lemma_bound_report(control.series, query.domain)
-            cell.control_ok = not membership.ok or not report.passed
+            cell.control_ok = not fixed.control_is_member or not report.passed
     controls = [c.control_ok for c in cells if c.control_ok is not None]
     return _report("inequality", config, cells, all(controls) if controls else None)
 

@@ -177,19 +177,22 @@ class BlaschkeComposed(BoundedFunction):
     rotation: complex
 
     def __post_init__(self):
-        zeros = tuple(complex(z) for z in self.zeros)
+        zeros = tuple(map(complex, self.zeros))
+        rotation = complex(self.rotation)
         object.__setattr__(self, "zeros", zeros)
-        object.__setattr__(self, "rotation", complex(self.rotation))
+        object.__setattr__(self, "rotation", rotation)
+        # both tests are written to fail for a nan modulus too
         for z in zeros:
-            if abs(z) >= 1.0:
+            if not abs(z) < 1.0:
                 raise ValueError(f"Blaschke zero {z} must lie strictly inside the unit disk")
-        if abs(abs(self.rotation) - 1.0) > 1e-12:
+        if not abs(abs(rotation) - 1.0) <= 1e-12:
             raise ValueError("rotation must be unimodular")
 
     def coefficients(self, order: int) -> CoefficientSeries:
+        """The one-row case of _kernels.blaschke_series."""
         if order < 0:
             raise ValueError("order must be >= 0")
-        rows = _kernels.blaschke_series([self.zeros], [self.rotation], order, self.domain.gamma)
+        rows = _kernels.blaschke_series([self.zeros], [len(self.zeros)], [self.rotation], order, self.domain.gamma)
         return CoefficientSeries(rows[0])
 
     def __call__(self, z: complex) -> complex:

@@ -490,14 +490,13 @@ def phi_tail_mass(family: WeightFamily, r: float, order: int) -> float:
     """Certified bound on sum_{k > order} phi_k(r) (non-negative)."""
     _prepare_r(r)
     r = float(r)
-    return _tail_beyond(family, r, _phi_vector_cached(family, int(order), r))
+    return _tail_beyond(family, r, float(np.sum(_phi_vector_cached(family, int(order), r)[1:])))
 
 
-def _tail_beyond(family, r, vector):
-    """phi_tail_mass from vector = [phi_0(r), ..., phi_order(r)]: tail(r) less
-    the sum of phi_1(r) ... phi_order(r), at least 0, at a float r already
-    known to lie in [0, 1)."""
-    partial = float(np.sum(vector[1:]))
+def _tail_beyond(family, r, partial):
+    """phi_tail_mass from partial, the sum of phi_1(r) ... phi_order(r):
+    tail(r) less partial, at least 0, at a float r already known to lie in
+    [0, 1)."""
     return max(float(family.tail(np.asarray(r))) - partial, 0.0)
 
 

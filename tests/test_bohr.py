@@ -147,6 +147,15 @@ class TestVerifyUpToRadius:
         assert bohr._phi_matrix.cache_info().misses == 1
         assert range_checks == []
 
+    def test_phi_matrix_hands_out_read_only_views_of_one_table(self):
+        radii, phi0, block, allowance = bohr._phi_matrix(PowerTail(1), 0.3, 5, 10)
+        assert phi0.shape == (5,) and block.shape == (5, 10) and allowance > 0.0
+        assert phi0.base is block.base is not None  # the phi_0 column and the k >= 1 block of one table
+        for array in (radii, phi0, block):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.5
+
     def test_raw_series_never_truncated(self):
         long_raw = Raw(CoefficientSeries(np.full(400, 1e-3)))
         query = RadiusQuery(PowerTail(1), DomainParams(0.0), 1.0)
@@ -166,7 +175,10 @@ class TestGivenModuli:
         radius = minimal_root(query).radius
         fns = [BlaschkeComposed(dom, (0.3 + 0.2j, -0.5), np.exp(0.4j)), BlaschkeComposed(dom, (), -1.0),
                BlaschkeComposed(dom, (0.7j,) * 3, 1.0)]
-        rows = np.abs(_kernels.blaschke_series([f.zeros for f in fns], [f.rotation for f in fns], 150, 0.4))
+        zeros = np.zeros((len(fns), 3), dtype=np.complex128)
+        for row, f in zip(zeros, fns):
+            row[: len(f.zeros)] = f.zeros
+        rows = np.abs(_kernels.blaschke_series(zeros, [len(f.zeros) for f in fns], [f.rotation for f in fns], 150, 0.4))
         for f, row in zip(fns, rows):
             own = verify_up_to_radius(f, query, radius, grid_points=9, order=150).to_dict()
             given = verify_up_to_radius(f, query, radius, grid_points=9, order=150, moduli=row).to_dict()

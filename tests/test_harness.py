@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bohrad import harness
+from bohrad import bohr, harness
 from bohrad.cli import render_json
 from bohrad.harness import (
     CellResult,
@@ -160,33 +160,57 @@ class TestVerifyFunctions:
         cell = CellResult(family=family, gamma=gamma, p=p, radius=minimal_root(query).radius)
         harness._verify_functions(cell, query, config, np.random.default_rng(3))
         members = random_bounded_functions(query.domain, np.random.default_rng(3), 80)
-        fns = members + harness._deterministic_functions(query.domain)
+        fns = members + [Raw(CoefficientSeries([c])) for c in (0.0, 1.0, -1.0, 0.5)]
+        fns += [Extremal(query.domain, a) for a in (0.5, 0.9, 0.999)]
         expected = own_verdicts(fns, query, cell.radius, config)
         assert (cell.n_pass, cell.n_fail, cell.worst_excess, cell.worst_function) == expected
         assert cell.n_pass + cell.n_fail == 87
+
+    @pytest.mark.parametrize("order", [0, 1, 200])
+    @pytest.mark.parametrize("gamma", [0.0, 0.3, 0.75])
+    def test_fixed_set_rows_are_each_functions_own_read_only_moduli(self, gamma, order):
+        # built once per (gamma, order) and shared by every cell on it
+        fixed = harness._fixed_set(gamma, order)
+        assert harness._fixed_set(gamma, order) is fixed
+        assert len(fixed.functions) == len(fixed.rows) == 7
+        for f, row in [*zip(fixed.functions, fixed.rows), (fixed.control, fixed.control_row)]:
+            own = f.coefficients(bohr.verification_order(f, order)).moduli()
+            assert row.tobytes() == own.tobytes() and row.shape == own.shape
+            assert not row.flags.writeable
+            with pytest.raises(ValueError):
+                row[0] = 0.5
+        assert len(fixed.control_row) == max(order, 1) + 1  # the control keeps its a_1 = 2
+        assert fixed.control_is_member is False  # |a_1| = 2 fails the membership screen
+        assert [f.descriptor() for f in fixed.functions] == [
+            *({"kind": "raw", "coefficients": [[c, 0.0]]} for c in (0.0, 1.0, -1.0, 0.5)),
+            *({"kind": "extremal", "gamma": gamma, "a": a} for a in (0.5, 0.9, 0.999)),
+        ]
 
 
 class TestInequalitySuite:
     def test_cell_batching_matches_per_function_loop(self):
         # a tolerance under the round-off of the sums fails some functions,
-        # so the counts are tested as well as the worst excess
-        cfg = SuiteConfig(
-            seed=5,
-            samples_per_cell=60,
-            gamma_grid=(0.0, 0.5, 0.75),
-            p_grid=(0.5, 1.0),
-            families=(PowerTail(1), Quadratic(1), BetaCesaro(2.0), AlphaCesaro(0.5), Bernardi(1, 0.5)),
-            tolerance=1e-17,
-            truncation_order=120,
-        )
-        cells = run_inequality_suite(cfg).cells
-        expected = per_function_suite(cfg)
-        assert len(cells) == len(expected) == 21
-        for cell, ref in zip(cells, expected):
-            assert cell.skipped is None
-            got = (cell.n_pass, cell.n_fail, cell.worst_excess, cell.worst_function)
-            assert got == ref
-        assert sum(c.n_fail for c in cells) > 0
+        # so the counts are tested as well as the worst excess.  Two orders
+        # run in one process: a fixed-set row cached under the wrong
+        # (gamma, order) would have the wrong length or the wrong verdicts.
+        for order in (120, 7):
+            cfg = SuiteConfig(
+                seed=5,
+                samples_per_cell=60,
+                gamma_grid=(0.0, 0.5, 0.75),
+                p_grid=(0.5, 1.0),
+                families=(PowerTail(1), Quadratic(1), BetaCesaro(2.0), AlphaCesaro(0.5), Bernardi(1, 0.5)),
+                tolerance=1e-17,
+                truncation_order=order,
+            )
+            cells = run_inequality_suite(cfg).cells
+            expected = per_function_suite(cfg)
+            assert len(cells) == len(expected) == 21
+            for cell, ref in zip(cells, expected):
+                assert cell.skipped is None
+                got = (cell.n_pass, cell.n_fail, cell.worst_excess, cell.worst_function)
+                assert got == ref
+            assert sum(c.n_fail for c in cells) > 0
 
     def test_single_cell_classical(self):
         cfg = SuiteConfig(
@@ -303,6 +327,23 @@ class TestCellIteration:
         # raised IndexError
         with pytest.raises(ValueError, match=f"{field} must be >= "):
             SuiteConfig(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("samples_per_cell", 2.5), ("grid_points", 3.5), ("truncation_order", 10.5), ("seed", 1.5),
+        ("samples_per_cell", True), ("grid_points", False), ("truncation_order", float("inf")),
+        ("seed", float("nan")), ("seed", "7"),
+    ])
+    def test_config_refuses_non_integral_counts(self, field, value):
+        # 2.5 members ended in a TypeError, 3.5 grid points ran on 3, order
+        # 10.5 asked verify for 11.5 entries and True ran as one member
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got "):
+            SuiteConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["seed", "samples_per_cell", "grid_points", "truncation_order"])
+    def test_config_stores_integral_counts_as_int(self, field):
+        cfg = SuiteConfig(**{field: 3.0})
+        assert type(getattr(cfg, field)) is int and getattr(cfg, field) == 3
+        assert type(getattr(SuiteConfig(**{field: np.int64(4)}), field)) is int
 
     @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
     def test_config_rejects_non_finite_tolerance(self, bad):

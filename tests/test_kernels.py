@@ -8,6 +8,7 @@ The first two are b Phi(r, 1, b) and r^(m+1) Phi(r, 1, b), with the Lerch sum
 Phi(r, 1, b) = sum_k r^k/(k+b) = 2F1(1, b; b+1; r)/b (DLMF 25.14).
 """
 
+import math
 import tracemalloc
 
 import mpmath as mp
@@ -126,7 +127,21 @@ def test_public_phi_k_matches_hypergeometric(family, k, r):
 
 
 # ---------------------------------------------------------------------------
-# the Blaschke kernel over many rows: every row bit for bit its F = 1 call
+# the Blaschke kernel over a zero matrix: every row bit for bit its F = 1 call
+
+def zero_matrix(zero_sets, pad=0j):
+    """The kernel's input for zero_sets: the (F, S) matrix, each row padded
+    with pad past its zeros, and the zero counts."""
+    counts = [len(zeros) for zeros in zero_sets]
+    zeros = np.full((len(zero_sets), max(counts, default=0)), pad, dtype=np.complex128)
+    for row, z in zip(zeros, zero_sets):
+        row[: len(z)] = z
+    return zeros, counts
+
+
+def series_of(zero_sets, rotations, order, gamma):
+    return _kernels.blaschke_series(*zero_matrix(zero_sets), rotations, order, gamma)
+
 
 def blaschke_rows(gamma):
     """Zero sets of every kind the suite and the CLI give the kernel: random
@@ -140,20 +155,35 @@ def blaschke_rows(gamma):
         if i % 10 == 1 and zeros:
             zeros = [zeros[0]] * 3
         rows.append(zeros)
-    rows += [[], [1 - 1e-9], [0.5j, 1 - 1e-9, 0.5j], [0.99 * np.exp(0.3j)] * 2, [], [0.0]]
+    rows += EDGE_ROWS
     rotations = np.exp(2j * np.pi * rng.uniform(size=len(rows))).tolist()
     return rows, rotations
+
+
+EDGE_ROWS = [[], [1 - 1e-9], [0.5j, 1 - 1e-9, 0.5j], [0.99 * np.exp(0.3j)] * 2, [], [0.0]]
+NEAR = (65536, 0.9994028891177479)  # N = 2^16 and rho = 10^(-17/N) at orders up to 2047
+# (N, rho) of the non-empty edge rows, pinned: a change to the plan rule shows here
+EDGE_PLANS = {
+    (0.0, 0): [NEAR, NEAR, (16384, 1.0), (8, 1.0)],
+    (0.0, 40): [NEAR, NEAR, (16384, 1.0), (64, 1.0)],
+    (0.0, 200): [NEAR, NEAR, (16384, 1.0), (256, 1.0)],
+    (0.5, 0): [NEAR, NEAR, (8192, 1.0), (8, 1.0)],
+    (0.5, 40): [NEAR, NEAR, (8192, 1.0), (64, 1.0)],
+    (0.5, 200): [NEAR, NEAR, (8192, 1.0), (256, 1.0)],
+    (0.95, 0): [NEAR, NEAR, (512, 1.0), (8, 1.0)],
+    (0.95, 40): [NEAR, NEAR, (512, 1.0), (64, 1.0)],
+    (0.95, 200): [NEAR, NEAR, (512, 1.0), (256, 1.0)],
+}
 
 
 @pytest.mark.parametrize("order", [0, 40, 200])
 @pytest.mark.parametrize("gamma", [0.0, 0.5, 0.95])
 def test_blaschke_rows_match_single_rows_to_the_bit(gamma, order):
     zero_sets, rotations = blaschke_rows(gamma)
-    got = _kernels.blaschke_series(zero_sets, rotations, order, gamma)
+    got = series_of(zero_sets, rotations, order, gamma)
     assert got.shape == (len(zero_sets), order + 1)
-    assert _kernels._fft_plan([1 - 1e-9], gamma, order)[1] < 1.0  # the rho < 1 path is covered
     for zeros, rotation, row in zip(zero_sets, rotations, got):
-        single = _kernels.blaschke_series([zeros], [rotation], order, gamma)
+        single = series_of([zeros], [rotation], order, gamma)
         assert single.shape == (1, order + 1)
         assert row.tobytes() == single[0].tobytes()
         if not zeros:
@@ -162,13 +192,69 @@ def test_blaschke_rows_match_single_rows_to_the_bit(gamma, order):
             assert row.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("order", [0, 40, 200])
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 0.95])
+def test_blaschke_edge_rows_keep_their_plans(gamma, order):
+    # the rho < 1 path, a double zero at 0.99 and a zero at the origin
+    plans = [_kernels._fft_plan([abs(complex(a)) for a in zeros], gamma, order) for zeros in EDGE_ROWS if zeros]
+    assert plans == EDGE_PLANS[gamma, order]
+
+
+def reference_plan(moduli, gamma, order):
+    """The documented plan rule for one row in scalar arithmetic: N is the
+    least power of two >= order + 1 whose Cauchy alias bound on the circle
+    of radius R = (W - gamma)/(1 - gamma), W = 1/sqrt(max|a|), is at most
+    1e-17; past 2^16 points, or when that circle does not enclose the unit
+    disk inside the poles, N = max(2^16, 32 (order+1)) rounded up to a power
+    of two on rho = 10^(-17/N)."""
+    n = 1 << order.bit_length()
+    amax = max(max(moduli), 1e-8)
+    wr = amax ** -0.5
+    r = (wr - gamma) / (1.0 - gamma)
+    if amax * wr < 1.0 and r > 1.0:
+        bound = 1.0
+        for x in moduli:
+            bound *= (wr - x) / (1.0 - x * wr)
+        need = (math.log(bound) + math.log(2e17)) / math.log(r)
+        if need <= 1 << 16:
+            while n < need:
+                n *= 2
+            return n, 1.0
+    n = max(1 << 16, 1 << (32 * (order + 1) - 1).bit_length())
+    return n, 10.0 ** (-17.0 / n)
+
+
+def test_blaschke_plans_match_the_scalar_rule_on_a_seeded_sweep():
+    # 12,000 rows of 1-5 zeros over gamma <= 0.99 and orders 0-600, a tenth
+    # of the moduli within 1e-9 of 1, down to the last float below 1
+    rng = np.random.default_rng(20261019)
+    near_one = [1 - 1e-9, 1 - 1e-12, 1 - 1e-15, 1 - 2.0 ** -52, 1 - 2.0 ** -53, 0.0, 1e-9]
+    rows = 0
+    for _ in range(200):
+        gamma = float(rng.choice([0.0, 0.25, 0.5, 0.75, 0.95, 0.99, rng.uniform(0.0, 0.99)]))
+        order = int(rng.integers(0, 601))
+        counts = rng.integers(1, 6, 60)
+        width = int(counts.max())
+        moduli = rng.uniform(0.0, 0.999, (60, width)) ** rng.uniform(0.2, 1.0, (60, width))
+        moduli = np.where(rng.random((60, width)) < 0.1, rng.choice(near_one, (60, width)), moduli)
+        zeros = moduli * np.exp(2j * np.pi * rng.random((60, width)))
+        for row, n in zip(zeros.tolist(), counts.tolist()):
+            moduli = [abs(a) for a in row[:n]]
+            assert _kernels._fft_plan(moduli, gamma, order) == reference_plan(moduli, gamma, order)
+            rows += 1
+    assert rows >= 10_000
+
+
 def test_blaschke_rows_do_not_depend_on_their_neighbours():
     zero_sets, rotations = blaschke_rows(0.5)
-    whole = _kernels.blaschke_series(zero_sets, rotations, 200, 0.5)
+    whole = series_of(zero_sets, rotations, 200, 0.5)
     perm = np.random.default_rng(3).permutation(len(zero_sets))
-    shuffled = _kernels.blaschke_series([zero_sets[i] for i in perm], [rotations[i] for i in perm], 200, 0.5)
+    shuffled = series_of([zero_sets[i] for i in perm], [rotations[i] for i in perm], 200, 0.5)
     assert shuffled.tobytes() == whole[perm].tobytes()
-    assert _kernels.blaschke_series([], [], 200, 0.5).shape == (0, 201)
+    # nor on the padding past each row's zeros
+    padded = _kernels.blaschke_series(*zero_matrix(zero_sets, pad=0.999 + 0.5j), rotations, 200, 0.5)
+    assert padded.tobytes() == whole.tobytes()
+    assert _kernels.blaschke_series(np.zeros((0, 5)), [], [], 200, 0.5).shape == (0, 201)
 
 
 def test_blaschke_kernel_works_in_blocks_of_rows():
@@ -178,9 +264,10 @@ def test_blaschke_kernel_works_in_blocks_of_rows():
     # runs alone, at the 4 MiB that one such row always needed.
     zero_sets, rotations = blaschke_rows(0.25)
     for rows, bound in ((zero_sets[:120] * 4, 1 << 20), ([[1 - 1e-9]] * 3, 5 << 20)):
+        zeros, counts = zero_matrix(rows)
         tracemalloc.start()
         try:
-            out = _kernels.blaschke_series(rows, (rotations[:120] * 4)[: len(rows)], 200, 0.25)
+            out = _kernels.blaschke_series(zeros, counts, (rotations[:120] * 4)[: len(rows)], 200, 0.25)
             peak = tracemalloc.get_traced_memory()[1] - out.nbytes
         finally:
             tracemalloc.stop()

@@ -102,7 +102,7 @@ class TestGap:
         for built in (radius._SPARSE, radius._COARSE[:31], radius._COARSE[992:999],
                       0.4 + 0.01 * radius._SECTIONS, np.asarray(0.45)):
             same_bits(radius._gap(query, built), weight_gap(built))
-        radii, _, allowance = bohr._phi_matrix(family, 0.45, 12, 60)
+        radii, _, _, allowance = bohr._phi_matrix(family, 0.45, 12, 60)
         same_bits(allowance, max(weights.phi_tail_mass(family, r, 60) for r in radii))
 
 

@@ -259,6 +259,17 @@ class TestBlaschkeCoefficients:
         with pytest.raises(ValueError):
             BlaschkeComposed(DomainParams(0.0), (0.2,), 0.5)
 
+    # abs(z) >= 1 and |abs(rotation) - 1| > 1e-12 were both false for nan, so a
+    # nan zero or rotation was accepted and its cap() and coefficients were nan
+    @pytest.mark.parametrize("zero", [complex("nan"), complex(0.3, float("nan"))], ids=["nan", "nan-imag"])
+    def test_rejects_nan_zero(self, zero):
+        with pytest.raises(ValueError, match="must lie strictly inside the unit disk"):
+            BlaschkeComposed(DomainParams(0.0), (0.2, zero), 1.0)
+
+    def test_rejects_nan_rotation(self):
+        with pytest.raises(ValueError, match="rotation must be unimodular"):
+            BlaschkeComposed(DomainParams(0.0), (0.2,), complex("nan"))
+
     @given(
         st.lists(st.complex_numbers(max_magnitude=0.8, allow_nan=False), max_size=5),
         st.floats(0, 2 * np.pi),
