@@ -1,19 +1,22 @@
 """Hot numeric kernels, one numpy implementation each.
 
+No kernel knows a weight family: each takes plain parameters, and the
+formulas of a family live in its class in weights, which calls them.
+
 The beta- and alpha-Cesaro operators are one Euler-integral operator with
 parameters (a, c) = (beta, 2) or (alpha+1, alpha+2), and one table kernel
 sums the weights of both, phi_n = sum_j G_j(a) r^(n+j) / G_(n+j)(c) with
 G_j(x) = (x)_j/j!, as the correlation of two sequences each built by one
 cumulative product.  rising_ratios builds G_j(x) for the tables, for the
 operators' coefficient transform and for the public ratio functions; the
-Gauss-Jacobi rules of the integral forms live here too.  phi_0 of the
-alpha-Cesaro family and the Bernardi tail are one Lerch sum
-Phi(r, 1, b) = sum_k r^k/(k+b) = 2F1(1, b; b+1; r)/b with two branches: the
-direct series below max(0.9, 1 - 1/b), as matrix products over all radii at
-once, and above it the log-case connection series in powers of 1 - r
-(DLMF 15.8.10), 32 terms at every r up to 1 - 1e-9.  The Blaschke kernel
-samples the closed-form product on a circle and takes one inverse FFT, with
-the number of points and the circle chosen by a Cauchy estimate so that
+Gauss-Jacobi rules of the integral forms live here too.  The Lerch sum
+Phi(r, 1, b) = sum_k r^k/(k+b) = 2F1(1, b; b+1; r)/b, from which
+AlphaCesaro.phi0 and Bernardi.tail are built, has two branches: the direct
+series below max(0.9, 1 - 1/b), as matrix products over all radii at once,
+and above it the log-case connection series in powers of 1 - r (DLMF
+15.8.10), 32 terms at every r up to 1 - 1e-9.  The Blaschke kernel samples
+the closed-form product on a circle and takes one inverse FFT, with the
+number of points and the circle chosen by a Cauchy estimate so that
 aliasing stays under 1e-17.  It expands many products at once, one row
 each, from a zero matrix padded past each row's zero count: the inequality
 suite hands it once per cell the (F x 5) matrix its draw formed, and a
@@ -107,7 +110,8 @@ def cesaro_phi_table(a: float, c: float, r: float, order: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# alpha-Cesaro phi_0 and the Bernardi tail are one Lerch sum (DLMF 15.2, 25.14):
+# the Lerch sum (DLMF 15.2, 25.14), from which weights builds the alpha-Cesaro
+# phi_0 and the Bernardi tail:
 # Phi(r, 1, b) = sum_{k>=0} r^k / (k+b) = 2F1(1, b; b+1; r) / b, b > 0
 
 _LERCH_TOL = 1e-17  # truncation bound of the direct series, relative to Phi >= 1/b
@@ -226,18 +230,6 @@ def lerch_phi(b: float, r: np.ndarray) -> np.ndarray:
     out[~near] = _lerch_direct(b, below, float(below.max()))
     out[near] = _lerch_log(b, r[near])
     return out.reshape(shape)
-
-
-def alpha_phi0(alpha: float, r: np.ndarray) -> np.ndarray:
-    """phi_0 = (1+alpha) Phi(r, 1, alpha+1) at every point of r."""
-    alpha = float(alpha)
-    return (1.0 + alpha) * lerch_phi(alpha + 1.0, r)
-
-
-def bernardi_tail(m: int, delta: float, r: np.ndarray) -> np.ndarray:
-    """Bernardi tail sum_{n>=1} r^(n+m) / (n+m+delta) = r^(m+1) Phi(r, 1, m+1+delta)."""
-    r = np.asarray(r, dtype=np.float64)
-    return r ** (m + 1.0) * lerch_phi(m + 1.0 + float(delta), r)
 
 
 # ---------------------------------------------------------------------------

@@ -128,8 +128,8 @@ def verify_up_to_radius(
         raise ValueError("radius must be in [0, 1)")
     if not math.isfinite(tol):
         raise ValueError("tolerance must be finite")
-    if grid_points < 1:
-        raise ValueError("grid_points must be >= 1")
+    if grid_points < 2:  # one point is r = 0 alone
+        raise ValueError("grid_points must be >= 2")
     order = verification_order(f, order)
     if moduli is None:
         moduli = f.coefficients(order).moduli()

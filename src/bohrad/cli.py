@@ -365,15 +365,20 @@ def _config_value(name: str, kind: type, value):
     """SuiteConfig field name, whose default has type kind, from its JSON value."""
     if name == "families":
         return tuple(make_family(entry["name"], entry.get("params")) for entry in value)
+    # a JSON number is an int or a float; type() keeps out true, false and strings
     if kind is tuple:
+        if not (type(value) is list and all(type(v) in (int, float) for v in value)):
+            raise ValueError(f"config key {name!r} must be a list of numbers, got {value!r}")
         return tuple(float(v) for v in value)
     if kind is float:
+        if type(value) not in (int, float):
+            raise ValueError(f"config key {name!r} must be a number, got {value!r}")
         return float(value)
     if kind is bool:
         if not isinstance(value, bool):
             raise ValueError(f"config key {name!r} must be true or false")
         return value
-    # int: an integral JSON number; type() keeps out true and false
+    # int: an integral JSON number
     if not (type(value) is int or type(value) is float and value.is_integer()):
         raise ValueError(f"config key {name!r} must be an integer, got {value!r}")
     return int(value)

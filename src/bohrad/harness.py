@@ -104,13 +104,18 @@ class SuiteConfig:
             raise ValueError("tolerance must be positive")
         if not math.isfinite(self.tolerance):
             raise ValueError("tolerance must be finite")
-        if self.grid_points < 1:
-            raise ValueError("grid_points must be >= 1")
+        if self.grid_points < 2:  # one point is r = 0 alone
+            raise ValueError("grid_points must be >= 2")
         if self.truncation_order < 0:
             raise ValueError("truncation_order must be >= 0")
+        if not isinstance(self.negative_controls, bool):
+            raise ValueError(f"negative_controls must be True or False, got {self.negative_controls!r}")
         object.__setattr__(self, "gamma_grid", tuple(float(g) for g in self.gamma_grid))
         object.__setattr__(self, "p_grid", tuple(float(p) for p in self.p_grid))
         object.__setattr__(self, "families", tuple(self.families))
+        for f in self.families:
+            if not isinstance(f, WeightFamily):
+                raise ValueError(f"families must hold WeightFamily instances, got {f!r}")
 
 
 def default_config(**overrides) -> SuiteConfig:
@@ -262,9 +267,10 @@ def _fixed_set(gamma: float, order: int) -> _FixedSet:
 def _verify_functions(cell: CellResult, query: RadiusQuery, config: SuiteConfig, rng) -> None:
     """Count the verdicts of one cell's functions into cell: its random members,
     drawn in one pass and expanded by one kernel call on the draw's zero
-    matrix, then the fixed set, whose rows are built once per (gamma, order).
-    verify_up_to_radius runs once per function, on its row of moduli and the
-    cell's one phi table; the cell's arrays are freed when it returns."""
+    matrix, then the fixed set, whose rows are built once per (gamma, order),
+    and last the negative control if config runs it.  verify_up_to_radius
+    runs once per function, on its row of moduli and the cell's one phi
+    table; the cell's arrays are freed when it returns."""
     zeros, counts, rotations = _draw(rng, config.samples_per_cell)
     coefficients = _kernels.blaschke_series(zeros, counts, rotations, config.truncation_order, query.domain.gamma)
     moduli = np.abs(coefficients)
@@ -272,7 +278,11 @@ def _verify_functions(cell: CellResult, query: RadiusQuery, config: SuiteConfig,
         raise ValueError("coefficients must be finite")
     fixed = _fixed_set(query.domain.gamma, config.truncation_order)
     fns = _members(query.domain, zeros, counts, rotations) + list(fixed.functions)
-    for f, row in zip(fns, [*moduli, *fixed.rows]):
+    rows = [*moduli, *fixed.rows]
+    if config.negative_controls:
+        fns.append(fixed.control)
+        rows.append(fixed.control_row)
+    for f, row in zip(fns, rows):
         report = verify_up_to_radius(
             f,
             query,
@@ -282,6 +292,12 @@ def _verify_functions(cell: CellResult, query: RadiusQuery, config: SuiteConfig,
             tol=config.tolerance,
             moduli=row,
         )
+        if f is fixed.control:
+            # the control is flagged if either check catches it: the
+            # coefficient bound (|a_1| = 2 cannot belong to the class) or,
+            # failing that, the inequality itself
+            cell.control_ok = not fixed.control_is_member or not report.passed
+            continue
         if report.passed:
             cell.n_pass += 1
         else:
@@ -319,23 +335,8 @@ def run_inequality_suite(config: SuiteConfig) -> SuiteReport:
     """Verify the weighted inequality per cell: random members plus the
     deterministic set, all checked up to the computed sharp radius."""
     cells = []
-    for idx, cell, query, root in _solved_cells(config, cells):
+    for idx, cell, query, _ in _solved_cells(config, cells):
         _verify_functions(cell, query, config, np.random.default_rng([config.seed, idx]))
-        if config.negative_controls:
-            # the control is flagged if either check catches it: the
-            # coefficient bound (|a_1| = 2 cannot belong to the class) or,
-            # failing that, the inequality itself
-            fixed = _fixed_set(query.domain.gamma, config.truncation_order)
-            report = verify_up_to_radius(
-                fixed.control,
-                query,
-                root.radius,
-                grid_points=config.grid_points,
-                order=config.truncation_order,
-                tol=config.tolerance,
-                moduli=fixed.control_row,
-            )
-            cell.control_ok = not fixed.control_is_member or not report.passed
     controls = [c.control_ok for c in cells if c.control_ok is not None]
     return _report("inequality", config, cells, all(controls) if controls else None)
 

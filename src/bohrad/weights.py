@@ -1,22 +1,26 @@
 """Weight families {phi_k(r)}: non-negative continuous functions on [0, 1).
 
-Each family is one frozen dataclass holding all that is known about it. The
-elementary families share a monomial base, phi_k = c(k) r^k from k = N on.
-The beta-Cesaro, alpha-Cesaro and Bernardi families arise from the integral
-operators they are named after; they share the OperatorFamily base, which
-also holds the operator itself, and are summed by the kernels in _kernels.
-The two Cesaro operators are one Euler-integral operator with parameters
-(a, c): CesaroFamily holds its table, transform, quadrature and radius
-equation, and BetaCesaro and AlphaCesaro hold only their field, (a, c) and
-the closed forms of phi_0 and of the sum of all weights.
+Each family is one frozen dataclass holding all that is known about it, and
+each of its formulas has one implementation there: phi0, tail and the table
+vector.  A single phi_k is column k of the table, so it is bit for bit the
+entry a Bohr sum reads.  The elementary families share a monomial base,
+phi_k = c(k) r^k from k = N on.  The beta-Cesaro, alpha-Cesaro and Bernardi
+families arise from the integral operators they are named after; they share
+the OperatorFamily base, which also holds the operator itself, and call the
+family-free kernels of _kernels with their parameters (the Cesaro table,
+and the Lerch sum behind AlphaCesaro.phi0 and Bernardi.tail).  The two
+Cesaro operators are one Euler-integral operator with parameters (a, c):
+CesaroFamily holds its table, transform, quadrature and radius equation,
+and BetaCesaro and AlphaCesaro hold only their field, (a, c) and the closed
+forms of phi_0 and of the sum of all weights.
 
 The module functions phi0, phi_k, tail_sum, phi_vector and phi_tail_mass
 take a scalar r or a numpy array, check r in [0, 1) once and call the
 family's method; radius.gap and radius.sharpness_window_check are the
 checked entry points for the gap.  The methods check nothing: they take an
-already-checked float array (vector takes a float or a 1-d array).  Only
-code that builds its own grid inside [0, 1), such as the radius solver and
-the verification grid, calls them directly.  All evaluators are pure.
+already-checked float array (vector takes a 1-d one).  Only code that
+builds its own grid inside [0, 1), such as the radius solver and the
+verification grid, calls them directly.  All evaluators are pure.
 """
 
 from __future__ import annotations
@@ -37,33 +41,25 @@ BETA_ZERO_LIMIT = 1e-17  # beta below this takes the beta -> 0 limit of the tota
 class WeightFamily:
     """Base of the families, which are frozen dataclasses.
 
-    A family defines ``name`` (its CLI name) and the methods phi0(r),
-    tail(r) = sum_{k>=1} phi_k(r) and vector(order, r) = [phi_0(r), ...,
-    phi_order(r)].  phi0 and tail take r as a float array, 0-d or not, that
-    is already known to lie in [0, 1), and check nothing; vector takes such
-    an r as a float, or as a 1-d array, for which it returns the table with
-    one row per point, each row bit for bit the vector at that point.  A
-    family without a closed form over a grid gives _vector_at(order, r) at a
-    float r and inherits vector, which loops over the points.  phi0_tail(r)
-    is the pair (phi0(r), tail(r)) for the radius gap; a family whose tail
-    is built from its phi_0 overrides it to evaluate phi_0 once, and one
-    whose phi_0 is exactly constant may give it as a float.
-    phi_k(k, r) reads entry k of vector(k, x) at each point; a family with a
-    closed form for phi_k may override it.  Callers outside a grid they
-    built themselves go through the module functions, which check r.
+    A family defines ``name`` (its CLI name) and three methods, each at an r
+    that is already known to lie in [0, 1) and checks nothing: phi0(r) and
+    tail(r) = sum_{k>=1} phi_k(r) at a float array, 0-d or not, and
+    vector(order, r) at a 1-d float array, the table whose row i is
+    [phi_0(r[i]), ..., phi_order(r[i])], each row bit for bit the table of
+    its point alone.  A family without a closed form over a grid gives
+    _vector_at(order, x) at a float x and inherits vector, which loops over
+    the points.  phi0_tail(r) is the pair (phi0(r), tail(r)) for the radius
+    gap; a family whose tail is built from its phi_0 overrides it to
+    evaluate phi_0 once, and one whose phi_0 is exactly constant may give it
+    as a float.  A single phi_k is read from the table (weights.phi_k), so
+    each formula has one implementation.  Callers outside a grid they built
+    themselves go through the module functions, which check r.
     """
 
     def vector(self, order, r):
-        """[phi_0(r), ..., phi_order(r)] at a float r; at a 1-d r, the table
-        whose row i is the vector at r[i], built one point at a time by the
-        family's _vector_at(order, r)."""
-        if np.ndim(r) == 0:
-            return self._vector_at(order, float(r))
+        """The table whose row i is [phi_0(r[i]), ..., phi_order(r[i])] at a
+        1-d r, built one point at a time by the family's _vector_at."""
         return np.array([self._vector_at(order, x) for x in r.tolist()]).reshape(len(r), order + 1)
-
-    def phi_k(self, k, r):
-        """phi_k at every point of r, in r's shape."""
-        return np.array([self.vector(k, x)[k] for x in r.ravel().tolist()]).reshape(r.shape)
 
     def phi0_tail(self, r):
         """(phi0(r), tail(r))."""
@@ -97,18 +93,11 @@ class MonomialFamily(WeightFamily):
     def phi0_tail(self, r):
         return 1.0, self.tail(r)
 
-    def phi_k(self, k, r):
-        if k == 0:
-            return np.ones_like(r)
-        if k < self.N:
-            return np.zeros_like(r)
-        return self.coef(k) * r ** k
-
     def vector(self, order, r):
         k = np.arange(order + 1)
-        v = self.coef(k) * np.asarray(r)[..., None] ** k.astype(float)
-        v[..., 0] = 1.0
-        v[..., 1 : self.N] = 0.0
+        v = self.coef(k) * r[:, None] ** k.astype(float)
+        v[:, 0] = 1.0
+        v[:, 1 : self.N] = 0.0
         return v
 
 
@@ -339,7 +328,8 @@ class AlphaCesaro(CesaroFamily):
         return self.alpha + 1.0, self.alpha + 2.0
 
     def phi0(self, r):
-        return _kernels.alpha_phi0(self.alpha, np.atleast_1d(r)).reshape(r.shape)
+        """(1+alpha) Phi(r, 1, alpha+1) from the Lerch kernel."""
+        return ((1.0 + self.alpha) * _kernels.lerch_phi(self.alpha + 1.0, np.atleast_1d(r))).reshape(r.shape)
 
     def total(self, r):
         return 1.0 / (1.0 - r)
@@ -364,15 +354,14 @@ class Bernardi(OperatorFamily):
     def phi0(self, r):
         return r ** self.m / (self.m + self.delta)
 
-    def phi_k(self, k, r):
-        return r ** (k + self.m) / (k + self.m + self.delta)
-
     def tail(self, r):
-        return _kernels.bernardi_tail(self.m, self.delta, np.atleast_1d(r)).reshape(r.shape)
+        """sum_{n>=1} r^(n+m) / (n+m+delta) = r^(m+1) Phi(r, 1, m+1+delta) from the Lerch kernel."""
+        r1 = np.atleast_1d(r)
+        return (r1 ** (self.m + 1.0) * _kernels.lerch_phi(self.m + 1.0 + self.delta, r1)).reshape(r.shape)
 
     def vector(self, order, r):
         k = np.arange(order + 1)
-        return np.asarray(r)[..., None] ** (k + float(self.m)) / (k + self.m + self.delta)
+        return r[:, None] ** (k + float(self.m)) / (k + self.m + self.delta)
 
     def transform(self, a):
         """b_n = a_n / (n + delta), requiring a_k = 0 for k < m."""
@@ -427,9 +416,6 @@ class CustomFamily(WeightFamily):
         arr = np.asarray(r, dtype=np.float64)
         return np.array([float(self.phi_k_fn(k, arr)) for k in range(order + 1)])
 
-    def phi_k(self, k, r):
-        return self.phi_k_fn(k, r)
-
     def tail(self, r):
         return self.tail_fn(r)
 
@@ -458,11 +444,13 @@ def phi0(family: WeightFamily, r):
 
 
 def phi_k(family: WeightFamily, k: int, r):
-    """phi_k(r); exact for the monomial and Bernardi families, from the certified table otherwise."""
+    """phi_k(r): column k of the family's table over the points of r, in r's
+    shape, bit for bit the entry a Bohr sum over that table reads."""
     if int(k) != k or k < 0:
         raise ValueError("k must be an integer >= 0")
     arr, scalar = _prepare_r(r)
-    return _unwrap(family.phi_k(int(k), arr), scalar)
+    k = int(k)
+    return _unwrap(family.vector(k, arr.reshape(-1))[:, k].reshape(arr.shape), scalar)
 
 
 def tail_sum(family: WeightFamily, r):
@@ -481,7 +469,7 @@ def phi_vector(family: WeightFamily, order: int, r: float) -> np.ndarray:
 
 @lru_cache(maxsize=4096)
 def _phi_vector_cached(family, order, r):
-    v = family.vector(order, r)
+    v = family.vector(order, np.array([r]))[0]
     v.flags.writeable = False
     return v
 

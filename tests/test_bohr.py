@@ -132,6 +132,16 @@ class TestVerifyUpToRadius:
         with pytest.raises(ValueError, match="tolerance must be finite"):
             verify_up_to_radius(Extremal(DomainParams(0.0), 0.9), query, 0.3, tol=tol)
 
+    @pytest.mark.parametrize("points", [0, 1])
+    def test_rejects_grid_of_fewer_than_two_points(self, points):
+        # linspace(0, R, 1) is [0]: one point checked r = 0 alone and passed
+        # the extremal map well past its radius
+        query = RadiusQuery(PowerTail(1), DomainParams(0.0), 1.0)
+        f = Extremal(DomainParams(0.0), 0.999)
+        with pytest.raises(ValueError, match="grid_points must be >= 2"):
+            verify_up_to_radius(f, query, 0.7, grid_points=points)
+        assert not verify_up_to_radius(f, query, 0.7, grid_points=2).passed
+
     def test_negative_tolerance_still_accepted(self):
         query = RadiusQuery(PowerTail(1), DomainParams(0.0), 1.0)
         rep = verify_up_to_radius(Raw(CoefficientSeries([0.7])), query, 0.3, tol=-1.0)

@@ -293,6 +293,20 @@ class TestVerifyCommand:
         assert code == 1
         assert json.loads(out)["pass"] is False
 
+    @pytest.mark.parametrize("points", ["1", "0"])
+    def test_grid_of_fewer_than_two_points_is_usage_error(self, capsys, points):
+        # one point is r = 0 alone: this call printed pass: true and exited 0,
+        # while two points fail it
+        base = ["verify", "--fn", "extremal:0.999", "--family", "power-tail",
+                "--gamma", "0", "--r-beyond", "0.2"]
+        code, out, err = run_cli(capsys, *base, "--grid-points", points)
+        assert code == 2
+        assert out == ""
+        assert err == "error: grid_points must be >= 2\n"
+        code, out, _ = run_cli(capsys, *base, "--grid-points", "2")
+        assert code == 1
+        assert json.loads(out)["pass"] is False
+
     def test_non_member_coefficient_file_fails(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("0 0\n2 0\n")
@@ -505,10 +519,16 @@ class TestSuiteCommand:
             ("seed", True),
             ("negative_controls", "false"),
             ("negative_controls", 0),
+            ("tolerance", True),
+            ("tolerance", "1e-9"),
+            ("p_grid", [True]),
+            ("gamma_grid", ["0"]),
+            ("gamma_grid", 0.0),
         ],
     )
     def test_coerced_value_is_usage_error(self, capsys, tmp_path, key, value):
-        # once read as int(2.7) == 2, int(True) == 1 and bool("false") is True
+        # once read as int(2.7) == 2, int(True) == 1, bool("false") is True,
+        # float(True) == 1 and float("0") == 0
         path = self._config(tmp_path, **{key: value})
         code, out, err = run_cli(capsys, "suite", "--config", str(path))
         assert code == 2

@@ -320,11 +320,17 @@ class TestCellIteration:
             SuiteConfig(tolerance=0.0)
         with pytest.raises(ValueError, match="seed must be >= 0"):
             SuiteConfig(seed=-1)
+        # "false" ran the controls, and a family name ended in AttributeError
+        # at the first radius solve
+        with pytest.raises(ValueError, match="negative_controls must be"):
+            SuiteConfig(negative_controls="false")
+        with pytest.raises(ValueError, match="families must hold"):
+            SuiteConfig(families=("power-tail",))
 
-    @pytest.mark.parametrize("field,value", [("truncation_order", -1), ("grid_points", 0)])
+    @pytest.mark.parametrize("field,value", [("truncation_order", -1), ("grid_points", 0), ("grid_points", 1)])
     def test_config_rejects_empty_series_and_grid(self, field, value):
         # a negative truncation order reached the Blaschke kernel, which
-        # raised IndexError
+        # raised IndexError; one grid point checks r = 0 alone
         with pytest.raises(ValueError, match=f"{field} must be >= "):
             SuiteConfig(**{field: value})
 

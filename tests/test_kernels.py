@@ -5,7 +5,8 @@ Each weight series is a 2F1 (DLMF 15.2):
     Bernardi tail  = r^(m+1)/(m+1+delta) 2F1(1, m+1+delta; m+2+delta; r)
     Cesaro phi_k   = r^k k!/(c)_k 2F1(a, k+1; k+c; r), (a, c) = (beta, 2) or (alpha+1, alpha+2)
 The first two are b Phi(r, 1, b) and r^(m+1) Phi(r, 1, b), with the Lerch sum
-Phi(r, 1, b) = sum_k r^k/(k+b) = 2F1(1, b; b+1; r)/b (DLMF 25.14).
+Phi(r, 1, b) = sum_k r^k/(k+b) = 2F1(1, b; b+1; r)/b (DLMF 25.14), which
+AlphaCesaro.phi0 and Bernardi.tail take from _kernels.lerch_phi.
 """
 
 import math
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 from bohrad import _kernels, radius
-from bohrad.weights import AlphaCesaro, BetaCesaro, phi_k
+from bohrad.weights import AlphaCesaro, Bernardi, BetaCesaro, phi_k
 
 R_ORACLE = np.linspace(0.0, 0.95, 12)
 ORDER = 30
@@ -54,7 +55,7 @@ def test_alpha_phi0_matches_hypergeometric(alpha):
     with mp.workdps(40):
         b = mp.mpf(alpha) + 1
         oracle = [b * lerch_oracle(b, x) for x in r]
-    assert_matches(_kernels.alpha_phi0(alpha, r), oracle)
+    assert_matches(AlphaCesaro(alpha).phi0(r), oracle)
 
 
 @pytest.mark.parametrize("m,delta", [(1, 1.0), (2, -0.5), (1, -0.9), (3, 2.0), (1, -0.9999), (5, -4.99),
@@ -64,7 +65,7 @@ def test_bernardi_tail_matches_hypergeometric(m, delta):
     with mp.workdps(40):
         b = mp.mpf(delta) + m + 1
         oracle = [mp.mpf(float(x)) ** (m + 1) * lerch_oracle(b, x) for x in r]
-    assert_matches(_kernels.bernardi_tail(m, delta, r), oracle)
+    assert_matches(Bernardi(m, delta).tail(r), oracle)
 
 
 def test_lerch_kernel_temporaries_stay_under_one_mebibyte():
@@ -74,8 +75,8 @@ def test_lerch_kernel_temporaries_stay_under_one_mebibyte():
     for r in (radius._COARSE[896:], np.array([radius.SCAN_END]), np.linspace(0.9, 0.9989, 128)):
         tracemalloc.start()
         try:
-            _kernels.alpha_phi0(1000.0, r)
-            _kernels.bernardi_tail(1, 999.0, r)
+            AlphaCesaro(1000.0).phi0(r)
+            Bernardi(1, 999.0).tail(r)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

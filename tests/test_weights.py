@@ -8,7 +8,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from bohrad.harness import brute_force_tail
+from bohrad.harness import DEFAULT_FAMILIES, brute_force_tail
 from bohrad._kernels import rising_ratios
 from bohrad.radius import RadiusQuery, gap, minimal_root
 from bohrad.series import DomainParams
@@ -16,6 +16,7 @@ from bohrad.weights import (
     AlphaCesaro,
     Bernardi,
     BetaCesaro,
+    CesaroFamily,
     CustomFamily,
     EvenPowers,
     Linear,
@@ -54,6 +55,13 @@ ALL_FAMILIES = [
     Bernardi(2, 0.5),
     Bernardi(1, -0.5),
 ]
+
+HALF_GEOMETRIC = CustomFamily(
+    name="half-geometric",
+    phi0_fn=lambda r: np.ones_like(r),
+    phi_k_fn=lambda k, r: 0.5 * r ** k,
+    tail_fn=lambda r: 0.5 * r / (1.0 - r),
+)
 
 R_GRID = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
 
@@ -260,23 +268,32 @@ class TestPhiVector:
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=str)
     def test_vector_over_a_grid_is_the_stacked_vectors(self, family):
         # _phi_matrix takes a cell's whole table from one call; every row must
-        # be bit for bit the vector at its point
+        # be bit for bit the one-point table at its point
         for radii in (np.linspace(0.0, 0.63, 12), np.array([0.3]), np.linspace(0.1, 0.95, 5)):
             table = family.vector(40, radii)
             assert table.shape == (radii.size, 41)
-            stacked = np.vstack([family.vector(40, r) for r in radii.tolist()])
+            stacked = np.vstack([family.vector(40, np.array([r])) for r in radii.tolist()])
             assert table.tobytes() == stacked.tobytes()
 
     def test_custom_vector_over_a_grid(self):
-        fam = CustomFamily(
-            name="half-geometric",
-            phi0_fn=lambda r: np.ones_like(r),
-            phi_k_fn=lambda k, r: 0.5 * r ** k,
-            tail_fn=lambda r: 0.5 * r / (1.0 - r),
-        )
+        fam = HALF_GEOMETRIC
         radii = np.linspace(0.0, 0.8, 7)
-        stacked = np.vstack([fam.vector(9, r) for r in radii.tolist()])
+        stacked = np.vstack([fam.vector(9, np.array([r])) for r in radii.tolist()])
         assert fam.vector(9, radii).tobytes() == stacked.tobytes()
+
+    @pytest.mark.parametrize("family", [*DEFAULT_FAMILIES, HALF_GEOMETRIC], ids=str)
+    def test_phi_k_is_the_table_column(self, family):
+        # phi_k has one implementation, the table: at every k it is bit for
+        # bit the entry a Bohr sum over vector(k, r) reads, as an array and
+        # point by point.  The Cesaro tables sum a series whose term count
+        # grows like 1/(1-r), so their grid stops at 0.999; the closed-form
+        # tables reach 1 - 1e-9
+        top = 3 if isinstance(family, CesaroFamily) else 9
+        radii = np.concatenate([np.linspace(0.0, 0.95, 12), 1.0 - np.logspace(-2, -top, top - 1)])
+        for k in range(41):
+            column = family.vector(k, radii)[:, k]
+            assert phi_k(family, k, radii).tobytes() == column.tobytes()
+            assert [phi_k(family, k, r) for r in radii.tolist()] == column.tolist()
 
     def test_vector_is_read_only(self):
         vec = phi_vector(PowerTail(1), 5, 0.5)
@@ -344,12 +361,7 @@ class TestValidationAndRegistry:
             make_family("fourier", {})
 
     def test_custom_family_hooks(self):
-        fam = CustomFamily(
-            name="half-geometric",
-            phi0_fn=lambda r: np.ones_like(r),
-            phi_k_fn=lambda k, r: 0.5 * r ** k,
-            tail_fn=lambda r: 0.5 * r / (1.0 - r),
-        )
+        fam = HALF_GEOMETRIC
         assert phi0(fam, 0.3) == 1.0
         assert phi_k(fam, 2, 0.5) == 0.125
         assert tail_sum(fam, 0.5) == pytest.approx(oracle_tail(fam, 0.5), abs=1e-12)
@@ -375,7 +387,7 @@ class TestNewFamilyIsOneClass:
 
     def test_vector_matches_phi_k(self):
         for r in (0.0, 0.2, 0.45, 0.9):
-            # to the ulp: numpy squares a scalar r by a multiply, a vector by pow
+            # to the ulp: phi_k reads a table of order k, phi_vector one of order 60
             direct = [phi_k(Cubic(), k, r) for k in range(61)]
             np.testing.assert_allclose(phi_vector(Cubic(), 60, r), direct, rtol=1e-15, atol=0.0)
 
