@@ -7,13 +7,11 @@ from .bohr import (
     ExtremalMargin,
     bohr_sum,
     extremal_margin,
-    p_bound_check,
     verify_up_to_radius,
 )
 from .harness import (
     SuiteConfig,
     SuiteReport,
-    brute_force_tail,
     default_config,
     random_bounded_functions,
     run_inequality_suite,
@@ -21,7 +19,6 @@ from .harness import (
 )
 from .operators import (
     apply_coefficient_form,
-    apply_integral_form,
     operator_bohr_radius,
     operator_bound,
 )

@@ -8,9 +8,8 @@ parameters (a, c) = (beta, 2) or (alpha+1, alpha+2), and one table kernel
 sums the weights of both, phi_n = sum_j G_j(a) r^(n+j) / G_(n+j)(c) with
 G_j(x) = (x)_j/j!, as the correlation of two sequences each built by one
 cumulative product.  rising_ratios builds G_j(x) for the tables, for the
-operators' coefficient transform and for the public ratio functions; the
-Gauss-Jacobi rules of the integral forms live here too.  The Lerch sum
-Phi(r, 1, b) = sum_k r^k/(k+b) = 2F1(1, b; b+1; r)/b, from which
+operators' coefficient transform and for the public ratio functions.  The
+Lerch sum Phi(r, 1, b) = sum_k r^k/(k+b) = 2F1(1, b; b+1; r)/b, from which
 AlphaCesaro.phi0 and Bernardi.tail are built, has two branches: the direct
 series below max(0.9, 1 - 1/b), as matrix products over all radii at once,
 and above it the log-case connection series in powers of 1 - r (DLMF
@@ -45,7 +44,7 @@ _NONCONV = "weight series did not converge: r is too close to 1 for this family"
 
 
 # ---------------------------------------------------------------------------
-# the Cesaro operators' coefficient sequences, weight tables and quadrature
+# the Cesaro operators' coefficient sequences and weight tables
 
 def rising_ratios(n: int, x: float) -> np.ndarray:
     """[G_0(x), ..., G_n(x)], G_j(x) = (x)_j / j!, by one cumulative product."""
@@ -56,19 +55,6 @@ def rising_ratios(n: int, x: float) -> np.ndarray:
     out[0] = 1.0
     np.cumprod((j - 1.0 + x) / j, out=out[1:])
     return out
-
-
-@lru_cache(maxsize=256)
-def jacobi_rule(n: int, a: float, b: float) -> tuple:
-    """n-node Gauss rule (nodes, weights) on [0, 1] for the weight (1-t)^a t^b."""
-    # imported here: scipy.special costs about 0.7 s cold and only the
-    # integral form of the operators needs it
-    from scipy.special import roots_jacobi
-
-    x, w = roots_jacobi(n, a, b)
-    t, w = 0.5 * (x + 1.0), w * 2.0 ** (-a - b - 1.0)
-    t.flags.writeable = w.flags.writeable = False  # shared by every caller
-    return t, w
 
 
 def cesaro_terms(a: float, c: float, r: float) -> np.ndarray:

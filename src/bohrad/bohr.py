@@ -188,13 +188,3 @@ def extremal_margin(
     )
     return ExtremalMargin(margin=float(margin), first_order_prediction=float(pred))
 
-
-def p_bound_check(x, p: float):
-    """(1 - x^p)/(1 - x^2) - p/2, which is >= 0 on [0,1) for p in (0,2]."""
-    arr = np.asarray(x, dtype=np.float64)
-    if not ((arr >= 0.0) & (arr < 1.0)).all():  # one pass; false for nan too
-        raise ValueError("x must lie in [0, 1)")
-    if not (0.0 < p <= 2.0):
-        raise ValueError(f"p must be in (0, 2], got {p}")
-    value = (1.0 - arr ** p) / (1.0 - arr ** 2) - p / 2.0
-    return float(value) if np.ndim(x) == 0 else value

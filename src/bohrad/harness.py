@@ -1,4 +1,4 @@
-"""Randomized suite runners and brute-force oracles.
+"""Randomized suite runners.
 
 Every cell of a suite is a (family, gamma, p) triple.  Cells draw their own
 deterministic RNG stream from (seed, cell index), so two runs with the same
@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _kernels, weights
+from . import _kernels
 from .bohr import extremal_margin, verification_order, verify_up_to_radius
 from .radius import NoRootError, RadiusQuery, minimal_root
 from .series import (
@@ -69,6 +69,11 @@ SHARPNESS_OFFSET = 0.01
 SHARPNESS_A_STEPS = (1e-2, 1e-3, 1e-4)  # values of 1 - a for the Richardson ladder
 
 
+def _is_number(value) -> bool:
+    """A real number that is not a bool (a bool is a numbers.Real)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     seed: int = 20260811
@@ -94,12 +99,20 @@ class SuiteConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.samples_per_cell < 1:
             raise ValueError("samples_per_cell must be >= 1")
+        if not _is_number(self.tolerance):
+            raise ValueError(f"tolerance must be a number, got {self.tolerance!r}")
+        for name in ("gamma_grid", "p_grid"):
+            grid = getattr(self, name)
+            if not (isinstance(grid, (list, tuple)) and all(_is_number(v) for v in grid)):
+                raise ValueError(f"{name} must be a list or tuple of numbers, got {grid!r}")
+            object.__setattr__(self, name, tuple(float(v) for v in grid))
         for g in self.gamma_grid:
             if not (0.0 <= g < 1.0):
                 raise ValueError(f"gamma {g} outside [0, 1)")
         for p in self.p_grid:
             if not (0.0 < p <= 2.0):
                 raise ValueError(f"p {p} outside (0, 2]")
+        object.__setattr__(self, "tolerance", float(self.tolerance))
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
         if not math.isfinite(self.tolerance):
@@ -110,8 +123,6 @@ class SuiteConfig:
             raise ValueError("truncation_order must be >= 0")
         if not isinstance(self.negative_controls, bool):
             raise ValueError(f"negative_controls must be True or False, got {self.negative_controls!r}")
-        object.__setattr__(self, "gamma_grid", tuple(float(g) for g in self.gamma_grid))
-        object.__setattr__(self, "p_grid", tuple(float(p) for p in self.p_grid))
         object.__setattr__(self, "families", tuple(self.families))
         for f in self.families:
             if not isinstance(f, WeightFamily):
@@ -372,9 +383,3 @@ def run_sharpness_suite(config: SuiteConfig) -> SuiteReport:
             cell.n_fail = 1
     return _report("sharpness", config, cells)
 
-
-def brute_force_tail(family: WeightFamily, r: float, terms: int) -> float:
-    """sum_{k=1}^{terms} phi_k(r) by direct summation; no closed forms anywhere."""
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
-    return math.fsum(weights.phi_vector(family, terms, r)[1:])

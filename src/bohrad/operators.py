@@ -1,16 +1,17 @@
 """Beta-Cesaro, alpha-Cesaro and Bernardi integral operators.
 
-Each operator is available in two independent forms — a coefficient transform
-and a quadrature of its integral representation — which the test suite plays
-against each other.  Both live on the operator's class in
-:mod:`bohrad.weights`, an :class:`~bohrad.weights.OperatorFamily`: an operator
-and the weight family its majorant induces carry exactly the same data.  The
-two Cesaro operators are one Euler-integral operator (DLMF 15.6.1),
+Each operator acts on Taylor coefficients: its coefficient transform lives
+on the operator's class in :mod:`bohrad.weights`, an
+:class:`~bohrad.weights.OperatorFamily`, because an operator and the weight
+family its majorant induces carry exactly the same data.  The two Cesaro
+operators are one Euler-integral operator (DLMF 15.6.1),
 (c-1) int_0^1 f(tz) (1-t)^(c-2) (1-tz)^(-a) dt with (a, c) = (beta, 2) or
-(alpha+1, alpha+2), so both forms are shared by the two.  This module holds
-the public entry points.  operator_bohr_radius checks each p = 1 radius
-against the two sides of the printed radius equation: both must be finite
-and agree to CROSS_CHECK_TOL relative to their size.
+(alpha+1, alpha+2), so the transform is shared by the two.  The Bernardi
+operator is int_0^1 f(tz) t^(delta-1) dt.  The test suite checks each
+transform against a high-precision quadrature of the integral.  This
+module holds the public entry points.  operator_bohr_radius checks each
+p = 1 radius against the two sides of the printed radius equation: both
+must be finite and agree to CROSS_CHECK_TOL relative to their size.
 
 Sup-norm bounds over the unit-bounded class coincide with phi_0 of the induced
 family (attained by f identically 1, and by z^m for the Bernardi operator).
@@ -19,7 +20,6 @@ family (attained by f identically 1, and by z^m for the Bernardi operator).
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 from . import weights
 from .radius import DEFAULT_TOL, RadiusQuery, RadiusResult, minimal_root
@@ -27,32 +27,11 @@ from .series import CoefficientSeries, DomainParams
 from .weights import OperatorFamily
 
 CROSS_CHECK_TOL = 1e-9  # relative: |lhs - rhs| <= tol (|lhs| + |rhs|)
-QUADRATURE_NODES = 64  # first Gauss rule of the integral form; doubled up to 4 times
 
 
 def apply_coefficient_form(spec: OperatorFamily, series: CoefficientSeries) -> CoefficientSeries:
     """Transform Taylor coefficients; the truncation order is preserved."""
     return CoefficientSeries(spec.transform(series.coefficients))
-
-
-def apply_integral_form(spec: OperatorFamily, f: Callable, z: complex) -> complex:
-    """Evaluate the operator at z through its integral representation.
-
-    Node counts double until two successive estimates agree to near machine
-    precision (Gauss rules converge geometrically for these integrands).
-    """
-    z = complex(z)
-    if abs(z) >= 1.0:
-        raise ValueError("|z| must be < 1")
-    n = QUADRATURE_NODES
-    prev = spec.quadrature(f, z, n)
-    for _ in range(4):
-        n *= 2
-        cur = spec.quadrature(f, z, n)
-        if abs(cur - prev) <= max(1e-13, 1e-13 * abs(cur)):
-            return cur
-        prev = cur
-    return prev
 
 
 def operator_bound(spec: OperatorFamily, r: float) -> float:

@@ -6,13 +6,13 @@ vector.  A single phi_k is column k of the table, so it is bit for bit the
 entry a Bohr sum reads.  The elementary families share a monomial base,
 phi_k = c(k) r^k from k = N on.  The beta-Cesaro, alpha-Cesaro and Bernardi
 families arise from the integral operators they are named after; they share
-the OperatorFamily base, which also holds the operator itself, and call the
-family-free kernels of _kernels with their parameters (the Cesaro table,
-and the Lerch sum behind AlphaCesaro.phi0 and Bernardi.tail).  The two
-Cesaro operators are one Euler-integral operator with parameters (a, c):
-CesaroFamily holds its table, transform, quadrature and radius equation,
-and BetaCesaro and AlphaCesaro hold only their field, (a, c) and the closed
-forms of phi_0 and of the sum of all weights.
+the OperatorFamily base, which also holds the operator's coefficient
+transform, and call the family-free kernels of _kernels with their
+parameters (the Cesaro table, and the Lerch sum behind AlphaCesaro.phi0 and
+Bernardi.tail).  The two Cesaro operators are one Euler-integral operator
+with parameters (a, c): CesaroFamily holds its table, transform and radius
+equation, and BetaCesaro and AlphaCesaro hold only their field, (a, c) and
+the closed forms of phi_0 and of the sum of all weights.
 
 The module functions phi0, phi_k, tail_sum, phi_vector and phi_tail_mass
 take a scalar r or a numpy array, check r in [0, 1) once and call the
@@ -46,20 +46,13 @@ class WeightFamily:
     tail(r) = sum_{k>=1} phi_k(r) at a float array, 0-d or not, and
     vector(order, r) at a 1-d float array, the table whose row i is
     [phi_0(r[i]), ..., phi_order(r[i])], each row bit for bit the table of
-    its point alone.  A family without a closed form over a grid gives
-    _vector_at(order, x) at a float x and inherits vector, which loops over
-    the points.  phi0_tail(r) is the pair (phi0(r), tail(r)) for the radius
-    gap; a family whose tail is built from its phi_0 overrides it to
+    its point alone.  phi0_tail(r) is the pair (phi0(r), tail(r)) for the
+    radius gap; a family whose tail is built from its phi_0 overrides it to
     evaluate phi_0 once, and one whose phi_0 is exactly constant may give it
     as a float.  A single phi_k is read from the table (weights.phi_k), so
     each formula has one implementation.  Callers outside a grid they built
     themselves go through the module functions, which check r.
     """
-
-    def vector(self, order, r):
-        """The table whose row i is [phi_0(r[i]), ..., phi_order(r[i])] at a
-        1-d r, built one point at a time by the family's _vector_at."""
-        return np.array([self._vector_at(order, x) for x in r.tolist()]).reshape(len(r), order + 1)
 
     def phi0_tail(self, r):
         """(phi0(r), tail(r))."""
@@ -192,18 +185,12 @@ class OperatorFamily(WeightFamily):
     """A family induced by an integral operator T; the family also holds T.
 
     transform(a) maps the Taylor coefficients a_0 ... a_n of f to those of
-    T f, quadrature(f, z, n) evaluates T f(z) from its integral form with an
-    n-node Gauss rule, and radius_equation(gamma, x) returns the two sides
-    (lhs, rhs) of the printed equation of the p = 1 radius, equal at the
-    radius.  They are evaluated apart from phi0 and tail, so they check the
-    solver's root independently, relative to their size.  The sup-norm bound
-    of T over the unit-bounded class at |z| = r is phi_0(r).
+    T f, and radius_equation(gamma, x) returns the two sides (lhs, rhs) of
+    the printed equation of the p = 1 radius, equal at the radius.  They are
+    evaluated apart from phi0 and tail, so they check the solver's root
+    independently, relative to their size.  The sup-norm bound of T over the
+    unit-bounded class at |z| = r is phi_0(r).
     """
-
-
-def _samples(f, t, z):
-    """f(t z) at every quadrature node t."""
-    return np.array([f(ti * z) for ti in t], dtype=np.complex128)
 
 
 # The operator families hand their kernels 1-d arrays: numpy's 0-d paths
@@ -264,22 +251,16 @@ class CesaroFamily(OperatorFamily):
         p0 = self.phi0(r1)
         return p0.reshape(r.shape), (self.total(r1) - p0).reshape(r.shape)
 
-    def _vector_at(self, order, r):
-        return _kernels.cesaro_phi_table(*self.ac, r, order)
+    def vector(self, order, r):
+        """The table one point at a time: the series kernel takes a float r."""
+        rows = [_kernels.cesaro_phi_table(*self.ac, x, order) for x in r.tolist()]
+        return np.array(rows).reshape(len(r), order + 1)
 
     def transform(self, a):
         """b_n = sum_k G_(n-k)(a) a_k / G_n(c)."""
         n = len(a) - 1
         num, den = (_kernels.rising_ratios(n, x) for x in self.ac)
         return np.convolve(a, num)[: n + 1] / den
-
-    def quadrature(self, f, z, n):
-        """(c-1) int_0^1 f(tz) (1-t)^(c-2) (1-tz)^(-a) dt."""
-        # the endpoint factor (1-t)^(c-2) is integrable for c > 1; it lives
-        # in the Gauss-Jacobi weight, so nodes never touch it
-        a, c = self.ac
-        t, w = _kernels.jacobi_rule(n, c - 2.0, 0.0)
-        return complex((c - 1.0) * np.sum(w * _samples(f, t, z) / (1.0 - t * z) ** a))
 
     def radius_equation(self, gamma, x):
         """((3+gamma) phi_0(x), 2 sum_{n>=0} phi_n(x)): phi_0 summed from its terms
@@ -373,13 +354,6 @@ class Bernardi(OperatorFamily):
         b[self.m :] = a[self.m :] / (np.arange(self.m, len(a)) + self.delta)
         return b
 
-    def quadrature(self, f, z, n):
-        """int_0^1 f(tz) t^(delta-1) dt."""
-        # f vanishes to order m at 0, so fold t^(m+delta-1) into the weight
-        # and integrate the smooth part f(tz)/t^m
-        t, w = _kernels.jacobi_rule(n, 0.0, self.m + self.delta - 1.0)
-        return complex(np.sum(w * _samples(f, t, z) / t ** self.m))
-
     def radius_equation(self, gamma, x):
         """((1+gamma)/c, 2 sum_{k>=1} x^k/(k+c)), c = m+delta: the two sides of
         the p = 1 gap over x^m.  The sum is x/(c+1) 2F1(c+1, 1; c+2; x),
@@ -394,7 +368,10 @@ class CustomFamily(WeightFamily):
     """Extension point: caller supplies phi_0, phi_k and the tail sum.
 
     The callables must be numpy-aware in r and come with the caller's own
-    convergence guarantee; nothing is re-verified here.  The radius solver
+    convergence guarantee; nothing is re-verified here.  phi_k_fn(k, r) is
+    called once per k with the whole 1-d grid, and must give each point the
+    bits it gives that point alone (elementwise numpy arithmetic does); a
+    scalar result is broadcast over the grid.  The radius solver
     takes the first sign change of the gap on a 32e-3 grid, then the first
     one on the 1e-3 grid inside that cell, and a root below 1e-3 from
     16-sections of (0, 1e-3).  That is the first crossing only if the gap
@@ -411,10 +388,12 @@ class CustomFamily(WeightFamily):
     def phi0(self, r):
         return self.phi0_fn(r)
 
-    def _vector_at(self, order, r):
-        """[phi_0(r), ..., phi_order(r)], one phi_k at a time."""
-        arr = np.asarray(r, dtype=np.float64)
-        return np.array([float(self.phi_k_fn(k, arr)) for k in range(order + 1)])
+    def vector(self, order, r):
+        """The table one column at a time: one phi_k_fn(k, r) call per k."""
+        out = np.empty((len(r), order + 1))
+        for k in range(order + 1):
+            out[:, k] = self.phi_k_fn(k, r)
+        return out
 
     def tail(self, r):
         return self.tail_fn(r)

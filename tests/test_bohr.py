@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bohrad import _kernels, bohr
-from bohrad.bohr import bohr_sum, extremal_margin, p_bound_check, verify_up_to_radius
+from bohrad.bohr import bohr_sum, extremal_margin, verify_up_to_radius
 from bohrad.radius import RadiusQuery, minimal_root
 from bohrad.series import (
     BlaschkeComposed,
@@ -28,6 +28,7 @@ from bohrad.weights import (
     phi0,
     phi_k,
 )
+from oracles import p_bound_check
 
 BUILTINS = [
     PowerTail(1),

@@ -10,7 +10,6 @@ from bohrad.cli import render_json
 from bohrad.harness import (
     CellResult,
     SuiteConfig,
-    brute_force_tail,
     default_config,
     iter_cells,
     random_bounded_functions,
@@ -36,6 +35,7 @@ from bohrad.weights import (
     PowerTail,
     Quadratic,
 )
+from oracles import brute_force_tail
 
 
 # phi_0 = 1 and no tail: minimal_root finds no radius for it
@@ -326,6 +326,24 @@ class TestCellIteration:
             SuiteConfig(negative_controls="false")
         with pytest.raises(ValueError, match="families must hold"):
             SuiteConfig(families=("power-tail",))
+
+    @pytest.mark.parametrize("field,kwargs", [
+        ("tolerance", {"tolerance": True, "gamma_grid": (False,), "p_grid": (True,)}),
+        ("gamma_grid", {"gamma_grid": (False,)}), ("p_grid", {"p_grid": (True,)}),
+        ("p_grid", {"p_grid": ("1",)}), ("gamma_grid", {"gamma_grid": ["0"]}), ("gamma_grid", {"gamma_grid": 0.0}),
+        ("p_grid", {"p_grid": "1"}), ("tolerance", {"tolerance": "1e-9"}), ("tolerance", {"tolerance": None}),
+    ])
+    def test_config_refuses_non_numbers_for_floats(self, field, kwargs):
+        # a bool is a number to isinstance: True ran as a tolerance of 1 and
+        # the grids as gamma 0 and p 1; ("1",) ended in a TypeError from the
+        # range comparison
+        with pytest.raises(ValueError, match=f"{field} must be a"):
+            SuiteConfig(**kwargs)
+
+    def test_config_stores_floats(self):
+        cfg = SuiteConfig(tolerance=1, gamma_grid=[0, np.float64(0.5)], p_grid=(np.int64(1),))
+        assert (cfg.tolerance, cfg.gamma_grid, cfg.p_grid) == (1.0, (0.0, 0.5), (1.0,))
+        assert type(cfg.tolerance) is float and all(type(v) is float for v in cfg.gamma_grid + cfg.p_grid)
 
     @pytest.mark.parametrize("field,value", [("truncation_order", -1), ("grid_points", 0), ("grid_points", 1)])
     def test_config_rejects_empty_series_and_grid(self, field, value):

@@ -2,13 +2,13 @@
 
 import math
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from bohrad.harness import DEFAULT_FAMILIES, brute_force_tail
+from bohrad.harness import DEFAULT_FAMILIES
 from bohrad._kernels import rising_ratios
 from bohrad.radius import RadiusQuery, gap, minimal_root
 from bohrad.series import DomainParams
@@ -33,6 +33,7 @@ from bohrad.weights import (
     phi_vector,
     tail_sum,
 )
+from oracles import brute_force_tail
 
 ALL_FAMILIES = [
     PowerTail(1),
@@ -276,10 +277,27 @@ class TestPhiVector:
             assert table.tobytes() == stacked.tobytes()
 
     def test_custom_vector_over_a_grid(self):
-        fam = HALF_GEOMETRIC
-        radii = np.linspace(0.0, 0.8, 7)
-        stacked = np.vstack([fam.vector(9, np.array([r])) for r in radii.tolist()])
-        assert fam.vector(9, radii).tobytes() == stacked.tobytes()
+        # one phi_k_fn call per k over the whole grid (a call per (k, point)
+        # took 35 ms at k = 200 on 100 points, against 0.8 ms), and every row
+        # is bit for bit the one-point table at its point
+        radii = np.concatenate([np.linspace(0.0, 0.99, 100), 1.0 - np.logspace(-3, -9, 7)])
+        for phi_k_fn in (
+            HALF_GEOMETRIC.phi_k_fn,
+            lambda k, r: np.exp(k * np.log1p(-r)) * r / (k + 1.0),
+            lambda k, r: 1.0 if k == 0 else 0.0,  # a float, broadcast over the grid
+        ):
+            calls = []
+
+            def counted(k, r):
+                calls.append(k)
+                return phi_k_fn(k, r)
+
+            fam = replace(HALF_GEOMETRIC, phi_k_fn=counted)
+            table = fam.vector(200, radii)
+            assert calls == list(range(201))
+            stacked = np.vstack([fam.vector(200, np.array([r])) for r in radii.tolist()])
+            assert table.shape == (radii.size, 201)
+            assert table.tobytes() == stacked.tobytes()
 
     @pytest.mark.parametrize("family", [*DEFAULT_FAMILIES, HALF_GEOMETRIC], ids=str)
     def test_phi_k_is_the_table_column(self, family):
