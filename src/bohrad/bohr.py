@@ -92,7 +92,9 @@ def _phi_matrix(family, radius: float, grid_points: int, order: int):
     of its row, with the row sums of the k >= 1 block taken in one
     reduction.  The grid lies in [0, radius] with radius checked by
     verify_up_to_radius, so the weights are read unchecked.  A table that is
-    not finite raises RuntimeError: a Bohr sum over it would mean nothing."""
+    not finite, or whose phi_0 at the grid's end is below the normal floats,
+    raises RuntimeError: a Bohr sum over it would mean nothing, or pass
+    vacuously."""
     radii = np.linspace(0.0, radius, grid_points)
     mat = family.vector(order, radii)
     mat.flags.writeable = False  # and so are the views of it
@@ -103,6 +105,11 @@ def _phi_matrix(family, radius: float, grid_points: int, order: int):
         raise RuntimeError(
             f"the {family.name} weight table overflowed: phi_0 ... phi_{order} or their tail "
             f"are not finite on [0, {radius}]"
+        )
+    if phi0[-1] < np.finfo(float).tiny:
+        raise RuntimeError(
+            f"the {family.name} weight table underflowed: phi_0({radius}) = {phi0[-1]:.3g} "
+            f"is below the normal floats"
         )
     radii.flags.writeable = False
     return radii, phi0, block, allowance

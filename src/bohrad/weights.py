@@ -1,10 +1,10 @@
 """Weight families {phi_k(r)}: non-negative continuous functions on [0, 1).
 
 Each family is one frozen dataclass holding all that is known about it, and
-each of its formulas has one implementation there: phi0, tail and the table
-vector.  A single phi_k is column k of the table, so it is bit for bit the
-entry a Bohr sum reads.  The elementary families share a monomial base,
-phi_k = c(k) r^k from k = N on.  The beta-Cesaro, alpha-Cesaro and Bernardi
+each of its formulas has one implementation there: phi0, tail, their ratio
+and the table vector.  A single phi_k is column k of the table, so it is
+bit for bit the entry a Bohr sum reads.  The elementary families share a
+monomial base, phi_k = c(k) r^k from k = N on.  The beta-Cesaro, alpha-Cesaro and Bernardi
 families arise from the integral operators they are named after; they share
 the OperatorFamily base, which also holds the operator's coefficient
 transform, and call the family-free kernels of _kernels with their
@@ -35,7 +35,7 @@ import numpy as np
 from . import _kernels
 
 BETA_LOG_BRANCH_WIDTH = 1e-9  # |beta - 1| below this routes to the log forms
-BETA_ZERO_LIMIT = 1e-17  # beta below this takes the beta -> 0 limit of the total
+BETA_ZERO_LIMIT = 1e-17  # beta below this takes the beta -> 0 limit of the total and its scaled form
 
 
 class WeightFamily:
@@ -46,17 +46,16 @@ class WeightFamily:
     tail(r) = sum_{k>=1} phi_k(r) at a float array, 0-d or not, and
     vector(order, r) at a 1-d float array, the table whose row i is
     [phi_0(r[i]), ..., phi_order(r[i])], each row bit for bit the table of
-    its point alone.  phi0_tail(r) is the pair (phi0(r), tail(r)) for the
-    radius gap; a family whose tail is built from its phi_0 overrides it to
-    evaluate phi_0 once, and one whose phi_0 is exactly constant may give it
-    as a float.  A single phi_k is read from the table (weights.phi_k), so
-    each formula has one implementation.  Callers outside a grid they built
+    its point alone.  ratio(r) is tail(r)/phi0(r), which the radius gap
+    reads; a family overrides it with a form that stays finite where phi_0
+    and the tail leave the floats apart.  A single phi_k is read from the
+    table (weights.phi_k), so each formula has one implementation.  Callers outside a grid they built
     themselves go through the module functions, which check r.
     """
 
-    def phi0_tail(self, r):
-        """(phi0(r), tail(r))."""
-        return self.phi0(r), self.tail(r)
+    def ratio(self, r):
+        """tail(r)/phi0(r)."""
+        return self.tail(r) / self.phi0(r)
 
     def params(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -83,8 +82,8 @@ class MonomialFamily(WeightFamily):
     def phi0(self, r):
         return np.ones_like(r)
 
-    def phi0_tail(self, r):
-        return 1.0, self.tail(r)
+    def ratio(self, r):
+        return self.tail(r)
 
     def vector(self, order, r):
         k = np.arange(order + 1)
@@ -196,32 +195,21 @@ class OperatorFamily(WeightFamily):
 # The operator families hand their kernels 1-d arrays: numpy's 0-d paths
 # are slower and can differ from its 1-d ones in the last bits.
 
-def _beta_phi0(beta: float, r: np.ndarray) -> np.ndarray:
+def _beta_2f1(s: float, width: float, r: np.ndarray) -> np.ndarray:
+    """2F1(s+1, 1; 2; r) = expm1(s u)/(s r), u = -log(1-r), and 1 at r = 0.
+
+    phi_0 is s = beta-1 and the sum of all weights s = beta; at s = -beta
+    and 1-beta the two are scaled by (1-r)^beta, and stay finite.  Within
+    width of s = 0 it takes the limit u/r: the log form at beta = 1 with
+    BETA_LOG_BRANCH_WIDTH, and at beta -> 0 with BETA_ZERO_LIMIT, where
+    expm1(t)/t = 1 + t/2 + ... with |t| < 21 |s| is under half an ulp from
+    1 and the product s r itself would lose bits or underflow.
+    """
     out = np.ones_like(r)
     nz = r > 0.0
     rr = r[nz]
-    log1m = np.log1p(-rr)
-    if abs(beta - 1.0) < BETA_LOG_BRANCH_WIDTH:
-        out[nz] = -log1m / rr
-    else:
-        u = 1.0 - beta
-        # [1 - (1-r)^(1-beta)] / ((1-beta) r), cancellation-free via expm1
-        out[nz] = -np.expm1(u * log1m) / (u * rr)
-    return out
-
-
-def _beta_total(beta: float, r: np.ndarray) -> np.ndarray:
-    # sum_{n>=0} phi_n(r) = [(1-r)^(-beta) - 1] / (beta r), limit 1 at r = 0
-    out = np.ones_like(r)
-    nz = r > 0.0
-    rr = r[nz]
-    log1m = np.log1p(-rr)
-    if beta < BETA_ZERO_LIMIT:
-        # expm1(t)/t = 1 + t/2 + ... with |t| = beta |log(1-r)| < 21 beta, under
-        # half an ulp; the product beta r itself would lose bits or underflow
-        out[nz] = -log1m / rr
-    else:
-        out[nz] = np.expm1(-beta * log1m) / (beta * rr)
+    u = -np.log1p(-rr)
+    out[nz] = u / rr if abs(s) < width else np.expm1(s * u) / (s * rr)
     return out
 
 
@@ -244,12 +232,13 @@ class CesaroFamily(OperatorFamily):
     """
 
     def tail(self, r):
-        return self.phi0_tail(r)[1]
+        r1 = np.atleast_1d(r)
+        return (self.total(r1) - self.phi0(r1)).reshape(r.shape)
 
-    def phi0_tail(self, r):
+    def ratio(self, r):
         r1 = np.atleast_1d(r)
         p0 = self.phi0(r1)
-        return p0.reshape(r.shape), (self.total(r1) - p0).reshape(r.shape)
+        return ((self.total(r1) - p0) / p0).reshape(r.shape)
 
     def vector(self, order, r):
         """The table one point at a time: the series kernel takes a float r."""
@@ -264,8 +253,13 @@ class CesaroFamily(OperatorFamily):
 
     def radius_equation(self, gamma, x):
         """((3+gamma) phi_0(x), 2 sum_{n>=0} phi_n(x)): phi_0 summed from its terms
-        (a)_j/(c)_j x^j, finite where phi_0 is, and the sum in closed form."""
-        total = float(self.total(np.array([x]))[0])
+        (a)_j/(c)_j x^j, finite where phi_0 is, and the sum in closed form.
+        Where the sum overflows the equation cannot be printed: RuntimeError."""
+        with np.errstate(over="ignore"):
+            total = float(self.total(np.array([x]))[0])
+        if total == math.inf:
+            raise RuntimeError(f"operator radius cross-check failed: the printed equation overflows "
+                               f"at the radius {x!r}")
         return (3.0 + gamma) * float(np.sum(_kernels.cesaro_terms(*self.ac, x))), 2.0 * total
 
 
@@ -286,10 +280,17 @@ class BetaCesaro(CesaroFamily):
         return self.beta, 2.0
 
     def phi0(self, r):
-        return _beta_phi0(self.beta, np.atleast_1d(r)).reshape(r.shape)
+        return _beta_2f1(self.beta - 1.0, BETA_LOG_BRANCH_WIDTH, np.atleast_1d(r)).reshape(r.shape)
 
     def total(self, r):
-        return _beta_total(self.beta, r)
+        return _beta_2f1(self.beta, BETA_ZERO_LIMIT, r)
+
+    def ratio(self, r):
+        """total/phi_0 - 1 = 2F1(1-beta, 1; 2; r) / ((1-r) 2F1(2-beta, 1; 2; r)) - 1,
+        the two scaled by (1-r)^beta (Euler's transformation)."""
+        r1 = np.atleast_1d(r)
+        scaled = _beta_2f1(-self.beta, BETA_ZERO_LIMIT, r1) / _beta_2f1(1.0 - self.beta, BETA_LOG_BRANCH_WIDTH, r1)
+        return (scaled / (1.0 - r1) - 1.0).reshape(r.shape)
 
 
 @dataclass(frozen=True)
@@ -340,6 +341,11 @@ class Bernardi(OperatorFamily):
         r1 = np.atleast_1d(r)
         return (r1 ** (self.m + 1.0) * _kernels.lerch_phi(self.m + 1.0 + self.delta, r1)).reshape(r.shape)
 
+    def ratio(self, r):
+        """(m+delta) r Phi(r, 1, m+1+delta): the tail over phi_0 with no r^m."""
+        r1 = np.atleast_1d(r)
+        return ((self.m + self.delta) * r1 * _kernels.lerch_phi(self.m + 1.0 + self.delta, r1)).reshape(r.shape)
+
     def vector(self, order, r):
         k = np.arange(order + 1)
         return r[:, None] ** (k + float(self.m)) / (k + self.m + self.delta)
@@ -371,8 +377,9 @@ class CustomFamily(WeightFamily):
     convergence guarantee; nothing is re-verified here.  phi_k_fn(k, r) is
     called once per k with the whole 1-d grid, and must give each point the
     bits it gives that point alone (elementwise numpy arithmetic does); a
-    scalar result is broadcast over the grid.  The radius solver
-    takes the first sign change of the gap on a 32e-3 grid, then the first
+    scalar result is broadcast over the grid.  The radius solver reads the
+    gap (1+gamma) - (2/p) tail/phi_0, so phi_0 must be positive on (0, 1).
+    It takes the gap's first sign change on a 32e-3 grid, then the first
     one on the 1e-3 grid inside that cell, and a root below 1e-3 from
     16-sections of (0, 1e-3).  That is the first crossing only if the gap
     changes sign once, as it does where tail/phi_0 increases, for every

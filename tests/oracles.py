@@ -1,8 +1,9 @@
 """Independent oracles that the tests play against the library.
 
 None of them shares a formula with bohrad: the operators are integrated in
-their integral form, tails are summed term by term, and the p-bound is the
-plain quotient.
+their integral form, tails are summed term by term, the p-bound is the
+plain quotient, and the radius gap is evaluated in 40 digits from the
+series that define the weights, where nothing overflows.
 """
 
 import math
@@ -11,9 +12,10 @@ import mpmath as mp
 import numpy as np
 
 from bohrad import weights
-from bohrad.weights import Bernardi
+from bohrad.weights import AlphaCesaro, Bernardi, BetaCesaro
 
 ORACLE_DPS = 20  # f is a float function: 20 digits leave only its rounding
+RADIUS_DPS = 40  # the radius oracles: h is steep or flat far past the floats' range
 
 
 def integral_form_oracle(spec, f, z):
@@ -64,3 +66,59 @@ def p_bound_check(x, p):
         raise ValueError(f"p must be in (0, 2], got {p}")
     value = (1.0 - arr ** p) / (1.0 - arr ** 2) - p / 2.0
     return float(value) if np.ndim(x) == 0 else value
+
+
+# the sum of c(k) x^k over k >= 1 for each monomial family's coefficient c(k)
+MP_MONOMIAL_SUMS = {
+    "power-tail": lambda x: mp.polylog(0, x),
+    "even": lambda x: (mp.polylog(0, x) + mp.polylog(0, -x)) / 2,
+    "odd": lambda x: (mp.polylog(0, x) - mp.polylog(0, -x)) / 2,
+    "linear-plus-one": lambda x: mp.polylog(-1, x) + mp.polylog(0, x),
+    "linear": lambda x: mp.polylog(-1, x),
+    "quadratic": lambda x: mp.polylog(-2, x),
+}
+
+
+def mp_tail_over_phi0(family, x):
+    """tail/phi_0 at x > 0 in RADIUS_DPS digits, from the series that define the weights.
+
+    The Cesaro phi_0 and sum of all weights are 2F1(a, 1; c; x) and
+    2F1(a+1, 1; c; x).  For beta-Cesaro, (a, c) = (beta, 2), both are
+    2F1(b, 1; 2; x) = expm1((b-1) u)/((b-1) x) with u = -log(1-x), taken in
+    that form: the series needs about beta x/(1-x) terms.  For alpha-Cesaro
+    the sum of all weights is 1/(1-x).  The Bernardi ratio is
+    (m+delta) sum_{n>=1} x^n/(n+m+delta) = (m+delta) x 2F1(1, c+1; c+2; x)/(c+1).
+    """
+    with mp.workdps(RADIUS_DPS):
+        x = mp.mpf(x)
+        if isinstance(family, BetaCesaro):
+            u, beta = -mp.log1p(-x), mp.mpf(family.beta)
+
+            def f(s):  # 2F1(s+1, 1; 2; x)
+                return u / x if s == 0 else mp.expm1(s * u) / (s * x)
+
+            return f(beta) / f(beta - 1) - 1
+        if isinstance(family, AlphaCesaro):
+            a = mp.mpf(family.alpha) + 1
+            return 1 / ((1 - x) * mp.hyp2f1(a, 1, a + 1, x)) - 1
+        if isinstance(family, Bernardi):
+            c = family.m + mp.mpf(family.delta)
+            return c * x * mp.hyp2f1(1, c + 1, c + 2, x) / (c + 1)
+        head = sum(family.coef(k) * x ** k for k in range(1, family.N))
+        return MP_MONOMIAL_SUMS[family.name](x) - head
+
+
+def mp_h(query):
+    """The radius gap h(x) = (1+gamma) - (2/p) tail/phi_0 of a query in RADIUS_DPS digits."""
+    def h(x):
+        with mp.workdps(RADIUS_DPS):
+            return 1 + mp.mpf(query.domain.gamma) - 2 / mp.mpf(query.p) * mp_tail_over_phi0(query.family, x)
+
+    return h
+
+
+def mp_root(query, near):
+    """mpmath.findroot of the RADIUS_DPS-digit h from a bracket around a float root."""
+    step = min(1e-8, 0.5 * near, 0.5 * (1.0 - near))
+    with mp.workdps(RADIUS_DPS):
+        return float(mp.findroot(mp_h(query), (mp.mpf(near - step), mp.mpf(near + step)), solver="anderson"))

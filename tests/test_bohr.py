@@ -223,6 +223,19 @@ def test_overflowing_weight_table_is_refused():
             verify_up_to_radius(f, query, radius)
 
 
+def test_underflowed_weight_table_is_refused():
+    # at m = 640 phi_0 at the radius is subnormal and the whole table reads
+    # about 1e-309 or 0: every Bohr sum passed, with a truncation bound of 1e-323
+    query = RadiusQuery(Bernardi(640, 1.0), DomainParams(0.0), 1.0)
+    radius = minimal_root(query).radius
+    f = Extremal(DomainParams(0.0), 0.5)
+    with pytest.raises(RuntimeError, match=r"bernardi weight table underflowed: phi_0\(0.3338"):
+        verify_up_to_radius(f, query, radius)
+    # at m = 600 it is normal, and the check runs
+    query = RadiusQuery(Bernardi(600, 1.0), DomainParams(0.0), 1.0)
+    assert verify_up_to_radius(f, query, minimal_root(query).radius).phi0_values[-1] > 0.0
+
+
 class TestExtremalMargin:
     def test_prediction_vanishes_at_the_root(self):
         query = RadiusQuery(PowerTail(1), DomainParams(0.2), 1.0)

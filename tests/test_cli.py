@@ -14,7 +14,10 @@ import pytest
 
 from bohrad import __version__
 from bohrad.cli import load_suite_config, main, read_coefficients, write_coefficients
-from bohrad.series import CoefficientSeries
+from bohrad.radius import RadiusQuery
+from bohrad.series import CoefficientSeries, DomainParams
+from bohrad.weights import BetaCesaro
+from oracles import mp_root
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "bohrad" / "schemas"
 
@@ -82,8 +85,8 @@ def test_import_does_not_load_scipy_signal(tmp_path):
     proc = subprocess.run([sys.executable, "-c", _PROBE], env=env, capture_output=True, text=True,
                           check=True, cwd=tmp_path)
     assert proc.stdout.splitlines()[0] == "[]"
-    # beta = 2000 overflows before its crossing (3); extremal:0.999 fails past the radius (1)
-    assert proc.stderr.splitlines()[-1] == "[0, 3, 0, 0, 1, 0, 0, 0, 0, 0, 0] []"
+    # extremal:0.999 fails past the radius (1)
+    assert proc.stderr.splitlines()[-1] == "[0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0] []"
 
 
 class TestRadiusCommand:
@@ -123,12 +126,16 @@ class TestRadiusCommand:
         _, out, _ = run_cli(capsys, "radius", "--family", "even", "--gamma", "0")
         assert json.loads(out)["version"] == __version__
 
-    def test_overflowed_gap_is_no_root(self, capsys):
-        # the weights overflow near 0.299, below the crossing; tier-1 runs with
-        # RuntimeWarning as an error, so an unsilenced numpy overflow fails here
+    def test_radius_past_the_weight_overflow(self, capsys):
+        # the weights overflow near 0.299, below the crossing, where the query
+        # once ended in no root (3); tier-1 runs with RuntimeWarning as an
+        # error, so an unsilenced numpy overflow fails here
         code, out, err = run_cli(capsys, "radius", "--family", "beta-cesaro", "--beta", "2000", "--gamma", "0")
-        assert code == 3 and out == ""
-        assert err.startswith("no root: gap(0.29") and "not finite" in err
+        assert code == 0 and err == ""
+        data = json.loads(out)
+        query = RadiusQuery(BetaCesaro(2000.0), DomainParams(0.0), 1.0)
+        assert abs(data["radius"] - mp_root(query, data["radius"])) <= 1e-12
+        jsonschema.validate(data, load_schema("radius_result.schema.json"))
 
     def test_bernardi_past_the_underflow(self, capsys):
         code, out, _ = run_cli(capsys, "radius", "--family", "bernardi", "--m", "400", "--delta", "1", "--gamma", "0")
@@ -388,6 +395,15 @@ class TestVerifyCommand:
             )
         assert (code, out) == (2, "")
         assert err.startswith("error: the beta-cesaro weight table overflowed")
+
+    def test_underflowed_weight_table_is_usage_error(self, capsys):
+        # phi_0 at the radius is subnormal: the check once passed vacuously
+        code, out, err = run_cli(
+            capsys, "verify", "--fn", "extremal:0.5", "--family", "bernardi", "--m", "640", "--delta", "1",
+            "--gamma", "0",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: the bernardi weight table underflowed")
 
     def test_blaschke_descriptors(self, capsys):
         code, _, _ = run_cli(

@@ -7,7 +7,6 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from bohrad import weights
 from bohrad._kernels import rising_ratios
 from bohrad.bohr import bohr_sum
 from bohrad.operators import (
@@ -286,18 +285,25 @@ class TestOperatorRadius:
 
     @pytest.mark.parametrize("spec", RADIUS_SPECS, ids=str)
     def test_cross_check_does_not_reuse_the_gap(self, spec, monkeypatch):
-        # scale phi_0 of the beta and alpha families and the Bernardi tail by
-        # 1 + 1e-6 (a relative change: an added constant would leave the
-        # Bernardi gap negative near 0): the solver's root moves, and the
-        # printed equation must notice
+        # scale the ratio tail/phi_0 that the solver reads by 1 + 1e-6: the
+        # solver's root moves, and the printed equation must notice
         def shifted(fn):
             return lambda *args: fn(*args) * (1.0 + 1e-6)
 
-        monkeypatch.setattr(weights, "_beta_phi0", shifted(weights._beta_phi0))
-        monkeypatch.setattr(AlphaCesaro, "phi0", shifted(AlphaCesaro.phi0))
-        monkeypatch.setattr(Bernardi, "tail", shifted(Bernardi.tail))
+        for cls in (BetaCesaro, AlphaCesaro, Bernardi):
+            monkeypatch.setattr(cls, "ratio", shifted(cls.ratio))
         with pytest.raises(RuntimeError, match="cross-check"):
             operator_bohr_radius(spec, DomainParams(0.0), p=1.0)
+
+    def test_printed_equation_overflow_is_refused_at_once(self):
+        # the radius, 0.33367, lies past the overflow of the closed-form sum of
+        # the weights: the cross-check refuses it with no numpy warning, before
+        # the terms of phi_0 are summed (which once doubled to 4e6 terms,
+        # spent 0.46 s and reported a series that did not converge)
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="printed equation overflows at the radius 0.3336"):
+            operator_bohr_radius(BetaCesaro(2000.0), DomainParams(0.0))
+        assert time.perf_counter() - start < 0.1
 
     @pytest.mark.parametrize("spec", [BetaCesaro(40.0), BetaCesaro(200.0)], ids=str)
     def test_cross_check_is_relative_for_large_beta(self, spec):

@@ -1,7 +1,6 @@
 """Root location for the gap equation (1+gamma) phi_0 = (2/p) tail."""
 
 import math
-import re
 import time
 
 import mpmath as mp
@@ -33,6 +32,7 @@ from bohrad.weights import (
     Quadratic,
     FAMILY_CLASSES,
 )
+from oracles import mp_h, mp_root, mp_tail_over_phi0
 
 BUILTINS = [
     PowerTail(1),
@@ -80,15 +80,21 @@ class TestGap:
             gap(q(PowerTail(1)), 1.0)
 
     @pytest.mark.parametrize(
-        "family", [*(cls() for cls in FAMILY_CLASSES.values()), pytest.param(GEOMETRIC, id="geometric")], ids=str
+        "family",
+        [*(cls() for cls in FAMILY_CLASSES.values()), BetaCesaro(7.3), BetaCesaro(0.25),
+         pytest.param(GEOMETRIC, id="geometric")],
+        ids=str,
     )
-    def test_is_weight_difference_to_the_bit(self, family):
-        # the solver's unchecked _gap, the checked gap and the checked weight
-        # functions are one formula; so are _phi_matrix and phi_tail_mass
+    def test_is_the_weight_ratio_to_the_bit(self, family):
+        # the solver's unchecked _gap and the checked gap are one formula,
+        # (1+gamma) - (2/p) ratio, and ratio is the checked weights' tail/phi_0:
+        # to the bit where phi_0 is 1 or ratio divides the two, and to 1e-14
+        # in the scaled closed forms; _phi_matrix and phi_tail_mass are one
+        # formula too
         query = q(family, 0.3, 0.7)
 
-        def weight_gap(x):
-            return (1.0 + 0.3) * weights.phi0(family, x) - (2.0 / 0.7) * weights.tail_sum(family, x)
+        def ratio_gap(x):
+            return (1.0 + 0.3) - (2.0 / 0.7) * family.ratio(np.asarray(x, dtype=float))
 
         def same_bits(got, expected):
             assert np.shape(got) == np.shape(expected)
@@ -96,12 +102,18 @@ class TestGap:
 
         for x in (0.45, np.float64(0.45), np.asarray(0.45), np.linspace(0.0, 0.9, 7),
                   np.linspace(0.1, 0.9, 6).reshape(2, 3)):
-            got, expected = gap(query, x), weight_gap(x)
-            assert type(got) is type(expected)
-            same_bits(got, expected)
+            got = gap(query, x)
+            assert type(got) is (float if np.ndim(x) == 0 else np.ndarray)
+            same_bits(got, ratio_gap(x))
         for built in (radius._SPARSE, radius._COARSE[:31], radius._COARSE[992:999],
                       0.4 + 0.01 * radius._SECTIONS, np.asarray(0.45)):
-            same_bits(radius._gap(query, built), weight_gap(built))
+            same_bits(radius._gap(query, built), ratio_gap(built))
+        xs = np.append(np.linspace(0.05, 0.95, 19), radius._SPARSE[-4:])
+        quotient = weights.tail_sum(family, xs) / weights.phi0(family, xs)
+        if isinstance(family, (BetaCesaro, Bernardi)):
+            np.testing.assert_allclose(family.ratio(xs), quotient, rtol=1e-13)
+        else:
+            same_bits(family.ratio(xs), quotient)
         radii, _, _, allowance = bohr._phi_matrix(family, 0.45, 12, 60)
         same_bits(allowance, max(weights.phi_tail_mass(family, r, 60) for r in radii))
 
@@ -121,18 +133,16 @@ def test_scan_grids_are_read_only_constants():
 
 def grid_cell(query):
     """The cell (lo, hi] of the 1e-3 grid where the gap, evaluated on the whole
-    grid in one batch, first stops being positive after a positive point,
-    leading exact zeros skipped; the first cell (0, 1e-3] if no point before
-    it is positive, and None if the gap is positive on the whole grid."""
-    with np.errstate(over="ignore", invalid="ignore"):
+    grid in one batch, first stops being positive; the first cell (0, 1e-3]
+    if its end is not positive, and None if the gap is positive on the whole
+    grid."""
+    with np.errstate(over="ignore", invalid="ignore"):  # 2/p overflows as p nears 0
         g = np.asarray(radius._gap(query, radius._COARSE))
-    nonzero = np.flatnonzero(g != 0.0)
-    first = int(nonzero[0]) if nonzero.size else 0
-    ends = np.flatnonzero(~(g[first:] > 0.0))
+    ends = np.flatnonzero(~(g > 0.0))
     if not ends.size:
         return None
-    i = first + int(ends[0])
-    return (float(radius._COARSE[i - 1]), float(radius._COARSE[i])) if i > first else (0.0, radius._COARSE[0])
+    i = int(ends[0])
+    return (float(radius._COARSE[i - 1]), float(radius._COARSE[i])) if i > 0 else (0.0, radius._COARSE[0])
 
 
 def assert_bracket_in_grid_cell(query):
@@ -140,9 +150,9 @@ def assert_bracket_in_grid_cell(query):
     cell = grid_cell(query)
     try:
         res = minimal_root(query)
-    except NoRootError as exc:
-        # no crossing on the grid, none after a positive point, or one the floats cannot resolve
-        assert cell is None or cell[0] == 0.0 or "not finite" in str(exc) or "underflows" in str(exc)
+    except NoRootError:
+        # no crossing on the grid, or none after a positive point
+        assert cell is None or cell[0] == 0.0
         return
     lo, hi = res.bracket
     assert cell is not None and cell[0] <= lo < hi <= cell[1]
@@ -327,33 +337,6 @@ class TestMinimalRoot:
         assert 0.0 < res.radius < 1.0
 
 
-# the sum of c(k) x^k over k >= 1 for each monomial family's coefficient c(k)
-MP_MONOMIAL_SUMS = {
-    "power-tail": lambda x: mp.polylog(0, x),
-    "even": lambda x: (mp.polylog(0, x) + mp.polylog(0, -x)) / 2,
-    "odd": lambda x: (mp.polylog(0, x) - mp.polylog(0, -x)) / 2,
-    "linear-plus-one": lambda x: mp.polylog(-1, x) + mp.polylog(0, x),
-    "linear": lambda x: mp.polylog(-1, x),
-    "quadratic": lambda x: mp.polylog(-2, x),
-}
-
-
-def mp_tail_over_phi0(family, x):
-    """tail/phi_0 at x in 40-digit arithmetic, from the series that define the weights."""
-    with mp.workdps(40):
-        x = mp.mpf(x)
-        if isinstance(family, (BetaCesaro, AlphaCesaro)):
-            # phi_0 and the sum of all weights are 2F1(a, 1; c; x) and 2F1(a+1, 1; c; x)
-            a, c = (mp.mpf(v) for v in family.ac)
-            return mp.hyp2f1(a + 1, 1, c, x) / mp.hyp2f1(a, 1, c, x) - 1
-        if isinstance(family, Bernardi):
-            # (m+delta) sum_{n>=1} x^n/(n+m+delta) = (m+delta) x 2F1(1, b; b+1; x)/b
-            c = family.m + mp.mpf(family.delta)
-            return c * x * mp.hyp2f1(1, c + 1, c + 2, x) / (c + 1)
-        head = sum(family.coef(k) * x ** k for k in range(1, family.N))
-        return MP_MONOMIAL_SUMS[family.name](x) - head
-
-
 SINGLE_CROSSING = [
     *(cls() for cls in FAMILY_CLASSES.values()),
     *(cls(4) for cls in (PowerTail, LinearPlusOne, Linear, Quadratic)),
@@ -406,7 +389,7 @@ class TestCertifiedBracket:
         res = minimal_root(query)
         lo, hi = res.bracket
         assert gap(query, lo) > 0.0 >= gap(query, hi)
-        assert mp_gap(query)(lo) > 0 >= mp_gap(query)(hi)
+        assert mp_h(query)(lo) > 0 >= mp_h(query)(hi)
         assert hi - lo <= 1e-12
         assert_matches_mpmath(query, res)
 
@@ -450,25 +433,46 @@ BETA_GRID = [
 ]
 
 
-class TestOverflow:
+class TestPastTheFloatRange:
     """beta-Cesaro weights overflow from where (1-x)^(-beta) passes the floats,
-    about 1 - exp(-709.8/beta); the gap there is -inf or nan."""
+    about 1 - exp(-709.8/beta), and the Bernardi phi_0 = x^m/(m+delta) falls
+    below the normal floats at the radius from m = 640; their ratio does not
+    leave the floats, and neither does the gap."""
 
-    @pytest.mark.parametrize("beta,gamma,p", [
-        # returned the overflow edge as a radius, with a residual of about 1e305
-        (1500.0, 0.0, 2.0), (1500.0, 0.9, 1.0), (750.0, 0.6, 2.0),
-        # reported a gap > 0 on all of (0, 1), reading a nan gap as positive
-        (2000.0, 0.0, 1.0), (1000.0, 0.3, 2.0), (3000.0, 0.9, 0.5),
+    @pytest.mark.parametrize("family,gamma,p", [
+        pytest.param(BetaCesaro(774.0), 0.5, 2.0, id="beta-774-gamma-0.5-p-2"),
+        pytest.param(BetaCesaro(1500.0), 0.0, 1.0, id="beta-1500"),
+        pytest.param(BetaCesaro(2000.0), 0.0, 1.0, id="beta-2000"),
+        pytest.param(BetaCesaro(5000.0), 0.0, 1.0, id="beta-5000"),
+        pytest.param(BetaCesaro(1e5), 0.0, 1.0, id="beta-1e5"),
+        pytest.param(Bernardi(640, 1.0), 0.0, 1.0, id="bernardi-640"),
+        pytest.param(Bernardi(2000, 1.0), 0.0, 1.0, id="bernardi-2000"),
+        pytest.param(Bernardi(10000, 1.0), 0.0, 1.0, id="bernardi-10000"),
+        # these returned the overflow edge as a radius, with a residual of about 1e305
+        pytest.param(BetaCesaro(1500.0), 0.0, 2.0, id="beta-1500-p-2"),
+        pytest.param(BetaCesaro(1500.0), 0.9, 1.0, id="beta-1500-gamma-0.9"),
+        pytest.param(BetaCesaro(750.0), 0.6, 2.0, id="beta-750-gamma-0.6-p-2"),
+        # and these reported a gap > 0 on all of (0, 1), reading a nan gap as positive
+        pytest.param(BetaCesaro(1000.0), 0.3, 2.0, id="beta-1000-gamma-0.3-p-2"),
+        pytest.param(BetaCesaro(3000.0), 0.9, 0.5, id="beta-3000-gamma-0.9-p-0.5"),
     ])
-    def test_overflow_ends_in_no_root_naming_the_point(self, beta, gamma, p):
-        query = q(BetaCesaro(beta), gamma, p)
-        with pytest.raises(NoRootError, match="not finite") as info:
-            minimal_root(query)
-        x = float(re.match(r"gap\((.+?)\) = ", str(info.value)).group(1))
+    def test_radius_matches_mpmath(self, family, gamma, p):
+        # each once ended in NoRootError, or in a radius the floats could not resolve
+        query = q(family, gamma, p)
+        res = ended(query, 0.5)
+        assert abs(res.radius - mp_root(query, res.radius)) <= 1e-12
+        lo, hi = res.bracket
+        assert mp_h(query)(lo) > 0 >= mp_h(query)(hi)
+        assert abs(res.residual) <= 1e-11 and res.sharp_window_ok
+        # outside the solver's errstate a numpy warning is a test error: h
+        # stays finite on the whole grid, and decreases
+        g = gap(query, radius._COARSE)
+        assert np.isfinite(g).all() and (np.diff(g) <= 0.0).all()
         with np.errstate(over="ignore", invalid="ignore"):
-            assert not np.isfinite(radius._gap(query, np.asarray(x)))
-        # the 40-digit gap is still positive there: the crossing lies past the overflow
-        assert (1 + gamma) - 2 / mp.mpf(p) * mp_tail_over_phi0(query.family, x) > 0
+            if isinstance(family, BetaCesaro):
+                assert not np.isfinite(weights.tail_sum(family, radius.SCAN_END))
+            else:
+                assert weights.phi0(family, res.radius) < np.finfo(float).tiny
 
     def test_root_below_the_overflow_is_kept(self):
         # the weights overflow from about 0.508, past the crossing near 0.5005
@@ -477,19 +481,14 @@ class TestOverflow:
 
     @pytest.mark.parametrize("beta,gamma,p", BETA_GRID)
     def test_large_beta_ends_certified(self, beta, gamma, p):
-        # a radius whose bracket and residual are finite and certified, or a
-        # NoRootError naming a point where the gap is not finite
+        # a radius whose bracket and residual are finite and certified, within
+        # 1e-12 of the 40-digit root
         query = q(BetaCesaro(beta), gamma, p)
-        try:
-            res = minimal_root(query)
-        except NoRootError as exc:
-            x = float(re.match(r"gap\((.+?)\) = ", str(exc)).group(1))
-            with np.errstate(over="ignore", invalid="ignore"):
-                assert not np.isfinite(radius._gap(query, np.asarray(x)))
-            return
+        res = minimal_root(query)
         lo, hi = res.bracket
         assert gap(query, lo) > 0.0 >= gap(query, hi) > -math.inf
         assert math.isfinite(res.residual) and lo <= res.radius <= hi
+        assert abs(res.radius - mp_root(query, res.radius)) <= 1e-12
 
 
 class TestSharpnessWindow:
@@ -517,66 +516,35 @@ class TestSharpnessWindow:
         assert res.sharp_window_ok is True
 
     @pytest.mark.parametrize("beta,p", [(1500.0, 1.0), (1000.0, 2.0)])
-    def test_window_ends_at_the_overflow(self, beta, p):
-        # the weights overflow inside the window, where the gap is nan; every
-        # gap before that is negative, and the window read false
+    def test_window_past_the_overflow(self, beta, p):
+        # the weights overflow inside the window; the gap there stays finite
+        # and negative, and the window reads true
         query = q(BetaCesaro(beta), 0.0, p)
         res = minimal_root(query)
         eps = min(0.05, 0.5 * (1.0 - res.radius))
         pts = res.radius + eps * np.arange(1, radius.WINDOW_SAMPLES + 1) / (radius.WINDOW_SAMPLES + 1.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            g = radius._gap(query, pts)
-        assert np.isnan(g[-1]) and (g[~np.isnan(g)] < 0.0).all()
+            assert not np.isfinite(weights.tail_sum(query.family, pts[-1]))
+        g = radius._gap(query, pts)
+        assert np.isfinite(g).all() and (g < 0.0).all()
         assert res.sharp_window_ok is True
 
     @pytest.mark.parametrize("gaps,ok", [
-        ([-1.0] * 28 + [math.nan] * 4, True),
-        ([-1.0] * 5 + [math.nan] * 27, True),
+        ([-1.0] * 32, True),
+        ([-1.0] * 28 + [math.nan] * 4, False),
+        ([-1.0] * 5 + [math.nan] * 27, False),
         ([math.nan] + [-1.0] * 31, False),
         ([math.nan] * 32, False),
         ([-1.0] * 10 + [math.nan] + [-1.0] * 21, False),
-        ([-1.0] * 10 + [math.nan] * 21 + [-1.0], False),
-        ([-1.0] * 3 + [0.5] + [-1.0] * 16 + [math.nan] * 12, False),
+        ([-1.0] * 3 + [0.5] + [-1.0] * 28, False),
     ])
-    def test_only_a_trailing_run_of_nan_ends_the_window(self, gaps, ok, monkeypatch):
+    def test_a_nan_anywhere_leaves_the_window_false(self, gaps, ok, monkeypatch):
         monkeypatch.setattr(radius, "gap", lambda query, x: np.array(gaps))
         assert sharpness_window_check(q(PowerTail(1)), 0.5, 0.05) is ok
 
 
 # ---------------------------------------------------------------------------
-# alpha-Cesaro and Bernardi radii near 1, against 40-digit mpmath
-
-def mp_gap(query):
-    """The gap of an alpha-Cesaro or Bernardi query in 40-digit arithmetic.
-
-    Both weight sums are the Lerch sum Phi(x, 1, b) = sum_k x^k/(k+b), which
-    mpmath has as lerchphi(x, 1, b); it is evaluated here as the equal
-    2F1(1, b; b+1; x)/b (DLMF 15.2, 25.14), about twenty times faster.
-    """
-    family = query.family
-
-    def gap_at(x):
-        with mp.workdps(40):
-            x, g, p = mp.mpf(x), mp.mpf(query.domain.gamma), mp.mpf(query.p)
-            if isinstance(family, AlphaCesaro):
-                b = mp.mpf(family.alpha) + 1
-                head = mp.hyp2f1(1, b, b + 1, x)
-                tail = 1 / (1 - x) - head
-            else:
-                b = mp.mpf(family.delta) + family.m + 1
-                head = x ** family.m / (b - 1)
-                tail = x ** (family.m + 1) * mp.hyp2f1(1, b, b + 1, x) / b
-            return (1 + g) * head - 2 / p * tail
-
-    return gap_at
-
-
-def mp_root(query, near):
-    """mpmath.findroot of the 40-digit gap from a bracket around a float root."""
-    h = min(1e-8, 0.5 * near, 0.5 * (1.0 - near))
-    with mp.workdps(40):
-        return float(mp.findroot(mp_gap(query), (mp.mpf(near - h), mp.mpf(near + h)), solver="anderson"))
-
+# radii near 1 and past the float range, against 40-digit mpmath
 
 def ended(query, seconds):
     """minimal_root(query), or the NoRootError it raised, after checking it took under seconds."""
@@ -590,12 +558,13 @@ def ended(query, seconds):
 
 
 def assert_matches_mpmath(query, result):
-    """A radius is mpmath's root to 1e-10; a NoRootError tells the truth about the gap."""
+    """A radius is mpmath's root to 1e-10; a NoRootError tells the truth about
+    the gap: no root, or one below 1e-12, the narrowest bracket tried from 0."""
     if isinstance(result, NoRootError):
         if "(0, 0.001]" in str(result):
-            assert mp_gap(query)(radius._COARSE[0]) <= 0
+            assert mp_h(query)(radius.DEFAULT_TOL) <= 0
         else:
-            assert mp_gap(query)(radius.SCAN_END) > 0
+            assert mp_h(query)(radius.SCAN_END) > 0
     else:
         assert abs(result.radius - mp_root(query, result.radius)) <= 1e-10
 
@@ -623,31 +592,28 @@ class TestRadiiNearOne:
         assert_matches_mpmath(query, res)
 
     @pytest.mark.parametrize("m", [110, 300, 400, 600])
-    def test_bernardi_large_m_skips_underflow_near_zero(self, m):
+    def test_bernardi_large_m_gap_positive_near_zero(self, m):
         # phi_0 = x^m/(m+delta) and the tail underflow to 0 at the first grid
-        # points, so the gap reads 0 there; the crossing follows the first
-        # positive gap, near 1/3 (from m = 361 the zeros reach past 0.129)
+        # points (from m = 361 up to past 0.129), where the unscaled gap read
+        # 0; their ratio does not, and the gap is positive up to the crossing
+        # near 1/3
         query = q(Bernardi(m, 1.0), 0.0, 1.0)
-        assert gap(query, radius._COARSE[0]) == 0.0
+        assert weights.phi0(query.family, radius._COARSE[0]) == 0.0
+        assert gap(query, radius._COARSE[0]) > 0.0
         res = ended(query, 0.5)
         assert 0.33 < res.radius < 0.34
         assert_matches_mpmath(query, res)
 
     @pytest.mark.parametrize("delta,gamma,p", [(1.0, 0.0, 1.0), (3.0, 0.9, 0.5)])
-    def test_bernardi_subnormal_phi0_is_no_root(self, delta, gamma, p):
+    def test_bernardi_past_the_subnormal_phi0(self, delta, gamma, p):
         # from m = 640 at (1, 0, 1) and m = 621 at (3, 0.9, 0.5) phi_0 at the
-        # radius falls below the normal floats, where the gap keeps too few
-        # bits to place the crossing: below that a radius matches mpmath, above
-        # it the query ends in NoRootError, never in a radius off by up to 1e-2
+        # radius falls below the normal floats; the radius still matches mpmath
+        # (once the query ended in NoRootError there)
         for m in range(600, 700, 4):
             query = q(Bernardi(m, delta), gamma, p)
-            result = ended(query, 0.5)
-            if isinstance(result, NoRootError):
-                assert m > 620
-            else:
-                assert abs(result.radius - mp_root(query, result.radius)) <= 1e-10
-        with pytest.raises(NoRootError, match="underflows below the normal floats"):
-            minimal_root(q(Bernardi(640, 1.0)))
+            res = ended(query, 0.5)
+            assert abs(res.radius - mp_root(query, res.radius)) <= 1e-12
+        assert weights.phi0(query.family, res.radius) < np.finfo(float).tiny
 
     @pytest.mark.parametrize("beta", [5e-324, 1e-320, 1e-300, 1e-18])
     def test_beta_cesaro_tiny_beta_takes_the_limit(self, beta):
@@ -662,7 +628,7 @@ class TestRadiiNearOne:
         # the gap stays positive at every float below 1
         query = q(Bernardi(1, -0.999))
         assert isinstance(ended(query, 0.5), NoRootError)
-        assert mp_gap(query)(radius.SCAN_END) > 0
+        assert mp_h(query)(radius.SCAN_END) > 0
 
     def test_operator_radius(self):
         t0 = time.perf_counter()
@@ -684,13 +650,21 @@ bernardi_families = st.integers(1, 5).flatmap(
 
 
 @given(
-    st.one_of(alpha_families, bernardi_families),
+    st.one_of(
+        alpha_families,
+        bernardi_families,
+        # past the float range of phi_0 and the tail
+        st.floats(0.0, 1e5, exclude_min=True).map(BetaCesaro),
+        st.builds(Bernardi, st.integers(1, 10_000), st.floats(0.0, 5.0, exclude_min=True)),
+    ),
     st.floats(0.0, 1.0, exclude_max=True),
     st.floats(0.0, 2.0, exclude_min=True),
 )
-@settings(derandomize=True, deadline=None, max_examples=300)
+@settings(derandomize=True, deadline=None, max_examples=500)
 def test_operator_families_end_and_match_mpmath(family, gamma, p):
     # the validated domain: alpha in (-1, 60], m in 1..5, delta in (-m, 5],
-    # gamma in [0, 1), p in (0, 2]
+    # beta in (0, 1e5], and m in 1..10^4 with delta in (0, 5]; gamma in
+    # [0, 1), p in (0, 2]
     query = q(family, gamma, p)
     assert_matches_mpmath(query, ended(query, 0.5))
+
