@@ -1,22 +1,25 @@
 """Weighted Bohr sums A_f = |c_0|^p phi_0(r) + sum |c_k| phi_k(r) and checks.
 
-Verification is truncation-aware: a failure is only declared when the excess
-over phi_0 exceeds the certified bound on the mass dropped by truncating the
-series, so a true member is never flagged because of a finite cutoff.
+The check reads A_f <= phi_0 scale-free, as the radius solver reads
+tail/phi_0: t = |c_0|^p + sum |c_k| psi_k(r) <= 1 with psi_k = phi_k/phi_0
+(family.scaled), which keeps its meaning where phi_0 underflows; its
+excess t - 1, tolerance and truncation bound are relative to phi_0.  A
+failure is only declared when the excess exceeds the certified bound on
+the scaled mass dropped by truncating the series, so a true member is
+never flagged because of a finite cutoff.
 
 verify_up_to_radius is the check of one function, and a suite calls it once
 per function.  What it shares with the other functions of a suite cell is
-built once per cell: the phi table over the grid, from one family.vector
-call, and its truncation allowance, whose row sums are one reduction over
-the table (both cached by _phi_matrix, which hands the check the phi_0
-column and the k >= 1 block as read-only views).  The check reads only
-|c_k|: the suite takes them for its random members from one kernel call
-per cell, and for its fixed set from rows cached per (gamma, order), and
-passes each function's row as moduli=, with the same arithmetic.  The
-check itself stays per function: each function has its own cap, verdict
-and excess, and the traced benchmark (perfbench/run.py --trace 1) counts one
-verify_up_to_radius call per verified function, so one matrix product per
-cell must wait until the benchmark counts verified functions instead.
+built once per cell and cached by _phi_matrix: phi_0 over the grid, the
+scaled table from one family.scaled call and the truncation allowance from
+one family.ratio call.  The check reads only |c_k|: the suite takes them
+for its random members from one kernel call per cell, and for its fixed set
+from rows cached per (gamma, order), and passes each function's row as
+moduli=, with the same arithmetic.  The check itself stays per function:
+each function has its own cap, verdict and excess, and the traced benchmark
+(perfbench/run.py --trace 1) counts one verify_up_to_radius call per
+verified function, so one matrix product per cell must wait until the
+benchmark counts verified functions instead.
 """
 
 from __future__ import annotations
@@ -42,7 +45,9 @@ from .weights import WeightFamily
 
 @dataclass
 class BohrReport:
-    """Grid evaluation of the weighted Bohr sum against phi_0."""
+    """Grid evaluation of the weighted Bohr sum against phi_0: bohr_sums and
+    phi0_values are absolute; max_excess, truncation_bound and tolerance are
+    relative to phi_0, as the excess of t = A_f/phi_0 over 1."""
 
     radii: np.ndarray
     bohr_sums: np.ndarray
@@ -82,36 +87,26 @@ def verification_order(f: BoundedFunction, order: int) -> int:
 
 @lru_cache(maxsize=512)
 def _phi_matrix(family, radius: float, grid_points: int, order: int):
-    """The read-only grid r = linspace(0, radius, grid_points), read-only views
-    of the table whose row i holds [phi_0(r_i), ..., phi_order(r_i)] -- its
-    phi_0 column and its k >= 1 block -- and the truncation allowance: the
-    largest certified sum_{k > order} phi_k(r_i) over the grid.
-
-    The table is one family.vector call over the grid.  The allowance keeps
-    the arithmetic of phi_tail_mass, a 0-d tail at each point less the sum
-    of its row, with the row sums of the k >= 1 block taken in one
-    reduction.  The grid lies in [0, radius] with radius checked by
-    verify_up_to_radius, so the weights are read unchecked.  A table that is
-    not finite, or whose phi_0 at the grid's end is below the normal floats,
-    raises RuntimeError: a Bohr sum over it would mean nothing, or pass
-    vacuously."""
+    """The grid r = linspace(0, radius, grid_points), phi_0 over it, the k >= 1
+    block of family.scaled over it (all read-only) and the truncation
+    allowance: the largest certified sum_{k > order} psi_k(r_i) over the grid,
+    ratio less the row sum, at least 0.  ratio is read in one call where
+    phi_0 > 0 or the row is not 0 (Bernardi's scaled form keeps its psi where
+    phi_0 underflows); elsewhere psi = 0 and so is the allowance.  The grid
+    lies in [0, radius], checked by verify_up_to_radius, so the weights are
+    read unchecked.  A phi_0 or allowance that is not finite raises
+    RuntimeError, as family.scaled does for its table."""
     radii = np.linspace(0.0, radius, grid_points)
-    mat = family.vector(order, radii)
-    mat.flags.writeable = False  # and so are the views of it
-    phi0, block = mat[:, 0], mat[:, 1:]
-    partials = block.sum(axis=1).tolist()
-    allowance = max(weights._tail_beyond(family, r, partial) for r, partial in zip(radii.tolist(), partials))
-    if not (np.isfinite(mat).all() and math.isfinite(allowance)):
-        raise RuntimeError(
-            f"the {family.name} weight table overflowed: phi_0 ... phi_{order} or their tail "
-            f"are not finite on [0, {radius}]"
-        )
-    if phi0[-1] < np.finfo(float).tiny:
-        raise RuntimeError(
-            f"the {family.name} weight table underflowed: phi_0({radius}) = {phi0[-1]:.3g} "
-            f"is below the normal floats"
-        )
-    radii.flags.writeable = False
+    block = family.scaled(order, radii)[:, 1:]
+    phi0 = np.broadcast_to(family.phi0(radii), radii.shape)
+    partials = block.sum(axis=1)
+    read = (phi0 > 0.0) | (partials > 0.0)
+    allowance = float((family.ratio(radii[read]) - partials[read]).max(initial=0.0))
+    if not (np.isfinite(phi0).all() and math.isfinite(allowance)):
+        raise RuntimeError(f"the {family.name} weight table overflowed: phi_0 or the tail over it "
+                           f"are not finite on [0, {radius}]")
+    for array in (radii, phi0, block):
+        array.flags.writeable = False
     return radii, phi0, block, allowance
 
 
@@ -145,12 +140,12 @@ def verify_up_to_radius(
     cap = f.cap()
     radius, grid_points, order = float(radius), int(grid_points), int(order)
     radii, phi0s, block, allowance = _phi_matrix(query.family, radius, grid_points, order)
-    sums = phi0s * moduli[0] ** query.p + block @ moduli[1:]
+    t = moduli[0] ** query.p + block @ moduli[1:]
     trunc = cap * allowance
-    max_excess = float((sums - phi0s).max())
+    max_excess = float((t - 1.0).max())
     return BohrReport(
         radii=radii,
-        bohr_sums=sums,
+        bohr_sums=phi0s * t,
         phi0_values=phi0s,
         max_excess=max_excess,
         truncation_bound=float(trunc),

@@ -438,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--order", type=int, default=200)
     p_verify.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_verify.add_argument("--tolerance", type=float, default=1e-9,
-                          help="allowed excess over phi_0 before truncation allowance")
+                          help="allowed excess over phi_0, relative to phi_0, before truncation allowance")
     p_verify.set_defaults(func=cmd_verify)
 
     p_op = sub.add_parser("operator", help="apply an operator, or print its bound/radius")

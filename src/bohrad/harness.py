@@ -8,7 +8,7 @@ alone via the serialized worst-offender descriptor.
 The inequality suite builds each input of a cell once.  Per cell: one radius
 solve, one draw pass that forms the random members' zeros as one padded
 (F x 5) matrix, one Blaschke kernel call on that matrix and one np.abs of
-it (the inequality reads only |c_k|), and one phi table over the grid (the
+it (the inequality reads only |c_k|), and one scaled table over the grid (the
 cached bohr._phi_matrix).  Per (gamma, truncation_order), cached across
 cells: the moduli rows of the fixed set (four constants and three extremal
 maps) and of the negative control, with the control's membership verdict.
@@ -280,7 +280,7 @@ def _verify_functions(cell: CellResult, query: RadiusQuery, config: SuiteConfig,
     drawn in one pass and expanded by one kernel call on the draw's zero
     matrix, then the fixed set, whose rows are built once per (gamma, order),
     and last the negative control if config runs it.  verify_up_to_radius
-    runs once per function, on its row of moduli and the cell's one phi
+    runs once per function, on its row of moduli and the cell's one scaled
     table; the cell's arrays are freed when it returns."""
     zeros, counts, rotations = _draw(rng, config.samples_per_cell)
     coefficients = _kernels.blaschke_series(zeros, counts, rotations, config.truncation_order, query.domain.gamma)

@@ -136,7 +136,8 @@ def minimal_root(query: RadiusQuery, tol: float = DEFAULT_TOL) -> RadiusResult:
             if pts[0] <= lo or pts[-1] >= hi:  # float spacing exhausted
                 break
         if lo == 0.0:
-            raise NoRootError(f"gap(x) <= 0 at every sampled point of (0, {SCAN_STEP:g}]: no crossing exists")
+            raise NoRootError(f"gap(x) <= 0 at every sampled point of (0, {SCAN_STEP:g}]: any crossing "
+                              f"lies below the least of them, x = {hi!r}")
         lone = {}  # x -> gap(x) evaluated alone: an end that did not move is not evaluated again
         for _ in range(_CERTIFY_STEPS + 1):
             for x in {lo, hi} - lone.keys():

@@ -1,26 +1,26 @@
 """Weight families {phi_k(r)}: non-negative continuous functions on [0, 1).
 
 Each family is one frozen dataclass holding all that is known about it, and
-each of its formulas has one implementation there: phi0, tail, their ratio
-and the table vector.  A single phi_k is column k of the table, so it is
-bit for bit the entry a Bohr sum reads.  The elementary families share a
-monomial base, phi_k = c(k) r^k from k = N on.  The beta-Cesaro, alpha-Cesaro and Bernardi
-families arise from the integral operators they are named after; they share
-the OperatorFamily base, which also holds the operator's coefficient
-transform, and call the family-free kernels of _kernels with their
-parameters (the Cesaro table, and the Lerch sum behind AlphaCesaro.phi0 and
-Bernardi.tail).  The two Cesaro operators are one Euler-integral operator
+each of its formulas has one implementation there: phi0, tail, their ratio,
+the table vector and the table over phi_0, scaled, which the Bohr check
+reads.  A single phi_k is column k of the table.  The elementary families
+share a monomial base, phi_k = c(k) r^k from k = N on.  The beta-Cesaro,
+alpha-Cesaro and Bernardi families arise from the integral operators they
+are named after; they share the OperatorFamily base, which also holds the
+operator's coefficient transform, and call the family-free kernels of
+_kernels with their parameters (the Cesaro table, and the Lerch sum behind
+AlphaCesaro.phi0 and Bernardi.tail).  The two Cesaro operators are one Euler-integral operator
 with parameters (a, c): CesaroFamily holds its table, transform and radius
 equation, and BetaCesaro and AlphaCesaro hold only their field, (a, c) and
 the closed forms of phi_0 and of the sum of all weights.
 
-The module functions phi0, phi_k, tail_sum, phi_vector and phi_tail_mass
-take a scalar r or a numpy array, check r in [0, 1) once and call the
-family's method; radius.gap and radius.sharpness_window_check are the
-checked entry points for the gap.  The methods check nothing: they take an
-already-checked float array (vector takes a 1-d one).  Only code that
-builds its own grid inside [0, 1), such as the radius solver and the
-verification grid, calls them directly.  All evaluators are pure.
+The module functions phi0, phi_k, tail_sum and phi_vector take a scalar r
+or a numpy array, check r in [0, 1) once and call the family's method;
+radius.gap and radius.sharpness_window_check are the checked entry points
+for the gap.  The methods check nothing: they take an already-checked
+float array (vector and scaled take a 1-d one).  Only code that builds its
+own grid inside [0, 1), such as the radius solver and the verification
+grid, calls them directly.  All evaluators are pure.
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ import numpy as np
 
 from . import _kernels
 
-BETA_LOG_BRANCH_WIDTH = 1e-9  # |beta - 1| below this routes to the log forms
-BETA_ZERO_LIMIT = 1e-17  # beta below this takes the beta -> 0 limit of the total and its scaled form
+BETA_ZERO_LIMIT = 1e-17  # |s| below this takes the s -> 0 limit of 2F1(s+1, 1; 2; r)
 
 
 class WeightFamily:
@@ -47,15 +46,26 @@ class WeightFamily:
     vector(order, r) at a 1-d float array, the table whose row i is
     [phi_0(r[i]), ..., phi_order(r[i])], each row bit for bit the table of
     its point alone.  ratio(r) is tail(r)/phi0(r), which the radius gap
-    reads; a family overrides it with a form that stays finite where phi_0
-    and the tail leave the floats apart.  A single phi_k is read from the
-    table (weights.phi_k), so each formula has one implementation.  Callers outside a grid they built
-    themselves go through the module functions, which check r.
+    reads, and scaled(order, r) the table over its phi_0 column, psi_k =
+    phi_k/phi_0, which the Bohr check reads; a family overrides them with
+    forms that stay finite where phi_0 and the tail leave the floats apart.
+    A single phi_k is read from the table (weights.phi_k), so each formula
+    has one implementation.  Callers outside a grid they built themselves go
+    through the module functions, which check r.
     """
 
     def ratio(self, r):
         """tail(r)/phi0(r)."""
         return self.tail(r) / self.phi0(r)
+
+    def scaled(self, order, r):
+        """vector(order, r) over its phi_0 column, 0 where phi_0 = 0; a table
+        that is not finite raises RuntimeError before the division."""
+        v = self.vector(order, r)
+        if not np.isfinite(v).all():
+            raise RuntimeError(f"the {self.name} weight table overflowed: phi_0 ... phi_{order} "
+                               f"are not finite on [0, {r[-1]}]")
+        return np.divide(v, v[:, :1], out=np.zeros_like(v), where=v[:, :1] != 0.0)
 
     def params(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -195,13 +205,13 @@ class OperatorFamily(WeightFamily):
 # The operator families hand their kernels 1-d arrays: numpy's 0-d paths
 # are slower and can differ from its 1-d ones in the last bits.
 
-def _beta_2f1(s: float, width: float, r: np.ndarray) -> np.ndarray:
+def _beta_2f1(s: float, r: np.ndarray) -> np.ndarray:
     """2F1(s+1, 1; 2; r) = expm1(s u)/(s r), u = -log(1-r), and 1 at r = 0.
 
     phi_0 is s = beta-1 and the sum of all weights s = beta; at s = -beta
-    and 1-beta the two are scaled by (1-r)^beta, and stay finite.  Within
-    width of s = 0 it takes the limit u/r: the log form at beta = 1 with
-    BETA_LOG_BRANCH_WIDTH, and at beta -> 0 with BETA_ZERO_LIMIT, where
+    and 1-beta the two are scaled by (1-r)^beta, and stay finite.  Below
+    BETA_ZERO_LIMIT in |s| it takes the limit u/r: at beta = 1 alone for
+    s = +-(beta-1), exact near 1, and at beta -> 0 for s = +-beta, where
     expm1(t)/t = 1 + t/2 + ... with |t| < 21 |s| is under half an ulp from
     1 and the product s r itself would lose bits or underflow.
     """
@@ -209,7 +219,7 @@ def _beta_2f1(s: float, width: float, r: np.ndarray) -> np.ndarray:
     nz = r > 0.0
     rr = r[nz]
     u = -np.log1p(-rr)
-    out[nz] = u / rr if abs(s) < width else np.expm1(s * u) / (s * rr)
+    out[nz] = u / rr if abs(s) < BETA_ZERO_LIMIT else np.expm1(s * u) / (s * rr)
     return out
 
 
@@ -280,16 +290,16 @@ class BetaCesaro(CesaroFamily):
         return self.beta, 2.0
 
     def phi0(self, r):
-        return _beta_2f1(self.beta - 1.0, BETA_LOG_BRANCH_WIDTH, np.atleast_1d(r)).reshape(r.shape)
+        return _beta_2f1(self.beta - 1.0, np.atleast_1d(r)).reshape(r.shape)
 
     def total(self, r):
-        return _beta_2f1(self.beta, BETA_ZERO_LIMIT, r)
+        return _beta_2f1(self.beta, r)
 
     def ratio(self, r):
         """total/phi_0 - 1 = 2F1(1-beta, 1; 2; r) / ((1-r) 2F1(2-beta, 1; 2; r)) - 1,
         the two scaled by (1-r)^beta (Euler's transformation)."""
         r1 = np.atleast_1d(r)
-        scaled = _beta_2f1(-self.beta, BETA_ZERO_LIMIT, r1) / _beta_2f1(1.0 - self.beta, BETA_LOG_BRANCH_WIDTH, r1)
+        scaled = _beta_2f1(-self.beta, r1) / _beta_2f1(1.0 - self.beta, r1)
         return (scaled / (1.0 - r1) - 1.0).reshape(r.shape)
 
 
@@ -350,6 +360,11 @@ class Bernardi(OperatorFamily):
         k = np.arange(order + 1)
         return r[:, None] ** (k + float(self.m)) / (k + self.m + self.delta)
 
+    def scaled(self, order, r):
+        """psi_n = r^n (m+delta)/(n+m+delta): the table over phi_0 with no r^m."""
+        k = np.arange(order + 1)
+        return (self.m + self.delta) * r[:, None] ** k.astype(float) / (k + self.m + self.delta)
+
     def transform(self, a):
         """b_n = a_n / (n + delta), requiring a_k = 0 for k < m."""
         if np.any(a[: self.m] != 0):
@@ -384,7 +399,8 @@ class CustomFamily(WeightFamily):
     16-sections of (0, 1e-3).  That is the first crossing only if the gap
     changes sign once, as it does where tail/phi_0 increases, for every
     built-in family: a dip below 0 between two points of the 32e-3 grid is
-    not seen.
+    not seen.  The Bohr check reads psi_k = phi_k/phi_0 from the table, and
+    psi = 0 where phi_0 = 0: there it checks |c_0|^p <= 1 alone.
     """
 
     name: str
@@ -458,20 +474,6 @@ def _phi_vector_cached(family, order, r):
     v = family.vector(order, np.array([r]))[0]
     v.flags.writeable = False
     return v
-
-
-def phi_tail_mass(family: WeightFamily, r: float, order: int) -> float:
-    """Certified bound on sum_{k > order} phi_k(r) (non-negative)."""
-    _prepare_r(r)
-    r = float(r)
-    return _tail_beyond(family, r, float(np.sum(_phi_vector_cached(family, int(order), r)[1:])))
-
-
-def _tail_beyond(family, r, partial):
-    """phi_tail_mass from partial, the sum of phi_1(r) ... phi_order(r):
-    tail(r) less partial, at least 0, at a float r already known to lie in
-    [0, 1)."""
-    return max(float(family.tail(np.asarray(r))) - partial, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import mpmath as mp
 import numpy as np
 
 from bohrad import weights
-from bohrad.weights import AlphaCesaro, Bernardi, BetaCesaro
+from bohrad.weights import AlphaCesaro, Bernardi, BetaCesaro, CesaroFamily
 
 ORACLE_DPS = 20  # f is a float function: 20 digits leave only its rounding
 RADIUS_DPS = 40  # the radius oracles: h is steep or flat far past the floats' range
@@ -106,6 +106,28 @@ def mp_tail_over_phi0(family, x):
             return c * x * mp.hyp2f1(1, c + 1, c + 2, x) / (c + 1)
         head = sum(family.coef(k) * x ** k for k in range(1, family.N))
         return MP_MONOMIAL_SUMS[family.name](x) - head
+
+
+def mp_scaled(family, order, x):
+    """[psi_0(x), ..., psi_order(x)], psi_k = phi_k/phi_0, in RADIUS_DPS digits,
+    each phi_k from the series that defines it.
+
+    The Cesaro phi_n is x^n/G_n(c) 2F1(a, n+1; n+c; x) with G_n(c) = (c)_n/n!;
+    the Bernardi phi_n is x^(n+m)/(n+m+delta), whose x^m mpmath keeps at any
+    m; a monomial family has phi_0 = 1.  psi = 0 where phi_0 = 0, as at
+    x = 0 for Bernardi, where psi_k (k >= 1) tends to 0.
+    """
+    with mp.workdps(RADIUS_DPS):
+        x = mp.mpf(x)
+        if isinstance(family, Bernardi):
+            c = family.m + mp.mpf(family.delta)
+            phi = [x ** (n + family.m) / (n + c) for n in range(order + 1)]
+        elif isinstance(family, CesaroFamily):
+            a, c = (mp.mpf(v) for v in family.ac)
+            phi = [x ** n * mp.factorial(n) / mp.rf(c, n) * mp.hyp2f1(a, n + 1, n + c, x) for n in range(order + 1)]
+        else:
+            phi = [mp.mpf(1)] + [family.coef(k) * x ** k if k >= family.N else 0 for k in range(1, order + 1)]
+        return [v / phi[0] if phi[0] else mp.mpf(0) for v in phi]
 
 
 def mp_h(query):

@@ -1,7 +1,9 @@
 """Weighted Bohr sums, verification reports, extremal margins."""
 
 import math
+import time
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from bohrad.weights import (
     AlphaCesaro,
     Bernardi,
     BetaCesaro,
+    CustomFamily,
     EvenPowers,
     Linear,
     LinearPlusOne,
@@ -28,7 +31,7 @@ from bohrad.weights import (
     phi0,
     phi_k,
 )
-from oracles import p_bound_check
+from oracles import RADIUS_DPS, mp_scaled, p_bound_check
 
 BUILTINS = [
     PowerTail(1),
@@ -158,14 +161,26 @@ class TestVerifyUpToRadius:
         assert bohr._phi_matrix.cache_info().misses == 1
         assert range_checks == []
 
-    def test_phi_matrix_hands_out_read_only_views_of_one_table(self):
-        radii, phi0, block, allowance = bohr._phi_matrix(PowerTail(1), 0.3, 5, 10)
-        assert phi0.shape == (5,) and block.shape == (5, 10) and allowance > 0.0
-        assert phi0.base is block.base is not None  # the phi_0 column and the k >= 1 block of one table
-        for array in (radii, phi0, block):
+    @pytest.mark.parametrize("family", [PowerTail(1), BetaCesaro(7.3), Bernardi(2, 0.5)], ids=str)
+    def test_phi_matrix_hands_out_read_only_scaled_arrays(self, family):
+        # phi_0 over the grid and the k >= 1 block of the scaled table, which
+        # every function of a suite cell shares
+        radii, phi0s, block, allowance = bohr._phi_matrix(family, 0.3, 5, 10)
+        assert phi0s.shape == (5,) and block.shape == (5, 10) and allowance > 0.0
+        assert phi0s.tobytes() == family.phi0(radii).tobytes()
+        assert block.tobytes() == family.scaled(10, radii)[:, 1:].tobytes()
+        for array in (radii, phi0s, block):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0.5
+
+    def test_custom_phi0_may_be_a_scalar(self):
+        # phi_0 once came from the table's column; a phi0_fn that returns a
+        # float still gives phi_0 over the grid
+        fam = CustomFamily(name="g", phi0_fn=lambda r: 1.0, phi_k_fn=lambda k, r: r ** k,
+                           tail_fn=lambda r: r / (1.0 - r))
+        rep = verify_up_to_radius(Extremal(DomainParams(0.0), 0.5), RadiusQuery(fam, DomainParams(0.0), 1.0), 0.3)
+        assert rep.phi0_values.tolist() == [1.0] * 16 and rep.passed
 
     def test_raw_series_never_truncated(self):
         long_raw = Raw(CoefficientSeries(np.full(400, 1e-3)))
@@ -223,17 +238,42 @@ def test_overflowing_weight_table_is_refused():
             verify_up_to_radius(f, query, radius)
 
 
-def test_underflowed_weight_table_is_refused():
-    # at m = 640 phi_0 at the radius is subnormal and the whole table reads
-    # about 1e-309 or 0: every Bohr sum passed, with a truncation bound of 1e-323
-    query = RadiusQuery(Bernardi(640, 1.0), DomainParams(0.0), 1.0)
+@pytest.mark.parametrize("m", [640, 2_000, 10_000])
+def test_bernardi_past_the_underflow_gets_a_verdict(m):
+    # phi_0 at the radius is subnormal from m = 640 and 0 at m = 10^4: the raw
+    # table was refused there.  psi_k = r^k (m+delta)/(k+m+delta) has no r^m,
+    # and the extremal maps get their verdicts, with a relative excess
+    query = RadiusQuery(Bernardi(m, 1.0), DomainParams(0.0), 1.0)
+    t0 = time.perf_counter()
     radius = minimal_root(query).radius
-    f = Extremal(DomainParams(0.0), 0.5)
-    with pytest.raises(RuntimeError, match=r"bernardi weight table underflowed: phi_0\(0.3338"):
-        verify_up_to_radius(f, query, radius)
-    # at m = 600 it is normal, and the check runs
-    query = RadiusQuery(Bernardi(600, 1.0), DomainParams(0.0), 1.0)
-    assert verify_up_to_radius(f, query, minimal_root(query).radius).phi0_values[-1] > 0.0
+    member = verify_up_to_radius(Extremal(DomainParams(0.0), 0.5), query, radius)
+    beyond = verify_up_to_radius(Extremal(DomainParams(0.0), 0.999), query, radius + 0.05)
+    assert time.perf_counter() - t0 < 1.0
+    assert phi0(query.family, radius) < np.finfo(float).tiny
+    assert member.passed and -0.21 < member.max_excess < -0.19
+    assert not beyond.passed and beyond.max_excess > 1e-4
+
+
+@pytest.mark.parametrize(
+    "family",
+    [BetaCesaro(1.0), BetaCesaro(7.3), AlphaCesaro(0.5), Bernardi(1, 1.0), Bernardi(3, 0.5),
+     Bernardi(640, 1.0), Bernardi(10_000, 1.0)],
+    ids=str,
+)
+def test_excess_matches_mpmath(family):
+    # the excess max (|c_0|^p - 1 + sum |c_k| psi_k) over the grid, past the
+    # radius so that it is positive, against 40-digit scaled weights
+    query = RadiusQuery(family, DomainParams(0.0), 1.0)
+    f = Extremal(DomainParams(0.0), 0.9)
+    rep = verify_up_to_radius(f, query, minimal_root(query).radius + 0.05, grid_points=6, order=40)
+    moduli = f.coefficients(40).moduli()
+    with mp.workdps(RADIUS_DPS):
+        excess = max(
+            mp.mpf(moduli[0]) - 1 + mp.fsum(mp.mpf(c) * psi for c, psi in zip(moduli[1:], mp_scaled(family, 40, r)[1:]))
+            for r in rep.radii.tolist()
+        )
+    assert rep.max_excess > 0.0
+    assert abs(rep.max_excess - float(excess)) <= 1e-15
 
 
 class TestExtremalMargin:

@@ -137,6 +137,14 @@ class TestRadiusCommand:
         assert abs(data["radius"] - mp_root(query, data["radius"])) <= 1e-12
         jsonschema.validate(data, load_schema("radius_result.schema.json"))
 
+    def test_crossing_below_the_narrowing_floor(self, capsys):
+        # the root is about 5e-14, below the 1e-12 the solver narrows (0, 1e-3)
+        # to: still no root (3), but the message once said no crossing exists
+        code, out, err = run_cli(capsys, "radius", "--family", "power-tail", "--gamma", "0", "--p", "1e-13")
+        assert (code, out) == (3, "")
+        assert "any crossing lies below the least of them, x = 2.3283064365386963e-13" in err
+        assert "no crossing exists" not in err
+
     def test_bernardi_past_the_underflow(self, capsys):
         code, out, _ = run_cli(capsys, "radius", "--family", "bernardi", "--m", "400", "--delta", "1", "--gamma", "0")
         assert code == 0
@@ -396,14 +404,18 @@ class TestVerifyCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error: the beta-cesaro weight table overflowed")
 
-    def test_underflowed_weight_table_is_usage_error(self, capsys):
-        # phi_0 at the radius is subnormal: the check once passed vacuously
+    @pytest.mark.parametrize("fn,r_beyond,expected", [("extremal:0.5", "0", 0), ("extremal:0.999", "0.05", 1)])
+    def test_subnormal_phi0_gets_a_verdict(self, capsys, fn, r_beyond, expected):
+        # phi_0 at the radius is subnormal: the raw table was refused (2), and
+        # once passed every function; the scaled weights give a verdict
         code, out, err = run_cli(
-            capsys, "verify", "--fn", "extremal:0.5", "--family", "bernardi", "--m", "640", "--delta", "1",
-            "--gamma", "0",
+            capsys, "verify", "--fn", fn, "--family", "bernardi", "--m", "640", "--delta", "1",
+            "--gamma", "0", "--r-beyond", r_beyond,
         )
-        assert (code, out) == (2, "")
-        assert err.startswith("error: the bernardi weight table underflowed")
+        data = json.loads(out)
+        assert (code, err, data["pass"]) == (expected, "", expected == 0)
+        assert any(0.0 < v < sys.float_info.min for v in data["phi0_values"])
+        jsonschema.validate(data, load_schema("bohr_report.schema.json"))
 
     def test_blaschke_descriptors(self, capsys):
         code, _, _ = run_cli(

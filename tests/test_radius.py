@@ -89,8 +89,8 @@ class TestGap:
         # the solver's unchecked _gap and the checked gap are one formula,
         # (1+gamma) - (2/p) ratio, and ratio is the checked weights' tail/phi_0:
         # to the bit where phi_0 is 1 or ratio divides the two, and to 1e-14
-        # in the scaled closed forms; _phi_matrix and phi_tail_mass are one
-        # formula too
+        # in the scaled closed forms; the allowance of _phi_matrix is one
+        # formula with ratio and scaled too
         query = q(family, 0.3, 0.7)
 
         def ratio_gap(x):
@@ -115,7 +115,9 @@ class TestGap:
         else:
             same_bits(family.ratio(xs), quotient)
         radii, _, _, allowance = bohr._phi_matrix(family, 0.45, 12, 60)
-        same_bits(allowance, max(weights.phi_tail_mass(family, r, 60) for r in radii))
+        alone = [float(family.ratio(np.asarray(r))) - family.scaled(60, np.array([r]))[0, 1:].sum()
+                 for r in radii.tolist()]
+        same_bits(allowance, max(*alone, 0.0))
 
 
 def test_scan_grids_are_read_only_constants():
@@ -614,6 +616,22 @@ class TestRadiiNearOne:
             res = ended(query, 0.5)
             assert abs(res.radius - mp_root(query, res.radius)) <= 1e-12
         assert weights.phi0(query.family, res.radius) < np.finfo(float).tiny
+
+    @pytest.mark.parametrize("beta", [1.0, *(1.0 + d for d in (9e-10, 5e-10, 1e-12, 1e-13, 1e-15, 2.2e-16)),
+                                      *(1.0 - d for d in (9e-10, 5e-10, 1e-12, 1e-13, 1e-15))])
+    def test_beta_near_one_takes_the_log_form_only_at_one(self, beta):
+        # every |beta - 1| < 1e-9 once took the beta = 1 limit u/r, and phi_0
+        # was off by up to 9.3e-9; expm1 keeps any beta != 1 to a few ulps
+        family = BetaCesaro(beta)
+        xs = np.concatenate([np.linspace(0.1, 0.9, 9), 1.0 - np.logspace(-2, -9, 8)])
+        with mp.workdps(40):
+            s = mp.mpf(beta) - 1
+            expected = [float(mp.expm1(s * u) / (s * x) if s else u / x)
+                        for x, u in ((mp.mpf(x), -mp.log1p(-mp.mpf(x))) for x in xs.tolist())]
+        np.testing.assert_allclose(weights.phi0(family, xs), expected, rtol=1e-14, atol=0.0)
+        query = q(family, 0.9, 2.0)
+        res = minimal_root(query)
+        assert abs(res.radius - mp_root(query, res.radius)) <= 1e-12
 
     @pytest.mark.parametrize("beta", [5e-324, 1e-320, 1e-300, 1e-18])
     def test_beta_cesaro_tiny_beta_takes_the_limit(self, beta):

@@ -8,6 +8,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from bohrad import bohr
 from bohrad.harness import DEFAULT_FAMILIES
 from bohrad._kernels import rising_ratios
 from bohrad.radius import RadiusQuery, gap, minimal_root
@@ -29,7 +30,6 @@ from bohrad.weights import (
     make_family,
     phi0,
     phi_k,
-    phi_tail_mass,
     phi_vector,
     tail_sum,
 )
@@ -138,7 +138,6 @@ R_CHECKED = {
     "phi_k": lambda fam, r: phi_k(fam, 3, r),
     "tail_sum": tail_sum,
     "phi_vector": lambda fam, r: phi_vector(fam, 5, r),
-    "phi_tail_mass": lambda fam, r: phi_tail_mass(fam, r, 5),
     "gap": lambda fam, r: gap(RadiusQuery(fam, DomainParams(0.3), 1.0), r),
 }
 
@@ -324,13 +323,37 @@ class TestPhiVector:
         with pytest.raises(ValueError):
             vec[0] = 2.0
 
-    def test_tail_mass_certificate(self):
+    def test_allowance_is_the_scaled_tail_mass(self):
+        # the truncation allowance of the Bohr check, ratio less the row sum
+        # of psi_1 ... psi_40, against the brute-force tail over phi_0
         for fam in ALL_FAMILIES:
             for r in (0.3, 0.7):
-                mass = phi_tail_mass(fam, r, 40)
-                brute = oracle_tail(fam, r) - sum(phi_k(fam, k, r) for k in range(1, 41))
-                assert mass >= 0.0
-                assert mass == pytest.approx(max(brute, 0.0), abs=1e-9)
+                allowance = bohr._phi_matrix(fam, r, 2, 40)[3]
+                p0 = phi0(fam, r)
+                brute = oracle_tail(fam, r) / p0 - sum(phi_k(fam, k, r) / p0 for k in range(1, 41))
+                assert allowance >= 0.0
+                assert allowance == pytest.approx(max(brute, 0.0), abs=1e-9)
+
+
+class TestScaled:
+    @pytest.mark.parametrize("family", [*ALL_FAMILIES, Bernardi(40, 2.0), HALF_GEOMETRIC], ids=family_id)
+    def test_is_the_table_over_phi0(self, family):
+        # psi_k = phi_k/phi_0, the weights the Bohr check reads: the table
+        # itself where phi_0 = 1, and Bernardi's closed form, with no r^m, to
+        # 1e-15 of the quotient wherever phi_0 is normal
+        top = 3 if isinstance(family, CesaroFamily) else 9
+        radii = np.concatenate([np.linspace(0.0, 0.95, 12), 1.0 - np.logspace(-2, -top, top - 1)])
+        table, psi = family.vector(40, radii), family.scaled(40, radii)
+        assert psi.shape == table.shape
+        if isinstance(family, MonomialFamily):
+            assert psi.tobytes() == table.tobytes()
+        normal = table[:, 0] >= np.finfo(float).tiny
+        np.testing.assert_allclose(psi[normal], table[normal] / table[normal, :1], rtol=1e-15, atol=0.0)
+
+    def test_zero_where_phi0_is_zero(self):
+        fam = CustomFamily(name="vanishing", phi0_fn=lambda r: r, phi_k_fn=lambda k, r: r ** (k + 1),
+                           tail_fn=lambda r: r ** 2 / (1.0 - r))
+        assert fam.scaled(3, np.array([0.0, 0.5])).tolist() == [[0.0] * 4, [1.0, 0.5, 0.25, 0.125]]
 
 
 class TestBetaDoubleSumSwap:
