@@ -1,8 +1,8 @@
 """Command-line front end: radius, table, verify, operator, suite.
 
-Exit codes: 0 success/pass, 1 verification failure, 2 usage error, 3 no root.
-All floating-point output is printed with 17 significant digits so results
-round-trip and reruns are comparable byte for byte.
+Exit codes: 0 success/pass, 1 verification failure, 2 usage error, 3 no root,
+4 numeric failure (a RuntimeError on valid input, e.g. an overflow).  Floats
+are printed with 17 significant digits, so they round-trip byte for byte.
 
 Each JSON record is a header {"command", "version"}, the echo of the
 command's arguments, then the fields of the library object it ran: a
@@ -51,6 +51,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_NO_ROOT = 3
+EXIT_NUMERIC = 4
 
 _PARAM_FIELDS = {
     name: tuple(f.name for f in dataclasses.fields(cls)) for name, cls in FAMILY_CLASSES.items()
@@ -316,19 +317,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK if (report.passed and membership.ok) else EXIT_FAIL
 
 
-def _add_operator_options(parser: argparse.ArgumentParser) -> None:
-    # one flag per operator family: --<name> VALUE, or --<name> V1 V2 ... for
-    # several parameters (converted in _operator_spec)
-    for cls in _OPERATOR_CLASSES:
-        params = dataclasses.fields(cls)
-        if len(params) == 1:
-            parser.add_argument(f"--{cls.name}", type=_PARAM_TYPES[params[0].name],
-                                metavar=params[0].name.upper())
-        else:
-            parser.add_argument(f"--{cls.name}", nargs=len(params),
-                                metavar=tuple(f.name.upper() for f in params))
-
-
 def _operator_spec(args):
     given = {cls: getattr(args, cls.name.replace("-", "_")) for cls in _OPERATOR_CLASSES}
     chosen = [(cls, value) for cls, value in given.items() if value is not None]
@@ -401,76 +389,101 @@ def cmd_suite(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# parser: one table of commands, options built for the command argv names
 
-def build_parser() -> argparse.ArgumentParser:
+def _radius_options(parser: argparse.ArgumentParser) -> None:
+    _add_family_options(parser)
+    parser.add_argument("--gamma", type=float, required=True)
+    parser.add_argument("--p", type=float, default=1.0)
+    parser.add_argument("--tol", type=float, default=DEFAULT_TOL)
+
+
+def _table_options(parser: argparse.ArgumentParser) -> None:
+    _add_family_options(parser, multi=True)
+    parser.add_argument("--gamma", type=str, required=True, help="value, list, or lo:hi:step")
+    parser.add_argument("--p", type=str, default="1")
+    parser.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    parser.add_argument("--format", choices=("csv", "jsonl"), default="csv")
+
+
+def _verify_options(parser: argparse.ArgumentParser) -> None:
+    _add_family_options(parser)
+    parser.add_argument("--fn", type=str, required=True,
+                        help="constant:<c> | extremal:<a> | blaschke:<seed|zeros> | coeffs:<file>")
+    parser.add_argument("--gamma", type=float, required=True)
+    parser.add_argument("--p", type=float, default=1.0)
+    parser.add_argument("--r-beyond", dest="r_beyond", type=float, default=0.0,
+                        help="extend the grid past the radius (sharpness probing)")
+    parser.add_argument("--grid-points", dest="grid_points", type=int, default=16)
+    parser.add_argument("--order", type=int, default=200)
+    parser.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    parser.add_argument("--tolerance", type=float, default=1e-9,
+                        help="allowed excess over phi_0, relative to phi_0, before truncation allowance")
+
+
+def _operator_options(parser: argparse.ArgumentParser) -> None:
+    # one flag per operator family: --<name> VALUE, or --<name> V1 V2 ... for
+    # several parameters (converted in _operator_spec)
+    for cls in _OPERATOR_CLASSES:
+        params = dataclasses.fields(cls)
+        if len(params) == 1:
+            parser.add_argument(f"--{cls.name}", type=_PARAM_TYPES[params[0].name],
+                                metavar=params[0].name.upper())
+        else:
+            parser.add_argument(f"--{cls.name}", nargs=len(params),
+                                metavar=tuple(f.name.upper() for f in params))
+    parser.add_argument("action", choices=("apply", "bound", "radius"))
+    parser.add_argument("--gamma", type=float, default=0.0)
+    parser.add_argument("--p", type=float, default=1.0)
+    parser.add_argument("--r", type=float, default=None)
+    parser.add_argument("--coeffs", type=str, default=None)
+    parser.add_argument("--out", type=str, default=None)
+    parser.add_argument("--tol", type=float, default=DEFAULT_TOL)
+
+
+def _suite_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--config", type=str, default=None)
+    parser.add_argument("--kind", choices=("inequality", "sharpness"), default="inequality")
+    parser.add_argument("--out", type=str, default=None)
+
+
+# command -> (help, the function that adds its options, handler)
+_COMMANDS = {
+    "radius": ("compute the sharp radius for a weight family", _radius_options, cmd_radius),
+    "table": ("radius sweep over gamma/p/param ranges", _table_options, cmd_table),
+    "verify": ("verify the weighted inequality for one function", _verify_options, cmd_verify),
+    "operator": ("apply an operator, or print its bound/radius", _operator_options, cmd_operator),
+    "suite": ("run the verification suite from a JSON config", _suite_options, cmd_suite),
+}
+
+
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for argv: every command is registered, for the top-level help and
+    errors, but only the one argv names (its first token not starting "-") gets options."""
     parser = argparse.ArgumentParser(
         prog="bohrad",
         description="Sharp generalized Bohr radii on shifted disks, with operator radii.",
     )
     parser.add_argument("--version", action="version", version=f"bohrad {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p_radius = sub.add_parser("radius", help="compute the sharp radius for a weight family")
-    _add_family_options(p_radius)
-    p_radius.add_argument("--gamma", type=float, required=True)
-    p_radius.add_argument("--p", type=float, default=1.0)
-    p_radius.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p_radius.set_defaults(func=cmd_radius)
-
-    p_table = sub.add_parser("table", help="radius sweep over gamma/p/param ranges")
-    _add_family_options(p_table, multi=True)
-    p_table.add_argument("--gamma", type=str, required=True, help="value, list, or lo:hi:step")
-    p_table.add_argument("--p", type=str, default="1")
-    p_table.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p_table.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    p_table.set_defaults(func=cmd_table)
-
-    p_verify = sub.add_parser("verify", help="verify the weighted inequality for one function")
-    _add_family_options(p_verify)
-    p_verify.add_argument("--fn", type=str, required=True,
-                          help="constant:<c> | extremal:<a> | blaschke:<seed|zeros> | coeffs:<file>")
-    p_verify.add_argument("--gamma", type=float, required=True)
-    p_verify.add_argument("--p", type=float, default=1.0)
-    p_verify.add_argument("--r-beyond", dest="r_beyond", type=float, default=0.0,
-                          help="extend the grid past the radius (sharpness probing)")
-    p_verify.add_argument("--grid-points", dest="grid_points", type=int, default=16)
-    p_verify.add_argument("--order", type=int, default=200)
-    p_verify.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p_verify.add_argument("--tolerance", type=float, default=1e-9,
-                          help="allowed excess over phi_0, relative to phi_0, before truncation allowance")
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_op = sub.add_parser("operator", help="apply an operator, or print its bound/radius")
-    _add_operator_options(p_op)
-    p_op.add_argument("action", choices=("apply", "bound", "radius"))
-    p_op.add_argument("--gamma", type=float, default=0.0)
-    p_op.add_argument("--p", type=float, default=1.0)
-    p_op.add_argument("--r", type=float, default=None)
-    p_op.add_argument("--coeffs", type=str, default=None)
-    p_op.add_argument("--out", type=str, default=None)
-    p_op.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p_op.set_defaults(func=cmd_operator)
-
-    p_suite = sub.add_parser("suite", help="run the verification suite from a JSON config")
-    p_suite.add_argument("--config", type=str, default=None)
-    p_suite.add_argument("--kind", choices=("inequality", "sharpness"), default="inequality")
-    p_suite.add_argument("--out", type=str, default=None)
-    p_suite.set_defaults(func=cmd_suite)
-
+    named = next((token for token in argv if not token.startswith("-")), None)
     # a value may start with a minus sign ("--delta -0.5,1", "--alpha -5e-1",
     # "--tolerance -inf"): on every command, read an argument that starts like
     # a number, an infinity or a nan as a value
     number_like = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
-    for command in sub.choices.values():
+    for name, (help_text, add_options, handler) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
         command._negative_number_matcher = number_like
+        command.set_defaults(func=handler)
+        if name == named:
+            add_options(command)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:
@@ -480,7 +493,7 @@ def main(argv=None) -> int:
         return EXIT_NO_ROOT
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_NUMERIC if isinstance(exc, RuntimeError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -389,10 +389,11 @@ class CustomFamily(WeightFamily):
     """Extension point: caller supplies phi_0, phi_k and the tail sum.
 
     The callables must be numpy-aware in r and come with the caller's own
-    convergence guarantee; nothing is re-verified here.  phi_k_fn(k, r) is
-    called once per k with the whole 1-d grid, and must give each point the
-    bits it gives that point alone (elementwise numpy arithmetic does); a
-    scalar result is broadcast over the grid.  The radius solver reads the
+    convergence guarantee; nothing is re-verified here.  phi_0 comes from
+    phi0_fn alone, in the table as well; phi_k_fn(k, r) is called once per
+    k >= 1 with the whole 1-d grid, and must give each point the bits it
+    gives that point alone (elementwise numpy arithmetic does); a scalar
+    result is broadcast over the grid.  The radius solver reads the
     gap (1+gamma) - (2/p) tail/phi_0, so phi_0 must be positive on (0, 1).
     It takes the gap's first sign change on a 32e-3 grid, then the first
     one on the 1e-3 grid inside that cell, and a root below 1e-3 from
@@ -412,9 +413,10 @@ class CustomFamily(WeightFamily):
         return self.phi0_fn(r)
 
     def vector(self, order, r):
-        """The table one column at a time: one phi_k_fn(k, r) call per k."""
+        """The table one column at a time: phi0_fn(r), then one phi_k_fn(k, r) call per k >= 1."""
         out = np.empty((len(r), order + 1))
-        for k in range(order + 1):
+        out[:, 0] = self.phi0_fn(r)
+        for k in range(1, order + 1):
             out[:, k] = self.phi_k_fn(k, r)
         return out
 

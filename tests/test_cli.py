@@ -1,5 +1,6 @@
 """CLI surface: commands, exit codes, JSON schemas, file round-trips."""
 
+import argparse
 import csv
 import io
 import json
@@ -13,7 +14,7 @@ import jsonschema
 import pytest
 
 from bohrad import __version__
-from bohrad.cli import load_suite_config, main, read_coefficients, write_coefficients
+from bohrad.cli import build_parser, load_suite_config, main, read_coefficients, write_coefficients
 from bohrad.radius import RadiusQuery
 from bohrad.series import CoefficientSeries, DomainParams
 from bohrad.weights import BetaCesaro
@@ -87,6 +88,75 @@ def test_import_does_not_load_scipy_signal(tmp_path):
     assert proc.stdout.splitlines()[0] == "[]"
     # extremal:0.999 fails past the radius (1)
     assert proc.stderr.splitlines()[-1] == "[0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0] []"
+
+
+def _command_options(parser, name):
+    """The option strings (a positional by its dest) of subcommand name, in the order they were added."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [s for a in sub.choices[name]._actions for s in (a.option_strings or [a.dest])]
+
+
+_FAMILY_OPTIONS = ["--family", "--N", "--beta", "--alpha", "--m", "--delta"]
+# every command's options in the order the parser has always added them, so
+# each --help lists them as before
+_OPTIONS = {
+    "radius": [*_FAMILY_OPTIONS, "--gamma", "--p", "--tol"],
+    "table": [*_FAMILY_OPTIONS, "--gamma", "--p", "--tol", "--format"],
+    "verify": [*_FAMILY_OPTIONS, "--fn", "--gamma", "--p", "--r-beyond", "--grid-points", "--order", "--tol",
+               "--tolerance"],
+    "operator": ["--beta-cesaro", "--alpha-cesaro", "--bernardi", "action", "--gamma", "--p", "--r", "--coeffs",
+                 "--out", "--tol"],
+    "suite": ["--config", "--kind", "--out"],
+}
+_USAGE = "usage: bohrad [-h] [--version] {radius,table,verify,operator,suite} ...\n"
+
+
+class TestParser:
+    @pytest.mark.parametrize("name", list(_OPTIONS))
+    def test_the_named_command_alone_gets_its_options(self, name):
+        # every command is registered; only the one argv names is built
+        parser = build_parser([name, "--family", "even"])
+        for other in _OPTIONS:
+            expected = ["-h", "--help", *(_OPTIONS[name] if other == name else [])]
+            assert _command_options(parser, other) == expected, other
+
+    @pytest.mark.parametrize("argv", [[], ["--help"], ["--version"], ["-h", "--version"]])
+    def test_no_command_named_builds_no_options(self, argv):
+        parser = build_parser(argv)
+        assert [_command_options(parser, name) for name in _OPTIONS] == [["-h", "--help"]] * len(_OPTIONS)
+
+    @pytest.mark.parametrize("name", list(_OPTIONS))
+    def test_command_help(self, capsys, name):
+        code, out, err = run_cli(capsys, name, "--help")
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: bohrad {name} [-h]")
+        assert all(option in out for option in _OPTIONS[name] if option.startswith("-"))
+
+    def test_top_level_help(self, capsys):
+        code, out, err = run_cli(capsys, "--help")
+        assert (code, err) == (0, "")
+        assert out.startswith(_USAGE + "\nSharp generalized Bohr radii on shifted disks, with operator radii.\n")
+        assert "compute the sharp radius for a weight family" in out
+        assert "run the verification suite from a JSON config" in out
+
+    def test_no_arguments(self, capsys):
+        assert run_cli(capsys) == (2, "", _USAGE + "bohrad: error: the following arguments are required: subcommand\n")
+
+    def test_unknown_command(self, capsys):
+        code, out, err = run_cli(capsys, "mystery", "--gamma", "0")
+        assert (code, out) == (2, "")
+        assert err.startswith(_USAGE + "bohrad: error: argument subcommand: invalid choice: 'mystery' (choose from ")
+        assert all(name in err for name in _OPTIONS)
+
+    def test_unrecognized_option(self, capsys):
+        code, out, err = run_cli(capsys, "radius", "--family", "even", "--gamma", "0", "--bogus", "1")
+        assert (code, out) == (2, "")
+        assert err == _USAGE + "bohrad: error: unrecognized arguments: --bogus 1\n"
+
+    def test_argv_defaults_to_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["bohrad", "radius", "--family", "power-tail", "--gamma", "0"])
+        assert main() == 0
+        assert json.loads(capsys.readouterr().out)["radius"] == pytest.approx(1.0 / 3.0, abs=1e-9)
 
 
 class TestRadiusCommand:
@@ -395,13 +465,14 @@ class TestVerifyCommand:
         assert data["membership_ok"] is False
         assert data["membership_max_violation"] == violation
 
-    def test_overflowing_weight_table_is_usage_error(self, capsys):
+    def test_overflowing_weight_table_is_a_numeric_failure(self, capsys):
+        # valid input whose weights leave the floats: exit 4, no longer 2 (usage)
         with pytest.warns(RuntimeWarning, match="overflow"):
             code, out, err = run_cli(
                 capsys, "verify", "--family", "beta-cesaro", "--beta", "300", "--fn", "constant:0.5",
                 "--gamma", "0.9", "--p", "1",
             )
-        assert (code, out) == (2, "")
+        assert (code, out) == (4, "")
         assert err.startswith("error: the beta-cesaro weight table overflowed")
 
     @pytest.mark.parametrize("fn,r_beyond,expected", [("extremal:0.5", "0", 0), ("extremal:0.999", "0.05", 1)])
@@ -480,6 +551,12 @@ class TestOperatorCommand:
         code, out, _ = run_cli(capsys, "operator", "--beta-cesaro", "40", "radius", "--gamma", "0.9")
         assert code == 0
         jsonschema.validate(json.loads(out), load_schema("operator_result.schema.json"))
+
+    def test_overflowing_printed_equation_is_a_numeric_failure(self, capsys):
+        # the radius solves, but its printed equation overflows: exit 4, no longer 2 (usage)
+        code, out, err = run_cli(capsys, "operator", "--beta-cesaro", "2000", "radius", "--gamma", "0")
+        assert (code, out) == (4, "")
+        assert err.startswith("error: operator radius cross-check failed: the printed equation overflows")
 
     def test_alpha_equals_beta_radius(self, capsys):
         _, out1, _ = run_cli(capsys, "operator", "--alpha-cesaro", "0", "radius", "--gamma", "0")

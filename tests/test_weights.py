@@ -282,9 +282,10 @@ class TestPhiVector:
             assert table.tobytes() == stacked.tobytes()
 
     def test_custom_vector_over_a_grid(self):
-        # one phi_k_fn call per k over the whole grid (a call per (k, point)
-        # took 35 ms at k = 200 on 100 points, against 0.8 ms), and every row
-        # is bit for bit the one-point table at its point
+        # one phi_k_fn call per k >= 1 over the whole grid (a call per
+        # (k, point) took 35 ms at k = 200 on 100 points, against 0.8 ms),
+        # phi_0 from phi0_fn, and every row is bit for bit the one-point
+        # table at its point
         radii = np.concatenate([np.linspace(0.0, 0.99, 100), 1.0 - np.logspace(-3, -9, 7)])
         for phi_k_fn in (
             HALF_GEOMETRIC.phi_k_fn,
@@ -299,7 +300,8 @@ class TestPhiVector:
 
             fam = replace(HALF_GEOMETRIC, phi_k_fn=counted)
             table = fam.vector(200, radii)
-            assert calls == list(range(201))
+            assert calls == list(range(1, 201))
+            assert table[:, 0].tolist() == [1.0] * radii.size
             stacked = np.vstack([fam.vector(200, np.array([r])) for r in radii.tolist()])
             assert table.shape == (radii.size, 201)
             assert table.tobytes() == stacked.tobytes()
@@ -349,6 +351,15 @@ class TestScaled:
             assert psi.tobytes() == table.tobytes()
         normal = table[:, 0] >= np.finfo(float).tiny
         np.testing.assert_allclose(psi[normal], table[normal] / table[normal, :1], rtol=1e-15, atol=0.0)
+
+    def test_phi0_has_one_source(self):
+        # HALF_GEOMETRIC's phi_k_fn(0, r) = 0.5 disagrees with its phi0_fn = 1:
+        # the table took column 0 from phi_k_fn and phi0 from phi0_fn, so its
+        # psi were twice its table; both now read phi0_fn
+        radii = np.array([0.0, 0.25, 0.5, 0.9])
+        table = HALF_GEOMETRIC.vector(5, radii)
+        assert table[:, 0].tolist() == phi0(HALF_GEOMETRIC, radii).tolist() == [1.0] * 4
+        assert HALF_GEOMETRIC.scaled(5, radii).tobytes() == table.tobytes()
 
     def test_zero_where_phi0_is_zero(self):
         fam = CustomFamily(name="vanishing", phi0_fn=lambda r: r, phi_k_fn=lambda k, r: r ** (k + 1),
