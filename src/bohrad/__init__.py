@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .bohr import (
     BohrReport,
     ExtremalMargin,
-    bohr_sum,
     extremal_margin,
     verify_up_to_radius,
 )
@@ -56,7 +55,6 @@ from .weights import (
     make_family,
     phi0,
     phi_k,
-    phi_vector,
     tail_sum,
 )
 

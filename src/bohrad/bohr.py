@@ -1,12 +1,13 @@
 """Weighted Bohr sums A_f = |c_0|^p phi_0(r) + sum |c_k| phi_k(r) and checks.
 
-The check reads A_f <= phi_0 scale-free, as the radius solver reads
+Both checks here read A_f <= phi_0 scale-free, as the radius solver reads
 tail/phi_0: t = |c_0|^p + sum |c_k| psi_k(r) <= 1 with psi_k = phi_k/phi_0
 (family.scaled), which keeps its meaning where phi_0 underflows; its
-excess t - 1, tolerance and truncation bound are relative to phi_0.  A
-failure is only declared when the excess exceeds the certified bound on
-the scaled mass dropped by truncating the series, so a true member is
-never flagged because of a finite cutoff.
+excess t - 1, tolerance and truncation bound are relative to phi_0.  The
+sharpness margin of the extremal map (extremal_margin) is the same t - 1
+at one radius.  A failure is only declared when the excess exceeds the
+certified bound on the scaled mass dropped by truncating the series, so a
+true member is never flagged because of a finite cutoff.
 
 verify_up_to_radius is the check of one function, and a suite calls it once
 per function.  What it shares with the other functions of a suite cell is
@@ -30,16 +31,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import weights
-from .radius import RadiusQuery
-from .series import (
-    DEFAULT_ORDER,
-    BoundedFunction,
-    CoefficientSeries,
-    DomainParams,
-    Extremal,
-    Raw,
-)
+from .radius import RadiusQuery, gap
+from .series import DEFAULT_ORDER, BoundedFunction, DomainParams, Extremal, Raw
 from .weights import WeightFamily
 
 
@@ -67,15 +60,6 @@ class BohrReport:
             "tolerance": float(self.tolerance),
             "pass": bool(self.passed),
         }
-
-
-def bohr_sum(series: CoefficientSeries, family: WeightFamily, p: float, r: float) -> float:
-    """|c_0|^p phi_0(r) + sum_{k=1}^M |c_k| phi_k(r) over the stored coefficients."""
-    if not (0.0 < p <= 2.0):
-        raise ValueError(f"p must be in (0, 2], got {p}")
-    v = weights.phi_vector(family, series.order, r)
-    m = series.moduli()
-    return float(m[0] ** p * v[0] + m[1:] @ v[1:])
 
 
 def verification_order(f: BoundedFunction, order: int) -> int:
@@ -156,7 +140,8 @@ def verify_up_to_radius(
 
 @dataclass(frozen=True)
 class ExtremalMargin:
-    """Observed excess of the extremal family over phi_0, with its linear model."""
+    """Observed excess of the extremal family over phi_0, with its linear
+    model; both are relative to phi_0, as max_excess is."""
 
     margin: float
     first_order_prediction: float
@@ -170,23 +155,22 @@ def extremal_margin(
     r: float,
     order: int = 600,
 ) -> ExtremalMargin:
-    """Bohr-sum excess of the extremal map at radius r, against the expansion
+    """Scaled Bohr-sum excess t - 1 = |c_0|^p + sum |c_k| psi_k(r) - 1 of the
+    extremal map at radius r, from one row of family.scaled, against the
+    expansion
 
-        margin = ((1-a)/(1-gamma)) [2 sum phi_k(r) - p (1+gamma) phi_0(r)] + O((1-a)^2)
+        margin = ((1-a)/(1-gamma)) (-p h(r)) + O((1-a)^2),
+        h = (1+gamma) - (2/p) tail/phi_0 (radius.gap),
 
-    valid as a -> 1 with gamma < a.  Just beyond the sharp radius the bracket
-    is positive, so the margin is positive for a close enough to 1: that is
-    the numerical sharpness certificate.
+    valid as a -> 1 with gamma < a.  Just beyond the sharp radius h < 0, so
+    the margin is positive for a close enough to 1: that is the numerical
+    sharpness certificate.  r is checked by radius.gap.
     """
     if not (domain.gamma < a < 1.0):
         raise ValueError(f"requires gamma < a < 1, got gamma={domain.gamma}, a={a}")
-    series = Extremal(domain, a).coefficients(order)
-    p0 = float(weights.phi0(family, r))
-    margin = bohr_sum(series, family, p, r) - p0
-    pred = (
-        (1.0 - a)
-        / (1.0 - domain.gamma)
-        * (2.0 * float(weights.tail_sum(family, r)) - p * (1.0 + domain.gamma) * p0)
-    )
+    h = gap(RadiusQuery(family, domain, p), r)
+    moduli = Extremal(domain, a).coefficients(order).moduli()
+    psi = family.scaled(order, np.array([float(r)]))[0]
+    margin = moduli[0] ** p + moduli[1:] @ psi[1:] - 1.0
+    pred = (1.0 - a) / (1.0 - domain.gamma) * (-p * h)
     return ExtremalMargin(margin=float(margin), first_order_prediction=float(pred))
-

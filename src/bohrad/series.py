@@ -6,7 +6,7 @@ represented by the Taylor coefficients of its restriction to the unit disk.
 
 Each kind of test function is one frozen dataclass, a ``BoundedFunction``
 that gives its coefficients, its closed-form value, its coefficient cap and
-tail bound, and a descriptor.  The coefficients are exact up to rounding:
+a descriptor.  The coefficients are exact up to rounding:
 
 * ``Extremal`` — the Mobius map of Omega(gamma) onto the disk,
   ``(a - gamma - (1-gamma) z) / (1 - a gamma - a (1-gamma) z)``, whose
@@ -92,28 +92,18 @@ def coefficient_bound(c0: float, gamma: float) -> float:
     return (1.0 - c0 ** 2) / (1.0 + gamma)
 
 
-def _check_radius(r: float) -> None:
-    if not (0.0 <= r < 1.0):
-        raise ValueError("r must be in [0, 1)")
-
-
 class BoundedFunction:
     """Base of the test-function kinds, which are frozen dataclasses.
 
     A kind gives coefficients(order), its closed-form value __call__(z) and
-    descriptor(), a JSON-serializable dict that rebuilds it.  cap() and
-    tail_bound() below hold for members of the bounded class on ``domain``.
+    descriptor(), a JSON-serializable dict that rebuilds it.  cap() below
+    holds for members of the bounded class on ``domain``.
     """
 
     def cap(self) -> float:
         """Certified bound on every |c_k|, k >= 1: members of the bounded class
         on Omega(gamma) satisfy |c_k| <= (1 - |f(0)|^2)/(1 + gamma)."""
         return coefficient_bound(abs(self(0.0)), self.domain.gamma)
-
-    def tail_bound(self, r: float, order: int) -> float:
-        """Certified bound on sum_{k > order} |c_k| r^k at radius r < 1."""
-        _check_radius(r)
-        return self.cap() * r ** (order + 1) / (1.0 - r)
 
 
 @dataclass(frozen=True)
@@ -153,16 +143,6 @@ class Extremal(BoundedFunction):
     def __call__(self, z: complex) -> complex:
         g, a = self.domain.gamma, self.a
         return (a - g - (1.0 - g) * z) / (1.0 - a * g - a * (1.0 - g) * z)
-
-    def tail_bound(self, r: float, order: int) -> float:
-        """The geometric tail of the coefficients, summed exactly."""
-        _check_radius(r)
-        g, a = self.domain.gamma, self.a
-        if a == 0.0:
-            return 0.0 if order >= 1 else (1.0 - g) * r
-        q = a * (1.0 - g) / (1.0 - a * g)
-        pref = (1.0 - a * a) / (a * (1.0 - a * g))
-        return pref * (q * r) ** (order + 1) / (1.0 - q * r)
 
     def descriptor(self) -> dict:
         return {"kind": "extremal", "gamma": self.domain.gamma, "a": self.a}
@@ -225,15 +205,6 @@ class Raw(BoundedFunction):
 
     def cap(self) -> float:
         return 0.0  # the series is finite: nothing lies beyond it
-
-    def tail_bound(self, r: float, order: int) -> float:
-        """The stored coefficients beyond order, summed at r."""
-        _check_radius(r)
-        m = self.series.moduli()
-        if order >= self.series.order:
-            return 0.0
-        k = np.arange(order + 1, self.series.order + 1)
-        return float(np.sum(m[order + 1 :] * r ** k))
 
     def descriptor(self) -> dict:
         return {

@@ -14,20 +14,20 @@ with parameters (a, c): CesaroFamily holds its table, transform and radius
 equation, and BetaCesaro and AlphaCesaro hold only their field, (a, c) and
 the closed forms of phi_0 and of the sum of all weights.
 
-The module functions phi0, phi_k, tail_sum and phi_vector take a scalar r
-or a numpy array, check r in [0, 1) once and call the family's method;
+The module functions phi0, phi_k and tail_sum take a scalar r or a numpy
+array, check r in [0, 1) once and call the family's method;
 radius.gap and radius.sharpness_window_check are the checked entry points
 for the gap.  The methods check nothing: they take an already-checked
 float array (vector and scaled take a 1-d one).  Only code that builds its
 own grid inside [0, 1), such as the radius solver and the verification
-grid, calls them directly.  All evaluators are pure.
+grid, or has checked its r, as the sharpness margin has through
+radius.gap, calls them directly.  All evaluators are pure.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -463,19 +463,6 @@ def tail_sum(family: WeightFamily, r):
     Bernardi."""
     arr, scalar = _prepare_r(r)
     return _unwrap(family.tail(arr), scalar)
-
-
-def phi_vector(family: WeightFamily, order: int, r: float) -> np.ndarray:
-    """[phi_0(r), ..., phi_order(r)] as a read-only vector (cached)."""
-    _prepare_r(r)  # before float(r), so that a nan in a list is a ValueError too
-    return _phi_vector_cached(family, int(order), float(r))
-
-
-@lru_cache(maxsize=4096)
-def _phi_vector_cached(family, order, r):
-    v = family.vector(order, np.array([r]))[0]
-    v.flags.writeable = False
-    return v
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Independent oracles that the tests play against the library.
 
 None of them shares a formula with bohrad: the operators are integrated in
-their integral form, tails are summed term by term, the p-bound is the
+their integral form, tails are summed term by term, the truncation error of
+a member's series is bounded from its value at 0 alone, the p-bound is the
 plain quotient, and the radius gap is evaluated in 40 digits from the
 series that define the weights, where nothing overflows.
 """
@@ -11,7 +12,6 @@ import math
 import mpmath as mp
 import numpy as np
 
-from bohrad import weights
 from bohrad.weights import AlphaCesaro, Bernardi, BetaCesaro, CesaroFamily
 
 ORACLE_DPS = 20  # f is a float function: 20 digits leave only its rounding
@@ -54,7 +54,15 @@ def brute_force_tail(family, r, terms):
     """sum_{k=1}^{terms} phi_k(r) by direct summation; no closed forms anywhere."""
     if terms < 1:
         raise ValueError("terms must be >= 1")
-    return math.fsum(weights.phi_vector(family, terms, r)[1:])
+    return math.fsum(family.vector(terms, np.array([float(r)]))[0][1:])
+
+
+def cap_tail_bound(f, r, order):
+    """A bound on sum_{k > order} |c_k| r^k for a member f of the bounded class
+    on Omega(gamma): every |c_k| (k >= 1) is at most (1 - |f(0)|^2)/(1 + gamma),
+    and the geometric tail of that cap is summed at r < 1."""
+    cap = (1.0 - abs(f(0.0)) ** 2) / (1.0 + f.domain.gamma)
+    return cap * r ** (order + 1) / (1.0 - r)
 
 
 def p_bound_check(x, p):

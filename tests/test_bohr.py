@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from bohrad import _kernels, bohr
-from bohrad.bohr import bohr_sum, extremal_margin, verify_up_to_radius
+from bohrad.bohr import extremal_margin, verify_up_to_radius
+from bohrad.harness import SHARPNESS_OFFSET
 from bohrad.radius import RadiusQuery, minimal_root
 from bohrad.series import (
     BlaschkeComposed,
@@ -25,6 +26,7 @@ from bohrad.weights import (
     EvenPowers,
     Linear,
     LinearPlusOne,
+    MonomialFamily,
     OddPowers,
     PowerTail,
     Quadratic,
@@ -46,34 +48,42 @@ BUILTINS = [
 ]
 
 
-def bohr_sum_oracle(series, family, p, r):
-    """Term-by-term summation through scalar phi_k, apart from bohr_sum's matrix product."""
+def scaled_sum(series, family, p, r):
+    """t = |c_0|^p + sum |c_k| psi_k(r), the Bohr sum over phi_0 that
+    verify_up_to_radius and extremal_margin read, from one row of family.scaled."""
+    m = series.moduli()
+    return float(m[0] ** p + m[1:] @ family.scaled(series.order, np.array([r]))[0][1:])
+
+
+def scaled_sum_oracle(series, family, p, r):
+    """Term-by-term summation through scalar phi_k over phi_0, apart from the
+    scaled table; t = |c_0|^p where phi_0 = 0."""
     m = np.abs(series.coefficients)
-    total = m[0] ** p * phi_k(family, 0, r)
+    p0 = phi_k(family, 0, r)
+    total = m[0] ** p
     for k in range(1, series.order + 1):
-        total += m[k] * phi_k(family, k, r)
+        total += m[k] * phi_k(family, k, r) / p0 if p0 else 0.0
     return total
 
 
 class TestBohrSum:
     def test_unimodular_constant(self):
-        s = CoefficientSeries([1.0])
+        s = CoefficientSeries([1.0]).padded(8)
         for fam in BUILTINS:
             for p in (0.5, 1.0, 2.0):
-                assert bohr_sum(s, fam, p, 0.4) == pytest.approx(phi0(fam, 0.4), abs=1e-15)
+                assert scaled_sum(s, fam, p, 0.4) == 1.0
 
     def test_identity_function(self):
         s = CoefficientSeries([0.0, 1.0])
-        assert bohr_sum(s, PowerTail(1), 1.0, 0.5) == pytest.approx(0.5, abs=1e-16)
+        assert scaled_sum(s, PowerTail(1), 1.0, 0.5) == pytest.approx(0.5, abs=1e-16)
 
     def test_extremal_below_one_at_classical_radius(self):
         # closed form: a + (1-a^2)/(3-a) at r = 1/3 for the unit disk
         for a in (0.5, 0.9, 0.99, 0.999):
-            series = Extremal(DomainParams(0.0), a).coefficients(400)
-            got = bohr_sum(series, PowerTail(1), 1.0, 1.0 / 3.0)
+            em = extremal_margin(DomainParams(0.0), a, PowerTail(1), 1.0, 1.0 / 3.0, order=400)
             closed = a + (1 - a * a) / (3 - a)
-            assert got == pytest.approx(closed, abs=1e-13)
-            assert got <= 1.0 + 1e-13
+            assert 1.0 + em.margin == pytest.approx(closed, abs=1e-13)
+            assert em.margin <= 1e-13
         # equality is approached as a -> 1
         assert 1.0 - (0.999 + (1 - 0.999 ** 2) / (3 - 0.999)) < 1e-3
 
@@ -83,18 +93,18 @@ class TestBohrSum:
         c = rng.normal(size=9) + 1j * rng.normal(size=9)
         s = CoefficientSeries(c / 10.0)
         for r in (0.0, 0.35, 0.8):
-            got = bohr_sum(s, family, 1.0, r)
-            assert got == pytest.approx(bohr_sum_oracle(s, family, 1.0, r), rel=1e-12, abs=1e-300)
+            got = scaled_sum(s, family, 1.0, r)
+            assert got == pytest.approx(scaled_sum_oracle(s, family, 1.0, r), rel=1e-12, abs=1e-300)
 
     def test_monotone_in_r(self):
         series = Extremal(DomainParams(0.25), 0.8).coefficients(200)
         for fam in BUILTINS:
-            vals = [bohr_sum(series, fam, 1.0, r) for r in np.linspace(0.0, 0.9, 15)]
+            vals = [scaled_sum(series, fam, 1.0, r) for r in np.linspace(0.0, 0.9, 15)]
             assert all(b >= a - 1e-14 for a, b in zip(vals, vals[1:]))
 
     def test_rejects_bad_p(self):
-        with pytest.raises(ValueError):
-            bohr_sum(CoefficientSeries([1.0]), PowerTail(1), 0.0, 0.5)
+        with pytest.raises(ValueError, match="p must be in"):
+            extremal_margin(DomainParams(0.0), 0.5, PowerTail(1), 0.0, 0.5)
 
 
 class TestVerifyUpToRadius:
@@ -307,6 +317,52 @@ class TestExtremalMargin:
             extremal_margin(DomainParams(0.5), 0.5, PowerTail(1), 1.0, 0.4)
         with pytest.raises(ValueError):
             extremal_margin(DomainParams(0.5), 0.3, PowerTail(1), 1.0, 0.4)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("a", [0.99, 0.999, 0.9999])
+    @pytest.mark.parametrize("m", [640, 2_000, 10_000])
+    def test_bernardi_past_the_underflow(self, m, a):
+        # phi_0 just past the radius is 3e-300 at m = 640 and 0 from m = 2000:
+        # the absolute sum read a margin of 1.3e-304 at m = 640 and 0.0, a
+        # "fail", above it.  The scaled sum has no r^m, and matches a 40-digit
+        # sum of the same moduli over psi
+        family, dom = Bernardi(m, 1.0), DomainParams(0.0)
+        r = minimal_root(RadiusQuery(family, dom, 1.0)).radius + SHARPNESS_OFFSET
+        em = extremal_margin(dom, a, family, 1.0, r)
+        moduli = Extremal(dom, a).coefficients(600).moduli()
+        with mp.workdps(RADIUS_DPS):
+            psi = mp_scaled(family, 600, r)
+            exact = mp.mpf(moduli[0]) - 1 + mp.fsum(mp.mpf(c) * v for c, v in zip(moduli[1:], psi[1:]))
+        assert phi0(family, r) < 1e-299
+        assert em.margin > 0.0
+        assert abs(em.margin - float(exact)) <= 1e-15
+
+    @pytest.mark.parametrize("family", [f for f in BUILTINS if isinstance(f, MonomialFamily)], ids=str)
+    def test_monomial_margin_is_the_absolute_sum(self, family):
+        # phi_0 = 1, so psi is the table itself: the margin keeps the bits of
+        # |c_0|^p phi_0 + sum |c_k| phi_k - phi_0 over family.vector
+        for gamma in (0.0, 0.25, 0.5, 0.75):
+            dom = DomainParams(gamma)
+            for p in (0.5, 1.0, 2.0):
+                r = minimal_root(RadiusQuery(family, dom, p)).radius + SHARPNESS_OFFSET
+                for a in (0.99, 0.999, 0.9999):
+                    moduli = Extremal(dom, a).coefficients(600).moduli()
+                    v = family.vector(600, np.array([r]))[0]
+                    absolute = moduli[0] ** p * v[0] + moduli[1:] @ v[1:] - v[0]
+                    assert extremal_margin(dom, a, family, p, r).margin == absolute
+
+    def test_cesaro_families_with_one_ac_have_one_margin(self):
+        # beta = 1 and alpha = 0 are both (a, c) = (1, 2): one table, so one
+        # margin to the bit, though phi_0 and the ratio come from other closed forms
+        assert BetaCesaro(1.0).ac == AlphaCesaro(0.0).ac
+        for gamma in (0.0, 0.25, 0.5, 0.75):
+            dom = DomainParams(gamma)
+            r = minimal_root(RadiusQuery(BetaCesaro(1.0), dom, 1.0)).radius + SHARPNESS_OFFSET
+            for a in (0.99, 0.999, 0.9999):
+                beta = extremal_margin(dom, a, BetaCesaro(1.0), 1.0, r)
+                alpha = extremal_margin(dom, a, AlphaCesaro(0.0), 1.0, r)
+                assert beta.margin == alpha.margin
+                assert beta.first_order_prediction == pytest.approx(alpha.first_order_prediction, rel=1e-12)
 
 
 class TestPBound:

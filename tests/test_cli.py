@@ -747,6 +747,16 @@ class TestSuiteCommand:
         assert all(c["status"] == "pass" for c in data["cells"])
         jsonschema.validate(data, load_schema("suite_report.schema.json"))
 
+    def test_sharpness_overflowing_weight_table_is_a_numeric_failure(self, capsys, tmp_path):
+        # the margin reads the scaled table, which refuses a table that is not
+        # finite: exit 4; the absolute sum read nan, and the CLI exited 2 when
+        # it came to serialize the report
+        path = self._config(tmp_path, gamma_grid=[0.0], families=[{"name": "beta-cesaro", "params": {"beta": 400}}])
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code, out, err = run_cli(capsys, "suite", "--config", str(path), "--kind", "sharpness")
+        assert (code, out) == (4, "")
+        assert err.startswith("error: the beta-cesaro weight table overflowed")
+
     def test_out_file(self, capsys, tmp_path):
         path = self._config(tmp_path)
         report = tmp_path / "report.json"

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from bohrad._kernels import rising_ratios
-from bohrad.bohr import bohr_sum
 from bohrad.operators import (
     apply_coefficient_form,
     operator_bohr_radius,
@@ -377,6 +376,6 @@ class TestMajorantSwap:
         for r in (0.3, res.radius):
             rows = np.convolve(m, g)[:351] / np.arange(1, 352)
             double_sum = float(rows @ r ** np.arange(351.0))
-            swap = bohr_sum(series, spec, 1.0, r)
+            swap = float(m @ spec.vector(350, np.array([r]))[0])
             assert double_sum == pytest.approx(swap, rel=1e-10)
             assert swap <= operator_bound(spec, r) + 1e-9

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from bohrad import bohr
+from bohrad.bohr import extremal_margin
 from bohrad.harness import DEFAULT_FAMILIES
 from bohrad._kernels import rising_ratios
 from bohrad.radius import RadiusQuery, gap, minimal_root
@@ -30,7 +31,6 @@ from bohrad.weights import (
     make_family,
     phi0,
     phi_k,
-    phi_vector,
     tail_sum,
 )
 from oracles import brute_force_tail
@@ -137,7 +137,7 @@ R_CHECKED = {
     "phi0": phi0,
     "phi_k": lambda fam, r: phi_k(fam, 3, r),
     "tail_sum": tail_sum,
-    "phi_vector": lambda fam, r: phi_vector(fam, 5, r),
+    "extremal_margin": lambda fam, r: extremal_margin(DomainParams(0.3), 0.5, fam, 1.0, r),
     "gap": lambda fam, r: gap(RadiusQuery(fam, DomainParams(0.3), 1.0), r),
 }
 
@@ -153,8 +153,8 @@ class TestRangeCheck:
     @pytest.mark.parametrize("cls", FAMILY_CLASSES.values(), ids=lambda c: c.__name__)
     def test_nan_rejected_at_once(self, cls, fn, r):
         # nan passed the check: BetaCesaro phi0 read 1.0, AlphaCesaro phi0 and
-        # the Bernardi tail raised RuntimeError after a long scan, and
-        # phi_vector cached a vector of nans
+        # the Bernardi tail raised RuntimeError after a long scan, and a
+        # cached weight vector held nans
         t0 = time.perf_counter()
         with pytest.raises(ValueError):
             R_CHECKED[fn](cls(), r)
@@ -267,7 +267,7 @@ class TestPhiVector:
     def test_matches_scalar_phi_k(self):
         r = 0.45
         for fam in ALL_FAMILIES:
-            vec = phi_vector(fam, 12, r)
+            vec = fam.vector(12, np.array([r]))[0]
             direct = [phi_k(fam, k, r) for k in range(13)]
             np.testing.assert_allclose(vec, direct, rtol=1e-12, atol=1e-300)
 
@@ -319,11 +319,6 @@ class TestPhiVector:
             column = family.vector(k, radii)[:, k]
             assert phi_k(family, k, radii).tobytes() == column.tobytes()
             assert [phi_k(family, k, r) for r in radii.tolist()] == column.tolist()
-
-    def test_vector_is_read_only(self):
-        vec = phi_vector(PowerTail(1), 5, 0.5)
-        with pytest.raises(ValueError):
-            vec[0] = 2.0
 
     def test_allowance_is_the_scaled_tail_mass(self):
         # the truncation allowance of the Bohr check, ratio less the row sum
@@ -445,9 +440,9 @@ class TestNewFamilyIsOneClass:
 
     def test_vector_matches_phi_k(self):
         for r in (0.0, 0.2, 0.45, 0.9):
-            # to the ulp: phi_k reads a table of order k, phi_vector one of order 60
+            # to the ulp: phi_k reads a table of order k, this one is of order 60
             direct = [phi_k(Cubic(), k, r) for k in range(61)]
-            np.testing.assert_allclose(phi_vector(Cubic(), 60, r), direct, rtol=1e-15, atol=0.0)
+            np.testing.assert_allclose(Cubic().vector(60, np.array([r]))[0], direct, rtol=1e-15, atol=0.0)
 
     def test_radius_without_registration(self):
         query = RadiusQuery(Cubic(), DomainParams(0.25), 1.0)
