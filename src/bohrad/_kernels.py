@@ -154,17 +154,6 @@ def _lerch_direct(b: float, r: np.ndarray, rmax: float) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-@lru_cache(maxsize=64)
-def _log_coefficients(b: float) -> tuple:
-    """(-euler - psi(b) + ln b, [e_k - e_0], [(b+k-1)/k]) for k = 1 ... _LOG_TERMS: see _lerch_log."""
-    k = np.arange(1.0, _LOG_TERMS + 1.0)
-    g0 = -_EULER - _digamma_minus_log(b)
-    de = np.cumsum((b - 1.0) / (k * (b + k - 1.0)))
-    c = ((b - 1.0 + k) / k)[:, None]
-    de.flags.writeable = c.flags.writeable = False  # shared by every call with this b
-    return g0, de, c
-
-
 def _lerch_log(b: float, r: np.ndarray) -> np.ndarray:
     """The log-case connection series in y = 1-r (DLMF 15.8.10, a = 1, c = b+1):
 
@@ -178,18 +167,20 @@ def _lerch_log(b: float, r: np.ndarray) -> np.ndarray:
     psi(b) and ln y at large b, and the second sums the steps
     1/k - 1/(b+k-1) = (b-1)/(k(b+k-1)), all of one sign.
     """
-    g0, de, c = _log_coefficients(b)
+    k = np.arange(1.0, _LOG_TERMS + 1.0)
     y = 1.0 - r
     t = np.empty((_LOG_TERMS, r.size))
     t[:] = y
-    t *= c
+    t *= ((b - 1.0 + k) / k)[:, None]
     np.cumprod(t, axis=0, out=t)
-    d0 = g0 - np.log(b * y)
+    d0 = -_EULER - _digamma_minus_log(b) - np.log(b * y)
+    de = np.cumsum((b - 1.0) / (k * (b + k - 1.0)))  # e_k - e_0
     return d0 * (1.0 + t.sum(axis=0)) + de @ t
 
 
 def lerch_phi(b: float, r: np.ndarray) -> np.ndarray:
-    """Phi(r, 1, b) = sum_{k>=0} r^k / (k+b), b > 0, at every point of r in [0, 1).
+    """Phi(r, 1, b) = sum_{k>=0} r^k / (k+b), b > 0, at every point of a 1-d
+    float array r in [0, 1).
 
     The direct series up to max(0.9, 1 - 1/b), the connection series above:
     a point costs at most about 39/(1-r) terms below the switch and 32 above
@@ -199,23 +190,20 @@ def lerch_phi(b: float, r: np.ndarray) -> np.ndarray:
     against 40-digit mpmath: below 2e-15 for b <= 2000.
     """
     b = float(b)
-    r = np.asarray(r, dtype=np.float64)
-    shape = r.shape
-    r = r.ravel()
     if r.size == 0:
-        return r.reshape(shape)
+        return np.empty(0)
     switch = max(0.9, 1.0 - 1.0 / b)
     rmax = float(r.max())
     if rmax <= switch:
-        return _lerch_direct(b, r, rmax).reshape(shape)
+        return _lerch_direct(b, r, rmax)
     near = r > switch
     if near.all():
-        return _lerch_log(b, r).reshape(shape)
+        return _lerch_log(b, r)
     out = np.empty_like(r)
     below = r[~near]
     out[~near] = _lerch_direct(b, below, float(below.max()))
     out[near] = _lerch_log(b, r[near])
-    return out.reshape(shape)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -82,7 +82,7 @@ def _phi_matrix(family, radius: float, grid_points: int, order: int):
     RuntimeError, as family.scaled does for its table."""
     radii = np.linspace(0.0, radius, grid_points)
     block = family.scaled(order, radii)[:, 1:]
-    phi0 = np.broadcast_to(family.phi0(radii), radii.shape)
+    phi0 = family.phi0(radii)
     partials = block.sum(axis=1)
     read = (phi0 > 0.0) | (partials > 0.0)
     allowance = float((family.ratio(radii[read]) - partials[read]).max(initial=0.0))

@@ -114,14 +114,16 @@ def emit(command: str, record: dict) -> None:
 # ---------------------------------------------------------------------------
 # shared argument helpers
 
-def _add_family_options(parser: argparse.ArgumentParser, multi: bool = False) -> None:
+def _add_family_options(parser: argparse.ArgumentParser) -> None:
+    """--family and every family parameter as text: _parse_param reads a value,
+    and table reads value lists of them."""
     parser.add_argument("--family", required=True, choices=sorted(FAMILY_CLASSES))
-    for f, kind in _PARAM_TYPES.items():
-        # multi: comma-separated value lists for parameter sweeps
-        parser.add_argument(f"--{f}", type=str if multi else kind, default=None)
+    for f in _PARAM_TYPES:
+        parser.add_argument(f"--{f}", default=None)
 
 
 def _collect_params(args, name: str) -> dict:
+    """The text of each parameter given; one the family does not take is a ValueError."""
     allowed = _PARAM_FIELDS[name]
     params = {}
     for f in _PARAM_TYPES:
@@ -134,19 +136,27 @@ def _collect_params(args, name: str) -> dict:
     return params
 
 
+def _family_params(args) -> dict:
+    cls = FAMILY_CLASSES[args.family]
+    return {f: _parse_param(cls, f, text) for f, text in _collect_params(args, args.family).items()}
+
+
 def _echo(args, *names: str) -> dict:
     """The named arguments as given; "params" is the family's parameters."""
-    return {n: _collect_params(args, args.family) if n == "params" else getattr(args, n) for n in names}
+    return {n: _family_params(args) if n == "params" else getattr(args, n) for n in names}
 
 
 def _build_family(args):
-    return make_family(args.family, _collect_params(args, args.family))
+    return make_family(args.family, _family_params(args))
 
 
-def _parse_param(cls, name: str, text: str | float) -> float | int:
+def _parse_param(cls, name: str, text: str) -> float | int:
     """Parameter ``name`` of family class cls from its command-line text; an
     int field takes only finite integral values."""
-    x = float(text)
+    try:
+        x = float(text)
+    except ValueError:
+        raise ValueError(f"{cls.__name__} {name} must be a number, got {text!r}") from None
     if _PARAM_TYPES[name] is int:
         if not x.is_integer():  # also false for inf and nan
             raise ValueError(f"{cls.__name__} {name} must be an integer")
@@ -323,11 +333,8 @@ def _operator_spec(args):
     if len(chosen) != 1:
         flags = ", ".join(f"--{cls.name}" for cls in _OPERATOR_CLASSES)
         raise ValueError(f"specify exactly one of {flags}")
-    cls, value = chosen[0]
-    if not isinstance(value, list):
-        return cls(value)
-    fields = dataclasses.fields(cls)
-    return cls(**{f.name: _parse_param(cls, f.name, text) for f, text in zip(fields, value)})
+    cls, texts = chosen[0]
+    return cls(**{f.name: _parse_param(cls, f.name, text) for f, text in zip(dataclasses.fields(cls), texts)})
 
 
 def cmd_operator(args) -> int:
@@ -399,7 +406,7 @@ def _radius_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _table_options(parser: argparse.ArgumentParser) -> None:
-    _add_family_options(parser, multi=True)
+    _add_family_options(parser)
     parser.add_argument("--gamma", type=str, required=True, help="value, list, or lo:hi:step")
     parser.add_argument("--p", type=str, default="1")
     parser.add_argument("--tol", type=float, default=DEFAULT_TOL)
@@ -422,16 +429,11 @@ def _verify_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _operator_options(parser: argparse.ArgumentParser) -> None:
-    # one flag per operator family: --<name> VALUE, or --<name> V1 V2 ... for
-    # several parameters (converted in _operator_spec)
+    # one flag per operator family, --<name> V1 V2 ..., one text per parameter
+    # (read in _operator_spec)
     for cls in _OPERATOR_CLASSES:
         params = dataclasses.fields(cls)
-        if len(params) == 1:
-            parser.add_argument(f"--{cls.name}", type=_PARAM_TYPES[params[0].name],
-                                metavar=params[0].name.upper())
-        else:
-            parser.add_argument(f"--{cls.name}", nargs=len(params),
-                                metavar=tuple(f.name.upper() for f in params))
+        parser.add_argument(f"--{cls.name}", nargs=len(params), metavar=tuple(f.name.upper() for f in params))
     parser.add_argument("action", choices=("apply", "bound", "radius"))
     parser.add_argument("--gamma", type=float, default=0.0)
     parser.add_argument("--p", type=float, default=1.0)

@@ -35,14 +35,9 @@ def apply_coefficient_form(spec: OperatorFamily, series: CoefficientSeries) -> C
 
 
 def operator_bound(spec: OperatorFamily, r: float) -> float:
-    """Sharp sup-norm bound over the unit-bounded class at |z| = r.
-
-    Beta-Cesaro:  (1/r) [1 - (1-r)^(1-beta)] / (1-beta), the log form at beta = 1
-    Alpha-Cesaro: (alpha+1) sum_n r^n / (n+alpha+1), from the Lerch kernel
-                  (direct series, or the connection series near r = 1)
-    Bernardi:     r^m / (m+delta)
-    All three equal phi_0 of the induced weight family.
-    """
+    """Sharp sup-norm bound over the unit-bounded class at |z| = r: phi_0 of
+    the induced weight family, whose closed form is the phi0 method of
+    spec's class in weights."""
     if not (0.0 < r < 1.0):
         raise ValueError("r must be in (0, 1)")
     return float(weights.phi0(spec, r))

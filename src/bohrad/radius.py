@@ -85,12 +85,11 @@ class RadiusResult:
 
 def gap(query: RadiusQuery, x):
     """h(x) = (1+gamma) - (2/p) sum_{k>=1} phi_k(x) / phi_0(x); positive below the radius."""
-    arr, scalar = weights._prepare_r(x)
-    return weights._unwrap(_gap(query, arr), scalar)
+    return weights._evaluate(lambda pts: _gap(query, pts), x)
 
 
 def _gap(query: RadiusQuery, x: np.ndarray):
-    """h at a float array x inside [0, 1) that the caller has checked or built."""
+    """h at a 1-d float array x inside [0, 1) that the caller has checked or built."""
     return (1.0 + query.domain.gamma) - (2.0 / query.p) * query.family.ratio(x)
 
 
@@ -102,12 +101,14 @@ def minimal_root(query: RadiusQuery, tol: float = DEFAULT_TOL) -> RadiusResult:
     positive and the sparse point before that, then 16-sections of the
     bracket (15 interior points at a time).  A point ends the positive run
     when its h is <= 0 or nan.  A second loop certifies the bracket:
-    h(lo) > 0 >= h(hi) with each end evaluated alone, by the one-point path
-    of the public gap, which can differ from a batch in the last bits.  An
-    end whose sign fails, or whose h is nan, steps outward by the bracket
-    width.  The residual is h at the radius.  A CustomFamily whose phi_0
-    vanishes, or whose tail overflows, gives an h of inf or nan, so the solve
-    runs with numpy's divide, overflow and invalid warnings off.
+    h(lo) > 0 >= h(hi) with each end evaluated alone, a one-element array
+    as the public gap reads a scalar.  A lone end can still differ from its
+    batch in the last bits, as lerch_phi takes its term count from the
+    largest point it is given.  An end whose sign fails, or whose h is nan,
+    steps outward by the bracket width.  The residual is h at the radius.
+    A CustomFamily whose phi_0 vanishes, or whose tail overflows, gives an h
+    of inf or nan, so the solve runs with numpy's divide, overflow and
+    invalid warnings off.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -116,7 +117,7 @@ def minimal_root(query: RadiusQuery, tol: float = DEFAULT_TOL) -> RadiusResult:
         pts = _SPARSE
         while True:
             # one step: keep the last positive point and the first point after it that is not positive
-            g = np.asarray(_gap(query, pts))
+            g = _gap(query, pts)
             evals += pts.size
             positive = g > 0.0
             j = int(positive.argmin())
@@ -141,7 +142,7 @@ def minimal_root(query: RadiusQuery, tol: float = DEFAULT_TOL) -> RadiusResult:
         lone = {}  # x -> gap(x) evaluated alone: an end that did not move is not evaluated again
         for _ in range(_CERTIFY_STEPS + 1):
             for x in {lo, hi} - lone.keys():
-                lone[x] = float(_gap(query, np.asarray(x)))
+                lone[x] = float(_gap(query, np.array([x]))[0])
             if lone[lo] > 0.0 >= lone[hi]:
                 break
             lo, hi = (lo if lone[lo] > 0.0 else max(2.0 * lo - hi, 0.0),
@@ -150,7 +151,7 @@ def minimal_root(query: RadiusQuery, tol: float = DEFAULT_TOL) -> RadiusResult:
             raise NoRootError(f"no certified crossing near x = {lo!r}: evaluated alone, "
                               f"gap(lo) > 0 >= gap(hi) fails after {_CERTIFY_STEPS} outward steps")
         radius = 0.5 * (lo + hi)
-        residual = float(_gap(query, np.asarray(radius)))
+        residual = float(_gap(query, np.array([radius]))[0])
         ok = sharpness_window_check(query, radius, min(0.05, 0.5 * (1.0 - radius)))
     evals += len(lone) + 1 + WINDOW_SAMPLES
     return RadiusResult(radius, (lo, hi), residual, ok, evals)

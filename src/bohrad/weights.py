@@ -15,13 +15,15 @@ equation, and BetaCesaro and AlphaCesaro hold only their field, (a, c) and
 the closed forms of phi_0 and of the sum of all weights.
 
 The module functions phi0, phi_k and tail_sum take a scalar r or a numpy
-array, check r in [0, 1) once and call the family's method;
-radius.gap and radius.sharpness_window_check are the checked entry points
-for the gap.  The methods check nothing: they take an already-checked
-float array (vector and scaled take a 1-d one).  Only code that builds its
-own grid inside [0, 1), such as the radius solver and the verification
-grid, or has checked its r, as the sharpness margin has through
-radius.gap, calls them directly.  All evaluators are pure.
+array of any shape, check r in [0, 1) once, call the family's method on
+its points flattened and give the result r's shape back (a float for a
+scalar r); radius.gap and radius.sharpness_window_check are the checked
+entry points for the gap.  The methods check nothing: every one of them
+takes an already-checked 1-d float array, so a point has one value however
+it is passed.  Only code that builds its own grid inside [0, 1), such as
+the radius solver and the verification grid, or has checked its r, as the
+sharpness margin has through radius.gap, calls them directly.  All
+evaluators are pure.
 """
 
 from __future__ import annotations
@@ -40,10 +42,10 @@ BETA_ZERO_LIMIT = 1e-17  # |s| below this takes the s -> 0 limit of 2F1(s+1, 1; 
 class WeightFamily:
     """Base of the families, which are frozen dataclasses.
 
-    A family defines ``name`` (its CLI name) and three methods, each at an r
-    that is already known to lie in [0, 1) and checks nothing: phi0(r) and
-    tail(r) = sum_{k>=1} phi_k(r) at a float array, 0-d or not, and
-    vector(order, r) at a 1-d float array, the table whose row i is
+    A family defines ``name`` (its CLI name) and three methods, each at a
+    1-d float array r that is already known to lie in [0, 1), checking
+    nothing: phi0(r) and tail(r) = sum_{k>=1} phi_k(r), one value per
+    point, and vector(order, r), the table whose row i is
     [phi_0(r[i]), ..., phi_order(r[i])], each row bit for bit the table of
     its point alone.  ratio(r) is tail(r)/phi0(r), which the radius gap
     reads, and scaled(order, r) the table over its phi_0 column, psi_k =
@@ -202,9 +204,6 @@ class OperatorFamily(WeightFamily):
     """
 
 
-# The operator families hand their kernels 1-d arrays: numpy's 0-d paths
-# are slower and can differ from its 1-d ones in the last bits.
-
 def _beta_2f1(s: float, r: np.ndarray) -> np.ndarray:
     """2F1(s+1, 1; 2; r) = expm1(s u)/(s r), u = -log(1-r), and 1 at r = 0.
 
@@ -242,13 +241,11 @@ class CesaroFamily(OperatorFamily):
     """
 
     def tail(self, r):
-        r1 = np.atleast_1d(r)
-        return (self.total(r1) - self.phi0(r1)).reshape(r.shape)
+        return self.total(r) - self.phi0(r)
 
     def ratio(self, r):
-        r1 = np.atleast_1d(r)
-        p0 = self.phi0(r1)
-        return ((self.total(r1) - p0) / p0).reshape(r.shape)
+        p0 = self.phi0(r)
+        return (self.total(r) - p0) / p0
 
     def vector(self, order, r):
         """The table one point at a time: the series kernel takes a float r."""
@@ -290,7 +287,7 @@ class BetaCesaro(CesaroFamily):
         return self.beta, 2.0
 
     def phi0(self, r):
-        return _beta_2f1(self.beta - 1.0, np.atleast_1d(r)).reshape(r.shape)
+        return _beta_2f1(self.beta - 1.0, r)
 
     def total(self, r):
         return _beta_2f1(self.beta, r)
@@ -298,9 +295,8 @@ class BetaCesaro(CesaroFamily):
     def ratio(self, r):
         """total/phi_0 - 1 = 2F1(1-beta, 1; 2; r) / ((1-r) 2F1(2-beta, 1; 2; r)) - 1,
         the two scaled by (1-r)^beta (Euler's transformation)."""
-        r1 = np.atleast_1d(r)
-        scaled = _beta_2f1(-self.beta, r1) / _beta_2f1(1.0 - self.beta, r1)
-        return (scaled / (1.0 - r1) - 1.0).reshape(r.shape)
+        scaled = _beta_2f1(-self.beta, r) / _beta_2f1(1.0 - self.beta, r)
+        return scaled / (1.0 - r) - 1.0
 
 
 @dataclass(frozen=True)
@@ -321,7 +317,7 @@ class AlphaCesaro(CesaroFamily):
 
     def phi0(self, r):
         """(1+alpha) Phi(r, 1, alpha+1) from the Lerch kernel."""
-        return ((1.0 + self.alpha) * _kernels.lerch_phi(self.alpha + 1.0, np.atleast_1d(r))).reshape(r.shape)
+        return (1.0 + self.alpha) * _kernels.lerch_phi(self.alpha + 1.0, r)
 
     def total(self, r):
         return 1.0 / (1.0 - r)
@@ -348,13 +344,11 @@ class Bernardi(OperatorFamily):
 
     def tail(self, r):
         """sum_{n>=1} r^(n+m) / (n+m+delta) = r^(m+1) Phi(r, 1, m+1+delta) from the Lerch kernel."""
-        r1 = np.atleast_1d(r)
-        return (r1 ** (self.m + 1.0) * _kernels.lerch_phi(self.m + 1.0 + self.delta, r1)).reshape(r.shape)
+        return r ** (self.m + 1.0) * _kernels.lerch_phi(self.m + 1.0 + self.delta, r)
 
     def ratio(self, r):
         """(m+delta) r Phi(r, 1, m+1+delta): the tail over phi_0 with no r^m."""
-        r1 = np.atleast_1d(r)
-        return ((self.m + self.delta) * r1 * _kernels.lerch_phi(self.m + 1.0 + self.delta, r1)).reshape(r.shape)
+        return (self.m + self.delta) * r * _kernels.lerch_phi(self.m + 1.0 + self.delta, r)
 
     def vector(self, order, r):
         k = np.arange(order + 1)
@@ -388,19 +382,19 @@ class Bernardi(OperatorFamily):
 class CustomFamily(WeightFamily):
     """Extension point: caller supplies phi_0, phi_k and the tail sum.
 
-    The callables must be numpy-aware in r and come with the caller's own
-    convergence guarantee; nothing is re-verified here.  phi_0 comes from
-    phi0_fn alone, in the table as well; phi_k_fn(k, r) is called once per
-    k >= 1 with the whole 1-d grid, and must give each point the bits it
-    gives that point alone (elementwise numpy arithmetic does); a scalar
-    result is broadcast over the grid.  The radius solver reads the
-    gap (1+gamma) - (2/p) tail/phi_0, so phi_0 must be positive on (0, 1).
-    It takes the gap's first sign change on a 32e-3 grid, then the first
-    one on the 1e-3 grid inside that cell, and a root below 1e-3 from
-    16-sections of (0, 1e-3).  That is the first crossing only if the gap
-    changes sign once, as it does where tail/phi_0 increases, for every
-    built-in family: a dip below 0 between two points of the 32e-3 grid is
-    not seen.  The Bohr check reads psi_k = phi_k/phi_0 from the table, and
+    The callables take a 1-d float array r, as the methods do, and come with
+    the caller's own convergence guarantee; nothing is re-verified here.  A
+    scalar result of any of the three is broadcast over the points.  phi_0
+    comes from phi0_fn alone, in the table as well; phi_k_fn(k, r) is called
+    once per k >= 1 with the whole grid, and must give each point the bits
+    it gives that point alone (elementwise numpy arithmetic does).  The
+    radius solver reads the gap (1+gamma) - (2/p) tail/phi_0, so phi_0 must
+    be positive on (0, 1).  It takes the gap's first sign change on a 32e-3
+    grid, then the first one on the 1e-3 grid inside that cell, and a root
+    below 1e-3 from 16-sections of (0, 1e-3).  That is the first crossing
+    only if the gap changes sign once, as it does where tail/phi_0
+    increases, for every built-in family: a dip below 0 between two points
+    of the 32e-3 grid is not seen.  The Bohr check reads psi_k = phi_k/phi_0 from the table, and
     psi = 0 where phi_0 = 0: there it checks |c_0|^p <= 1 alone.
     """
 
@@ -410,7 +404,7 @@ class CustomFamily(WeightFamily):
     tail_fn: Callable
 
     def phi0(self, r):
-        return self.phi0_fn(r)
+        return np.broadcast_to(self.phi0_fn(r), r.shape)
 
     def vector(self, order, r):
         """The table one column at a time: phi0_fn(r), then one phi_k_fn(k, r) call per k >= 1."""
@@ -421,30 +415,34 @@ class CustomFamily(WeightFamily):
         return out
 
     def tail(self, r):
-        return self.tail_fn(r)
+        return np.broadcast_to(self.tail_fn(r), r.shape)
 
     def params(self) -> dict:
         return {}  # callables have no serial form
 
 
 # ---------------------------------------------------------------------------
-# evaluation: validate r once, then call the family's method
+# evaluation: check and flatten r once, call the family's method on its
+# points, give the result r's shape back
 
 def _prepare_r(r):
     arr = np.asarray(r, dtype=np.float64)
     if not ((arr >= 0.0) & (arr < 1.0)).all():  # one pass; false for nan too
         raise ValueError("r must lie in [0, 1)")
-    return arr, arr.ndim == 0
+    return arr
 
 
-def _unwrap(value, scalar):
-    return float(value) if scalar else value
+def _evaluate(method, r):
+    """method(points) at the points of r, checked and flattened once, in r's
+    shape: a float for a scalar r.  The checked entry points read r this way."""
+    arr = _prepare_r(r)
+    value = method(arr.reshape(-1)).reshape(arr.shape)
+    return float(value) if arr.ndim == 0 else value
 
 
 def phi0(family: WeightFamily, r):
     """phi_0(r) for the family (1 for all elementary families)."""
-    arr, scalar = _prepare_r(r)
-    return _unwrap(family.phi0(arr), scalar)
+    return _evaluate(family.phi0, r)
 
 
 def phi_k(family: WeightFamily, k: int, r):
@@ -452,17 +450,15 @@ def phi_k(family: WeightFamily, k: int, r):
     shape, bit for bit the entry a Bohr sum over that table reads."""
     if int(k) != k or k < 0:
         raise ValueError("k must be an integer >= 0")
-    arr, scalar = _prepare_r(r)
     k = int(k)
-    return _unwrap(family.vector(k, arr.reshape(-1))[:, k].reshape(arr.shape), scalar)
+    return _evaluate(lambda x: family.vector(k, x)[:, k], r)
 
 
 def tail_sum(family: WeightFamily, r):
     """sum_{k>=1} phi_k(r): in closed form for the elementary and beta-Cesaro
     families, from the Lerch kernel (_kernels.lerch_phi) for alpha-Cesaro and
     Bernardi."""
-    arr, scalar = _prepare_r(r)
-    return _unwrap(family.tail(arr), scalar)
+    return _evaluate(family.tail, r)
 
 
 # ---------------------------------------------------------------------------

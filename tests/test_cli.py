@@ -333,6 +333,46 @@ class TestTableCommand:
         assert keys == sorted(keys)
 
 
+class TestFamilyParameters:
+    """Every family parameter is read by one parser on every command: radius
+    and verify once took an int parameter as argparse's int, so --m 1.0
+    exited 2 with "invalid int value" where table and operator ran."""
+
+    FAMILY_ARGV = {
+        "radius": ["radius", "--gamma", "0"],
+        "verify": ["verify", "--fn", "constant:0.5", "--gamma", "0"],
+        "table": ["table", "--gamma", "0", "--format", "jsonl"],
+    }
+
+    @pytest.mark.parametrize("command", FAMILY_ARGV)
+    @pytest.mark.parametrize("family, integral, given, echoed", [
+        ("bernardi", ["--m", "1", "--delta", "1"], ["--m", "1.0", "--delta", "1"], '"m": 1'),
+        ("power-tail", ["--N", "2"], ["--N", "2.0"], '"N": 2'),
+    ], ids=["bernardi", "power-tail"])
+    def test_integral_float_runs_as_the_int(self, capsys, command, family, integral, given, echoed):
+        argv = [*self.FAMILY_ARGV[command], "--family", family]
+        expected = run_cli(capsys, *argv, *integral)
+        assert expected[0] == 0 and expected[2] == "" and echoed in expected[1]
+        assert run_cli(capsys, *argv, *given) == expected
+
+    def test_operator_parameters_read_as_on_the_family_commands(self, capsys):
+        code, out, _ = run_cli(capsys, "operator", "--bernardi", "1.0", "1", "radius")
+        assert code == 0 and json.loads(out)["params"] == {"m": 1, "delta": 1}
+        assert run_cli(capsys, "operator", "--beta-cesaro", "2.0", "bound", "--r", "0.5") == \
+            run_cli(capsys, "operator", "--beta-cesaro", "2", "bound", "--r", "0.5")
+
+    @pytest.mark.parametrize("command", FAMILY_ARGV)
+    @pytest.mark.parametrize("family, option, value, message", [
+        ("bernardi", "--m", "1.5", "Bernardi m must be an integer"),
+        ("power-tail", "--N", "inf", "PowerTail N must be an integer"),
+        ("power-tail", "--N", "1.5", "PowerTail N must be an integer"),
+        ("beta-cesaro", "--beta", "abc", "BetaCesaro beta must be a number, got 'abc'"),
+    ], ids=["m-1.5", "N-inf", "N-1.5", "beta-abc"])
+    def test_bad_value_is_a_usage_error(self, capsys, command, family, option, value, message):
+        code, out, err = run_cli(capsys, *self.FAMILY_ARGV[command], "--family", family, option, value)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 class TestNegativeValues:
     # argparse's own matcher takes "-0.5" and "-.5" but not "-5e-1": without
     # the shared matcher, exponent forms exit 2 with "expected one argument"

@@ -87,14 +87,16 @@ class TestGap:
     )
     def test_is_the_weight_ratio_to_the_bit(self, family):
         # the solver's unchecked _gap and the checked gap are one formula,
-        # (1+gamma) - (2/p) ratio, and ratio is the checked weights' tail/phi_0:
+        # (1+gamma) - (2/p) ratio, with ratio read on the points of x as one
+        # 1-d array, and ratio is the checked weights' tail/phi_0:
         # to the bit where phi_0 is 1 or ratio divides the two, and to 1e-14
         # in the scaled closed forms; the allowance of _phi_matrix is one
         # formula with ratio and scaled too
         query = q(family, 0.3, 0.7)
 
         def ratio_gap(x):
-            return (1.0 + 0.3) - (2.0 / 0.7) * family.ratio(np.asarray(x, dtype=float))
+            points = np.asarray(x, dtype=float).reshape(-1)
+            return ((1.0 + 0.3) - (2.0 / 0.7) * family.ratio(points)).reshape(np.shape(x))
 
         def same_bits(got, expected):
             assert np.shape(got) == np.shape(expected)
@@ -106,7 +108,7 @@ class TestGap:
             assert type(got) is (float if np.ndim(x) == 0 else np.ndarray)
             same_bits(got, ratio_gap(x))
         for built in (radius._SPARSE, radius._COARSE[:31], radius._COARSE[992:999],
-                      0.4 + 0.01 * radius._SECTIONS, np.asarray(0.45)):
+                      0.4 + 0.01 * radius._SECTIONS, np.array([0.45])):
             same_bits(radius._gap(query, built), ratio_gap(built))
         xs = np.append(np.linspace(0.05, 0.95, 19), radius._SPARSE[-4:])
         quotient = weights.tail_sum(family, xs) / weights.phi0(family, xs)
@@ -115,7 +117,7 @@ class TestGap:
         else:
             same_bits(family.ratio(xs), quotient)
         radii, _, _, allowance = bohr._phi_matrix(family, 0.45, 12, 60)
-        alone = [float(family.ratio(np.asarray(r))) - family.scaled(60, np.array([r]))[0, 1:].sum()
+        alone = [family.ratio(np.array([r]))[0] - family.scaled(60, np.array([r]))[0, 1:].sum()
                  for r in radii.tolist()]
         same_bits(allowance, max(*alone, 0.0))
 
@@ -403,7 +405,7 @@ class TestCertifiedBracket:
             name="lone-shifted",
             phi0_fn=lambda r: np.ones_like(r),
             phi_k_fn=lambda k, r: r ** k,
-            tail_fn=lambda r: r / (1.0 - r) + (shift if r.ndim == 0 else 0.0),
+            tail_fn=lambda r: r / (1.0 - r) + (shift if r.size == 1 else 0.0),
         )
 
     def test_failing_end_steps_outward(self):

@@ -184,6 +184,53 @@ class TestRangeCheck:
                     fn(fam, x if ndim == 0 else shaped(x, ndim))
 
 
+ONE_VALUE_CHECKED = {
+    "phi0": phi0,
+    "phi_k": lambda fam, r: phi_k(fam, 3, r),
+    "tail_sum": tail_sum,
+    "gap": lambda fam, r: gap(RadiusQuery(fam, DomainParams(0.5), 1.0), r),
+}
+
+
+class TestOneValuePerPoint:
+    """Every family method takes a 1-d array, so a point has one value
+    however it is passed: as a float, a 0-d array or a one-element list.
+    The quadratic tail once read 0-d arrays by numpy's 0-d path and
+    differed in the last bits on about one point in twenty."""
+
+    POINTS = np.random.default_rng(30).uniform(0.0, 0.999, 64)
+
+    FAMILIES = [*(cls() for cls in FAMILY_CLASSES.values()), HALF_GEOMETRIC]
+
+    @pytest.mark.parametrize("fn", ONE_VALUE_CHECKED)
+    @pytest.mark.parametrize("family", FAMILIES, ids=family_id)
+    def test_float_0d_and_list_agree_to_the_bit(self, family, fn):
+        evaluate = ONE_VALUE_CHECKED[fn]
+        for x in self.POINTS.tolist():
+            value = evaluate(family, x)
+            assert type(value) is float
+            assert evaluate(family, np.asarray(x)) == value
+            listed = evaluate(family, [x])
+            assert listed.shape == (1,) and listed.tobytes() == np.float64(value).tobytes()
+
+    @pytest.mark.parametrize("fn", ONE_VALUE_CHECKED)
+    @pytest.mark.parametrize("family", FAMILIES, ids=family_id)
+    def test_nd_array_is_its_flattened_call(self, family, fn):
+        evaluate = ONE_VALUE_CHECKED[fn]
+        got = evaluate(family, self.POINTS.reshape(4, 2, 8))
+        assert got.shape == (4, 2, 8)
+        assert got.tobytes() == evaluate(family, self.POINTS).tobytes()
+
+    def test_custom_scalar_results_are_broadcast(self):
+        # phi0_fn and tail_fn may return a float: each point still gets its value
+        fam = CustomFamily(name="flat", phi0_fn=lambda r: 1.0, phi_k_fn=lambda k, r: 0.0,
+                           tail_fn=lambda r: 0.25)
+        r = self.POINTS[:6].reshape(2, 3)
+        assert phi0(fam, r).tolist() == [[1.0] * 3] * 2
+        assert tail_sum(fam, r).tolist() == [[0.25] * 3] * 2
+        assert gap(RadiusQuery(fam, DomainParams(0.5), 1.0), r).tolist() == [[1.0] * 3] * 2
+
+
 class TestPhiK:
     def test_monomials_below_threshold_vanish(self):
         assert phi_k(Linear(2), 1, 0.9) == 0.0
