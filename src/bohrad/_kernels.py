@@ -28,8 +28,7 @@ series take enough terms that a ratio-test bound puts the remaining mass
 under 1e-16, and the connection series' 32 terms leave less than 1e-17/b.
 Rising-factorial ratios are always built by recurrence, never from Gamma
 values.  G_j(a) itself still overflows at large a and j, as the alpha-Cesaro
-table does for alpha above about 150 near its p = 1 radius at gamma = 0; the
-terms (a)_j/(c)_j r^j of phi_0 alone (cesaro_terms) stay finite with phi_0.
+table does for alpha above about 150 near its p = 1 radius at gamma = 0.
 """
 
 from __future__ import annotations

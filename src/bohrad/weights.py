@@ -9,10 +9,10 @@ alpha-Cesaro and Bernardi families arise from the integral operators they
 are named after; they share the OperatorFamily base, which also holds the
 operator's coefficient transform, and call the family-free kernels of
 _kernels with their parameters (the Cesaro table, and the Lerch sum behind
-AlphaCesaro.phi0 and Bernardi.tail).  The two Cesaro operators are one Euler-integral operator
-with parameters (a, c): CesaroFamily holds its table, transform and radius
-equation, and BetaCesaro and AlphaCesaro hold only their field, (a, c) and
-the closed forms of phi_0 and of the sum of all weights.
+AlphaCesaro.phi0 and Bernardi.tail).  The two Cesaro operators are one
+Euler-integral operator with parameters (a, c): CesaroFamily holds its
+table and transform, and BetaCesaro and AlphaCesaro hold only their field,
+(a, c) and the closed forms of phi_0 and of the sum of all weights.
 
 The module functions phi0, phi_k and tail_sum take a scalar r or a numpy
 array of any shape, check r in [0, 1) once, call the family's method on
@@ -196,11 +196,8 @@ class OperatorFamily(WeightFamily):
     """A family induced by an integral operator T; the family also holds T.
 
     transform(a) maps the Taylor coefficients a_0 ... a_n of f to those of
-    T f, and radius_equation(gamma, x) returns the two sides (lhs, rhs) of
-    the printed equation of the p = 1 radius, equal at the radius.  They are
-    evaluated apart from phi0 and tail, so they check the solver's root
-    independently, relative to their size.  The sup-norm bound of T over the
-    unit-bounded class at |z| = r is phi_0(r).
+    T f.  The sup-norm bound of T over the unit-bounded class at |z| = r is
+    phi_0(r).
     """
 
 
@@ -236,8 +233,6 @@ class CesaroFamily(OperatorFamily):
 
     A subclass gives its parameter field, ``ac`` = (a, c) as a property, and
     the closed forms phi0(r) and total(r); total takes a 1-d float array.
-    The series table reads only ``ac``, so the radius equation plays it
-    against the closed forms that the solver uses.
     """
 
     def tail(self, r):
@@ -257,17 +252,6 @@ class CesaroFamily(OperatorFamily):
         n = len(a) - 1
         num, den = (_kernels.rising_ratios(n, x) for x in self.ac)
         return np.convolve(a, num)[: n + 1] / den
-
-    def radius_equation(self, gamma, x):
-        """((3+gamma) phi_0(x), 2 sum_{n>=0} phi_n(x)): phi_0 summed from its terms
-        (a)_j/(c)_j x^j, finite where phi_0 is, and the sum in closed form.
-        Where the sum overflows the equation cannot be printed: RuntimeError."""
-        with np.errstate(over="ignore"):
-            total = float(self.total(np.array([x]))[0])
-        if total == math.inf:
-            raise RuntimeError(f"operator radius cross-check failed: the printed equation overflows "
-                               f"at the radius {x!r}")
-        return (3.0 + gamma) * float(np.sum(_kernels.cesaro_terms(*self.ac, x))), 2.0 * total
 
 
 @dataclass(frozen=True)
@@ -368,14 +352,6 @@ class Bernardi(OperatorFamily):
         b = np.zeros_like(a)
         b[self.m :] = a[self.m :] / (np.arange(self.m, len(a)) + self.delta)
         return b
-
-    def radius_equation(self, gamma, x):
-        """((1+gamma)/c, 2 sum_{k>=1} x^k/(k+c)), c = m+delta: the two sides of
-        the p = 1 gap over x^m.  The sum is x/(c+1) 2F1(c+1, 1; c+2; x),
-        summed from its terms (c+1)_j/(c+2)_j x^j as the Cesaro phi_0 is."""
-        c = self.m + self.delta
-        terms = _kernels.cesaro_terms(c + 1.0, c + 2.0, x)
-        return (1.0 + gamma) / c, 2.0 * x / (c + 1.0) * float(np.sum(terms))
 
 
 @dataclass(frozen=True)

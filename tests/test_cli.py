@@ -587,16 +587,42 @@ class TestOperatorCommand:
         assert data["bound"] == pytest.approx(0.25, abs=1e-15)
         jsonschema.validate(data, load_schema("operator_result.schema.json"))
 
-    def test_large_beta_radius_passes_the_cross_check(self, capsys):
+    def test_large_beta_radius_near_gamma_one(self, capsys):
         code, out, _ = run_cli(capsys, "operator", "--beta-cesaro", "40", "radius", "--gamma", "0.9")
         assert code == 0
         jsonschema.validate(json.loads(out), load_schema("operator_result.schema.json"))
 
-    def test_overflowing_printed_equation_is_a_numeric_failure(self, capsys):
-        # the radius solves, but its printed equation overflows: exit 4, no longer 2 (usage)
+    def test_radius_past_the_printed_overflow(self, capsys):
+        # the printed radius equation overflows in floats at this radius, which
+        # once ended the call in a numeric failure (4): the family's radius
         code, out, err = run_cli(capsys, "operator", "--beta-cesaro", "2000", "radius", "--gamma", "0")
-        assert (code, out) == (4, "")
-        assert err.startswith("error: operator radius cross-check failed: the printed equation overflows")
+        assert code == 0 and err == ""
+        _, family_out, _ = run_cli(capsys, "radius", "--family", "beta-cesaro", "--beta", "2000", "--gamma", "0")
+        assert json.loads(out)["radius"] == json.loads(family_out)["radius"]
+
+    @pytest.mark.parametrize("family, names", [
+        ("beta-cesaro", ["--beta"]), ("alpha-cesaro", ["--alpha"]), ("bernardi", ["--m", "--delta"]),
+    ])
+    def test_operator_radius_is_the_family_radius(self, capsys, family, names):
+        import numpy as np
+
+        rng = np.random.default_rng(29)
+        for _ in range(3):
+            gamma = repr(float(rng.uniform(0.0, 0.9)))
+            if family == "beta-cesaro":
+                values = [repr(float(10.0 ** rng.uniform(-2.0, 3.0)))]
+            elif family == "alpha-cesaro":
+                values = [repr(float(rng.uniform(-0.9, 50.0)))]
+            else:
+                m = int(rng.integers(1, 6))
+                values = [str(m), repr(float(rng.uniform(0.5 - m, 5.0)))]
+            code, out, _ = run_cli(capsys, "operator", f"--{family}", *values, "radius", "--gamma", gamma)
+            options = [arg for pair in zip(names, values) for arg in pair]
+            family_code, family_out, _ = run_cli(capsys, "radius", "--family", family, *options, "--gamma", gamma)
+            assert code == family_code == 0
+            operator_data, family_data = json.loads(out), json.loads(family_out)
+            for key in ("radius", "bracket", "residual", "evaluations"):
+                assert operator_data[key] == family_data[key]
 
     def test_alpha_equals_beta_radius(self, capsys):
         _, out1, _ = run_cli(capsys, "operator", "--alpha-cesaro", "0", "radius", "--gamma", "0")
