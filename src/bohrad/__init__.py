@@ -6,6 +6,7 @@ from .bohr import (
     BohrReport,
     ExtremalMargin,
     extremal_margin,
+    extremal_margins,
     verify_up_to_radius,
 )
 from .harness import (

@@ -5,9 +5,11 @@ tail/phi_0: t = |c_0|^p + sum |c_k| psi_k(r) <= 1 with psi_k = phi_k/phi_0
 (family.scaled), which keeps its meaning where phi_0 underflows; its
 excess t - 1, tolerance and truncation bound are relative to phi_0.  The
 sharpness margin of the extremal map (extremal_margin) is the same t - 1
-at one radius.  A failure is only declared when the excess exceeds the
-certified bound on the scaled mass dropped by truncating the series, so a
-true member is never flagged because of a finite cutoff.
+at one radius; a ladder of extremal maps (extremal_margins) at one radius
+reads the gap h and the psi row once for all of its rungs.  A failure is
+only declared when the excess exceeds the certified bound on the scaled
+mass dropped by truncating the series, so a true member is never flagged
+because of a finite cutoff.
 
 verify_up_to_radius is the check of one function, and a suite calls it once
 per function.  What it shares with the other functions of a suite cell is
@@ -147,6 +149,42 @@ class ExtremalMargin:
     first_order_prediction: float
 
 
+def extremal_margins(
+    domain: DomainParams,
+    a_values,
+    family: WeightFamily,
+    p: float,
+    r: float,
+    order: int = 600,
+) -> list[ExtremalMargin]:
+    """Scaled Bohr-sum excess t - 1 = |c_0|^p + sum |c_k| psi_k(r) - 1 of the
+    extremal map at radius r for each a in a_values, from one row of
+    family.scaled, against the expansion
+
+        margin = ((1-a)/(1-gamma)) (-p h(r)) + O((1-a)^2),
+        h = (1+gamma) - (2/p) tail/phi_0 (radius.gap),
+
+    valid as a -> 1 with gamma < a.  Just beyond the sharp radius h < 0, so
+    the margin is positive for a close enough to 1: that is the numerical
+    sharpness certificate.  Every a is checked before any arithmetic; r is
+    checked by radius.gap.  h and the psi row depend on r alone, so a ladder
+    of a reads them once.
+    """
+    a_values = tuple(a_values)
+    for a in a_values:
+        if not (domain.gamma < a < 1.0):
+            raise ValueError(f"requires gamma < a < 1, got gamma={domain.gamma}, a={a}")
+    h = gap(RadiusQuery(family, domain, p), r)
+    psi = family.scaled(order, np.array([float(r)]))[0]
+    margins = []
+    for a in a_values:
+        moduli = Extremal(domain, a).coefficients(order).moduli()
+        margin = moduli[0] ** p + moduli[1:] @ psi[1:] - 1.0
+        pred = (1.0 - a) / (1.0 - domain.gamma) * (-p * h)
+        margins.append(ExtremalMargin(margin=float(margin), first_order_prediction=float(pred)))
+    return margins
+
+
 def extremal_margin(
     domain: DomainParams,
     a: float,
@@ -155,22 +193,5 @@ def extremal_margin(
     r: float,
     order: int = 600,
 ) -> ExtremalMargin:
-    """Scaled Bohr-sum excess t - 1 = |c_0|^p + sum |c_k| psi_k(r) - 1 of the
-    extremal map at radius r, from one row of family.scaled, against the
-    expansion
-
-        margin = ((1-a)/(1-gamma)) (-p h(r)) + O((1-a)^2),
-        h = (1+gamma) - (2/p) tail/phi_0 (radius.gap),
-
-    valid as a -> 1 with gamma < a.  Just beyond the sharp radius h < 0, so
-    the margin is positive for a close enough to 1: that is the numerical
-    sharpness certificate.  r is checked by radius.gap.
-    """
-    if not (domain.gamma < a < 1.0):
-        raise ValueError(f"requires gamma < a < 1, got gamma={domain.gamma}, a={a}")
-    h = gap(RadiusQuery(family, domain, p), r)
-    moduli = Extremal(domain, a).coefficients(order).moduli()
-    psi = family.scaled(order, np.array([float(r)]))[0]
-    margin = moduli[0] ** p + moduli[1:] @ psi[1:] - 1.0
-    pred = (1.0 - a) / (1.0 - domain.gamma) * (-p * h)
-    return ExtremalMargin(margin=float(margin), first_order_prediction=float(pred))
+    """extremal_margins for the one a."""
+    return extremal_margins(domain, (a,), family, p, r, order)[0]

@@ -9,6 +9,12 @@ command's arguments, then the fields of the library object it ran: a
 RadiusResult, a report's to_dict(), or, for a suite, every SuiteConfig field
 as the echoed config.  A table row has the columns _TABLE_COLUMNS, filled from
 the RadiusResult; CSV and JSONL both render each cell with render_json.
+
+A call that starts with a command is parsed by that command's parser alone
+(_command_parser on a parser of its own), the parser the full one hands the
+rest of argv to.  Every other call, and one whose command parser leaves
+arguments over, is parsed by build_parser(argv), so help, --version, usage
+and errors are the full parser's.
 """
 
 from __future__ import annotations
@@ -459,6 +465,20 @@ _COMMANDS = {
 }
 
 
+def _command_parser(parser: argparse.ArgumentParser, name: str, options: bool = True) -> argparse.ArgumentParser:
+    """Set parser up as command name's: its handler, its name as args.subcommand
+    and, if options, its options."""
+    # a value may start with a minus sign ("--delta -0.5,1", "--alpha -5e-1",
+    # "--tolerance -inf"): on every command, read an argument that starts like
+    # a number, an infinity or a nan as a value
+    parser._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+    _, add_options, handler = _COMMANDS[name]
+    parser.set_defaults(func=handler, subcommand=name)
+    if options:
+        add_options(parser)
+    return parser
+
+
 def build_parser(argv) -> argparse.ArgumentParser:
     """The parser for argv: every command is registered, for the top-level help and
     errors, but only the one argv names (its first token not starting "-") gets options."""
@@ -469,23 +489,33 @@ def build_parser(argv) -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"bohrad {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     named = next((token for token in argv if not token.startswith("-")), None)
-    # a value may start with a minus sign ("--delta -0.5,1", "--alpha -5e-1",
-    # "--tolerance -inf"): on every command, read an argument that starts like
-    # a number, an infinity or a nan as a value
-    number_like = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
-    for name, (help_text, add_options, handler) in _COMMANDS.items():
-        command = sub.add_parser(name, help=help_text)
-        command._negative_number_matcher = number_like
-        command.set_defaults(func=handler)
-        if name == named:
-            add_options(command)
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _command_parser(sub.add_parser(name, help=help_text), name, options=name == named)
     return parser
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """argv parsed as build_parser(argv).parse_args(argv) does, with the named
+    command's parser alone where that gives the same result.
+
+    That parser is the one the top level hands argv[1:] to.  Arguments it
+    leaves over are the top level's error, and "--=..." before any "--" is an
+    ambiguous top-level option, so those calls, and a call that does not start
+    with a command, are parsed by the full parser."""
+    if argv and argv[0] in _COMMANDS:
+        classified = argv[: argv.index("--")] if "--" in argv else argv
+        if not any(token.startswith("--=") for token in classified):
+            parser = _command_parser(argparse.ArgumentParser(prog=f"bohrad {argv[0]}"), argv[0])
+            args, extras = parser.parse_known_args(argv[1:])
+            if not extras:
+                return args
+    return build_parser(argv).parse_args(argv)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser(argv).parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:

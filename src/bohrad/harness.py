@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .bohr import extremal_margin, verification_order, verify_up_to_radius
+from .bohr import extremal_margins, verification_order, verify_up_to_radius
 from .radius import NoRootError, RadiusQuery, minimal_root
 from .series import (
     BlaschkeComposed,
@@ -361,18 +361,18 @@ def run_sharpness_suite(config: SuiteConfig) -> SuiteReport:
         if r_test >= 1.0:
             cell.skipped = "radius too close to 1 for the sharpness window"
             continue
-        # extremal_margin needs gamma < a on every rung; the lowest is a = 1 - max(SHARPNESS_A_STEPS)
+        # extremal_margins needs gamma < a on every rung; the lowest is a = 1 - max(SHARPNESS_A_STEPS)
         if 1.0 - max(SHARPNESS_A_STEPS) <= cell.gamma:
             cell.skipped = "gamma too close to 1 for the extremal parameter ladder"
             continue
-        ratios = []
-        margins = {}
-        for one_minus_a in SHARPNESS_A_STEPS:
-            em = extremal_margin(query.domain, 1.0 - one_minus_a, query.family, query.p, r_test)
-            margins[one_minus_a] = em.margin
-            ratios.append(abs(em.margin - em.first_order_prediction) / one_minus_a)
-        cell.margin = margins[1e-3]
-        cell.richardson_ratios = tuple(ratios)
+        ladder = extremal_margins(
+            query.domain, [1.0 - s for s in SHARPNESS_A_STEPS], query.family, query.p, r_test
+        )
+        margins = dict(zip(SHARPNESS_A_STEPS, ladder))
+        cell.margin = margins[1e-3].margin
+        cell.richardson_ratios = tuple(
+            abs(em.margin - em.first_order_prediction) / s for s, em in margins.items()
+        )
         if cell.margin > 0.0:
             cell.status = "pass"
             cell.n_pass = 1

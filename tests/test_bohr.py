@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from bohrad import _kernels, bohr
-from bohrad.bohr import extremal_margin, verify_up_to_radius
-from bohrad.harness import SHARPNESS_OFFSET
+from bohrad.bohr import extremal_margin, extremal_margins, verify_up_to_radius
+from bohrad.harness import SHARPNESS_A_STEPS, SHARPNESS_OFFSET, default_config, iter_cells
 from bohrad.radius import RadiusQuery, minimal_root
 from bohrad.series import (
     BlaschkeComposed,
@@ -317,6 +317,27 @@ class TestExtremalMargin:
             extremal_margin(DomainParams(0.5), 0.5, PowerTail(1), 1.0, 0.4)
         with pytest.raises(ValueError):
             extremal_margin(DomainParams(0.5), 0.3, PowerTail(1), 1.0, 0.4)
+
+    def test_ladder_is_each_rung_to_the_bit(self):
+        # one gap and one psi row per cell give every rung's margin and
+        # prediction with the bits of the one-rung call, on each default suite cell
+        a_values = [1.0 - s for s in SHARPNESS_A_STEPS]
+        cells = list(iter_cells(default_config()))
+        assert len(cells) == 84
+        for family, gamma, p in cells:
+            dom = DomainParams(gamma)
+            r = minimal_root(RadiusQuery(family, dom, p)).radius + SHARPNESS_OFFSET
+            ladder = [(em.margin.hex(), em.first_order_prediction.hex())
+                      for em in extremal_margins(dom, a_values, family, p, r)]
+            rungs = [(em.margin.hex(), em.first_order_prediction.hex())
+                     for em in (extremal_margin(dom, a, family, p, r) for a in a_values)]
+            assert ladder == rungs, (family, gamma, p)
+
+    @pytest.mark.parametrize("a_values", [[0.99, 0.5], [0.3, 0.999], [0.999, 1.0]])
+    def test_ladder_rejects_any_rung_outside_gamma_to_one(self, a_values):
+        # every rung is checked before r (here outside [0, 1)) is read
+        with pytest.raises(ValueError, match="requires gamma < a < 1"):
+            extremal_margins(DomainParams(0.5), a_values, PowerTail(1), 1.0, 1.5)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("a", [0.99, 0.999, 0.9999])

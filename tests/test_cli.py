@@ -14,6 +14,7 @@ import jsonschema
 import pytest
 
 from bohrad import __version__
+from bohrad import cli
 from bohrad.cli import build_parser, load_suite_config, main, read_coefficients, write_coefficients
 from bohrad.radius import RadiusQuery
 from bohrad.series import CoefficientSeries, DomainParams
@@ -157,6 +158,85 @@ class TestParser:
         monkeypatch.setattr(sys, "argv", ["bohrad", "radius", "--family", "power-tail", "--gamma", "0"])
         assert main() == 0
         assert json.loads(capsys.readouterr().out)["radius"] == pytest.approx(1.0 / 3.0, abs=1e-9)
+
+
+_EVEN = ["--family", "even", "--gamma", "0"]
+# argv kinds, each with its reference's exit code, stdout and stderr (see
+# TestOwnParser): "{tmp}" is replaced by a directory holding small.json and in.txt
+_ARGV_CORPUS = [
+    # valid calls
+    ["radius", "--family", "power-tail", "--gamma", "0"],
+    ["radius", "--family", "bernardi", "--m", "1", "--delta", "-0.5", "--gamma", "0.25", "--p", "2"],
+    ["table", "--family", "even", "--gamma", "0:0.2:0.1", "--format", "jsonl"],
+    ["verify", "--fn", "constant:0.5", *_EVEN],
+    ["operator", "--beta-cesaro", "2", "bound", "--r", "0.5"],
+    ["operator", "--alpha-cesaro", "-5e-1", "radius"],
+    ["operator", "--bernardi", "1", "0.5", "apply", "--coeffs", "{tmp}/in.txt", "--out", "{tmp}/out.txt"],
+    ["suite", "--kind", "sharpness", "--config", "{tmp}/small.json"],
+    # help of each command
+    *([name, "-h"] for name in _OPTIONS),
+    # missing arguments
+    ["radius", "--family", "even"],
+    ["verify", *_EVEN],
+    ["operator"],
+    # invalid arguments
+    ["radius", "--family", "nope", "--gamma", "0"],
+    ["radius", "--family", "even", "--gamma", "x"],
+    ["suite", "--kind", "x"],
+    ["operator", "--beta-cesaro", "2", "shrink"],
+    ["radius", "--family", "even", "--gamma", "0", "--p", "--gamma", "0"],
+    ["radius", "--family", "power-tail", "--N", "1.5", "--gamma", "0"],
+    ["radius", "--family", "power-tail", "--beta", "1", "--gamma", "0"],
+    # unrecognized arguments
+    ["radius", *_EVEN, "--bogus", "1"],
+    ["radius", *_EVEN, "extra"],
+    ["operator", "radius", "radius", "--beta-cesaro", "2"],
+    ["radius", *_EVEN, "--version"],
+    ["radius", *_EVEN, "--=x"],
+    # "--"
+    ["radius", *_EVEN, "--"],
+    ["radius", *_EVEN, "--", "x"],
+    ["radius", "--", *_EVEN],
+    ["radius", *_EVEN, "--", "--=x"],
+    ["operator", "--beta-cesaro", "2", "--", "radius"],
+    # negative values
+    ["radius", "--family", "alpha-cesaro", "--alpha=-5e-1", "--gamma", "0"],
+    ["verify", "--fn", "constant:0", *_EVEN, "--tolerance", "-inf"],
+    ["radius", "--family", "even", "--gamma", "-0.5"],
+    # no command first
+    ["--version", "radius"],
+    ["-h", "radius"],
+    ["mystery", "--gamma", "0"],
+    [],
+]
+
+
+class TestOwnParser:
+    """A call that starts with a command is parsed by that command's parser alone."""
+
+    @staticmethod
+    def _argv(argv, tmp_path):
+        (tmp_path / "small.json").write_text(json.dumps(
+            {"seed": 1, "samples_per_cell": 1, "gamma_grid": [0.0], "p_grid": [1.0], "tolerance": 1e-9,
+             "families": [{"name": "power-tail"}]}))
+        (tmp_path / "in.txt").write_text("0 0\n0.25 0.1\n")
+        return [a.replace("{tmp}", str(tmp_path)) for a in argv]
+
+    @pytest.mark.parametrize("argv", _ARGV_CORPUS, ids=" ".join)
+    def test_output_is_the_full_parsers(self, capsys, monkeypatch, tmp_path, argv):
+        argv = self._argv(argv, tmp_path)
+        got = run_cli(capsys, *argv)
+        monkeypatch.setattr(cli, "_parse_args", lambda argv: build_parser(argv).parse_args(argv))
+        assert got == run_cli(capsys, *argv)
+
+    def test_valid_call_builds_no_full_parser(self, capsys, monkeypatch):
+        def refuse(argv):
+            raise AssertionError("build_parser was called")
+
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        code, out, err = run_cli(capsys, "radius", "--family", "power-tail", "--gamma", "0")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["radius"] == pytest.approx(1.0 / 3.0, abs=1e-9)
 
 
 class TestRadiusCommand:
