@@ -10,10 +10,11 @@ G_j(x) = (x)_j/j!, as the correlation of two sequences each built by one
 cumulative product.  rising_ratios builds G_j(x) for the tables, for the
 operators' coefficient transform and for the public ratio functions.  The
 Lerch sum Phi(r, 1, b) = sum_k r^k/(k+b) = 2F1(1, b; b+1; r)/b, from which
-AlphaCesaro.phi0 and Bernardi.tail are built, has two branches: the direct
-series below max(0.9, 1 - 1/b), as matrix products over all radii at once,
-and above it the log-case connection series in powers of 1 - r (DLMF
-15.8.10), 32 terms at every r up to 1 - 1e-9.  The Blaschke kernel samples
+AlphaCesaro.phi0 and Bernardi.tail are built, has three branches of a
+bounded number of terms at any b: the direct series up to 0.9, the log-case
+connection series (DLMF 15.8.10) above max(0.9, 1 - 1/b), and a
+Bernoulli-E_1 expansion in between; a point's bits are those of its call
+alone.  The Blaschke kernel samples
 the closed-form product on a circle and takes one inverse FFT, with the
 number of points and the circle chosen by a Cauchy estimate so that
 aliasing stays under 1e-17.  It expands many products at once, one row
@@ -25,7 +26,7 @@ alone.
 
 Series kernels certify their truncation: the table and the direct Lerch
 series take enough terms that a ratio-test bound puts the remaining mass
-under 1e-16, and the connection series' 32 terms leave less than 1e-17/b.
+under 1e-16, and the other two Lerch branches leave less than 1e-17 Phi.
 Rising-factorial ratios are always built by recurrence, never from Gamma
 values.  G_j(a) itself still overflows at large a and j, as the alpha-Cesaro
 table does for alpha above about 150 near its p = 1 radius at gamma = 0.
@@ -38,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-_MAX_TERMS = 4_000_000
+_MAX_TERMS = 4_000_000  # terms of a Cesaro table, at the most
 _NONCONV = "weight series did not converge: r is too close to 1 for this family"
 
 
@@ -56,37 +57,33 @@ def rising_ratios(n: int, x: float) -> np.ndarray:
     return out
 
 
-def cesaro_terms(a: float, c: float, r: float) -> np.ndarray:
-    """[t_0, ..., t_J], t_j = (a)_j/(c)_j r^j: the terms of 2F1(a, 1; c; r), c > 0,
-    from one cumulative product, never a quotient of two that overflow apart.
-
-    J, a power of two from 64, puts the tail below 1e-16: the ratio
-    t_(j+1)/t_j = r (j+a)/(j+c) is at most rho = r max(1, (J+a)/(J+c)) for
-    j >= J, so the tail is at most t_J rho/(1 - rho).  With c > 1, G_k(c) does
-    not decrease in k, so the same J bounds every phi_n of cesaro_phi_table.
+def cesaro_count(a: float, c: float, r: float) -> int:
+    """J for cesaro_phi_table, c > 1: the least power of two from 64 that puts
+    the tail of 2F1(a, 1; c; r) = sum_j t_j, t_j = (a)_j/(c)_j r^j, below
+    1e-16 (1 at r = 0).  For j >= J, t_(j+1)/t_j <= rho = r max(1, (J+a)/(J+c)),
+    so the tail is at most t_J rho/(1 - rho), t_J from lgamma.  G_k(c) does
+    not decrease in k, so the same J bounds every phi_n of the table.
     """
     if r <= 0.0:
-        return np.array([1.0, 0.0])
+        return 1
     nterms = 64
-    while True:
-        j = np.arange(nterms)
-        t = np.cumprod(np.append(1.0, (a + j) / (c + j) * r))
+    while nterms <= _MAX_TERMS:
         rho = r * max(1.0, (nterms + a) / (nterms + c))
-        if rho < 1.0 and t[-1] * rho / (1.0 - rho) < 1e-16:
-            return t
+        log_t = math.lgamma(nterms + a) - math.lgamma(a) + math.lgamma(c) - math.lgamma(nterms + c)
+        if rho < 1.0 and log_t + nterms * math.log(r) + math.log(rho / (1.0 - rho)) < math.log(1e-16):
+            return nterms
         nterms *= 2
-        if nterms > _MAX_TERMS:
-            raise RuntimeError(_NONCONV)
+    raise RuntimeError(_NONCONV)
 
 
 def cesaro_phi_table(a: float, c: float, r: float, order: int) -> np.ndarray:
     """[phi_0(r), ..., phi_order(r)], phi_n = sum_j G_j(a) r^(n+j) / G_(n+j)(c), c > 1.
 
     The correlation of G_j(a) with u_k = r^k / G_k(c), itself one cumulative
-    product, truncated after the term J that cesaro_terms certifies.
+    product, truncated after the term J that cesaro_count certifies.
     """
     a, c, r, order = float(a), float(c), float(r), int(order)
-    nterms = cesaro_terms(a, c, r).size - 1
+    nterms = cesaro_count(a, c, r)
     k = np.arange(1, order + nterms + 1)
     u = np.empty(order + nterms + 1)
     u[0] = 1.0
@@ -99,11 +96,23 @@ def cesaro_phi_table(a: float, c: float, r: float, order: int) -> np.ndarray:
 # phi_0 and the Bernardi tail:
 # Phi(r, 1, b) = sum_{k>=0} r^k / (k+b) = 2F1(1, b; b+1; r) / b, b > 0
 
-_LERCH_TOL = 1e-17  # truncation bound of the direct series, relative to Phi >= 1/b
+_POINTS = 64  # points per pass: a pass's temporaries stay under 1 MiB
 _LOG_TERMS = 32  # terms of the connection series: see _lerch_log
-_POINTS = 128  # points per pass of the direct series
-_BUDGET = 1 << 14  # elements of each of its temporaries (128 KiB)
+_E1_DEPTH = 100  # levels of the continued fraction of E_1: see _lerch_bernoulli
 _EULER = 0.5772156649015329
+# B_2k / (2k), k = 1 ... 10
+_B2K = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12, -3617 / 8160, 43867 / 14364, -174611 / 6600)
+
+
+def _fold(t):
+    """The column sums of t, folding its rows in halves in place: no column's
+    sum depends on the others, nor on zero rows padding it to a power of two."""
+    w = len(t)
+    while w > 1:
+        h = w // 2
+        t[:h] += t[w - h : w]
+        w -= h
+    return t[0].copy()  # not a view that keeps all of t
 
 
 def _digamma_minus_log(x: float) -> float:
@@ -114,43 +123,26 @@ def _digamma_minus_log(x: float) -> float:
         s -= 1.0 / x
         x += 1.0
     z = 1.0 / (x * x)
-    # -sum B_2k / (2k x^2k), k = 1 ... 7; the next term is below 5e-17
-    series = z * (1 / 12 - z * (1 / 120 - z * (1 / 252 - z * (1 / 240 - z * (1 / 132 - z * (691 / 32760 - z / 12))))))
+    series = 0.0  # sum B_2k / (2k x^2k), k = 1 ... 7; the next term is below 5e-17
+    for c in _B2K[6::-1]:
+        series = z * (c + series)
     return (s + math.log(x)) - 0.5 / x - series
 
 
-def _lerch_direct(b: float, r: np.ndarray, rmax: float) -> np.ndarray:
-    """sum_{k<n} r^k / (k+b), with r^n / (1-r) <= 1e-17 at rmax = max(r).
-
-    Term k = q c + j is r^(qc) r^j / (qc+j+b): the powers r^j, j < c ~ sqrt(n),
-    come from one cumulative product, the powers r^(qc) from pow, and the
-    double sum over (q, j) is a matrix product, taken a block of q at a time
-    so that no temporary holds more than _BUDGET elements per 128 points.
-    The remainder is at most r^n / ((n+b)(1-r)) <= 1e-17 / b <= 1e-17 Phi.
-    """
-    n = int((math.log(_LERCH_TOL) + math.log1p(-rmax)) / math.log(rmax)) + 1 if rmax > 0.0 else 1
-    if n > _MAX_TERMS:  # only past b ~ 1e5, where the switch nears 1
-        raise RuntimeError(_NONCONV)
-    points = min(r.size, _POINTS)
-    cols = min(math.isqrt(n - 1) + 1, _BUDGET // points)
-    rows = -(-n // cols)
-    step = _BUDGET // max(cols, points)  # rows of weights per matrix product
-    jb = np.arange(cols) + b
-    parts = []
-    for i in range(0, r.size, _POINTS):
-        x = r[i : i + _POINTS]
-        pj = np.empty((cols, x.size))
-        pj[0] = 1.0
-        pj[1:] = x
-        np.cumprod(pj, axis=0, out=pj)
-        s = 0.0
-        for q0 in range(0, rows, step):
-            qc = np.arange(q0, min(rows, q0 + step)) * float(cols)
-            t = (1.0 / np.add.outer(qc, jb)) @ pj
-            t *= x ** qc[:, None]
-            s = s + t.sum(axis=0)
-        parts.append(s)
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+def _lerch_direct(b: float, r: np.ndarray) -> np.ndarray:
+    """sum_{k<n} r^k / (k+b) at r <= 0.9, n the least with r^n <= 1e-18 (394
+    at r = 0.9): the remainder r^n / ((n+b)(1-r)) is under 1e-17/b <= 1e-17 Phi.
+    Column i holds r_i^k from one cumulative product, cut to 0 from row n_i,
+    over the power of two of rows that the largest n needs, and a spare row."""
+    n = (math.log(1e-18) // np.log(np.maximum(r, 1e-300))).astype(int) + 1
+    rows = 1 << int(n.max() - 1).bit_length()
+    t = np.tile(r, (rows + 1, 1))
+    t[0] = 1.0
+    t[n, np.arange(r.size)] = 0.0
+    np.cumprod(t, axis=0, out=t)
+    t = t[:rows]
+    t /= (np.arange(rows) + b)[:, None]
+    return _fold(t)
 
 
 def _lerch_log(b: float, r: np.ndarray) -> np.ndarray:
@@ -158,50 +150,69 @@ def _lerch_log(b: float, r: np.ndarray) -> np.ndarray:
 
         Phi = sum_k t_k (e_k - ln y),  t_k = (b)_k/k! y^k,  e_k = psi(k+1) - psi(b+k).
 
-    Used for y <= min(0.1, 1/b), where t_k, built by one recurrence with y
-    folded in so that nothing overflows at large b, falls fast enough that
-    _LOG_TERMS terms leave a remainder below 1e-17/b at every b.  The
-    bracket is split as (e_0 - ln y) + (e_k - e_0): the first part is
-    -euler - (psi(b) - ln b) - ln(b y), free of the cancellation between
-    psi(b) and ln y at large b, and the second sums the steps
+    Used for y < min(0.1, 1/b), where t_k, one recurrence with y folded in,
+    falls fast enough that _LOG_TERMS terms leave less than 1e-17/b.  The
+    bracket is (e_0 - ln y) + (e_k - e_0): -euler - (psi(b) - ln b) - ln(b y),
+    free of the cancellation of psi(b) and ln y, and the steps
     1/k - 1/(b+k-1) = (b-1)/(k(b+k-1)), all of one sign.
     """
     k = np.arange(1.0, _LOG_TERMS + 1.0)
     y = 1.0 - r
-    t = np.empty((_LOG_TERMS, r.size))
-    t[:] = y
-    t *= ((b - 1.0 + k) / k)[:, None]
+    t = np.multiply.outer((b - 1.0 + k) / k, y)
     np.cumprod(t, axis=0, out=t)
     d0 = -_EULER - _digamma_minus_log(b) - np.log(b * y)
-    de = np.cumsum((b - 1.0) / (k * (b + k - 1.0)))  # e_k - e_0
-    return d0 * (1.0 + t.sum(axis=0)) + de @ t
+    t *= d0 + np.cumsum((b - 1.0) / (k * (b + k - 1.0)))[:, None]  # e_k - ln y
+    return d0 + _fold(t)
+
+
+def _lerch_bernoulli(b: float, r: np.ndarray) -> np.ndarray:
+    """The Bernoulli-E_1 expansion at 0.9 < r <= 1 - 1/b.  With r = e^(-tau),
+    Phi = int_0^inf e^(-bt) / (1 - e^(-(t+tau))) dt, and 1/(1 - e^(-s)) =
+    sum_n B_n s^(n-1)/n!, B_1 = +1/2, gives the series asymptotic in 1/b
+
+        Phi ~ e^x E_1(x) + sum_{n>=1} B_n / (n b^n) sum_{k<n} x^k/k!,  x = b tau,
+            = e^x E_1(x) + sum_k tau^k/k! w_k,  w_k = sum_{n>k} B_n / (n b^(n-k)),
+
+    cut after n = 20 (under 1e-19 Phi at b = 10, r = 0.9) and k = 15.  Here x >= 1,
+    and e^x E_1(x) = 1/(x+1 - 1/(x+3 - 4/(x+5 - ...))), the even part of the
+    continued fraction of DLMF 6.9.1, 100 levels deep: 2e-16 off at x = 1.
+    """
+    tau = -np.log(r)
+    acc, w = 0.0, []
+    for c in reversed((0.5, *(v for c2k in _B2K for v in (c2k, 0.0)))):  # B_n / n, n = 21 ... 1
+        acc = (c + acc) / b
+        w.append(acc)  # w_20 ... w_0
+    u = np.vstack([np.ones_like(tau), tau / np.arange(1.0, 16.0)[:, None]])
+    np.cumprod(u, axis=0, out=u)  # tau^k / k!
+    u *= np.array(w[:-17:-1])[:, None]  # w_0 ... w_15
+    x = b * tau
+    odd = np.add.outer(np.arange(1.0, 2.0 * _E1_DEPTH, 2.0), x)  # x + 2k - 1
+    f = x + (2.0 * _E1_DEPTH + 1.0)
+    for k in range(_E1_DEPTH, 0, -1):
+        np.divide(k * k, f, out=f)
+        np.subtract(odd[k - 1], f, out=f)
+    return 1.0 / f + _fold(u)
 
 
 def lerch_phi(b: float, r: np.ndarray) -> np.ndarray:
     """Phi(r, 1, b) = sum_{k>=0} r^k / (k+b), b > 0, at every point of a 1-d
-    float array r in [0, 1).
-
-    The direct series up to max(0.9, 1 - 1/b), the connection series above:
-    a point costs at most about 39/(1-r) terms below the switch and 32 above
-    it, so every r up to 1 - 1e-9 ends in milliseconds for b up to about
-    1e4.  Past b ~ 1e5 the direct series next to the switch would need more
-    than _MAX_TERMS terms and raises RuntimeError at once.  Relative error
-    against 40-digit mpmath: below 2e-15 for b <= 2000.
+    float array r in [0, 1): the direct series up to 0.9, the connection
+    series above max(0.9, 1 - 1/b) and the Bernoulli-E_1 expansion between
+    them.  A point's terms, as many as its own r sets, fill a column that
+    _fold sums, so a point gets the bits it gets alone, in any batch.
+    Relative error against 40-digit mpmath: 2e-15 for b < 10, 1e-15 above.
     """
     b = float(b)
-    if r.size == 0:
-        return np.empty(0)
-    switch = max(0.9, 1.0 - 1.0 / b)
-    rmax = float(r.max())
-    if rmax <= switch:
-        return _lerch_direct(b, r, rmax)
-    near = r > switch
-    if near.all():
-        return _lerch_log(b, r)
+    if r.size > _POINTS:
+        return np.concatenate([lerch_phi(b, r[i : i + _POINTS]) for i in range(0, r.size, _POINTS)])
+    near = r > 0.9
+    if not near.any():
+        return _lerch_direct(b, r) if r.size else np.empty(0)
     out = np.empty_like(r)
-    below = r[~near]
-    out[~near] = _lerch_direct(b, below, float(below.max()))
-    out[near] = _lerch_log(b, r[near])
+    log = r > max(0.9, 1.0 - 1.0 / b)
+    for part, branch in ((~near, _lerch_direct), (log, _lerch_log), (near & ~log, _lerch_bernoulli)):
+        if part.any():
+            out[part] = branch(b, r[part])
     return out
 
 

@@ -68,6 +68,7 @@ _PARAM_TYPES = {
 }
 _OPERATOR_CLASSES = tuple(cls for cls in FAMILY_CLASSES.values() if issubclass(cls, OperatorFamily))
 _TABLE_COLUMNS = ("family", "params", "gamma", "p", "radius", "residual", "sharp_window_ok", "error")
+_MAX_RANGE = 10 ** 6  # values of one lo:hi:step range, at the most
 # the SuiteConfig fields a config file must give; the others keep their defaults
 _SUITE_REQUIRED = ("seed", "samples_per_cell", "gamma_grid", "p_grid", "families", "tolerance")
 _SEED = re.compile(r"[0-9]+")  # a seed is ASCII digits only: no sign, space or underscore
@@ -177,8 +178,10 @@ def parse_value_list(text: str, kind=float) -> list:
         if len(parts) != 3:
             raise ValueError(f"range must be lo:hi:step, got {text!r}")
         lo, hi, step = (float(p) for p in parts)
-        if step <= 0:
-            raise ValueError("range step must be positive")
+        if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < step < math.inf):
+            raise ValueError(f"range {text!r} needs a finite lo and hi and a finite step > 0")
+        if not (hi - lo) / step < _MAX_RANGE:  # false for an inf quotient too
+            raise ValueError(f"range {text!r} has more than {_MAX_RANGE:,} values")
         n = int(math.floor((hi - lo) / step + 1e-9)) + 1
         return [kind(lo + i * step) for i in range(max(n, 0))]
     return [kind(tok) for tok in text.split(",") if tok.strip() != ""]

@@ -27,10 +27,10 @@ cell of a 1e-3 grid up to 1 - 1e-9 in two batches: every 32nd grid point
 (and 1 - 1e-9), then the 31 grid points below the first of those where h is
 not positive, down to the one before it.  With one crossing that is the
 first cell where h on the whole grid stops being positive.  It then narrows
-the cell by 16-sections and certifies the bracket: h(lo) > 0 >= h(hi) with
-each end evaluated alone, as the public gap evaluates it.  An h that is nan
-ends a positive run like one <= 0, and a bracket end that stays nan ends
-the query in NoRootError.
+the cell by 16-sections.  Every family gives a point the bits it gets alone,
+so the batch values that found the bracket certify it as the public gap
+reads it: h(lo) > 0 >= h(hi).  An h that is nan ends a positive run like
+one <= 0, and a nan h(hi) ends the query in NoRootError.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ SCAN_STEP = 1e-3
 SCAN_END = 1.0 - 1e-9
 DEFAULT_TOL = 1e-12
 WINDOW_SAMPLES = 32  # gap evaluations in the sharpness window
-_CERTIFY_STEPS = 8  # outward steps of a bracket end whose lone sign fails
 _STRIDE = 32  # grid points per cell of the sparse grid
 
 # the scan grid, its sparse grid (every 32nd point, and SCAN_END) and the
@@ -97,21 +96,16 @@ def minimal_root(query: RadiusQuery, tol: float = DEFAULT_TOL) -> RadiusResult:
     """Locate the minimal positive root of h to |hi-lo| <= tol.
 
     One loop narrows (lo, hi) from lo = 0 by one batch of points a step: the
-    sparse grid, then the grid points between its first point that is not
-    positive and the sparse point before that, then 16-sections of the
-    bracket (15 interior points at a time).  A point ends the positive run
-    when its h is <= 0 or nan.  A second loop certifies the bracket:
-    h(lo) > 0 >= h(hi) with each end evaluated alone, a one-element array
-    as the public gap reads a scalar.  A lone end can still differ from its
-    batch in the last bits, as lerch_phi takes its term count from the
-    largest point it is given.  An end whose sign fails, or whose h is nan,
-    steps outward by the bracket width.  The residual is h at the radius.
-    A CustomFamily whose phi_0 vanishes, or whose tail overflows, gives an h
-    of inf or nan, so the solve runs with numpy's divide, overflow and
-    invalid warnings off.
+    sparse grid, the grid points between its first point that is not
+    positive and the sparse point before, then 16-sections of the bracket
+    (15 interior points at a time).  A point ends the positive run when its
+    h is <= 0 or nan.  The ends keep the h of the batches that found them,
+    their h alone; a nan h(hi) ends the query in NoRootError.  A CustomFamily
+    whose phi_0 vanishes, or whose tail overflows, gives an h of inf or nan,
+    so the solve runs with numpy's divide, overflow and invalid warnings off.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         lo, hi, evals = 0.0, None, 0
         pts = _SPARSE
@@ -126,7 +120,7 @@ def minimal_root(query: RadiusQuery, tol: float = DEFAULT_TOL) -> RadiusResult:
                     raise NoRootError("gap(x) > 0 on all of (0, 1): the inequality holds up to 1")
                 lo = float(pts[-1])
             else:
-                lo, hi = (float(pts[j - 1]) if j > 0 else lo), float(pts[j])
+                lo, hi, h_hi = (float(pts[j - 1]) if j > 0 else lo), float(pts[j]), float(g[j])
                 if pts is _SPARSE:  # next, the grid points between _SPARSE[j - 1] and hi
                     pts = _COARSE[_STRIDE * j : min(_STRIDE * (j + 1), _COARSE.size) - 1]
                     continue
@@ -139,21 +133,12 @@ def minimal_root(query: RadiusQuery, tol: float = DEFAULT_TOL) -> RadiusResult:
         if lo == 0.0:
             raise NoRootError(f"gap(x) <= 0 at every sampled point of (0, {SCAN_STEP:g}]: any crossing "
                               f"lies below the least of them, x = {hi!r}")
-        lone = {}  # x -> gap(x) evaluated alone: an end that did not move is not evaluated again
-        for _ in range(_CERTIFY_STEPS + 1):
-            for x in {lo, hi} - lone.keys():
-                lone[x] = float(_gap(query, np.array([x]))[0])
-            if lone[lo] > 0.0 >= lone[hi]:
-                break
-            lo, hi = (lo if lone[lo] > 0.0 else max(2.0 * lo - hi, 0.0),
-                      hi if lone[hi] <= 0.0 else min(2.0 * hi - lo, SCAN_END))
-        else:
-            raise NoRootError(f"no certified crossing near x = {lo!r}: evaluated alone, "
-                              f"gap(lo) > 0 >= gap(hi) fails after {_CERTIFY_STEPS} outward steps")
+        if not h_hi <= 0.0:
+            raise NoRootError(f"no certified crossing near x = {lo!r}: gap(hi) is nan at hi = {hi!r}")
         radius = 0.5 * (lo + hi)
         residual = float(_gap(query, np.array([radius]))[0])
         ok = sharpness_window_check(query, radius, min(0.05, 0.5 * (1.0 - radius)))
-    evals += len(lone) + 1 + WINDOW_SAMPLES
+    evals += 1 + WINDOW_SAMPLES
     return RadiusResult(radius, (lo, hi), residual, ok, evals)
 
 

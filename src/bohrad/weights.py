@@ -18,10 +18,10 @@ The module functions phi0, phi_k and tail_sum take a scalar r or a numpy
 array of any shape, check r in [0, 1) once, call the family's method on
 its points flattened and give the result r's shape back (a float for a
 scalar r); radius.gap and radius.sharpness_window_check are the checked
-entry points for the gap.  The methods check nothing: every one of them
-takes an already-checked 1-d float array, so a point has one value however
-it is passed.  Only code that builds its own grid inside [0, 1), such as
-the radius solver and the verification grid, or has checked its r, as the
+entry points for the gap.  The methods check nothing: each takes an
+already-checked 1-d float array and gives a point its value alone, in any
+batch.  Only code that builds its own grid inside [0, 1), such as the
+radius solver and the verification grid, or has checked its r, as the
 sharpness margin has through radius.gap, calls them directly.  All
 evaluators are pure.
 """
@@ -44,13 +44,13 @@ class WeightFamily:
 
     A family defines ``name`` (its CLI name) and three methods, each at a
     1-d float array r that is already known to lie in [0, 1), checking
-    nothing: phi0(r) and tail(r) = sum_{k>=1} phi_k(r), one value per
-    point, and vector(order, r), the table whose row i is
-    [phi_0(r[i]), ..., phi_order(r[i])], each row bit for bit the table of
-    its point alone.  ratio(r) is tail(r)/phi0(r), which the radius gap
-    reads, and scaled(order, r) the table over its phi_0 column, psi_k =
-    phi_k/phi_0, which the Bohr check reads; a family overrides them with
-    forms that stay finite where phi_0 and the tail leave the floats apart.
+    nothing: phi0(r), tail(r) = sum_{k>=1} phi_k(r) and vector(order, r),
+    the table whose row i is [phi_0(r[i]), ..., phi_order(r[i])], each giving
+    a point bit for bit its value alone, in any batch.  ratio(r) is
+    tail(r)/phi0(r), which the radius gap reads, and scaled(order, r) the
+    table over its phi_0 column, psi_k = phi_k/phi_0, which the Bohr check
+    reads; a family overrides them with forms that stay finite where phi_0
+    and the tail leave the floats apart.
     A single phi_k is read from the table (weights.phi_k), so each formula
     has one implementation.  Callers outside a grid they built themselves go
     through the module functions, which check r.
@@ -362,8 +362,9 @@ class CustomFamily(WeightFamily):
     the caller's own convergence guarantee; nothing is re-verified here.  A
     scalar result of any of the three is broadcast over the points.  phi_0
     comes from phi0_fn alone, in the table as well; phi_k_fn(k, r) is called
-    once per k >= 1 with the whole grid, and must give each point the bits
-    it gives that point alone (elementwise numpy arithmetic does).  The
+    once per k >= 1 with the whole grid.  Each of the three must give a point
+    its bits alone (elementwise numpy arithmetic does): the solver certifies
+    its bracket from batch values.  The
     radius solver reads the gap (1+gamma) - (2/p) tail/phi_0, so phi_0 must
     be positive on (0, 1).  It takes the gap's first sign change on a 32e-3
     grid, then the first one on the 1e-3 grid inside that cell, and a root

@@ -4,7 +4,9 @@ None of them shares a formula with bohrad: the operators are integrated in
 their integral form, tails are summed term by term, the truncation error of
 a member's series is bounded from its value at 0 alone, the p-bound is the
 plain quotient, and the radius gap is evaluated in 40 digits from the
-series that define the weights, where nothing overflows.
+series that define the weights, where nothing overflows.  The one reference
+that shares a rule is the Cesaro term count: the library's ratio-test rule,
+here with the terms built by a cumulative product rather than from lgamma.
 """
 
 import math
@@ -152,3 +154,20 @@ def mp_root(query, near):
     step = min(1e-8, 0.5 * near, 0.5 * (1.0 - near))
     with mp.workdps(RADIUS_DPS):
         return float(mp.findroot(mp_h(query), (mp.mpf(near - step), mp.mpf(near + step)), solver="anderson"))
+
+
+def reference_cesaro_count(a, c, r):
+    """The term count J of a Cesaro table by the doubling rule in floats: the
+    terms t_j = (a)_j/(c)_j r^j of 2F1(a, 1; c; r) from one cumulative
+    product over j <= J, J = 64, 128, ... until rho = r max(1, (J+a)/(J+c))
+    is below 1 and t_J rho/(1 - rho) < 1e-16; 1 at r = 0."""
+    if r <= 0.0:
+        return 1
+    count = 64
+    while True:
+        j = np.arange(count)
+        t = np.cumprod(np.append(1.0, (a + j) / (c + j) * r))
+        rho = r * max(1.0, (count + a) / (count + c))
+        if rho < 1.0 and t[-1] * rho / (1.0 - rho) < 1e-16:
+            return count
+        count *= 2

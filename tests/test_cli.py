@@ -14,7 +14,7 @@ import jsonschema
 import pytest
 
 from bohrad import __version__
-from bohrad import cli
+from bohrad import cli, radius
 from bohrad.cli import build_parser, load_suite_config, main, read_coefficients, write_coefficients
 from bohrad.radius import RadiusQuery
 from bohrad.series import CoefficientSeries, DomainParams
@@ -240,6 +240,22 @@ class TestOwnParser:
 
 
 class TestRadiusCommand:
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_tol_is_usage_error(self, capsys, tol, monkeypatch):
+        # refused by minimal_root before any evaluation; an infinite tol once
+        # solved and failed only when the result was rendered
+        monkeypatch.setattr(radius, "_gap", None)
+        code, out, err = run_cli(capsys, "radius", "--family", "power-tail", "--gamma", "0", "--tol", tol)
+        assert code == 2 and out == ""
+        assert err == "error: tol must be positive and finite\n"
+
+    @pytest.mark.parametrize("alpha", ["1e5", "1e8"])
+    def test_alpha_cesaro_past_the_old_term_limit(self, capsys, alpha):
+        # the Lerch kernel once raised past 4e6 terms here: exit 4
+        code, out, err = run_cli(capsys, "radius", "--family", "alpha-cesaro", "--alpha", alpha, "--gamma", "0")
+        assert code == 0 and err == ""
+        assert 0.9999 < json.loads(out)["radius"] < 1.0
+
     def test_classical_anchor(self, capsys):
         code, out, _ = run_cli(
             capsys, "radius", "--family", "power-tail", "--N", "1", "--gamma", "0", "--p", "1"
@@ -340,8 +356,9 @@ class TestTableCommand:
         assert abs(2 * x - 3 * (1 - x) * math.log(1 / (1 - x))) <= 1e-9
 
     def test_csv_and_jsonl_give_the_same_values(self, capsys):
-        # solved rows (sharp_window_ok is a bool), a RuntimeError row
-        # (alpha = 1e5) and a ValueError row (gamma = 1.5)
+        # solved rows (sharp_window_ok is a bool), alpha = 1e5 among them (once
+        # a RuntimeError row, from the Lerch kernel's term limit), and
+        # ValueError rows (gamma = 1.5)
         argv = ("table", "--family", "alpha-cesaro", "--alpha", "0.5,1e5", "--gamma", "0,1.5")
         code, out_csv, _ = run_cli(capsys, *argv)
         assert code == 0
@@ -350,7 +367,7 @@ class TestTableCommand:
         csv_rows = list(csv.DictReader(io.StringIO(out_csv)))
         json_rows = [json.loads(line) for line in out_jsonl.splitlines()]
         assert len(csv_rows) == len(json_rows) == 4
-        assert {"error" in row for row in json_rows} == {True, False}
+        assert ["error" in row for row in json_rows] == [False, False, True, True]
         assert any(row["sharp_window_ok"] is True for row in json_rows)
 
         def value(text):
@@ -370,6 +387,34 @@ class TestTableCommand:
                     assert {k: float(v) for k, v in pairs} == row_json["params"]
                 else:
                     assert value(text) == row_json.get(column), column
+
+    @pytest.mark.parametrize("flag,text,reason", [
+        ("--gamma", "0:inf:0.1", "needs a finite lo and hi and a finite step > 0"),
+        ("--p", "1:inf:1", "needs a finite lo and hi and a finite step > 0"),
+        ("--N", "1:inf:1", "needs a finite lo and hi and a finite step > 0"),
+        ("--gamma", "-inf:0:1", "needs a finite lo and hi and a finite step > 0"),
+        ("--gamma", "0:1:nan", "needs a finite lo and hi and a finite step > 0"),
+        ("--gamma", "nan:1:0.1", "needs a finite lo and hi and a finite step > 0"),
+        ("--gamma", "0:1:inf", "needs a finite lo and hi and a finite step > 0"),
+        ("--gamma", "0:1:1e-12", "has more than 1,000,000 values"),
+        ("--p", "-1e308:1e308:1", "has more than 1,000,000 values"),
+    ])
+    def test_range_that_cannot_be_listed_is_usage_error(self, capsys, flag, text, reason, monkeypatch):
+        # an infinite range once ended in an OverflowError traceback (exit 1,
+        # "verification failed"), a nan one in "cannot convert float NaN to
+        # integer", and a step of 1e-12 would have built 10^12 values: each is
+        # refused, naming the range, before a value is built or a root solved
+        monkeypatch.setattr(cli, "minimal_root", None)
+        code, out, err = run_cli(capsys, "table", "--family", "power-tail", "--gamma", "0", flag, text)
+        assert code == 2 and out == ""
+        assert err == f"error: range {text!r} {reason}\n"
+
+    def test_range_up_to_the_limit_is_listed(self, monkeypatch):
+        # the limit, 10^6 values, read at 10: ten values pass, eleven do not
+        monkeypatch.setattr(cli, "_MAX_RANGE", 10)
+        assert cli.parse_value_list("0:0.9:0.1") == pytest.approx([0.1 * i for i in range(10)])
+        with pytest.raises(ValueError, match="more than 10 values"):
+            cli.parse_value_list("0:1:0.1")
 
     @pytest.mark.parametrize("value", ["inf", "1.5"])
     def test_non_integral_int_parameter_is_usage_error(self, capsys, value):

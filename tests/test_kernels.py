@@ -18,6 +18,7 @@ import pytest
 
 from bohrad import _kernels, radius
 from bohrad.weights import AlphaCesaro, Bernardi, BetaCesaro, phi_k
+from oracles import reference_cesaro_count
 
 R_ORACLE = np.linspace(0.0, 0.95, 12)
 ORDER = 30
@@ -36,12 +37,12 @@ def lerch_oracle(b, r):
 
 
 def lerch_grid(b):
-    """R_ORACLE, points up to 1 - 1e-9, and points on both sides of the kernel's switch."""
-    switch = max(0.9, 1.0 - 1.0 / b)
+    """R_ORACLE, points up to 1 - 1e-9, and points on both sides of the
+    kernel's two switches, 0.9 and max(0.9, 1 - 1/b)."""
     near_one = 1.0 - np.logspace(-1.5, -9, 12)
-    at_switch = np.array([switch - 0.5 * (1 - switch), switch, np.nextafter(switch, 1.0),
-                          switch + 0.5 * (1 - switch)])
-    return np.concatenate([R_ORACLE, near_one, at_switch])
+    at_switch = [np.array([s - 0.5 * (1 - s), s, np.nextafter(s, 1.0), s + 0.5 * (1 - s)])
+                 for s in {0.9, max(0.9, 1.0 - 1.0 / b)}]
+    return np.concatenate([R_ORACLE, near_one, *at_switch])
 
 
 def assert_matches(values, oracle):
@@ -69,10 +70,11 @@ def test_bernardi_tail_matches_hypergeometric(m, delta):
 
 
 def test_lerch_kernel_temporaries_stay_under_one_mebibyte():
-    # b = 1001 on the radius scan's last block (0.897 ... 0.999 and 1 - 1e-9)
-    # needs about 46,000 terms of the direct series at r = 0.999: chunked,
-    # no temporary may grow with the term count
-    for r in (radius._COARSE[896:], np.array([radius.SCAN_END]), np.linspace(0.9, 0.9989, 128)):
+    # b = 1001 on the radius scan's last block (0.897 ... 0.999 and 1 - 1e-9),
+    # below 0.9 and across the Bernoulli branch, and 1,000 points, which the
+    # kernel takes 64 at a time: no temporary may grow with the batch
+    for r in (radius._COARSE[896:], np.array([radius.SCAN_END]), np.linspace(0.9, 0.9989, 128),
+              np.linspace(0.0, 0.9, 1000)):
         tracemalloc.start()
         try:
             AlphaCesaro(1000.0).phi0(r)
@@ -81,6 +83,31 @@ def test_lerch_kernel_temporaries_stay_under_one_mebibyte():
         finally:
             tracemalloc.stop()
         assert peak <= 1 << 20
+
+
+@pytest.mark.parametrize("b", [10.0, 10.5, 12.0, 64.0, 1e3, 8.04e4, 1e5, 1e6, 1e8])
+def test_lerch_branches_for_large_b_match_mpmath(b):
+    # the direct series up to 0.9, the Bernoulli-E_1 expansion up to 1 - 1/b
+    # and the connection series above it, with no term limit at any b: the
+    # direct series once took 39/(1-r) terms up to 1 - 1/b and raised past
+    # 4e6 of them (b ~ 1e5); mpmath's hyp2f1 does not converge here at large b
+    r = np.concatenate([[0.5, 0.9], np.linspace(0.905, 0.995, 4), 1.0 - np.logspace(-3, -9, 5),
+                        [1.0 - 1.0 / b, np.nextafter(1.0 - 1.0 / b, 1.0), 1.0 - 1.45 / b]])
+    r = r[r < 1.0]
+    with mp.workdps(40):
+        oracle = [mp.lerchphi(mp.mpf(float(x)), 1, mp.mpf(b)) for x in r]
+    np.testing.assert_allclose(_kernels.lerch_phi(b, r), [float(x) for x in oracle], rtol=1e-14, atol=0.0)
+
+
+def test_lerch_small_b_keeps_its_accuracy():
+    # below b = 10 the branches are the direct and the connection series,
+    # now summed one column per point: 2e-15 against 40 digits, as before
+    rng = np.random.default_rng(34)
+    for b in [*rng.uniform(0.001, 9.99, 12), 0.001, 9.99]:
+        r = np.concatenate([rng.uniform(0.0, 0.9, 8), rng.uniform(0.9, 1.0, 8), 1.0 - np.logspace(-2, -9, 4)])
+        with mp.workdps(40):
+            oracle = [mp.hyp2f1(1, b, b + 1, mp.mpf(float(x))) / b for x in r]
+        np.testing.assert_allclose(_kernels.lerch_phi(b, r), [float(x) for x in oracle], rtol=2e-15, atol=0.0)
 
 
 CESARO = [BetaCesaro(0.3), BetaCesaro(1.0), BetaCesaro(2.0), BetaCesaro(3.7),
@@ -104,13 +131,39 @@ def test_cesaro_phi_table_matches_hypergeometric(family):
 
 @pytest.mark.parametrize("a, c, r", [(1500.0, 2.0, 0.3337777777778683), (1001.0, 1002.0, 0.9985509341027354),
                                      (10001.0, 10002.0, 0.999854694894424), (3.0, 4.0, 0.0)])
-def test_cesaro_terms_sum_to_phi0_where_the_table_overflows(a, c, r):
-    # at these p = 1 radii G_j(a) and r^k / G_k(c) overflow apart, while
-    # the terms (a)_j/(c)_j r^j, one recurrence, sum to 2F1(a, 1; c; r)
-    terms = _kernels.cesaro_terms(a, c, r)
-    last = terms.size - 1  # J: a power of two from 64, or 1 at r = 0
-    assert last == 1 if r == 0.0 else last >= 64 and last & (last - 1) == 0
-    assert float(np.sum(terms)) == pytest.approx(float(hyp2f1(a, 1, c, r)), rel=1e-14)
+def test_cesaro_count_bounds_the_tail_where_the_table_overflows(a, c, r):
+    # at these p = 1 radii G_j(a) and r^k / G_k(c) overflow apart; the tail of
+    # 2F1(a, 1; c; r) past J, t_(J+1) 2F1(a+J+1, 1; c+J+1; r) in 40 digits,
+    # is under the ratio-test bound t_J rho/(1 - rho), and that under 1e-16
+    count = _kernels.cesaro_count(a, c, r)
+    if r == 0.0:
+        assert count == 1
+        return
+    assert count >= 64 and count & (count - 1) == 0
+    with mp.workdps(40):
+        a_, c_, r_ = mp.mpf(a), mp.mpf(c), mp.mpf(r)
+
+        def term(j):  # (a)_j / (c)_j r^j
+            return mp.rf(a_, j) / mp.rf(c_, j) * r_ ** j
+
+        tail = term(count + 1) * mp.hyp2f1(a_ + count + 1, 1, c_ + count + 1, r_)
+        rho = r_ * max(1, (count + a_) / (count + c_))
+        assert 0 < tail <= term(count) * rho / (1 - rho) < mp.mpf(1e-16)
+
+
+def test_cesaro_count_is_the_doubling_rule():
+    # the closed form takes the count that building the terms by one
+    # cumulative product, doubling from 64, took; so the tables keep their bits
+    # the two families' (a, c), (beta, 2) and (alpha+1, alpha+2), at r up to 0.999
+    rng = np.random.default_rng(32)
+    for _ in range(1000):
+        if rng.random() < 0.5:
+            a, c = 10 ** rng.uniform(-3, 2), 2.0
+        else:
+            a = 10 ** rng.uniform(-3, 4)
+            c = a + 1.0
+        r = float(rng.choice([0.0, rng.uniform(0.0, 0.999), 1.0 - 10 ** rng.uniform(-3, -1)]))
+        assert _kernels.cesaro_count(a, c, r) == reference_cesaro_count(a, c, r), (a, c, r)
 
 
 @pytest.mark.parametrize("family", [BetaCesaro(0.3), BetaCesaro(1.0), BetaCesaro(3.7),

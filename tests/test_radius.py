@@ -2,6 +2,7 @@
 
 import math
 import time
+import timeit
 
 import mpmath as mp
 import numpy as np
@@ -172,10 +173,11 @@ class TestScan:
 
     def test_power_tail_evaluations(self):
         # 32 sparse points, the 31 grid points of the cell (0.320, 0.352), eight
-        # 16-sections of 15 points to a width under 1e-12, the two lone ends,
-        # the residual and the 32 window points; the block scan took 540
+        # 16-sections of 15 points to a width under 1e-12, the residual and the
+        # 32 window points; the block scan took 540, and a lone evaluation of
+        # each bracket end two more
         res = minimal_root(q(PowerTail(1)))
-        assert res.evaluations == 32 + 31 + 8 * 15 + 2 + 1 + 32
+        assert res.evaluations == 32 + 31 + 8 * 15 + 1 + 32
 
     def test_leading_negative_gap_is_no_root(self):
         # the gap is negative on (0, 0.2), positive on (0.2, 0.5) and negative
@@ -296,9 +298,12 @@ class TestMinimalRoot:
         with pytest.raises(ValueError):
             q(PowerTail(1), p=2.5)
 
-    def test_rejects_bad_tol(self):
-        with pytest.raises(ValueError):
-            minimal_root(q(PowerTail(1)), tol=0.0)
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.inf, math.nan])
+    def test_rejects_bad_tol(self, tol, monkeypatch):
+        # before any evaluation: an infinite tol once solved, and failed only in rendering
+        monkeypatch.setattr(radius, "_gap", None)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            minimal_root(q(PowerTail(1)), tol=tol)
 
     def test_no_root_when_tail_vanishes(self):
         dead = CustomFamily(
@@ -387,8 +392,9 @@ class TestCertifiedBracket:
         assert hi <= radius._COARSE[0]
 
     def test_seed_109_alpha_cesaro(self):
-        # evaluated next to hi in the 16-section the lower end had a positive
-        # gap, and alone a gap of -8.9e-16; one outward step certifies it
+        # the query whose bracket once failed when its lower end was evaluated
+        # again alone (a gap of -8.9e-16 against a positive one next to hi):
+        # each point now has one value, so the batch values certify the bracket
         query = q(AlphaCesaro(0.17783250054616684), 0.7, 0.5)
         res = minimal_root(query)
         lo, hi = res.bracket
@@ -397,36 +403,42 @@ class TestCertifiedBracket:
         assert hi - lo <= 1e-12
         assert_matches_mpmath(query, res)
 
-    @staticmethod
-    def lone_shifted(shift):
-        # the power tail with a tail larger by shift where it is evaluated at
-        # one point: the batch and the lone path disagree near the root
-        return CustomFamily(
-            name="lone-shifted",
-            phi0_fn=lambda r: np.ones_like(r),
-            phi_k_fn=lambda k, r: r ** k,
-            tail_fn=lambda r: r / (1.0 - r) + (shift if r.size == 1 else 0.0),
-        )
+    @pytest.mark.parametrize("family", [*BUILTINS, AlphaCesaro(50.0), AlphaCesaro(1e5), Bernardi(12, 0.5)], ids=str)
+    def test_only_the_residual_is_evaluated_alone(self, family, monkeypatch):
+        # the ends keep the gap of the batch that found them: besides the scan
+        # and the 16-sections, one point is evaluated (the residual) and the
+        # 32 points of the window, where the ends' batch values certify the bracket
+        sizes, ratio = [], type(family).ratio
 
-    def test_failing_end_steps_outward(self):
-        query = q(self.lone_shifted(2e-12))
+        def counted(self, r):
+            sizes.append(r.size)
+            return ratio(self, r)
+
+        monkeypatch.setattr(type(family), "ratio", counted)
+        query = q(family, 0.3, 1.0)
         res = minimal_root(query)
+        assert sizes[:2] == [32, sizes[1]] and sizes[-2:] == [1, 32] and 1 not in sizes[:-2]
+        assert res.evaluations == sum(sizes)
         lo, hi = res.bracket
         assert gap(query, lo) > 0.0 >= gap(query, hi)
-        assert res.radius == pytest.approx(1.0 / 3.0, abs=1e-11)
-        # the batches match the power tail's, so the loop ends in its bracket;
-        # only the lower end fails alone, and each of its outward steps doubles
-        # the width and costs one evaluation
-        plain = minimal_root(q(PowerTail(1)))
-        assert hi == plain.bracket[1]
-        steps = round(np.log2((hi - lo) / (plain.bracket[1] - plain.bracket[0])))
-        assert steps >= 1
-        assert hi - lo == 2 ** steps * (plain.bracket[1] - plain.bracket[0])
-        assert res.evaluations == plain.evaluations + steps
 
-    def test_uncertifiable_bracket_is_no_root(self):
-        with pytest.raises(NoRootError, match="no certified crossing"):
-            minimal_root(q(self.lone_shifted(1e-3)))
+    @staticmethod
+    def nan_past(x0):
+        # the power tail up to x0 and a nan tail from there: the gap is
+        # positive up to x0 and nan after, with no crossing to certify
+        return CustomFamily(
+            name="nan-past",
+            phi0_fn=lambda r: np.ones_like(r),
+            phi_k_fn=lambda k, r: r ** k,
+            tail_fn=lambda r: np.where(r < x0, 0.1 * r, np.nan),
+        )
+
+    @pytest.mark.parametrize("x0", [0.3, 0.4567, 1e-4])
+    def test_a_nan_hi_is_no_root(self, x0):
+        # a nan ends the positive run like a gap <= 0, and the bracket it
+        # leaves has a nan gap at hi: no certified crossing
+        with pytest.raises(NoRootError, match=r"no certified crossing .*: gap\(hi\) is nan"):
+            minimal_root(q(self.nan_past(x0)))
 
 
 BETA_GRID = [
@@ -662,6 +674,24 @@ class TestRadiiNearOne:
         query = q(family)
         assert_matches_mpmath(query, ended(query, 1.0))
 
+    @pytest.mark.parametrize("alpha", [1e5, 1e8])
+    @pytest.mark.parametrize("gamma,p", [(0.0, 1.0), (0.9, 2.0), (0.3, 0.01)])
+    def test_alpha_cesaro_past_the_old_term_limit(self, alpha, gamma, p):
+        # the direct Lerch series once needed more than 4e6 terms below its
+        # switch, and raised RuntimeError from alpha ~ 8e4; the radius sits
+        # at 1 - O(1/alpha), in the Bernoulli-E_1 branch
+        query = q(AlphaCesaro(alpha), gamma, p)
+        res = ended(query, 0.5)
+        assert abs(res.radius - mp_root(query, res.radius)) <= 1e-12
+        lo, hi = res.bracket
+        assert gap(query, lo) > 0.0 >= gap(query, hi)
+
+    def test_alpha_cesaro_8e4_takes_milliseconds(self):
+        # the direct series took 0.12 s here, next to its term limit
+        query = q(AlphaCesaro(8e4))
+        best = min(timeit.repeat(lambda: minimal_root(query), number=1, repeat=7))
+        assert best < 5e-3
+
 
 alpha_families = st.floats(-1.0, 60.0, exclude_min=True).map(AlphaCesaro)
 bernardi_families = st.integers(1, 5).flatmap(
@@ -688,3 +718,16 @@ def test_operator_families_end_and_match_mpmath(family, gamma, p):
     query = q(family, gamma, p)
     assert_matches_mpmath(query, ended(query, 0.5))
 
+
+
+@given(st.floats(0.0, 8.0), st.floats(0.0, 1.0, exclude_max=True), st.floats(0.05, 2.0))
+@settings(derandomize=True, deadline=None, max_examples=60)
+def test_large_alpha_ends_and_matches_mpmath(log_alpha, gamma, p):
+    # alpha from 1 to 1e8, log-uniform, past the Lerch kernel's old term limit
+    # (alpha ~ 8e4): the radius nears 1 as 1 - O(1/alpha).  p stays at 0.05
+    # and above, where the root does not near 0: there the alpha-Cesaro ratio,
+    # (1/(1-r) - phi_0)/phi_0, cancels to noise at large alpha (see CHANGES.md)
+    query = q(AlphaCesaro(10.0 ** log_alpha), gamma, p)
+    res = ended(query, 0.5)
+    assert_matches_mpmath(query, res)
+    assert isinstance(res, NoRootError) or abs(res.radius - mp_root(query, res.radius)) <= 1e-12

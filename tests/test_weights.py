@@ -221,6 +221,27 @@ class TestOneValuePerPoint:
         assert got.shape == (4, 2, 8)
         assert got.tobytes() == evaluate(family, self.POINTS).tobytes()
 
+    BATCH_FAMILIES = [*(cls() for cls in FAMILY_CLASSES.values()), BetaCesaro(7.3), AlphaCesaro(50.0),
+                      AlphaCesaro(1e5), Bernardi(12, 0.5), Bernardi(1, 30.0)]
+
+    @pytest.mark.parametrize("fn", ["phi0", "tail_sum", "gap"])
+    @pytest.mark.parametrize("family", BATCH_FAMILIES, ids=family_id)
+    def test_a_point_in_a_batch_is_the_point_alone(self, family, fn):
+        # seeded batches that straddle the Lerch kernel's switch at 0.9 and
+        # reach up to 1 - 1e-9: each point's value in the batch is its value
+        # alone, bit for bit, so the radius solver's batch values are what the
+        # public gap reads at a single point (the Lerch families once differed
+        # on most points)
+        evaluate = ONE_VALUE_CHECKED[fn]
+        rng = np.random.default_rng([34, len(fn)])
+        for size in (2, 15, 33, 100):
+            batch = np.concatenate([rng.uniform(0.0, 0.9, size - size // 3),
+                                    1.0 - 10.0 ** rng.uniform(-9.0, -1.0, size // 3)])
+            rng.shuffle(batch)
+            values = evaluate(family, batch)
+            for x, value in zip(batch.tolist(), values):
+                assert np.float64(evaluate(family, x)).tobytes() == value.tobytes(), x
+
     def test_custom_scalar_results_are_broadcast(self):
         # phi0_fn and tail_fn may return a float: each point still gets its value
         fam = CustomFamily(name="flat", phi0_fn=lambda r: 1.0, phi_k_fn=lambda k, r: 0.0,
