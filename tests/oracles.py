@@ -14,6 +14,20 @@ import math
 import mpmath as mp
 import numpy as np
 
+from bohrad.radius import (
+    _COARSE,
+    _SECTIONS,
+    _SPARSE,
+    _STRIDE,
+    DEFAULT_TOL,
+    SCAN_STEP,
+    WINDOW_SAMPLES,
+    NoRootError,
+    RadiusQuery,
+    RadiusResult,
+    _gap,
+    sharpness_window_check,
+)
 from bohrad.weights import AlphaCesaro, Bernardi, BetaCesaro, CesaroFamily
 
 ORACLE_DPS = 20  # f is a float function: 20 digits leave only its rounding
@@ -171,3 +185,53 @@ def reference_cesaro_count(a, c, r):
         if rho < 1.0 and t[-1] * rho / (1.0 - rho) < 1e-16:
             return count
         count *= 2
+
+
+def reference_minimal_root(query: RadiusQuery, tol: float = DEFAULT_TOL) -> RadiusResult:
+    """Locate the minimal positive root of h to |hi-lo| <= tol.
+
+    One loop narrows (lo, hi) from lo = 0 by one batch of points a step: the
+    sparse grid, the grid points between its first point that is not
+    positive and the sparse point before, then 16-sections of the bracket
+    (15 interior points at a time).  A point ends the positive run when its
+    h is <= 0 or nan.  The ends keep the h of the batches that found them,
+    their h alone; a nan h(hi) ends the query in NoRootError.  A CustomFamily
+    whose phi_0 vanishes, or whose tail overflows, gives an h of inf or nan,
+    so the solve runs with numpy's divide, overflow and invalid warnings off.
+    """
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        lo, hi, evals = 0.0, None, 0
+        pts = _SPARSE
+        while True:
+            # one step: keep the last positive point and the first point after it that is not positive
+            g = _gap(query, pts)
+            evals += pts.size
+            positive = g > 0.0
+            j = int(positive.argmin())
+            if positive[j]:  # positive up to the batch's last point
+                if hi is None:
+                    raise NoRootError("gap(x) > 0 on all of (0, 1): the inequality holds up to 1")
+                lo = float(pts[-1])
+            else:
+                lo, hi, h_hi = (float(pts[j - 1]) if j > 0 else lo), float(pts[j]), float(g[j])
+                if pts is _SPARSE:  # next, the grid points between _SPARSE[j - 1] and hi
+                    pts = _COARSE[_STRIDE * j : min(_STRIDE * (j + 1), _COARSE.size) - 1]
+                    continue
+            # (0, hi) is no bracket: narrow it to DEFAULT_TOL at any tol before calling h non-positive
+            if hi - lo <= tol and not (lo == 0.0 and hi > DEFAULT_TOL):
+                break
+            pts = lo + (hi - lo) * _SECTIONS
+            if pts[0] <= lo or pts[-1] >= hi:  # float spacing exhausted
+                break
+        if lo == 0.0:
+            raise NoRootError(f"gap(x) <= 0 at every sampled point of (0, {SCAN_STEP:g}]: any crossing "
+                              f"lies below the least of them, x = {hi!r}")
+        if not h_hi <= 0.0:
+            raise NoRootError(f"no certified crossing near x = {lo!r}: gap(hi) is nan at hi = {hi!r}")
+        radius = 0.5 * (lo + hi)
+        residual = float(_gap(query, np.array([radius]))[0])
+        ok = sharpness_window_check(query, radius, min(0.05, 0.5 * (1.0 - radius)))
+    evals += 1 + WINDOW_SAMPLES
+    return RadiusResult(radius, (lo, hi), residual, ok, evals)

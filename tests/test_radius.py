@@ -1,8 +1,10 @@
 """Root location for the gap equation (1+gamma) phi_0 = (2/p) tail."""
 
+import importlib.util
 import math
 import time
 import timeit
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -32,8 +34,9 @@ from bohrad.weights import (
     PowerTail,
     Quadratic,
     FAMILY_CLASSES,
+    make_family,
 )
-from oracles import mp_h, mp_root, mp_tail_over_phi0
+from oracles import mp_h, mp_root, mp_tail_over_phi0, reference_minimal_root
 
 BUILTINS = [
     PowerTail(1),
@@ -52,6 +55,53 @@ GEOMETRIC = CustomFamily(
     phi0_fn=lambda r: np.ones_like(r),
     phi_k_fn=lambda k, r: r ** k,
     tail_fn=lambda r: r / (1.0 - r),
+)
+
+
+# the gap is negative on (0, 0.2), positive on (0.2, 0.5) and negative after
+LEADING_DIP = CustomFamily(
+    name="leading-dip",
+    phi0_fn=lambda r: np.ones_like(r),
+    phi_k_fn=lambda k, r: r ** k,
+    tail_fn=lambda r: 0.5 * (1.0 - (r - 0.2) * (0.5 - r)),
+)
+
+# the gap crosses 0 at about 1/2001, below the first grid point
+STEEP = CustomFamily(
+    name="steep-tail",
+    phi0_fn=lambda r: np.ones_like(r),
+    phi_k_fn=lambda k, r: 1000.0 * r ** k,
+    tail_fn=lambda r: 1000.0 * r / (1.0 - r),
+)
+
+# the gap is 1 + gamma everywhere
+NO_TAIL = CustomFamily(
+    name="no-tail",
+    phi0_fn=lambda r: np.ones_like(r),
+    phi_k_fn=lambda k, r: np.zeros_like(r),
+    tail_fn=lambda r: np.zeros_like(r),
+)
+
+
+def nan_past(x0):
+    """The power tail up to x0 and a nan tail from there: the gap is positive
+    up to x0 and nan after, with no crossing to certify."""
+    return CustomFamily(
+        name="nan-past",
+        phi0_fn=lambda r: np.ones_like(r),
+        phi_k_fn=lambda k, r: r ** k,
+        tail_fn=lambda r: np.where(r < x0, 0.1 * r, np.nan),
+    )
+
+
+# the gap is 1/3 - x up to its root 1/3 and 1000 (1/3 - x) past it: the
+# secant through a bracket's ends falls in its lowest cell, and the root's
+# cell is the sixth (1/3 is 0x0.555... of its cell)
+KINK = CustomFamily(
+    name="kink",
+    phi0_fn=lambda r: np.ones_like(r),
+    phi_k_fn=lambda k, r: r ** k,
+    tail_fn=lambda r: 0.5 * (1.0 - np.where(r < 1.0 / 3.0, 1.0 / 3.0 - r, 1000.0 * (1.0 / 3.0 - r))),
 )
 
 
@@ -172,24 +222,20 @@ class TestScan:
         assert_bracket_in_grid_cell(q(family, gamma, p))
 
     def test_power_tail_evaluations(self):
-        # 32 sparse points, the 31 grid points of the cell (0.320, 0.352), eight
-        # 16-sections of 15 points to a width under 1e-12, the residual and the
-        # 32 window points; the block scan took 540, and a lone evaluation of
-        # each bracket end two more
+        # 32 sparse points and the 31 grid points of the cell (0.320, 0.352);
+        # eight 16-sections narrow (0.333, 0.334) to a width under 1e-12.  The
+        # secant through its ends predicts the cells 5, 5, 3, 15 of the first
+        # four: the third is 5, so of that batch of 4 x 15 points the fourth
+        # level is dropped.  The next batch's four levels (5, 5, 5, 5) are all
+        # predicted, and one level of 15 is left; then the residual with the
+        # 32 window points
         res = minimal_root(q(PowerTail(1)))
-        assert res.evaluations == 32 + 31 + 8 * 15 + 1 + 32
+        assert res.evaluations == 32 + 31 + 4 * 15 + 4 * 15 + 15 + 33
 
     def test_leading_negative_gap_is_no_root(self):
-        # the gap is negative on (0, 0.2), positive on (0.2, 0.5) and negative
-        # after: it is not positive near 0, so no radius exists, and a scan that
+        # the gap is not positive near 0, so no radius exists, and a scan that
         # skipped the leading non-positive points would return 0.5
-        dip = CustomFamily(
-            name="leading-dip",
-            phi0_fn=lambda r: np.ones_like(r),
-            phi_k_fn=lambda k, r: r ** k,
-            tail_fn=lambda r: 0.5 * (1.0 - (r - 0.2) * (0.5 - r)),
-        )
-        query = q(dip)
+        query = q(LEADING_DIP)
         assert gap(query, 0.1) < 0.0 < gap(query, 0.3) and gap(query, 0.6) < 0.0
         with pytest.raises(NoRootError, match=r"\(0, 0.001\]"):
             minimal_root(query)
@@ -283,14 +329,14 @@ class TestMinimalRoot:
         assert all(b >= a - 1e-12 for a, b in zip(radii, radii[1:]))
 
     @pytest.mark.parametrize("name", FAMILY_CLASSES)
-    def test_one_range_check_per_query(self, name, range_checks):
-        # the scan, the 16-section loop and the residual evaluate the gap on
-        # points the solver built inside (0, 1); only the checked sharpness
-        # window is left, where each gap evaluation ran two checks
+    def test_no_range_check_per_query(self, name, range_checks):
+        # the scan, the 16-sections, the residual and the sharpness window
+        # evaluate the gap on points the solver built inside (0, 1): none goes
+        # through the checked gap
         for gamma, p in ((0.0, 1.0), (0.3, 0.7), (0.9, 2.0)):
             range_checks.clear()
             minimal_root(q(FAMILY_CLASSES[name](), gamma, p))
-            assert len(range_checks) <= 1
+            assert len(range_checks) == 0
 
     def test_rejects_invalid_p(self):
         with pytest.raises(ValueError):
@@ -306,25 +352,13 @@ class TestMinimalRoot:
             minimal_root(q(PowerTail(1)), tol=tol)
 
     def test_no_root_when_tail_vanishes(self):
-        dead = CustomFamily(
-            name="no-tail",
-            phi0_fn=lambda r: np.ones_like(r),
-            phi_k_fn=lambda k, r: np.zeros_like(r),
-            tail_fn=lambda r: np.zeros_like(r),
-        )
         with pytest.raises(NoRootError):
-            minimal_root(q(dead))
+            minimal_root(q(NO_TAIL))
 
     def test_sixteen_section_catches_tiny_root(self):
         # gap is already negative at the first coarse point; the 16-section
         # of (0, 1e-3) must still isolate the crossing at about 1/2001
-        steep = CustomFamily(
-            name="steep-tail",
-            phi0_fn=lambda r: np.ones_like(r),
-            phi_k_fn=lambda k, r: 1000.0 * r ** k,
-            tail_fn=lambda r: 1000.0 * r / (1.0 - r),
-        )
-        res = minimal_root(q(steep))
+        res = minimal_root(q(STEEP))
         assert res.radius == pytest.approx(1.0 / 2001.0, rel=1e-6)
 
     def test_no_root_when_gap_never_positive(self):
@@ -404,10 +438,13 @@ class TestCertifiedBracket:
         assert_matches_mpmath(query, res)
 
     @pytest.mark.parametrize("family", [*BUILTINS, AlphaCesaro(50.0), AlphaCesaro(1e5), Bernardi(12, 0.5)], ids=str)
-    def test_only_the_residual_is_evaluated_alone(self, family, monkeypatch):
+    def test_no_point_is_evaluated_alone(self, family, monkeypatch):
         # the ends keep the gap of the batch that found them: besides the scan
-        # and the 16-sections, one point is evaluated (the residual) and the
-        # 32 points of the window, where the ends' batch values certify the bracket
+        # and the 16-sections, whose levels the secant predicts several to a
+        # batch, one batch of 33 holds the radius (the residual) and the 32
+        # points of the window, where the ends' batch values certify the
+        # bracket.  The nine built-in families take at most 6 batches here
+        # (32, 31, 60, 60, 15, 33 at most), where one level a batch takes 12
         sizes, ratio = [], type(family).ratio
 
         def counted(self, r):
@@ -417,28 +454,87 @@ class TestCertifiedBracket:
         monkeypatch.setattr(type(family), "ratio", counted)
         query = q(family, 0.3, 1.0)
         res = minimal_root(query)
-        assert sizes[:2] == [32, sizes[1]] and sizes[-2:] == [1, 32] and 1 not in sizes[:-2]
+        assert sizes[:2] == [32, sizes[1]] and sizes[-1] == 33 and 1 not in sizes
+        assert family not in BUILTINS or len(sizes) <= 6
         assert res.evaluations == sum(sizes)
         lo, hi = res.bracket
         assert gap(query, lo) > 0.0 >= gap(query, hi)
-
-    @staticmethod
-    def nan_past(x0):
-        # the power tail up to x0 and a nan tail from there: the gap is
-        # positive up to x0 and nan after, with no crossing to certify
-        return CustomFamily(
-            name="nan-past",
-            phi0_fn=lambda r: np.ones_like(r),
-            phi_k_fn=lambda k, r: r ** k,
-            tail_fn=lambda r: np.where(r < x0, 0.1 * r, np.nan),
-        )
 
     @pytest.mark.parametrize("x0", [0.3, 0.4567, 1e-4])
     def test_a_nan_hi_is_no_root(self, x0):
         # a nan ends the positive run like a gap <= 0, and the bracket it
         # leaves has a nan gap at hi: no certified crossing
         with pytest.raises(NoRootError, match=r"no certified crossing .*: gap\(hi\) is nan"):
-            minimal_root(q(self.nan_past(x0)))
+            minimal_root(q(nan_past(x0)))
+
+
+def _workloads():
+    """The benchmark's query generators (perfbench/workloads.py, which imports numpy alone)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def solved(solve, query, tol):
+    """A solve's outcome to the bit: radius, bracket and residual as float.hex
+    with the window verdict, or the text of its NoRootError."""
+    try:
+        res = solve(query, tol)
+    except NoRootError as exc:
+        return str(exc)
+    return res.radius.hex(), res.bracket[0].hex(), res.bracket[1].hex(), res.residual.hex(), res.sharp_window_ok
+
+
+REFERENCE_TOLS = (1e-300, 1e-12, 0.5)
+
+
+class TestReferenceSolver:
+    """The solver evaluates several predicted 16-section levels a batch and the
+    radius with its window in one; the reference (tests/oracles.py) evaluates
+    one level a batch and the radius alone.  Both read each point's gap
+    alone, so they give the same bits."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_sweep_and_edges_match_the_reference(self, seed):
+        # the benchmark's typical queries and its domain-edge probes: 1 - 1e-300
+        # exhausts float spacing, 0.5 stops at the grid cell with no 16-section
+        workloads = _workloads()
+        for name, params, gamma, p in workloads.sweep(seed, 0, 500) + workloads.edge_queries(seed):
+            query = q(make_family(name, params), gamma, p)
+            for tol in REFERENCE_TOLS:
+                assert solved(minimal_root, query, tol) == solved(reference_minimal_root, query, tol), \
+                    (name, params, gamma, p, tol)
+
+    @pytest.mark.parametrize("family", [
+        pytest.param(LEADING_DIP, id="leading-dip"),
+        pytest.param(STEEP, id="steep-tiny-root"),
+        pytest.param(NO_TAIL, id="no-tail"),
+        *(pytest.param(nan_past(x0), id=f"nan-past-{x0}") for x0 in (0.3, 0.4567, 1e-4)),
+        pytest.param(KINK, id="kink"),
+    ])
+    @pytest.mark.parametrize("tol", REFERENCE_TOLS)
+    def test_custom_families_match_the_reference(self, family, tol):
+        query = q(family)
+        assert solved(minimal_root, query, tol) == solved(reference_minimal_root, query, tol)
+
+    def test_a_missed_cell_at_every_level(self, monkeypatch):
+        # at the kink the secant predicts the lowest cell of every bracket and
+        # the root is in the sixth: each batch is walked one level deep and
+        # its deeper levels are dropped.  The eight levels to a width under
+        # 1e-12 take eight batches of min(4, levels left) x 15 points
+        sizes, ratio = [], CustomFamily.ratio
+
+        def counted(self, r):
+            sizes.append(r.size)
+            return ratio(self, r)
+
+        monkeypatch.setattr(CustomFamily, "ratio", counted)
+        res = minimal_root(q(KINK))
+        assert sizes == [32, 31, 60, 60, 60, 60, 60, 45, 30, 15, 33]
+        assert res.evaluations == sum(sizes)
+        assert res.radius == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
 BETA_GRID = [
