@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .bohr import (
     BohrReport,
     ExtremalMargin,
-    extremal_margin,
     extremal_margins,
     verify_up_to_radius,
 )
@@ -17,18 +16,12 @@ from .harness import (
     run_inequality_suite,
     run_sharpness_suite,
 )
-from .operators import (
-    apply_coefficient_form,
-    operator_bohr_radius,
-    operator_bound,
-)
 from .radius import (
     NoRootError,
     RadiusQuery,
     RadiusResult,
     gap,
     minimal_root,
-    sharpness_window_check,
 )
 from .series import (
     BlaschkeComposed,

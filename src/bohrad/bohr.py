@@ -4,9 +4,9 @@ Both checks here read A_f <= phi_0 scale-free, as the radius solver reads
 tail/phi_0: t = |c_0|^p + sum |c_k| psi_k(r) <= 1 with psi_k = phi_k/phi_0
 (family.scaled), which keeps its meaning where phi_0 underflows; its
 excess t - 1, tolerance and truncation bound are relative to phi_0.  The
-sharpness margin of the extremal map (extremal_margin) is the same t - 1
-at one radius; a ladder of extremal maps (extremal_margins) at one radius
-reads the gap h and the psi row once for all of its rungs.  A failure is
+sharpness margin of an extremal map is the same t - 1 at one radius; a
+ladder of extremal maps (extremal_margins) at one radius reads the gap h
+and the psi row once for all of its rungs.  A failure is
 only declared when the excess exceeds the certified bound on the scaled
 mass dropped by truncating the series, so a true member is never flagged
 because of a finite cutoff.
@@ -183,15 +183,3 @@ def extremal_margins(
         pred = (1.0 - a) / (1.0 - domain.gamma) * (-p * h)
         margins.append(ExtremalMargin(margin=float(margin), first_order_prediction=float(pred)))
     return margins
-
-
-def extremal_margin(
-    domain: DomainParams,
-    a: float,
-    family: WeightFamily,
-    p: float,
-    r: float,
-    order: int = 600,
-) -> ExtremalMargin:
-    """extremal_margins for the one a."""
-    return extremal_margins(domain, (a,), family, p, r, order)[0]

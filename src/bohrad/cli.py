@@ -41,7 +41,6 @@ from .harness import (
     run_inequality_suite,
     run_sharpness_suite,
 )
-from .operators import apply_coefficient_form, operator_bohr_radius, operator_bound
 from .radius import DEFAULT_TOL, NoRootError, RadiusQuery, minimal_root
 from .series import (
     BlaschkeComposed,
@@ -51,7 +50,7 @@ from .series import (
     Raw,
     lemma_bound_report,
 )
-from .weights import FAMILY_CLASSES, OperatorFamily, make_family
+from .weights import FAMILY_CLASSES, OperatorFamily, make_family, phi0
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -352,14 +351,16 @@ def cmd_operator(args) -> int:
     if args.action == "bound":
         if args.r is None:
             raise ValueError("bound requires --r")
-        emit("operator", {**echo, **_echo(args, "r"), "bound": operator_bound(spec, args.r)})
+        if not 0.0 < args.r < 1.0:
+            raise ValueError("r must be in (0, 1)")
+        emit("operator", {**echo, **_echo(args, "r"), "bound": phi0(spec, args.r)})
     elif args.action == "radius":
-        res = operator_bohr_radius(spec, DomainParams(args.gamma), tol=args.tol, p=args.p)
+        res = minimal_root(RadiusQuery(spec, DomainParams(args.gamma), args.p), tol=args.tol)
         emit("operator", {**echo, **_echo(args, "gamma", "p", "tol"), **dataclasses.asdict(res)})
     else:
         if args.coeffs is None or args.out is None:
             raise ValueError("apply requires --coeffs and --out")
-        transformed = apply_coefficient_form(spec, read_coefficients(args.coeffs))
+        transformed = CoefficientSeries(spec.transform(read_coefficients(args.coeffs).coefficients))
         write_coefficients(args.out, transformed)
         emit("operator", {**echo, **_echo(args, "coeffs", "out"), "n_coefficients": len(transformed)})
     return EXIT_OK

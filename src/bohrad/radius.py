@@ -34,7 +34,10 @@ Every family gives a point the bits it gets alone, in any batch, so this is
 the bracket of one level a batch, and the batch values that found it certify
 it as the public gap reads it: h(lo) > 0 >= h(hi).  An h that is nan ends a
 positive run like one <= 0, and a nan h(hi) ends the query in NoRootError.
-The radius and the sharpness window are one last batch.
+The radius and the sharpness window (radius, radius + epsilon),
+epsilon = min(0.05, (1 - radius)/2), are one last batch: sharp_window_ok is
+h < 0 at every window point, which certifies that the radius cannot be
+enlarged; a tangent h, or one that is nan at any point, leaves it false.
 """
 
 from __future__ import annotations
@@ -176,17 +179,3 @@ def _plan(lo, hi, h_lo, h_hi, tol):
 def _window(radius: float, epsilon: float) -> np.ndarray:
     """The radius and the WINDOW_SAMPLES points of the sharpness window (radius, radius + epsilon)."""
     return radius + epsilon * np.arange(WINDOW_SAMPLES + 1) / (WINDOW_SAMPLES + 1.0)
-
-
-def sharpness_window_check(query: RadiusQuery, radius: float, epsilon: float) -> bool:
-    """True iff h < 0 at all sample points in (radius, radius + epsilon).
-
-    A strictly negative window certifies the radius cannot be enlarged; a
-    tangent h, or one that is nan at any point, leaves the check false
-    (reported as indeterminate upstream).
-    """
-    if not epsilon > 0.0:
-        raise ValueError("epsilon must be positive")
-    if radius + epsilon >= 1.0:
-        raise ValueError("window (radius, radius+epsilon) must stay inside [0, 1)")
-    return bool((gap(query, _window(radius, epsilon)[1:]) < 0.0).all())

@@ -17,13 +17,12 @@ table and transform, and BetaCesaro and AlphaCesaro hold only their field,
 The module functions phi0, phi_k and tail_sum take a scalar r or a numpy
 array of any shape, check r in [0, 1) once, call the family's method on
 its points flattened and give the result r's shape back (a float for a
-scalar r); radius.gap and radius.sharpness_window_check are the checked
-entry points for the gap.  The methods check nothing: each takes an
-already-checked 1-d float array and gives a point its value alone, in any
-batch.  Only code that builds its own grid inside [0, 1), such as the
-radius solver and the verification grid, or has checked its r, as the
-sharpness margin has through radius.gap, calls them directly.  All
-evaluators are pure.
+scalar r); radius.gap is the checked entry point for the gap.  The
+methods check nothing: each takes an already-checked 1-d float array and
+gives a point its value alone, in any batch.  Only code that builds its own
+grid inside [0, 1), such as the radius solver and the verification grid,
+or has checked its r, as the sharpness margin has through radius.gap,
+calls them directly.  All evaluators are pure.
 """
 
 from __future__ import annotations
@@ -196,8 +195,12 @@ class OperatorFamily(WeightFamily):
     """A family induced by an integral operator T; the family also holds T.
 
     transform(a) maps the Taylor coefficients a_0 ... a_n of f to those of
-    T f.  The sup-norm bound of T over the unit-bounded class at |z| = r is
-    phi_0(r).
+    T f, and keeps their number; the test suite checks it against a
+    high-precision quadrature of T's integral.  The sharp sup-norm bound of T
+    over the unit-bounded class at |z| = r is phi_0(r) (weights.phi0),
+    attained by f = 1, and by f = z^m for Bernardi.  T's Bohr-type radius is
+    the family's, minimal_root(RadiusQuery(family, domain, p)); p = 1 matches
+    the first power of |a_0| in the operator majorants.
     """
 
 
@@ -309,7 +312,9 @@ class AlphaCesaro(CesaroFamily):
 
 @dataclass(frozen=True)
 class Bernardi(OperatorFamily):
-    """phi_n(r) = r^(n+m) / (n+m+delta); note phi_0(0) = 0, unlike every other family."""
+    """Weights induced by the Bernardi operator T f(z) = int_0^1 f(tz) t^(delta-1) dt
+    on f vanishing to order m at 0: phi_n(r) = r^(n+m) / (n+m+delta); note
+    phi_0(0) = 0, unlike every other family."""
 
     name = "bernardi"
     m: int = 1

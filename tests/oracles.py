@@ -26,7 +26,7 @@ from bohrad.radius import (
     RadiusQuery,
     RadiusResult,
     _gap,
-    sharpness_window_check,
+    _window,
 )
 from bohrad.weights import AlphaCesaro, Bernardi, BetaCesaro, CesaroFamily
 
@@ -232,6 +232,6 @@ def reference_minimal_root(query: RadiusQuery, tol: float = DEFAULT_TOL) -> Radi
             raise NoRootError(f"no certified crossing near x = {lo!r}: gap(hi) is nan at hi = {hi!r}")
         radius = 0.5 * (lo + hi)
         residual = float(_gap(query, np.array([radius]))[0])
-        ok = sharpness_window_check(query, radius, min(0.05, 0.5 * (1.0 - radius)))
+        ok = bool((_gap(query, _window(radius, min(0.05, 0.5 * (1.0 - radius)))[1:]) < 0.0).all())
     evals += 1 + WINDOW_SAMPLES
     return RadiusResult(radius, (lo, hi), residual, ok, evals)

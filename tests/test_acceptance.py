@@ -14,11 +14,6 @@ from bohrad.harness import (
     run_inequality_suite,
     run_sharpness_suite,
 )
-from bohrad.operators import (
-    apply_coefficient_form,
-    operator_bohr_radius,
-    operator_bound,
-)
 from bohrad._kernels import rising_ratios
 from bohrad.radius import RadiusQuery, minimal_root
 from bohrad.series import CoefficientSeries, DomainParams, Extremal, lemma_bound_report
@@ -32,6 +27,7 @@ from bohrad.weights import (
     OddPowers,
     PowerTail,
     Quadratic,
+    phi0,
     tail_sum,
 )
 from oracles import brute_force_tail, integral_form_oracle, p_bound_check
@@ -168,7 +164,7 @@ def test_c07_operator_oracle():
         for _ in range(10)
     ]
     for spec in specs:
-        transformed = apply_coefficient_form(spec, base)
+        transformed = CoefficientSeries(spec.transform(base.coefficients))
         for z in zs:
             diff = abs(transformed.evaluate(z) - integral_form_oracle(spec, base.evaluate, z))
             worst = max(worst, diff)
@@ -177,7 +173,7 @@ def test_c07_operator_oracle():
         shifted = CoefficientSeries(
             np.concatenate([np.zeros(m), base.coefficients[: 301 - m]])
         )
-        transformed = apply_coefficient_form(spec, shifted)
+        transformed = CoefficientSeries(spec.transform(shifted.coefficients))
         for z in zs:
             diff = abs(transformed.evaluate(z) - integral_form_oracle(spec, shifted.evaluate, z))
             worst = max(worst, diff)
@@ -185,7 +181,7 @@ def test_c07_operator_oracle():
     for spec in (BetaCesaro(0.5), BetaCesaro(1.0), BetaCesaro(2.0)):
         for r in (0.25, 0.5, 0.75):
             got = integral_form_oracle(spec, lambda w: 1.0, r)
-            bound_worst = max(bound_worst, abs(got - operator_bound(spec, r)))
+            bound_worst = max(bound_worst, abs(got - phi0(spec, r)))
     ok = worst <= 1e-13 and bound_worst <= 1e-10
     report(
         7,
@@ -202,9 +198,9 @@ def test_c08_algebraic_identities():
         a_up = rising_ratios(50, alpha + 2.0)
         poch_worst = max(poch_worst, float(np.max(np.abs(np.cumsum(a) / a_up - 1.0))))
     rows_ok = True
-    ones = CoefficientSeries(np.ones(60))
+    ones = CoefficientSeries(np.ones(60)).coefficients
     for spec in (BetaCesaro(1.0), AlphaCesaro(-0.5), AlphaCesaro(0.0), AlphaCesaro(1.7)):
-        out = apply_coefficient_form(spec, ones).coefficients
+        out = spec.transform(ones)
         rows_ok = rows_ok and bool(np.max(np.abs(out - 1.0)) <= 1e-13)
     xs = np.linspace(0.0, 0.999, 1000)
     slack = min(float(np.min(p_bound_check(xs, p))) for p in np.linspace(0.1, 2.0, 20))
@@ -219,18 +215,18 @@ def test_c08_algebraic_identities():
 
 def test_c09_operator_radii_consistency():
     dom = DomainParams(0.0)
-    res = operator_bohr_radius(BetaCesaro(1.0), dom)
+    res = minimal_root(RadiusQuery(BetaCesaro(1.0), dom, 1.0))
     x = res.radius
     in_bracket = 0.5 < x < 0.55
     residual = abs(2 * x - (3 + 0.0) * (1 - x) * math.log(1 / (1 - x)))
-    alpha_radius = operator_bohr_radius(AlphaCesaro(0.0), dom).radius
+    alpha_radius = minimal_root(RadiusQuery(AlphaCesaro(0.0), dom, 1.0)).radius
     alpha_match = abs(alpha_radius - x)
     cont_worst = 0.0
     for beta in (1.0 - 1e-6, 1.0 + 1e-6):
-        cont_worst = max(cont_worst, abs(operator_bohr_radius(BetaCesaro(beta), dom).radius - x))
+        cont_worst = max(cont_worst, abs(minimal_root(RadiusQuery(BetaCesaro(beta), dom, 1.0)).radius - x))
         for r in (0.3, 0.7):
             cont_worst = max(
-                cont_worst, abs(operator_bound(BetaCesaro(beta), r) - operator_bound(BetaCesaro(1.0), r))
+                cont_worst, abs(phi0(BetaCesaro(beta), r) - phi0(BetaCesaro(1.0), r))
             )
     ok = in_bracket and residual <= 1e-9 and alpha_match <= 1e-10 and cont_worst <= 1e-5
     report(

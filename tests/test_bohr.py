@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bohrad import _kernels, bohr
-from bohrad.bohr import extremal_margin, extremal_margins, verify_up_to_radius
+from bohrad.bohr import extremal_margins, verify_up_to_radius
 from bohrad.harness import SHARPNESS_A_STEPS, SHARPNESS_OFFSET, default_config, iter_cells
 from bohrad.radius import RadiusQuery, minimal_root
 from bohrad.series import (
@@ -50,7 +50,7 @@ BUILTINS = [
 
 def scaled_sum(series, family, p, r):
     """t = |c_0|^p + sum |c_k| psi_k(r), the Bohr sum over phi_0 that
-    verify_up_to_radius and extremal_margin read, from one row of family.scaled."""
+    verify_up_to_radius and extremal_margins read, from one row of family.scaled."""
     m = series.moduli()
     return float(m[0] ** p + m[1:] @ family.scaled(series.order, np.array([r]))[0][1:])
 
@@ -80,7 +80,7 @@ class TestBohrSum:
     def test_extremal_below_one_at_classical_radius(self):
         # closed form: a + (1-a^2)/(3-a) at r = 1/3 for the unit disk
         for a in (0.5, 0.9, 0.99, 0.999):
-            em = extremal_margin(DomainParams(0.0), a, PowerTail(1), 1.0, 1.0 / 3.0, order=400)
+            em = extremal_margins(DomainParams(0.0), (a,), PowerTail(1), 1.0, 1.0 / 3.0, order=400)[0]
             closed = a + (1 - a * a) / (3 - a)
             assert 1.0 + em.margin == pytest.approx(closed, abs=1e-13)
             assert em.margin <= 1e-13
@@ -104,7 +104,7 @@ class TestBohrSum:
 
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError, match="p must be in"):
-            extremal_margin(DomainParams(0.0), 0.5, PowerTail(1), 0.0, 0.5)
+            extremal_margins(DomainParams(0.0), (0.5,), PowerTail(1), 0.0, 0.5)
 
 
 class TestVerifyUpToRadius:
@@ -290,7 +290,7 @@ class TestExtremalMargin:
     def test_prediction_vanishes_at_the_root(self):
         query = RadiusQuery(PowerTail(1), DomainParams(0.2), 1.0)
         res = minimal_root(query)
-        em = extremal_margin(DomainParams(0.2), 0.999, PowerTail(1), 1.0, res.radius)
+        em = extremal_margins(DomainParams(0.2), (0.999,), PowerTail(1), 1.0, res.radius)[0]
         # the bracket is -p * gap(radius) scaled by (1-a)/(1-gamma)
         assert abs(em.first_order_prediction) <= 1e-11
 
@@ -298,14 +298,14 @@ class TestExtremalMargin:
         dom = DomainParams(0.2)
         query = RadiusQuery(OddPowers(), dom, 1.0)
         res = minimal_root(query)
-        em = extremal_margin(dom, 0.999, OddPowers(), 1.0, res.radius + 0.01)
+        em = extremal_margins(dom, (0.999,), OddPowers(), 1.0, res.radius + 0.01)[0]
         assert em.margin > 0.0
 
     def test_richardson_second_order(self):
         dom = DomainParams(0.0)
         consts = []
         for one_minus_a in (1e-2, 5e-3, 2.5e-3):
-            em = extremal_margin(dom, 1 - one_minus_a, PowerTail(1), 1.0, 0.4)
+            em = extremal_margins(dom, (1 - one_minus_a,), PowerTail(1), 1.0, 0.4)[0]
             assert em.margin > 0.0
             consts.append(abs(em.margin - em.first_order_prediction) / one_minus_a ** 2)
         # halving 1-a leaves the (1-a)^2 coefficient essentially unchanged
@@ -314,9 +314,9 @@ class TestExtremalMargin:
 
     def test_rejects_a_not_above_gamma(self):
         with pytest.raises(ValueError):
-            extremal_margin(DomainParams(0.5), 0.5, PowerTail(1), 1.0, 0.4)
+            extremal_margins(DomainParams(0.5), (0.5,), PowerTail(1), 1.0, 0.4)
         with pytest.raises(ValueError):
-            extremal_margin(DomainParams(0.5), 0.3, PowerTail(1), 1.0, 0.4)
+            extremal_margins(DomainParams(0.5), (0.3,), PowerTail(1), 1.0, 0.4)
 
     def test_ladder_is_each_rung_to_the_bit(self):
         # one gap and one psi row per cell give every rung's margin and
@@ -330,7 +330,7 @@ class TestExtremalMargin:
             ladder = [(em.margin.hex(), em.first_order_prediction.hex())
                       for em in extremal_margins(dom, a_values, family, p, r)]
             rungs = [(em.margin.hex(), em.first_order_prediction.hex())
-                     for em in (extremal_margin(dom, a, family, p, r) for a in a_values)]
+                     for em in (extremal_margins(dom, (a,), family, p, r)[0] for a in a_values)]
             assert ladder == rungs, (family, gamma, p)
 
     @pytest.mark.parametrize("a_values", [[0.99, 0.5], [0.3, 0.999], [0.999, 1.0]])
@@ -349,7 +349,7 @@ class TestExtremalMargin:
         # sum of the same moduli over psi
         family, dom = Bernardi(m, 1.0), DomainParams(0.0)
         r = minimal_root(RadiusQuery(family, dom, 1.0)).radius + SHARPNESS_OFFSET
-        em = extremal_margin(dom, a, family, 1.0, r)
+        em = extremal_margins(dom, (a,), family, 1.0, r)[0]
         moduli = Extremal(dom, a).coefficients(600).moduli()
         with mp.workdps(RADIUS_DPS):
             psi = mp_scaled(family, 600, r)
@@ -370,7 +370,7 @@ class TestExtremalMargin:
                     moduli = Extremal(dom, a).coefficients(600).moduli()
                     v = family.vector(600, np.array([r]))[0]
                     absolute = moduli[0] ** p * v[0] + moduli[1:] @ v[1:] - v[0]
-                    assert extremal_margin(dom, a, family, p, r).margin == absolute
+                    assert extremal_margins(dom, (a,), family, p, r)[0].margin == absolute
 
     def test_cesaro_families_with_one_ac_have_one_margin(self):
         # beta = 1 and alpha = 0 are both (a, c) = (1, 2): one table, so one
@@ -380,8 +380,8 @@ class TestExtremalMargin:
             dom = DomainParams(gamma)
             r = minimal_root(RadiusQuery(BetaCesaro(1.0), dom, 1.0)).radius + SHARPNESS_OFFSET
             for a in (0.99, 0.999, 0.9999):
-                beta = extremal_margin(dom, a, BetaCesaro(1.0), 1.0, r)
-                alpha = extremal_margin(dom, a, AlphaCesaro(0.0), 1.0, r)
+                beta = extremal_margins(dom, (a,), BetaCesaro(1.0), 1.0, r)[0]
+                alpha = extremal_margins(dom, (a,), AlphaCesaro(0.0), 1.0, r)[0]
                 assert beta.margin == alpha.margin
                 assert beta.first_order_prediction == pytest.approx(alpha.first_order_prediction, rel=1e-12)
 

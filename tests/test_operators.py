@@ -8,13 +8,10 @@ import numpy as np
 import pytest
 
 from bohrad._kernels import rising_ratios
-from bohrad.operators import (
-    apply_coefficient_form,
-    operator_bohr_radius,
-    operator_bound,
-)
+from bohrad.cli import main
+from bohrad.radius import RadiusQuery, minimal_root
 from bohrad.series import CoefficientSeries, DomainParams
-from bohrad.weights import AlphaCesaro, Bernardi, BetaCesaro
+from bohrad.weights import AlphaCesaro, Bernardi, BetaCesaro, phi0
 from oracles import RADIUS_DPS, integral_form_oracle
 
 
@@ -72,35 +69,33 @@ class TestRatioRecurrences:
 
 class TestCoefficientForm:
     def test_beta_one_row_averages(self):
-        ones = CoefficientSeries(np.ones(40))
-        out = apply_coefficient_form(BetaCesaro(1.0), ones)
-        np.testing.assert_allclose(out.coefficients, np.ones(40), rtol=0, atol=1e-15)
+        ones = CoefficientSeries(np.ones(40)).coefficients
+        np.testing.assert_allclose(BetaCesaro(1.0).transform(ones), np.ones(40), rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.0, 2.5])
     def test_alpha_row_sums_normalized(self, alpha):
-        ones = CoefficientSeries(np.ones(40))
-        out = apply_coefficient_form(AlphaCesaro(alpha), ones)
-        np.testing.assert_allclose(out.coefficients, np.ones(40), rtol=1e-14)
+        ones = CoefficientSeries(np.ones(40)).coefficients
+        np.testing.assert_allclose(AlphaCesaro(alpha).transform(ones), np.ones(40), rtol=1e-14)
 
     def test_bernardi_divides_by_shifted_index(self):
         c = np.zeros(10)
         c[1:] = 1.0
-        out = apply_coefficient_form(Bernardi(1, 1.0), CoefficientSeries(c))
+        out = Bernardi(1, 1.0).transform(CoefficientSeries(c).coefficients)
         expected = np.zeros(10)
         expected[1:] = 1.0 / (np.arange(1, 10) + 1.0)
-        np.testing.assert_allclose(out.coefficients, expected, atol=1e-16)
+        np.testing.assert_allclose(out, expected, atol=1e-16)
 
     def test_bernardi_rejects_low_order_terms(self):
         with pytest.raises(ValueError):
-            apply_coefficient_form(Bernardi(2, 0.5), CoefficientSeries([0.0, 1.0, 1.0]))
+            Bernardi(2, 0.5).transform(CoefficientSeries([0.0, 1.0, 1.0]).coefficients)
 
     def test_beta_transform_against_double_sum(self):
         series = random_member_series(3, order=30)
-        out = apply_coefficient_form(BetaCesaro(0.7), series)
+        out = BetaCesaro(0.7).transform(series.coefficients)
         g = rising_ratios(30, 0.7)
         for n in (0, 5, 17, 30):
             expected = sum(g[n - k] * series.coefficients[k] for k in range(n + 1)) / (n + 1)
-            assert out.coefficients[n] == pytest.approx(expected, rel=1e-13)
+            assert out[n] == pytest.approx(expected, rel=1e-13)
 
 
 class TestIntegralForm:
@@ -133,7 +128,7 @@ class TestIntegralForm:
     @pytest.mark.parametrize("spec", [BetaCesaro(0.5), BetaCesaro(1.0), BetaCesaro(2.0)], ids=str)
     def test_beta_coefficient_integral_agreement(self, spec):
         series = random_member_series(17)
-        transformed = apply_coefficient_form(spec, series)
+        transformed = CoefficientSeries(spec.transform(series.coefficients))
         rng = np.random.default_rng(1)
         for _ in range(10):
             z = 0.6 * math.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
@@ -144,7 +139,7 @@ class TestIntegralForm:
     @pytest.mark.parametrize("spec", [AlphaCesaro(-0.5), AlphaCesaro(0.0), AlphaCesaro(1.0)], ids=str)
     def test_alpha_coefficient_integral_agreement(self, spec):
         series = random_member_series(23)
-        transformed = apply_coefficient_form(spec, series)
+        transformed = CoefficientSeries(spec.transform(series.coefficients))
         rng = np.random.default_rng(2)
         for _ in range(10):
             z = 0.6 * math.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
@@ -159,7 +154,7 @@ class TestIntegralForm:
         shifted = CoefficientSeries(
             np.concatenate([np.zeros(m), base.coefficients[: base.order + 1 - m]])
         )
-        transformed = apply_coefficient_form(spec, shifted)
+        transformed = CoefficientSeries(spec.transform(shifted.coefficients))
         rng = np.random.default_rng(3)
         for _ in range(10):
             z = 0.6 * math.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
@@ -176,21 +171,21 @@ class TestIntegralForm:
 
 class TestOperatorBound:
     def test_beta_one_log_bound(self):
-        assert operator_bound(BetaCesaro(1.0), 0.5) == pytest.approx(2 * math.log(2), abs=1e-14)
+        assert phi0(BetaCesaro(1.0), 0.5) == pytest.approx(2 * math.log(2), abs=1e-14)
 
     def test_bernardi_bound(self):
-        assert operator_bound(Bernardi(2, 1.0), 0.5) == pytest.approx(0.25 / 3.0, abs=1e-16)
+        assert phi0(Bernardi(2, 1.0), 0.5) == pytest.approx(0.25 / 3.0, abs=1e-16)
 
     def test_alpha_zero_matches_beta_one(self):
-        assert operator_bound(AlphaCesaro(0.0), 0.5) == pytest.approx(
-            operator_bound(BetaCesaro(1.0), 0.5), abs=1e-13
+        assert phi0(AlphaCesaro(0.0), 0.5) == pytest.approx(
+            phi0(BetaCesaro(1.0), 0.5), abs=1e-13
         )
 
     def test_continuity_across_beta_one(self):
         for r in (0.2, 0.5, 0.8):
-            log_branch = operator_bound(BetaCesaro(1.0), r)
-            assert operator_bound(BetaCesaro(1.0 + 1e-6), r) == pytest.approx(log_branch, abs=1e-5)
-            assert operator_bound(BetaCesaro(1.0 - 1e-6), r) == pytest.approx(log_branch, abs=1e-5)
+            log_branch = phi0(BetaCesaro(1.0), r)
+            assert phi0(BetaCesaro(1.0 + 1e-6), r) == pytest.approx(log_branch, abs=1e-5)
+            assert phi0(BetaCesaro(1.0 - 1e-6), r) == pytest.approx(log_branch, abs=1e-5)
 
     @pytest.mark.parametrize("spec", [BetaCesaro(0.5), BetaCesaro(1.0), BetaCesaro(2.0),
                                       AlphaCesaro(-0.5), AlphaCesaro(0.0)], ids=str)
@@ -198,19 +193,19 @@ class TestOperatorBound:
         for r in (0.25, 0.5, 0.75):
             got = integral_form_oracle(spec, lambda w: 1.0, r)
             assert abs(got.imag) < 1e-13
-            assert got.real == pytest.approx(operator_bound(spec, r), abs=1e-10)
+            assert got.real == pytest.approx(phi0(spec, r), abs=1e-10)
 
     def test_bernardi_bound_attained_by_monomial(self):
         spec = Bernardi(2, 0.5)
         r = 0.6
         got = integral_form_oracle(spec, lambda w: w ** 2, r)
-        assert abs(got) == pytest.approx(operator_bound(spec, r), abs=1e-12)
+        assert abs(got) == pytest.approx(phi0(spec, r), abs=1e-12)
 
-    def test_rejects_r_outside_open_interval(self):
-        with pytest.raises(ValueError):
-            operator_bound(BetaCesaro(1.0), 0.0)
-        with pytest.raises(ValueError):
-            operator_bound(BetaCesaro(1.0), 1.0)
+    def test_rejects_r_outside_open_interval(self, capsys):
+        # phi_0 itself is defined at r = 0; the bound command asks for 0 < r < 1
+        for r in ("0", "1", "nan"):
+            assert main(["operator", "--beta-cesaro", "1", "bound", "--r", r]) == 2
+            assert capsys.readouterr() == ("", "error: r must be in (0, 1)\n")
 
 
 RADIUS_SPECS = [
@@ -274,7 +269,7 @@ def _printed_equation_sweep(n=60):
 
 class TestOperatorRadius:
     def test_cesaro_radius_bracket(self):
-        res = operator_bohr_radius(BetaCesaro(1.0), DomainParams(0.0))
+        res = minimal_root(RadiusQuery(BetaCesaro(1.0), DomainParams(0.0), 1.0))
         assert 0.5 < res.radius < 0.55
         # sign change of 2x - 3(1-x)log(1/(1-x)) over the bracket
         eq = lambda x: 2 * x - 3 * (1 - x) * math.log(1 / (1 - x))
@@ -289,17 +284,17 @@ class TestOperatorRadius:
         a = random_member_series(5, order=200).coefficients
         assert alpha.transform(a).tobytes() == beta.transform(a).tobytes()
         for gamma in (0.0, 0.5):
-            r1 = operator_bohr_radius(beta, DomainParams(gamma)).radius
-            r2 = operator_bohr_radius(alpha, DomainParams(gamma)).radius
+            r1 = minimal_root(RadiusQuery(beta, DomainParams(gamma), 1.0)).radius
+            r2 = minimal_root(RadiusQuery(alpha, DomainParams(gamma), 1.0)).radius
             assert r1 == r2
 
     def test_radius_increases_with_gamma(self):
-        radii = [operator_bohr_radius(BetaCesaro(1.0), DomainParams(g)).radius for g in (0.0, 0.3, 0.6)]
+        radii = [minimal_root(RadiusQuery(BetaCesaro(1.0), DomainParams(g), 1.0)).radius for g in (0.0, 0.3, 0.6)]
         assert radii[0] < radii[1] < radii[2]
 
     @pytest.mark.parametrize("spec, gamma", _printed_equation_sweep())
     def test_printed_root_lies_in_the_bracket(self, spec, gamma):
-        assert printed_root_in_bracket(spec, gamma, operator_bohr_radius(spec, DomainParams(gamma)))
+        assert printed_root_in_bracket(spec, gamma, minimal_root(RadiusQuery(spec, DomainParams(gamma), 1.0)))
 
     @pytest.mark.parametrize("spec, gamma", [
         # the printed equation once overflowed in floats at these radii, and
@@ -325,14 +320,14 @@ class TestOperatorRadius:
     ])
     def test_printed_root_lies_in_the_bracket_at_the_extremes(self, spec, gamma):
         start = time.perf_counter()
-        res = operator_bohr_radius(spec, DomainParams(gamma))
+        res = minimal_root(RadiusQuery(spec, DomainParams(gamma), 1.0))
         assert time.perf_counter() - start < 1.0
         assert printed_root_in_bracket(spec, gamma, res)
 
     def test_radius_near_one(self):
-        assert operator_bohr_radius(Bernardi(1, -0.9), DomainParams(0.9)).radius == \
+        assert minimal_root(RadiusQuery(Bernardi(1, -0.9), DomainParams(0.9), 1.0)).radius == \
             pytest.approx(0.99993579267807, abs=1e-12)
-        assert 1.0 - operator_bohr_radius(Bernardi(1, -0.95), DomainParams(0.5)).radius == \
+        assert 1.0 - minimal_root(RadiusQuery(Bernardi(1, -0.95), DomainParams(0.5), 1.0)).radius == \
             pytest.approx(2.8e-7, rel=0.01)
 
     @pytest.mark.parametrize("spec", RADIUS_SPECS, ids=str)
@@ -344,13 +339,13 @@ class TestOperatorRadius:
 
         for cls in (BetaCesaro, AlphaCesaro, Bernardi):
             monkeypatch.setattr(cls, "ratio", shifted(cls.ratio))
-        res = operator_bohr_radius(spec, DomainParams(0.0))
+        res = minimal_root(RadiusQuery(spec, DomainParams(0.0), 1.0))
         assert not printed_root_in_bracket(spec, 0.0, res)
 
     def test_radius_continuity_across_beta_one(self):
-        base = operator_bohr_radius(BetaCesaro(1.0), DomainParams(0.0)).radius
+        base = minimal_root(RadiusQuery(BetaCesaro(1.0), DomainParams(0.0), 1.0)).radius
         for beta in (1.0 - 1e-6, 1.0 + 1e-6):
-            near = operator_bohr_radius(BetaCesaro(beta), DomainParams(0.0)).radius
+            near = minimal_root(RadiusQuery(BetaCesaro(beta), DomainParams(0.0), 1.0)).radius
             assert near == pytest.approx(base, abs=1e-5)
 
 
@@ -362,7 +357,7 @@ class TestMajorantSwap:
         beta = 1.0
         spec = BetaCesaro(beta)
         dom = DomainParams(0.25)
-        res = operator_bohr_radius(spec, dom)
+        res = minimal_root(RadiusQuery(spec, dom, 1.0))
         series = random_member_series(31, order=350)
         m = np.abs(series.coefficients)
         g = rising_ratios(350, beta)
@@ -371,4 +366,4 @@ class TestMajorantSwap:
             double_sum = float(rows @ r ** np.arange(351.0))
             swap = float(m @ spec.vector(350, np.array([r]))[0])
             assert double_sum == pytest.approx(swap, rel=1e-10)
-            assert swap <= operator_bound(spec, r) + 1e-9
+            assert swap <= phi0(spec, r) + 1e-9

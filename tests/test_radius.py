@@ -13,13 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bohrad import bohr, harness, radius, weights
-from bohrad.operators import operator_bohr_radius
 from bohrad.radius import (
     NoRootError,
     RadiusQuery,
     gap,
     minimal_root,
-    sharpness_window_check,
 )
 from bohrad.series import DomainParams
 from bohrad.weights import (
@@ -603,24 +601,46 @@ class TestPastTheFloatRange:
         assert abs(res.radius - mp_root(query, res.radius)) <= 1e-12
 
 
+def window_gaps(gaps):
+    """GEOMETRIC, whose gap 1 - 2r/(1-r) crosses at 1/3, with the gap at the 32
+    points of its sharpness window (radius, radius + 0.05) set to gaps: the
+    tail there is (1 - h)/2, at gamma = 0 and p = 1."""
+    window = radius._window(minimal_root(q(GEOMETRIC)).radius, 0.05)[1:]
+    tail_at = dict(zip(window.tolist(), (0.5 * (1.0 - h) for h in gaps)))
+    return CustomFamily(
+        name="window-gaps",
+        phi0_fn=lambda r: np.ones_like(r),
+        phi_k_fn=lambda k, r: r ** k,
+        tail_fn=lambda r: np.array([tail_at.get(x, x / (1.0 - x)) for x in r.tolist()]),
+    )
+
+
 class TestSharpnessWindow:
     def test_classical_window(self):
-        assert sharpness_window_check(q(PowerTail(1)), 1.0 / 3.0, 0.05) is True
+        query = q(PowerTail(1))
+        res = minimal_root(query)
+        assert res.radius == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert res.sharp_window_ok is True
+        assert (gap(query, radius._window(1.0 / 3.0, 0.05)[1:]) < 0.0).all()
 
     def test_power_tail_n2_p2(self):
         query = q(PowerTail(2), 0.0, 2.0)
         res = minimal_root(query)
-        assert sharpness_window_check(query, res.radius, 0.02) is True
+        assert res.sharp_window_ok is True
+        assert (gap(query, radius._window(res.radius, 0.02)[1:]) < 0.0).all()
 
-    def test_false_below_radius(self):
-        # a window strictly below the root sees a positive gap
-        assert sharpness_window_check(q(PowerTail(1)), 0.2, 0.05) is False
-
-    def test_window_must_stay_inside_domain(self):
-        with pytest.raises(ValueError):
-            sharpness_window_check(q(PowerTail(1)), 0.98, 0.05)
-        with pytest.raises(ValueError):
-            sharpness_window_check(q(PowerTail(1)), 0.5, 0.0)
+    def test_false_where_the_gap_turns_positive(self):
+        # h = (1/3 - x)(0.36 - x) crosses at 1/3 and is positive again past
+        # 0.36, inside the window (1/3, 1/3 + 0.05)
+        family = CustomFamily(
+            name="dip",
+            phi0_fn=lambda r: np.ones_like(r),
+            phi_k_fn=lambda k, r: r ** k,
+            tail_fn=lambda r: 0.5 * (1.0 - (1.0 / 3.0 - r) * (0.36 - r)),
+        )
+        res = minimal_root(q(family))
+        assert res.radius == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert res.sharp_window_ok is False
 
     @pytest.mark.parametrize("family", BUILTINS, ids=str)
     def test_all_builtins_have_sharp_windows(self, family):
@@ -650,9 +670,10 @@ class TestSharpnessWindow:
         ([-1.0] * 10 + [math.nan] + [-1.0] * 21, False),
         ([-1.0] * 3 + [0.5] + [-1.0] * 28, False),
     ])
-    def test_a_nan_anywhere_leaves_the_window_false(self, gaps, ok, monkeypatch):
-        monkeypatch.setattr(radius, "gap", lambda query, x: np.array(gaps))
-        assert sharpness_window_check(q(PowerTail(1)), 0.5, 0.05) is ok
+    def test_a_nan_anywhere_leaves_the_window_false(self, gaps, ok):
+        res = minimal_root(q(window_gaps(gaps)))
+        assert res.radius == minimal_root(q(GEOMETRIC)).radius  # the stub reaches the window alone
+        assert res.sharp_window_ok is ok
 
 
 # ---------------------------------------------------------------------------
@@ -760,7 +781,7 @@ class TestRadiiNearOne:
 
     def test_operator_radius(self):
         t0 = time.perf_counter()
-        res = operator_bohr_radius(AlphaCesaro(10.0), DomainParams(0.5))
+        res = minimal_root(RadiusQuery(AlphaCesaro(10.0), DomainParams(0.5), 1.0))
         assert time.perf_counter() - t0 < 0.5
         assert res.radius > 0.897
         assert_matches_mpmath(q(AlphaCesaro(10.0), 0.5), res)

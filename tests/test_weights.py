@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from bohrad import bohr
-from bohrad.bohr import extremal_margin
+from bohrad.bohr import extremal_margins
 from bohrad.harness import DEFAULT_FAMILIES
 from bohrad._kernels import rising_ratios
 from bohrad.radius import RadiusQuery, gap, minimal_root
@@ -137,7 +137,7 @@ R_CHECKED = {
     "phi0": phi0,
     "phi_k": lambda fam, r: phi_k(fam, 3, r),
     "tail_sum": tail_sum,
-    "extremal_margin": lambda fam, r: extremal_margin(DomainParams(0.3), 0.5, fam, 1.0, r),
+    "extremal_margins": lambda fam, r: extremal_margins(DomainParams(0.3), (0.5,), fam, 1.0, r)[0],
     "gap": lambda fam, r: gap(RadiusQuery(fam, DomainParams(0.3), 1.0), r),
 }
 
