@@ -629,6 +629,37 @@ class TestSharpnessWindow:
         assert res.sharp_window_ok is True
         assert (gap(query, radius._window(res.radius, 0.02)[1:]) < 0.0).all()
 
+    def test_false_below_radius(self):
+        # a window strictly below the root, (0.2, 0.25), sees a positive gap
+        gaps = gap(q(GEOMETRIC), radius._window(0.2, 0.05)[1:])
+        assert (gaps > 0.0).all()
+        assert minimal_root(q(window_gaps(gaps.tolist()))).sharp_window_ok is False
+
+    def test_window_must_stay_inside_domain(self):
+        # h = root - x: the window (root, root + (1 - root)/2) is all the
+        # room that is left below 1, and the solver's last batch reads the
+        # radius and the window there
+        for root in (0.98, 1.0 - 1e-6):
+            batches = []
+
+            def tail(r, root=root, batches=batches):
+                batches.append(np.ravel(r).tolist())
+                return 0.5 * (1.0 - (root - r))
+
+            family = CustomFamily(
+                name="near-one",
+                phi0_fn=lambda r: np.ones_like(r),
+                phi_k_fn=lambda k, r: r ** k,
+                tail_fn=tail,
+            )
+            res = minimal_root(q(family))
+            assert res.radius == pytest.approx(root, abs=1e-12)
+            assert res.sharp_window_ok is True
+            last = batches[-1]
+            assert last[0] == res.radius and len(last) == radius.WINDOW_SAMPLES + 1
+            assert res.radius < min(last[1:])
+            assert max(last[1:]) < res.radius + 0.5 * (1.0 - res.radius) < 1.0
+
     def test_false_where_the_gap_turns_positive(self):
         # h = (1/3 - x)(0.36 - x) crosses at 1/3 and is positive again past
         # 0.36, inside the window (1/3, 1/3 + 0.05)

@@ -137,7 +137,7 @@ R_CHECKED = {
     "phi0": phi0,
     "phi_k": lambda fam, r: phi_k(fam, 3, r),
     "tail_sum": tail_sum,
-    "extremal_margins": lambda fam, r: extremal_margins(DomainParams(0.3), (0.5,), fam, 1.0, r)[0],
+    "extremal_margin": lambda fam, r: extremal_margins(DomainParams(0.3), (0.5,), fam, 1.0, r)[0],
     "gap": lambda fam, r: gap(RadiusQuery(fam, DomainParams(0.3), 1.0), r),
 }
 
