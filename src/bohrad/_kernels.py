@@ -10,7 +10,7 @@ G_j(x) = (x)_j/j!, as the correlation of two sequences each built by one
 cumulative product.  rising_ratios builds G_j(x) for the tables, for the
 operators' coefficient transform and for the public ratio functions.  The
 Lerch sum Phi(r, 1, b) = sum_k r^k/(k+b) = 2F1(1, b; b+1; r)/b, from which
-AlphaCesaro.phi0 and Bernardi.tail are built, has three branches of a
+AlphaCesaro.phi0 and Bernardi.ratio are built, has three branches of a
 bounded number of terms at any b: the direct series up to 0.9, the log-case
 connection series (DLMF 15.8.10) above max(0.9, 1 - 1/b), and a
 Bernoulli-E_1 expansion in between; a point's bits are those of its call
@@ -93,7 +93,7 @@ def cesaro_phi_table(a: float, c: float, r: float, order: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # the Lerch sum (DLMF 15.2, 25.14), from which weights builds the alpha-Cesaro
-# phi_0 and the Bernardi tail:
+# phi_0 and the Bernardi ratio:
 # Phi(r, 1, b) = sum_{k>=0} r^k / (k+b) = 2F1(1, b; b+1; r) / b, b > 0
 
 _POINTS = 64  # points per pass: a pass's temporaries stay under 1 MiB

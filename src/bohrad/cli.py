@@ -13,8 +13,8 @@ the RadiusResult; CSV and JSONL both render each cell with render_json.
 A call that starts with a command is parsed by that command's parser alone
 (_command_parser on a parser of its own), the parser the full one hands the
 rest of argv to.  Every other call, and one whose command parser leaves
-arguments over, is parsed by build_parser(argv), so help, --version, usage
-and errors are the full parser's.
+arguments over, is parsed by build_parser(), so help, --version, usage and
+errors are the full parser's.
 """
 
 from __future__ import annotations
@@ -406,7 +406,7 @@ def cmd_suite(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser: one table of commands, options built for the command argv names
+# parser: one table of commands, each with its options
 
 def _radius_options(parser: argparse.ArgumentParser) -> None:
     _add_family_options(parser)
@@ -469,37 +469,34 @@ _COMMANDS = {
 }
 
 
-def _command_parser(parser: argparse.ArgumentParser, name: str, options: bool = True) -> argparse.ArgumentParser:
+def _command_parser(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
     """Set parser up as command name's: its handler, its name as args.subcommand
-    and, if options, its options."""
+    and its options."""
     # a value may start with a minus sign ("--delta -0.5,1", "--alpha -5e-1",
     # "--tolerance -inf"): on every command, read an argument that starts like
     # a number, an infinity or a nan as a value
     parser._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
     _, add_options, handler = _COMMANDS[name]
     parser.set_defaults(func=handler, subcommand=name)
-    if options:
-        add_options(parser)
+    add_options(parser)
     return parser
 
 
-def build_parser(argv) -> argparse.ArgumentParser:
-    """The parser for argv: every command is registered, for the top-level help and
-    errors, but only the one argv names (its first token not starting "-") gets options."""
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser: every command, with its options."""
     parser = argparse.ArgumentParser(
         prog="bohrad",
         description="Sharp generalized Bohr radii on shifted disks, with operator radii.",
     )
     parser.add_argument("--version", action="version", version=f"bohrad {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    named = next((token for token in argv if not token.startswith("-")), None)
     for name, (help_text, _, _) in _COMMANDS.items():
-        _command_parser(sub.add_parser(name, help=help_text), name, options=name == named)
+        _command_parser(sub.add_parser(name, help=help_text), name)
     return parser
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    """argv parsed as build_parser(argv).parse_args(argv) does, with the named
+    """argv parsed as build_parser().parse_args(argv) does, with the named
     command's parser alone where that gives the same result.
 
     That parser is the one the top level hands argv[1:] to.  Arguments it
@@ -513,7 +510,7 @@ def _parse_args(argv) -> argparse.Namespace:
             args, extras = parser.parse_known_args(argv[1:])
             if not extras:
                 return args
-    return build_parser(argv).parse_args(argv)
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

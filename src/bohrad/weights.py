@@ -1,18 +1,19 @@
 """Weight families {phi_k(r)}: non-negative continuous functions on [0, 1).
 
 Each family is one frozen dataclass holding all that is known about it, and
-each of its formulas has one implementation there: phi0, tail, their ratio,
-the table vector and the table over phi_0, scaled, which the Bohr check
-reads.  A single phi_k is column k of the table.  The elementary families
+each of its formulas has one implementation there: phi0, the tail over
+phi_0, ratio, which the radius gap reads, and the table over phi_0, scaled,
+which the Bohr check reads.  A single phi_k is phi_0 times column k of that
+table, and the tail sum is phi_0 times the ratio.  The elementary families
 share a monomial base, phi_k = c(k) r^k from k = N on.  The beta-Cesaro,
 alpha-Cesaro and Bernardi families arise from the integral operators they
 are named after; they share the OperatorFamily base, which also holds the
 operator's coefficient transform, and call the family-free kernels of
 _kernels with their parameters (the Cesaro table, and the Lerch sum behind
-AlphaCesaro.phi0 and Bernardi.tail).  The two Cesaro operators are one
+AlphaCesaro.phi0 and Bernardi.ratio).  The two Cesaro operators are one
 Euler-integral operator with parameters (a, c): CesaroFamily holds its
 table and transform, and BetaCesaro and AlphaCesaro hold only their field,
-(a, c) and the closed forms of phi_0 and of the sum of all weights.
+(a, c) and the closed forms of phi_0 and of the ratio.
 
 The module functions phi0, phi_k and tail_sum take a scalar r or a numpy
 array of any shape, check r in [0, 1) once, call the family's method on
@@ -42,31 +43,24 @@ class WeightFamily:
     """Base of the families, which are frozen dataclasses.
 
     A family defines ``name`` (its CLI name) and three methods, each at a
-    1-d float array r that is already known to lie in [0, 1), checking
-    nothing: phi0(r), tail(r) = sum_{k>=1} phi_k(r) and vector(order, r),
-    the table whose row i is [phi_0(r[i]), ..., phi_order(r[i])], each giving
-    a point bit for bit its value alone, in any batch.  ratio(r) is
-    tail(r)/phi0(r), which the radius gap reads, and scaled(order, r) the
-    table over its phi_0 column, psi_k = phi_k/phi_0, which the Bohr check
-    reads; a family overrides them with forms that stay finite where phi_0
-    and the tail leave the floats apart.
-    A single phi_k is read from the table (weights.phi_k), so each formula
-    has one implementation.  Callers outside a grid they built themselves go
-    through the module functions, which check r.
+    1-d float array r already known to lie in [0, 1), checking nothing and
+    giving a point bit for bit its value alone, in any batch: phi0(r);
+    ratio(r) = sum_{k>=1} phi_k(r) / phi_0(r), which the radius gap reads;
+    and scaled(order, r), whose row i is [psi_0(r[i]), ..., psi_order(r[i])],
+    psi_k = phi_k/phi_0 (0 where phi_0 = 0), which the Bohr check reads.
+    Their forms stay finite where phi_0 and the tail leave the floats apart.
+    weights.phi_k is phi_0 psi_k and weights.tail_sum phi_0 ratio, so each
+    formula has one implementation; callers outside a grid they built
+    themselves go through these module functions, which check r.
     """
 
-    def ratio(self, r):
-        """tail(r)/phi0(r)."""
-        return self.tail(r) / self.phi0(r)
-
-    def scaled(self, order, r):
-        """vector(order, r) over its phi_0 column, 0 where phi_0 = 0; a table
-        that is not finite raises RuntimeError before the division."""
-        v = self.vector(order, r)
-        if not np.isfinite(v).all():
-            raise RuntimeError(f"the {self.name} weight table overflowed: phi_0 ... phi_{order} "
+    def _over_phi0(self, table, r):
+        """The table [phi_0, ..., phi_order] at r over its phi_0 column, 0 where phi_0 = 0;
+        a table that is not finite raises RuntimeError before the division."""
+        if not np.isfinite(table).all():
+            raise RuntimeError(f"the {self.name} weight table overflowed: phi_0 ... phi_{table.shape[1] - 1} "
                                f"are not finite on [0, {r[-1]}]")
-        return np.divide(v, v[:, :1], out=np.zeros_like(v), where=v[:, :1] != 0.0)
+        return np.divide(table, table[:, :1], out=np.zeros_like(table), where=table[:, :1] != 0.0)
 
     def params(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -79,8 +73,8 @@ class WeightFamily:
 
 
 class MonomialFamily(WeightFamily):
-    """phi_0 = 1; phi_k = c(k) r^k for k >= N, else 0.  A subclass gives
-    coef(k) for an int or int-array k, tail(r) and, if it has one, an N field."""
+    """phi_0 = 1; phi_k = c(k) r^k for k >= N, else 0.  A subclass gives coef(k)
+    for an int or int-array k, ratio(r) (the tail) and, if it has one, an N field."""
 
     N = 1
 
@@ -93,10 +87,8 @@ class MonomialFamily(WeightFamily):
     def phi0(self, r):
         return np.ones_like(r)
 
-    def ratio(self, r):
-        return self.tail(r)
-
-    def vector(self, order, r):
+    def scaled(self, order, r):
+        """The table itself, as phi_0 = 1."""
         k = np.arange(order + 1)
         v = self.coef(k) * r[:, None] ** k.astype(float)
         v[:, 0] = 1.0
@@ -114,7 +106,7 @@ class PowerTail(MonomialFamily):
     def coef(self, k):
         return 1
 
-    def tail(self, r):
+    def ratio(self, r):
         return r ** self.N / (1.0 - r)
 
 
@@ -127,7 +119,7 @@ class EvenPowers(MonomialFamily):
     def coef(self, k):
         return 1 - k % 2
 
-    def tail(self, r):
+    def ratio(self, r):
         return r ** 2 / (1.0 - r ** 2)
 
 
@@ -140,7 +132,7 @@ class OddPowers(MonomialFamily):
     def coef(self, k):
         return k % 2
 
-    def tail(self, r):
+    def ratio(self, r):
         return r / (1.0 - r ** 2)
 
 
@@ -154,7 +146,7 @@ class LinearPlusOne(MonomialFamily):
     def coef(self, k):
         return k + 1.0
 
-    def tail(self, r):
+    def ratio(self, r):
         n = self.N
         return r ** n * (1.0 + n - n * r) / (1.0 - r) ** 2
 
@@ -169,7 +161,7 @@ class Linear(MonomialFamily):
     def coef(self, k):
         return k
 
-    def tail(self, r):
+    def ratio(self, r):
         n = self.N
         return r ** n * (n * (1.0 - r) + r) / (1.0 - r) ** 2
 
@@ -184,7 +176,7 @@ class Quadratic(MonomialFamily):
     def coef(self, k):
         return k * k
 
-    def tail(self, r):
+    def ratio(self, r):
         n = self.N
         # equals the standard form r^N [N^2 - (2N^2-2N-1) r + (N-1)^2 r^2] / (1-r)^3
         num = (r + n) ** 2 + r + n ** 2 * r ** 2 - 2.0 * n * r * (r + n)
@@ -231,24 +223,17 @@ class CesaroFamily(OperatorFamily):
 
         b_n = sum_k G_(n-k)(a) a_k / G_n(c)                          (transform)
         phi_n(r) = sum_j G_j(a) r^(n+j) / G_(n+j)(c)
-                 = r^n / G_n(c) 2F1(a, n+1; n+c; r)                   (vector)
-        sum_{n>=0} phi_n(r) = 2F1(a+1, 1; c; r)                       (total)
+                 = r^n / G_n(c) 2F1(a, n+1; n+c; r)                   (scaled)
+        sum_{n>=0} phi_n(r) = 2F1(a+1, 1; c; r)                       (ratio)
 
     A subclass gives its parameter field, ``ac`` = (a, c) as a property, and
-    the closed forms phi0(r) and total(r); total takes a 1-d float array.
+    the closed forms phi0(r) and ratio(r), the latter from the sum of all weights.
     """
 
-    def tail(self, r):
-        return self.total(r) - self.phi0(r)
-
-    def ratio(self, r):
-        p0 = self.phi0(r)
-        return (self.total(r) - p0) / p0
-
-    def vector(self, order, r):
-        """The table one point at a time: the series kernel takes a float r."""
+    def scaled(self, order, r):
+        """The table one point at a time (the series kernel takes a float r) over phi_0."""
         rows = [_kernels.cesaro_phi_table(*self.ac, x, order) for x in r.tolist()]
-        return np.array(rows).reshape(len(r), order + 1)
+        return self._over_phi0(np.array(rows).reshape(len(r), order + 1), r)
 
     def transform(self, a):
         """b_n = sum_k G_(n-k)(a) a_k / G_n(c)."""
@@ -276,11 +261,8 @@ class BetaCesaro(CesaroFamily):
     def phi0(self, r):
         return _beta_2f1(self.beta - 1.0, r)
 
-    def total(self, r):
-        return _beta_2f1(self.beta, r)
-
     def ratio(self, r):
-        """total/phi_0 - 1 = 2F1(1-beta, 1; 2; r) / ((1-r) 2F1(2-beta, 1; 2; r)) - 1,
+        """2F1(beta+1, 1; 2; r)/phi_0 - 1 = 2F1(1-beta, 1; 2; r) / ((1-r) 2F1(2-beta, 1; 2; r)) - 1,
         the two scaled by (1-r)^beta (Euler's transformation)."""
         scaled = _beta_2f1(-self.beta, r) / _beta_2f1(1.0 - self.beta, r)
         return scaled / (1.0 - r) - 1.0
@@ -306,8 +288,10 @@ class AlphaCesaro(CesaroFamily):
         """(1+alpha) Phi(r, 1, alpha+1) from the Lerch kernel."""
         return (1.0 + self.alpha) * _kernels.lerch_phi(self.alpha + 1.0, r)
 
-    def total(self, r):
-        return 1.0 / (1.0 - r)
+    def ratio(self, r):
+        """(1/(1-r) - phi_0)/phi_0: the sum of all weights is 1/(1-r)."""
+        p0 = self.phi0(r)
+        return (1.0 / (1.0 - r) - p0) / p0
 
 
 @dataclass(frozen=True)
@@ -331,17 +315,10 @@ class Bernardi(OperatorFamily):
     def phi0(self, r):
         return r ** self.m / (self.m + self.delta)
 
-    def tail(self, r):
-        """sum_{n>=1} r^(n+m) / (n+m+delta) = r^(m+1) Phi(r, 1, m+1+delta) from the Lerch kernel."""
-        return r ** (self.m + 1.0) * _kernels.lerch_phi(self.m + 1.0 + self.delta, r)
-
     def ratio(self, r):
-        """(m+delta) r Phi(r, 1, m+1+delta): the tail over phi_0 with no r^m."""
+        """(m+delta) r Phi(r, 1, m+1+delta) from the Lerch kernel: the tail
+        sum_{n>=1} r^(n+m) / (n+m+delta) over phi_0, with no r^m."""
         return (self.m + self.delta) * r * _kernels.lerch_phi(self.m + 1.0 + self.delta, r)
-
-    def vector(self, order, r):
-        k = np.arange(order + 1)
-        return r[:, None] ** (k + float(self.m)) / (k + self.m + self.delta)
 
     def scaled(self, order, r):
         """psi_n = r^n (m+delta)/(n+m+delta): the table over phi_0 with no r^m."""
@@ -369,15 +346,15 @@ class CustomFamily(WeightFamily):
     comes from phi0_fn alone, in the table as well; phi_k_fn(k, r) is called
     once per k >= 1 with the whole grid.  Each of the three must give a point
     its bits alone (elementwise numpy arithmetic does): the solver certifies
-    its bracket from batch values.  The
-    radius solver reads the gap (1+gamma) - (2/p) tail/phi_0, so phi_0 must
-    be positive on (0, 1).  It takes the gap's first sign change on a 32e-3
-    grid, then the first one on the 1e-3 grid inside that cell, and a root
-    below 1e-3 from 16-sections of (0, 1e-3).  That is the first crossing
-    only if the gap changes sign once, as it does where tail/phi_0
-    increases, for every built-in family: a dip below 0 between two points
-    of the 32e-3 grid is not seen.  The Bohr check reads psi_k = phi_k/phi_0 from the table, and
-    psi = 0 where phi_0 = 0: there it checks |c_0|^p <= 1 alone.
+    its bracket from batch values.  The radius solver reads the gap
+    (1+gamma) - (2/p) tail/phi_0, so phi_0 must be positive on (0, 1).  It
+    takes the gap's first sign change on a 32e-3 grid, then the first one on
+    the 1e-3 grid inside that cell, and a root below 1e-3 from 16-sections of
+    (0, 1e-3).  That is the first crossing only if the gap changes sign once,
+    as it does where tail/phi_0 increases, for every built-in family: a dip
+    below 0 between two points of the 32e-3 grid is not seen.  The Bohr check
+    reads psi_k = phi_k/phi_0 from the table, and psi = 0 where phi_0 = 0:
+    there it checks |c_0|^p <= 1 alone.
     """
 
     name: str
@@ -388,16 +365,16 @@ class CustomFamily(WeightFamily):
     def phi0(self, r):
         return np.broadcast_to(self.phi0_fn(r), r.shape)
 
-    def vector(self, order, r):
-        """The table one column at a time: phi0_fn(r), then one phi_k_fn(k, r) call per k >= 1."""
+    def ratio(self, r):
+        return self.tail_fn(r) / self.phi0(r)
+
+    def scaled(self, order, r):
+        """phi0_fn(r), then one phi_k_fn(k, r) call per k >= 1, over phi_0."""
         out = np.empty((len(r), order + 1))
         out[:, 0] = self.phi0_fn(r)
         for k in range(1, order + 1):
             out[:, k] = self.phi_k_fn(k, r)
-        return out
-
-    def tail(self, r):
-        return np.broadcast_to(self.tail_fn(r), r.shape)
+        return self._over_phi0(out, r)
 
     def params(self) -> dict:
         return {}  # callables have no serial form
@@ -428,19 +405,26 @@ def phi0(family: WeightFamily, r):
 
 
 def phi_k(family: WeightFamily, k: int, r):
-    """phi_k(r): column k of the family's table over the points of r, in r's
-    shape, bit for bit the entry a Bohr sum over that table reads."""
+    """phi_k(r) over the points of r, in r's shape: phi_0 times column k of
+    the family's scaled table, the psi_k that the Bohr check reads."""
     if int(k) != k or k < 0:
         raise ValueError("k must be an integer >= 0")
     k = int(k)
-    return _evaluate(lambda x: family.vector(k, x)[:, k], r)
+    return _evaluate(lambda x: family.phi0(x) * family.scaled(k, x)[:, k], r)
 
 
 def tail_sum(family: WeightFamily, r):
-    """sum_{k>=1} phi_k(r): in closed form for the elementary and beta-Cesaro
-    families, from the Lerch kernel (_kernels.lerch_phi) for alpha-Cesaro and
-    Bernardi."""
-    return _evaluate(family.tail, r)
+    """sum_{k>=1} phi_k(r) = phi_0(r) ratio(r), and 0 where phi_0 = 0, as the
+    Bohr check reads psi = 0 there: in closed form for the elementary and
+    beta-Cesaro families, from the Lerch kernel (_kernels.lerch_phi) for
+    alpha-Cesaro and Bernardi."""
+
+    def tail_at(x):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p0 = family.phi0(x)
+            return np.where(p0 == 0.0, 0.0, p0 * family.ratio(x))
+
+    return _evaluate(tail_at, r)
 
 
 # ---------------------------------------------------------------------------

@@ -67,10 +67,12 @@ def integral_form_oracle(spec, f, z):
 
 
 def brute_force_tail(family, r, terms):
-    """sum_{k=1}^{terms} phi_k(r) by direct summation; no closed forms anywhere."""
+    """sum_{k=1}^{terms} phi_k(r) by direct summation of phi_k = phi_0 psi_k over
+    the family's scaled table; no closed form of the tail."""
     if terms < 1:
         raise ValueError("terms must be >= 1")
-    return math.fsum(family.vector(terms, np.array([float(r)]))[0][1:])
+    x = np.array([float(r)])
+    return math.fsum(family.phi0(x)[0] * family.scaled(terms, x)[0][1:])
 
 
 def cap_tail_bound(f, r, order):

@@ -361,14 +361,14 @@ class TestExtremalMargin:
     @pytest.mark.parametrize("family", [f for f in BUILTINS if isinstance(f, MonomialFamily)], ids=str)
     def test_monomial_margin_is_the_absolute_sum(self, family):
         # phi_0 = 1, so psi is the table itself: the margin keeps the bits of
-        # |c_0|^p phi_0 + sum |c_k| phi_k - phi_0 over family.vector
+        # |c_0|^p phi_0 + sum |c_k| phi_k - phi_0 over family.scaled
         for gamma in (0.0, 0.25, 0.5, 0.75):
             dom = DomainParams(gamma)
             for p in (0.5, 1.0, 2.0):
                 r = minimal_root(RadiusQuery(family, dom, p)).radius + SHARPNESS_OFFSET
                 for a in (0.99, 0.999, 0.9999):
                     moduli = Extremal(dom, a).coefficients(600).moduli()
-                    v = family.vector(600, np.array([r]))[0]
+                    v = family.scaled(600, np.array([r]))[0]
                     absolute = moduli[0] ** p * v[0] + moduli[1:] @ v[1:] - v[0]
                     assert extremal_margins(dom, (a,), family, p, r)[0].margin == absolute
 

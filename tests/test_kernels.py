@@ -6,7 +6,8 @@ Each weight series is a 2F1 (DLMF 15.2):
     Cesaro phi_k   = r^k k!/(c)_k 2F1(a, k+1; k+c; r), (a, c) = (beta, 2) or (alpha+1, alpha+2)
 The first two are b Phi(r, 1, b) and r^(m+1) Phi(r, 1, b), with the Lerch sum
 Phi(r, 1, b) = sum_k r^k/(k+b) = 2F1(1, b; b+1; r)/b (DLMF 25.14), which
-AlphaCesaro.phi0 and Bernardi.tail take from _kernels.lerch_phi.
+AlphaCesaro.phi0 and Bernardi.ratio, the tail over phi_0, take from
+_kernels.lerch_phi.
 """
 
 import math
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 from bohrad import _kernels, radius
-from bohrad.weights import AlphaCesaro, Bernardi, BetaCesaro, phi_k
+from bohrad.weights import AlphaCesaro, Bernardi, BetaCesaro, phi_k, tail_sum
 from oracles import reference_cesaro_count
 
 R_ORACLE = np.linspace(0.0, 0.95, 12)
@@ -66,7 +67,7 @@ def test_bernardi_tail_matches_hypergeometric(m, delta):
     with mp.workdps(40):
         b = mp.mpf(delta) + m + 1
         oracle = [mp.mpf(float(x)) ** (m + 1) * lerch_oracle(b, x) for x in r]
-    assert_matches(Bernardi(m, delta).tail(r), oracle)
+    assert_matches(tail_sum(Bernardi(m, delta), r), oracle)
 
 
 def test_lerch_kernel_temporaries_stay_under_one_mebibyte():
@@ -78,7 +79,7 @@ def test_lerch_kernel_temporaries_stay_under_one_mebibyte():
         tracemalloc.start()
         try:
             AlphaCesaro(1000.0).phi0(r)
-            Bernardi(1, 999.0).tail(r)
+            Bernardi(1, 999.0).ratio(r)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -280,7 +280,7 @@ class TestOperatorRadius:
         # both are the (a, c) = (1, 2) operator: the same bytes from every path
         alpha, beta = AlphaCesaro(0.0), BetaCesaro(1.0)
         r = np.array([0.0, 0.3, 0.7, 0.95, 0.99])
-        assert alpha.vector(200, r).tobytes() == beta.vector(200, r).tobytes()
+        assert alpha.scaled(200, r).tobytes() == beta.scaled(200, r).tobytes()
         a = random_member_series(5, order=200).coefficients
         assert alpha.transform(a).tobytes() == beta.transform(a).tobytes()
         for gamma in (0.0, 0.5):
@@ -364,6 +364,6 @@ class TestMajorantSwap:
         for r in (0.3, res.radius):
             rows = np.convolve(m, g)[:351] / np.arange(1, 352)
             double_sum = float(rows @ r ** np.arange(351.0))
-            swap = float(m @ spec.vector(350, np.array([r]))[0])
+            swap = float(m @ (phi0(spec, r) * spec.scaled(350, np.array([r]))[0]))
             assert double_sum == pytest.approx(swap, rel=1e-10)
             assert swap <= phi0(spec, r) + 1e-9

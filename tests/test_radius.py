@@ -642,7 +642,7 @@ class TestSharpnessWindow:
         for root in (0.98, 1.0 - 1e-6):
             batches = []
 
-            def tail(r, root=root, batches=batches):
+            def tail_fn(r, root=root, batches=batches):
                 batches.append(np.ravel(r).tolist())
                 return 0.5 * (1.0 - (root - r))
 
@@ -650,7 +650,7 @@ class TestSharpnessWindow:
                 name="near-one",
                 phi0_fn=lambda r: np.ones_like(r),
                 phi_k_fn=lambda k, r: r ** k,
-                tail_fn=tail,
+                tail_fn=tail_fn,
             )
             res = minimal_root(q(family))
             assert res.radius == pytest.approx(root, abs=1e-12)

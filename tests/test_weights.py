@@ -289,6 +289,14 @@ class TestPhiK:
     def test_bernardi_indexing(self):
         assert phi_k(Bernardi(1, 1.0), 2, 0.5) == pytest.approx(0.5 ** 3 / 4.0, abs=1e-16)
 
+    @pytest.mark.parametrize("family", [*(cls() for cls in FAMILY_CLASSES.values()), HALF_GEOMETRIC],
+                             ids=family_id)
+    def test_phi_k_at_zero_is_phi0(self, family):
+        # phi_0 has one implementation: phi_k(f, 0, r) once read the Cesaro
+        # series table and differed from the closed-form phi0 in the last bit
+        radii = np.linspace(0.01, 0.95, 50)
+        assert phi_k(family, 0, radii).tobytes() == phi0(family, radii).tobytes()
+
 
 class TestTailSum:
     def test_geometric(self):
@@ -300,6 +308,13 @@ class TestTailSum:
     def test_linear_shifted(self):
         # brute force: sum_{n>=2} n 0.5^n = 1.5
         assert tail_sum(Linear(2), 0.5) == pytest.approx(1.5, abs=1e-14)
+
+    def test_overflowing_phi0_gives_an_infinite_tail(self):
+        # phi_0 of beta = 2000 overflows past r ~ 0.3 while the ratio stays
+        # finite: the tail is +inf, where the sum of all weights less phi_0
+        # was inf - inf = nan
+        with np.errstate(over="ignore"):  # phi_0 itself overflows
+            assert tail_sum(BetaCesaro(2000.0), np.array([0.3, 0.34, 0.5])).tolist() == [math.inf] * 3
 
     def test_tail_sum_zero_at_origin(self):
         for fam in ALL_FAMILIES:
@@ -335,7 +350,7 @@ class TestPhiVector:
     def test_matches_scalar_phi_k(self):
         r = 0.45
         for fam in ALL_FAMILIES:
-            vec = fam.vector(12, np.array([r]))[0]
+            vec = phi0(fam, r) * fam.scaled(12, np.array([r]))[0]
             direct = [phi_k(fam, k, r) for k in range(13)]
             np.testing.assert_allclose(vec, direct, rtol=1e-12, atol=1e-300)
 
@@ -344,9 +359,9 @@ class TestPhiVector:
         # _phi_matrix takes a cell's whole table from one call; every row must
         # be bit for bit the one-point table at its point
         for radii in (np.linspace(0.0, 0.63, 12), np.array([0.3]), np.linspace(0.1, 0.95, 5)):
-            table = family.vector(40, radii)
+            table = family.scaled(40, radii)
             assert table.shape == (radii.size, 41)
-            stacked = np.vstack([family.vector(40, np.array([r])) for r in radii.tolist()])
+            stacked = np.vstack([family.scaled(40, np.array([r])) for r in radii.tolist()])
             assert table.tobytes() == stacked.tobytes()
 
     def test_custom_vector_over_a_grid(self):
@@ -367,24 +382,24 @@ class TestPhiVector:
                 return phi_k_fn(k, r)
 
             fam = replace(HALF_GEOMETRIC, phi_k_fn=counted)
-            table = fam.vector(200, radii)
+            table = fam.scaled(200, radii)
             assert calls == list(range(1, 201))
             assert table[:, 0].tolist() == [1.0] * radii.size
-            stacked = np.vstack([fam.vector(200, np.array([r])) for r in radii.tolist()])
+            stacked = np.vstack([fam.scaled(200, np.array([r])) for r in radii.tolist()])
             assert table.shape == (radii.size, 201)
             assert table.tobytes() == stacked.tobytes()
 
     @pytest.mark.parametrize("family", [*DEFAULT_FAMILIES, HALF_GEOMETRIC], ids=family_id)
     def test_phi_k_is_the_table_column(self, family):
-        # phi_k has one implementation, the table: at every k it is bit for
-        # bit the entry a Bohr sum over vector(k, r) reads, as an array and
-        # point by point.  The Cesaro tables sum a series whose term count
-        # grows like 1/(1-r), so their grid stops at 0.999; the closed-form
-        # tables reach 1 - 1e-9
+        # phi_k has one implementation, the scaled table: at every k it is bit
+        # for bit phi_0 times the psi_k a Bohr sum over scaled(k, r) reads, as
+        # an array and point by point.  The Cesaro tables sum a series whose
+        # term count grows like 1/(1-r), so their grid stops at 0.999; the
+        # closed-form tables reach 1 - 1e-9
         top = 3 if isinstance(family, CesaroFamily) else 9
         radii = np.concatenate([np.linspace(0.0, 0.95, 12), 1.0 - np.logspace(-2, -top, top - 1)])
         for k in range(41):
-            column = family.vector(k, radii)[:, k]
+            column = family.phi0(radii) * family.scaled(k, radii)[:, k]
             assert phi_k(family, k, radii).tobytes() == column.tobytes()
             assert [phi_k(family, k, r) for r in radii.tolist()] == column.tolist()
 
@@ -405,10 +420,16 @@ class TestScaled:
     def test_is_the_table_over_phi0(self, family):
         # psi_k = phi_k/phi_0, the weights the Bohr check reads: the table
         # itself where phi_0 = 1, and Bernardi's closed form, with no r^m, to
-        # 1e-15 of the quotient wherever phi_0 is normal
+        # 1e-15 of the quotient of its weights r^(k+m)/(k+m+delta) wherever
+        # phi_0 is normal
         top = 3 if isinstance(family, CesaroFamily) else 9
         radii = np.concatenate([np.linspace(0.0, 0.95, 12), 1.0 - np.logspace(-2, -top, top - 1)])
-        table, psi = family.vector(40, radii), family.scaled(40, radii)
+        k = np.arange(41)
+        if isinstance(family, Bernardi):
+            table = radii[:, None] ** (k + float(family.m)) / (k + family.m + family.delta)
+        else:
+            table = np.column_stack([phi_k(family, j, radii) for j in k.tolist()])
+        psi = family.scaled(40, radii)
         assert psi.shape == table.shape
         if isinstance(family, MonomialFamily):
             assert psi.tobytes() == table.tobytes()
@@ -420,14 +441,16 @@ class TestScaled:
         # the table took column 0 from phi_k_fn and phi0 from phi0_fn, so its
         # psi were twice its table; both now read phi0_fn
         radii = np.array([0.0, 0.25, 0.5, 0.9])
-        table = HALF_GEOMETRIC.vector(5, radii)
-        assert table[:, 0].tolist() == phi0(HALF_GEOMETRIC, radii).tolist() == [1.0] * 4
+        table = np.column_stack([np.ones(4), *(0.5 * radii ** k for k in range(1, 6))])
+        assert phi_k(HALF_GEOMETRIC, 0, radii).tolist() == phi0(HALF_GEOMETRIC, radii).tolist() == [1.0] * 4
         assert HALF_GEOMETRIC.scaled(5, radii).tobytes() == table.tobytes()
 
     def test_zero_where_phi0_is_zero(self):
         fam = CustomFamily(name="vanishing", phi0_fn=lambda r: r, phi_k_fn=lambda k, r: r ** (k + 1),
                            tail_fn=lambda r: r ** 2 / (1.0 - r))
         assert fam.scaled(3, np.array([0.0, 0.5])).tolist() == [[0.0] * 4, [1.0, 0.5, 0.25, 0.125]]
+        # tail_fn/phi0_fn is 0/0 at r = 0: the tail sum reads 0 there, as the check does
+        assert tail_sum(fam, 0.0) == 0.0
 
 
 class TestBetaDoubleSumSwap:
@@ -497,7 +520,7 @@ class Cubic(MonomialFamily):
     def coef(self, k):
         return k ** 3
 
-    def tail(self, r):
+    def ratio(self, r):
         return r * (1.0 + 4.0 * r + r * r) / (1.0 - r) ** 4
 
 
@@ -510,7 +533,7 @@ class TestNewFamilyIsOneClass:
         for r in (0.0, 0.2, 0.45, 0.9):
             # to the ulp: phi_k reads a table of order k, this one is of order 60
             direct = [phi_k(Cubic(), k, r) for k in range(61)]
-            np.testing.assert_allclose(Cubic().vector(60, np.array([r]))[0], direct, rtol=1e-15, atol=0.0)
+            np.testing.assert_allclose(Cubic().scaled(60, np.array([r]))[0], direct, rtol=1e-15, atol=0.0)
 
     def test_radius_without_registration(self):
         query = RadiusQuery(Cubic(), DomainParams(0.25), 1.0)
