@@ -140,6 +140,9 @@ def verify_up_to_radius(
     )
 
 
+EXTREMAL_ORDER = 600  # terms of the extremal map that extremal_margins sums
+
+
 @dataclass(frozen=True)
 class ExtremalMargin:
     """Observed excess of the extremal family over phi_0, with its linear
@@ -155,11 +158,10 @@ def extremal_margins(
     family: WeightFamily,
     p: float,
     r: float,
-    order: int = 600,
 ) -> list[ExtremalMargin]:
     """Scaled Bohr-sum excess t - 1 = |c_0|^p + sum |c_k| psi_k(r) - 1 of the
-    extremal map at radius r for each a in a_values, from one row of
-    family.scaled, against the expansion
+    extremal map at radius r for each a in a_values, summed to EXTREMAL_ORDER
+    from one row of family.scaled, against the expansion
 
         margin = ((1-a)/(1-gamma)) (-p h(r)) + O((1-a)^2),
         h = (1+gamma) - (2/p) tail/phi_0 (radius.gap),
@@ -175,10 +177,10 @@ def extremal_margins(
         if not (domain.gamma < a < 1.0):
             raise ValueError(f"requires gamma < a < 1, got gamma={domain.gamma}, a={a}")
     h = gap(RadiusQuery(family, domain, p), r)
-    psi = family.scaled(order, np.array([float(r)]))[0]
+    psi = family.scaled(EXTREMAL_ORDER, np.array([float(r)]))[0]
     margins = []
     for a in a_values:
-        moduli = Extremal(domain, a).coefficients(order).moduli()
+        moduli = Extremal(domain, a).coefficients(EXTREMAL_ORDER).moduli()
         margin = moduli[0] ** p + moduli[1:] @ psi[1:] - 1.0
         pred = (1.0 - a) / (1.0 - domain.gamma) * (-p * h)
         margins.append(ExtremalMargin(margin=float(margin), first_order_prediction=float(pred)))

@@ -11,11 +11,15 @@ solve, one draw pass that forms the random members' zeros as one padded
 it (the inequality reads only |c_k|), and one scaled table over the grid (the
 cached bohr._phi_matrix).  Per (gamma, truncation_order), cached across
 cells: the moduli rows of the fixed set (four constants and three extremal
-maps) and of the negative control, with the control's membership verdict.
-verify_up_to_radius still runs once per function, on its row of moduli: it
-gives each function its own verdict and excess, and the worst offender is
-the function whose report has the largest excess.  Neither the draw nor the
-batched or cached rows change a bit of any function's report.
+maps) and of the negative control.  verify_up_to_radius still runs once per
+function, on its row of moduli: it gives each function its own verdict and
+excess, and the worst offender is the function whose report has the largest
+excess.  Neither the draw nor the batched or cached rows change a bit of any
+function's report.
+
+The negative control is the truncated 1/(1 - z), no member: only the psi
+block of the check can push its scaled sum 1 + sum psi_k(r) past 1, and a
+cell's control_ok is that the check rejects it.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .bohr import extremal_margins, verification_order, verify_up_to_radius
+from .bohr import extremal_margins, verify_up_to_radius
 from .radius import NoRootError, RadiusQuery, minimal_root
 from .series import (
     BlaschkeComposed,
@@ -37,7 +41,6 @@ from .series import (
     DomainParams,
     Extremal,
     Raw,
-    lemma_bound_report,
 )
 from .weights import (
     AlphaCesaro,
@@ -255,7 +258,6 @@ class _FixedSet(NamedTuple):
     rows: tuple
     control: Raw
     control_row: np.ndarray
-    control_is_member: bool
 
 
 @lru_cache(maxsize=64)
@@ -263,52 +265,40 @@ def _fixed_set(gamma: float, order: int) -> _FixedSet:
     """What every inequality cell on Omega(gamma) verifies at order besides its
     random members, built once: the constants 0, 1, -1, 1/2 and the extremal
     maps at a = 0.5, 0.9, 0.999 with their read-only moduli rows, then the
-    negative control [0, 2], its row and its membership verdict.  A row is
-    f.coefficients(n).moduli() at n = verification_order(f, order)."""
+    negative control, order + 1 ones, and its row.  A row is
+    f.coefficients(order).moduli()."""
     domain = DomainParams(gamma)
     functions = tuple([Raw(CoefficientSeries([c])) for c in (0.0, 1.0, -1.0, 0.5)]
                       + [Extremal(domain, a) for a in (0.5, 0.9, 0.999)])
-    control = Raw(CoefficientSeries([0.0, 2.0]))
-    *rows, control_row = [f.coefficients(verification_order(f, order)).moduli() for f in (*functions, control)]
+    control = Raw(CoefficientSeries(np.ones(order + 1)))
+    *rows, control_row = [f.coefficients(order).moduli() for f in (*functions, control)]
     for row in (*rows, control_row):
         row.flags.writeable = False  # shared by every cell on (gamma, order)
-    return _FixedSet(functions, tuple(rows), control, control_row, lemma_bound_report(control.series, domain).ok)
+    return _FixedSet(functions, tuple(rows), control, control_row)
 
 
 def _verify_functions(cell: CellResult, query: RadiusQuery, config: SuiteConfig, rng) -> None:
     """Count the verdicts of one cell's functions into cell: its random members,
     drawn in one pass and expanded by one kernel call on the draw's zero
     matrix, then the fixed set, whose rows are built once per (gamma, order),
-    and last the negative control if config runs it.  verify_up_to_radius
-    runs once per function, on its row of moduli and the cell's one scaled
-    table; the cell's arrays are freed when it returns."""
+    and last the negative control if config runs it, which is ok when the
+    check rejects it.  verify_up_to_radius runs once per function, on its
+    row of moduli and the cell's one scaled table; the cell's arrays are
+    freed when it returns."""
     zeros, counts, rotations = _draw(rng, config.samples_per_cell)
     coefficients = _kernels.blaschke_series(zeros, counts, rotations, config.truncation_order, query.domain.gamma)
     moduli = np.abs(coefficients)
     if not np.isfinite(moduli).all():
         raise ValueError("coefficients must be finite")
     fixed = _fixed_set(query.domain.gamma, config.truncation_order)
+
+    def verify(f, row):
+        return verify_up_to_radius(f, query, cell.radius, grid_points=config.grid_points,
+                                   order=config.truncation_order, tol=config.tolerance, moduli=row)
+
     fns = _members(query.domain, zeros, counts, rotations) + list(fixed.functions)
-    rows = [*moduli, *fixed.rows]
-    if config.negative_controls:
-        fns.append(fixed.control)
-        rows.append(fixed.control_row)
-    for f, row in zip(fns, rows):
-        report = verify_up_to_radius(
-            f,
-            query,
-            cell.radius,
-            grid_points=config.grid_points,
-            order=config.truncation_order,
-            tol=config.tolerance,
-            moduli=row,
-        )
-        if f is fixed.control:
-            # the control is flagged if either check catches it: the
-            # coefficient bound (|a_1| = 2 cannot belong to the class) or,
-            # failing that, the inequality itself
-            cell.control_ok = not fixed.control_is_member or not report.passed
-            continue
+    for f, row in zip(fns, [*moduli, *fixed.rows]):
+        report = verify(f, row)
         if report.passed:
             cell.n_pass += 1
         else:
@@ -316,6 +306,8 @@ def _verify_functions(cell: CellResult, query: RadiusQuery, config: SuiteConfig,
         if report.max_excess > cell.worst_excess:
             cell.worst_excess = report.max_excess
             cell.worst_function = f.descriptor()
+    if config.negative_controls:
+        cell.control_ok = not verify(fixed.control, fixed.control_row).passed
 
 
 def _solved_cells(config: SuiteConfig, cells: list):

@@ -259,6 +259,8 @@ class BetaCesaro(CesaroFamily):
         return self.beta, 2.0
 
     def phi0(self, r):
+        """expm1((beta-1) u)/((beta-1) r), u = -log(1-r), off by about (beta-1) u eps:
+        9e-14 at beta = 300 on [0.05, 0.9] against 50-digit mpmath hyp2f1."""
         return _beta_2f1(self.beta - 1.0, r)
 
     def ratio(self, r):

@@ -80,7 +80,7 @@ class TestBohrSum:
     def test_extremal_below_one_at_classical_radius(self):
         # closed form: a + (1-a^2)/(3-a) at r = 1/3 for the unit disk
         for a in (0.5, 0.9, 0.99, 0.999):
-            em = extremal_margins(DomainParams(0.0), (a,), PowerTail(1), 1.0, 1.0 / 3.0, order=400)[0]
+            em = extremal_margins(DomainParams(0.0), (a,), PowerTail(1), 1.0, 1.0 / 3.0)[0]
             closed = a + (1 - a * a) / (3 - a)
             assert 1.0 + em.margin == pytest.approx(closed, abs=1e-13)
             assert em.margin <= 1e-13
@@ -350,9 +350,9 @@ class TestExtremalMargin:
         family, dom = Bernardi(m, 1.0), DomainParams(0.0)
         r = minimal_root(RadiusQuery(family, dom, 1.0)).radius + SHARPNESS_OFFSET
         em = extremal_margins(dom, (a,), family, 1.0, r)[0]
-        moduli = Extremal(dom, a).coefficients(600).moduli()
+        moduli = Extremal(dom, a).coefficients(bohr.EXTREMAL_ORDER).moduli()
         with mp.workdps(RADIUS_DPS):
-            psi = mp_scaled(family, 600, r)
+            psi = mp_scaled(family, bohr.EXTREMAL_ORDER, r)
             exact = mp.mpf(moduli[0]) - 1 + mp.fsum(mp.mpf(c) * v for c, v in zip(moduli[1:], psi[1:]))
         assert phi0(family, r) < 1e-299
         assert em.margin > 0.0
@@ -367,8 +367,8 @@ class TestExtremalMargin:
             for p in (0.5, 1.0, 2.0):
                 r = minimal_root(RadiusQuery(family, dom, p)).radius + SHARPNESS_OFFSET
                 for a in (0.99, 0.999, 0.9999):
-                    moduli = Extremal(dom, a).coefficients(600).moduli()
-                    v = family.scaled(600, np.array([r]))[0]
+                    moduli = Extremal(dom, a).coefficients(bohr.EXTREMAL_ORDER).moduli()
+                    v = family.scaled(bohr.EXTREMAL_ORDER, np.array([r]))[0]
                     absolute = moduli[0] ** p * v[0] + moduli[1:] @ v[1:] - v[0]
                     assert extremal_margins(dom, (a,), family, p, r)[0].margin == absolute
 

@@ -1,11 +1,12 @@
 """Suite runners: determinism, controls, coverage, oracles."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from bohrad import bohr, harness
+from bohrad import harness
 from bohrad.cli import render_json
 from bohrad.harness import (
     CellResult,
@@ -174,13 +175,12 @@ class TestVerifyFunctions:
         assert harness._fixed_set(gamma, order) is fixed
         assert len(fixed.functions) == len(fixed.rows) == 7
         for f, row in [*zip(fixed.functions, fixed.rows), (fixed.control, fixed.control_row)]:
-            own = f.coefficients(bohr.verification_order(f, order)).moduli()
+            own = f.coefficients(order).moduli()
             assert row.tobytes() == own.tobytes() and row.shape == own.shape
             assert not row.flags.writeable
             with pytest.raises(ValueError):
                 row[0] = 0.5
-        assert len(fixed.control_row) == max(order, 1) + 1  # the control keeps its a_1 = 2
-        assert fixed.control_is_member is False  # |a_1| = 2 fails the membership screen
+        assert fixed.control_row.tobytes() == np.ones(order + 1).tobytes()  # the truncated 1/(1 - z)
         assert [f.descriptor() for f in fixed.functions] == [
             *({"kind": "raw", "coefficients": [[c, 0.0]]} for c in (0.0, 1.0, -1.0, 0.5)),
             *({"kind": "extremal", "gamma": gamma, "a": a} for a in (0.5, 0.9, 0.999)),
@@ -243,6 +243,40 @@ class TestInequalitySuite:
         assert rep.overall_pass
         assert rep.controls_ok is True
         assert all(c.control_ok for c in rep.cells)
+
+    def test_control_fails_the_check_in_every_default_cell(self):
+        # the control is no member, and the check itself rejects it at each
+        # default cell's radius, where the radius equation puts its excess,
+        # sum psi_k(R), at (1 + gamma) p / 2
+        cfg = default_config()
+        for idx, (family, gamma, p) in enumerate(iter_cells(cfg)):
+            query = RadiusQuery(family, DomainParams(gamma), p)
+            fixed = harness._fixed_set(gamma, cfg.truncation_order)
+            report = verify_up_to_radius(
+                fixed.control, query, minimal_root(query).radius, grid_points=cfg.grid_points,
+                order=cfg.truncation_order, tol=cfg.tolerance, moduli=fixed.control_row,
+            )
+            assert not report.passed, (idx, family, gamma, p)
+            assert report.max_excess == pytest.approx((1 + gamma) * p / 2, abs=1e-10)
+
+    def test_control_is_decided_by_the_check_alone(self, monkeypatch):
+        # a check that passes everything must not read as a working control
+        real = harness.verify_up_to_radius
+        monkeypatch.setattr(harness, "verify_up_to_radius", lambda *a, **k: replace(real(*a, **k), passed=True))
+        rep = run_inequality_suite(default_config(samples_per_cell=1))
+        assert len(rep.cells) == 84
+        assert all(c.control_ok is False for c in rep.cells)
+        assert rep.controls_ok is False
+
+    @pytest.mark.parametrize("family,order", [(PowerTail(1), 0), (PowerTail(4), 3)], ids=str)
+    def test_control_unseen_by_the_check_is_not_ok(self, family, order):
+        # at order 0 the control is the constant 1, and a power tail past the
+        # order has psi_1 ... psi_order = 0: the check cannot reject it
+        cfg = SuiteConfig(samples_per_cell=1, gamma_grid=(0.0,), p_grid=(0.5,), families=(family,),
+                          truncation_order=order)
+        rep = run_inequality_suite(cfg)
+        assert rep.cells[0].to_dict()["negative_control_ok"] is False
+        assert rep.controls_ok is False
 
     def test_controls_can_be_disabled(self):
         cfg = SuiteConfig(

@@ -280,6 +280,23 @@ class TestPhiK:
                 expected = sum(g[j] * r ** (k + j) / (k + j + 1.0) for j in range(401))
                 assert phi_k(BetaCesaro(beta), k, r) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("family,bound", [
+        (AlphaCesaro(0.0), 5e-16), (AlphaCesaro(50.0), 5e-16), (BetaCesaro(2.0), 5e-16), (BetaCesaro(50.0), 1e-14),
+    ], ids=str)
+    def test_cesaro_phi_k_within_its_absolute_cut(self, family, bound):
+        # the table's cut is absolute, at most 1e-16 phi_0 per column: at
+        # alpha = 50 the high columns are off by up to 1.8 % of themselves,
+        # but not of phi_0.  beta = 50 reads 4.2e-15, from the closed-form phi_0
+        a, c = family.ac
+        worst = 0.0
+        with mp.workdps(50):
+            for r in (0.55, 0.75, 0.9):
+                phi0_mp = mp.hyp2f1(a, 1, c, r)
+                for k in (0, 1, 5, 40, 200):
+                    exact = mp.mpf(r) ** k / (mp.rf(c, k) / mp.factorial(k)) * mp.hyp2f1(a, k + 1, k + c, r)
+                    worst = max(worst, float(abs(phi_k(family, k, r) - exact) / phi0_mp))
+        assert worst <= bound
+
     def test_non_negative_on_grid(self):
         for fam in ALL_FAMILIES:
             for k in (0, 1, 2, 5, 17):
