@@ -13,12 +13,14 @@ because of a finite cutoff.
 
 verify_up_to_radius is the check of one function, and a suite calls it once
 per function.  What it shares with the other functions of a suite cell is
-built once per cell and cached by _phi_matrix: phi_0 over the grid, the
-scaled table from one family.scaled call and the truncation allowance from
-one family.ratio call.  The check reads only |c_k|: the suite takes them
-for its random members from one kernel call per cell, and for its fixed set
-from rows cached per (gamma, order), and passes each function's row as
-moduli=, with the same arithmetic.  The check itself stays per function:
+built once per cell: phi_0 over the grid, the scaled table from one
+family.scaled call and the truncation allowance from one family.ratio call.
+A cell's calls are consecutive, so _phi_matrix keeps the one table its cell
+reads.  The check reads only |c_k|, of the row f.coefficients(order) at
+that row's own length: the suite takes them for its random members from one
+kernel call per cell, and for its fixed set from rows cached per (gamma,
+order), and passes each function's row as moduli=, with the same
+arithmetic.  The check itself stays per function:
 each function has its own cap, verdict and excess, and the traced benchmark
 (perfbench/run.py --trace 1) counts one verify_up_to_radius call per
 verified function, so one matrix product per cell must wait until the
@@ -34,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .radius import RadiusQuery, gap
-from .series import DEFAULT_ORDER, BoundedFunction, DomainParams, Extremal, Raw
+from .series import DEFAULT_ORDER, BoundedFunction, DomainParams, Extremal
 from .weights import WeightFamily
 
 
@@ -64,14 +66,7 @@ class BohrReport:
         }
 
 
-def verification_order(f: BoundedFunction, order: int) -> int:
-    """The order verify_up_to_radius checks f at: order, or all of a longer Raw series."""
-    if isinstance(f, Raw):
-        return max(order, f.series.order)  # keep the stored series intact
-    return order
-
-
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=1)
 def _phi_matrix(family, radius: float, grid_points: int, order: int):
     """The grid r = linspace(0, radius, grid_points), phi_0 over it, the k >= 1
     block of family.scaled over it (all read-only) and the truncation
@@ -81,7 +76,8 @@ def _phi_matrix(family, radius: float, grid_points: int, order: int):
     phi_0 underflows); elsewhere psi = 0 and so is the allowance.  The grid
     lies in [0, radius], checked by verify_up_to_radius, so the weights are
     read unchecked.  A phi_0 or allowance that is not finite raises
-    RuntimeError, as family.scaled does for its table."""
+    RuntimeError, as family.scaled does for its table.  Only the last key is
+    kept: each key is read by the consecutive calls of one cell."""
     radii = np.linspace(0.0, radius, grid_points)
     block = family.scaled(order, radii)[:, 1:]
     phi0 = family.phi0(radii)
@@ -109,8 +105,9 @@ def verify_up_to_radius(
 
     Membership of f in the bounded class on the query's domain is a caller
     assertion; feeding a non-member is how negative controls are run.
-    moduli, if given, is f.coefficients(n).moduli() at n = verification_order(f,
-    order), and is used in its place; another length raises ValueError.
+    f is checked on the row f.coefficients(order), at that row's own length
+    (all of a longer Raw list).  moduli, if given, is used in its place and
+    must have order + 1 entries; another length raises ValueError.
     """
     if not (0.0 <= radius < 1.0):
         raise ValueError("radius must be in [0, 1)")
@@ -118,9 +115,9 @@ def verify_up_to_radius(
         raise ValueError("tolerance must be finite")
     if grid_points < 2:  # one point is r = 0 alone
         raise ValueError("grid_points must be >= 2")
-    order = verification_order(f, order)
     if moduli is None:
-        moduli = f.coefficients(order).moduli()
+        series = f.coefficients(order)
+        order, moduli = series.order, series.moduli()
     elif len(moduli) != order + 1:
         raise ValueError(f"moduli has {len(moduli)} entries; verification needs {order + 1}")
     cap = f.cap()

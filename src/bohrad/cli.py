@@ -33,7 +33,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bohr import verification_order, verify_up_to_radius
+from .bohr import verify_up_to_radius
 from .harness import (
     SuiteConfig,
     default_config,
@@ -43,6 +43,7 @@ from .harness import (
 )
 from .radius import DEFAULT_TOL, NoRootError, RadiusQuery, minimal_root
 from .series import (
+    DEFAULT_ORDER,
     BlaschkeComposed,
     CoefficientSeries,
     DomainParams,
@@ -113,8 +114,14 @@ def render_json(obj, level: int = 0, compact: bool = False) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def emit(command: str, record: dict) -> None:
-    sys.stdout.write(render_json({"command": command, "version": __version__, **record}) + "\n")
+def emit(command: str, record: dict, out: str | None = None) -> None:
+    """Write the record under its header to the file out, or to stdout if out is empty."""
+    text = render_json({"command": command, "version": __version__, **record}) + "\n"
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -310,15 +317,15 @@ def cmd_verify(args) -> int:
     target = res.radius + args.r_beyond
     if not (0.0 <= target < 1.0):
         raise ValueError("--r-beyond pushes the grid outside [0, 1)")
-    # one build: all of a longer coeffs: series is verified, its first
-    # --order + 1 coefficients are screened
-    series = f.coefficients(verification_order(f, args.order))
+    # one build, never cut: the check and the screen read the same row, all
+    # of a coeffs: list longer than --order + 1
+    series = f.coefficients(args.order)
     report = verify_up_to_radius(
-        f, query, target, grid_points=args.grid_points, order=args.order, tol=args.tolerance,
+        f, query, target, grid_points=args.grid_points, order=series.order, tol=args.tolerance,
         moduli=series.moduli(),
     )
     # membership screen: the coefficient bound is necessary for class members
-    membership = lemma_bound_report(series.padded(args.order), domain)
+    membership = lemma_bound_report(series, domain)
     emit(
         "verify",
         {
@@ -395,13 +402,7 @@ def cmd_suite(args) -> int:
     report = runner(config)
     echo = {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
     echo["families"] = [{"name": f.name, "params": f.params()} for f in config.families]
-    record = {"command": "suite", "version": __version__, "config": echo, **report.to_dict()}
-    text = render_json(record) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    emit("suite", {"config": echo, **report.to_dict()}, args.out)
     return EXIT_OK if report.overall_pass else EXIT_FAIL
 
 
@@ -432,7 +433,7 @@ def _verify_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--r-beyond", dest="r_beyond", type=float, default=0.0,
                         help="extend the grid past the radius (sharpness probing)")
     parser.add_argument("--grid-points", dest="grid_points", type=int, default=16)
-    parser.add_argument("--order", type=int, default=200)
+    parser.add_argument("--order", type=int, default=DEFAULT_ORDER)
     parser.add_argument("--tol", type=float, default=DEFAULT_TOL)
     parser.add_argument("--tolerance", type=float, default=1e-9,
                         help="allowed excess over phi_0, relative to phi_0, before truncation allowance")

@@ -8,14 +8,14 @@ alone via the serialized worst-offender descriptor.
 The inequality suite builds each input of a cell once.  Per cell: one radius
 solve, one draw pass that forms the random members' zeros as one padded
 (F x 5) matrix, one Blaschke kernel call on that matrix and one np.abs of
-it (the inequality reads only |c_k|), and one scaled table over the grid (the
-cached bohr._phi_matrix).  Per (gamma, truncation_order), cached across
-cells: the moduli rows of the fixed set (four constants and three extremal
-maps) and of the negative control.  verify_up_to_radius still runs once per
-function, on its row of moduli: it gives each function its own verdict and
-excess, and the worst offender is the function whose report has the largest
-excess.  Neither the draw nor the batched or cached rows change a bit of any
-function's report.
+it (the inequality reads only |c_k|), and one scaled table over the grid
+(bohr._phi_matrix keeps the one table its cell reads).  Per (gamma,
+truncation_order), cached across cells: the moduli rows of the fixed set
+(four constants and three extremal maps) and of the negative control.
+verify_up_to_radius still runs once per function, on its row of moduli: it
+gives each function its own verdict and excess, and the worst offender is
+the function whose report has the largest excess.  Neither the draw nor the
+batched or cached rows change a bit of any function's report.
 
 The negative control is the truncated 1/(1 - z), no member: only the psi
 block of the check can push its scaled sum 1 + sum psi_k(r) past 1, and a
@@ -36,6 +36,7 @@ from . import _kernels
 from .bohr import extremal_margins, verify_up_to_radius
 from .radius import NoRootError, RadiusQuery, minimal_root
 from .series import (
+    DEFAULT_ORDER,
     BlaschkeComposed,
     CoefficientSeries,
     DomainParams,
@@ -86,7 +87,7 @@ class SuiteConfig:
     families: tuple = DEFAULT_FAMILIES
     tolerance: float = 1e-9
     grid_points: int = 12
-    truncation_order: int = 200
+    truncation_order: int = DEFAULT_ORDER
     negative_controls: bool = True
 
     def __post_init__(self):

@@ -17,7 +17,7 @@ a descriptor.  The coefficients are exact up to rounding:
   sampled on a circle, with no truncate-then-compose step and an alias error
   of at most 1e-17 (``_kernels.blaschke_series`` states the bound); at
   gamma = 0 it is the plain product, coefficients decaying like max|zero|^k;
-* ``Raw`` — an arbitrary finite coefficient list.
+* ``Raw`` — an arbitrary finite coefficient list, never truncated.
 """
 
 from __future__ import annotations
@@ -62,15 +62,6 @@ class CoefficientSeries:
 
     def moduli(self) -> np.ndarray:
         return np.abs(self.coefficients)
-
-    def padded(self, order: int) -> "CoefficientSeries":
-        """Truncate or zero-pad to exactly order+1 entries."""
-        if order == self.order:
-            return self
-        out = np.zeros(order + 1, dtype=np.complex128)
-        n = min(order, self.order) + 1
-        out[:n] = self.coefficients[:n]
-        return CoefficientSeries(out)
 
     def evaluate(self, z: complex) -> complex:
         """Horner evaluation of the truncated series at z."""
@@ -193,12 +184,20 @@ class BlaschkeComposed(BoundedFunction):
 
 @dataclass(frozen=True)
 class Raw(BoundedFunction):
-    """An arbitrary coefficient list; membership in the bounded class is not implied."""
+    """An arbitrary coefficient list, the whole function; membership in the
+    bounded class is not implied.  coefficients(order) is the whole list,
+    zero-padded to order + 1 entries: it is never cut."""
 
     series: CoefficientSeries
 
     def coefficients(self, order: int) -> CoefficientSeries:
-        return self.series.padded(order)
+        if order < 0:
+            raise ValueError("order must be >= 0")
+        if order <= self.series.order:
+            return self.series
+        out = np.zeros(order + 1, dtype=np.complex128)
+        out[: len(self.series)] = self.series.coefficients
+        return CoefficientSeries(out)
 
     def __call__(self, z: complex) -> complex:
         return self.series.evaluate(z)

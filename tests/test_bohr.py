@@ -68,7 +68,7 @@ def scaled_sum_oracle(series, family, p, r):
 
 class TestBohrSum:
     def test_unimodular_constant(self):
-        s = CoefficientSeries([1.0]).padded(8)
+        s = Raw(CoefficientSeries([1.0])).coefficients(8)
         for fam in BUILTINS:
             for p in (0.5, 1.0, 2.0):
                 assert scaled_sum(s, fam, p, 0.4) == 1.0
@@ -221,13 +221,15 @@ class TestGivenModuli:
             assert given == own
 
     def test_raw_series_is_given_at_its_own_length(self):
+        # checked on its own, a Raw is read whole, at its row's length; a
+        # given row must have order + 1 entries, for a Raw as for any kind
         long_raw = Raw(CoefficientSeries(np.full(300, 1e-3)))
         query = RadiusQuery(PowerTail(1), DomainParams(0.0), 1.0)
-        assert bohr.verification_order(long_raw, 200) == 299
-        assert bohr.verification_order(long_raw, 400) == 400
         own = verify_up_to_radius(long_raw, query, 0.3, order=200)
-        given = verify_up_to_radius(long_raw, query, 0.3, order=200, moduli=long_raw.series.moduli())
+        given = verify_up_to_radius(long_raw, query, 0.3, order=299, moduli=long_raw.series.moduli())
         assert given.to_dict() == own.to_dict()
+        with pytest.raises(ValueError, match="moduli has 300 entries; verification needs 201"):
+            verify_up_to_radius(long_raw, query, 0.3, order=200, moduli=long_raw.series.moduli())
 
     @pytest.mark.parametrize("order", [100, 201])
     def test_moduli_of_another_length_are_refused(self, order):

@@ -591,9 +591,10 @@ class TestVerifyCommand:
         data = json.loads(out)
         assert data["membership_ok"] is False
 
-    def test_long_coefficient_file_verified_whole_screened_to_order(self, capsys, tmp_path):
-        # c_4 = 0.9 breaks the membership bound, but the screen reads only
-        # c_0 ... c_order; the Bohr sums take every stored coefficient
+    def test_long_coefficient_file_verified_and_screened_whole(self, capsys, tmp_path):
+        # c_4 = 0.9 breaks the membership bound (1 - 0.5^2)/(1 + 0) = 0.75: the
+        # screen reads the row the Bohr sums read, every stored coefficient,
+        # and --order 2 no longer hides c_4 from it
         coeffs = tmp_path / "long.txt"
         coeffs.write_text("0.5 0\n0.1 0\n0 0.2\n0 0\n0.9 0\n")
         code, out, _ = run_cli(
@@ -601,7 +602,9 @@ class TestVerifyCommand:
             "--N", "1", "--gamma", "0", "--p", "1", "--order", "2", "--grid-points", "4",
         )
         data = json.loads(out)
-        assert data["membership_ok"] is True
+        assert code == 1
+        assert data["membership_ok"] is False
+        assert data["membership_max_violation"] == pytest.approx(0.15, abs=1e-15)
         assert data["truncation_bound"] == 0.0
         r = data["radii"][-1]
         assert data["bohr_sums"][-1] == pytest.approx(0.5 + 0.1 * r + 0.2 * r ** 2 + 0.9 * r ** 4, rel=1e-14)
@@ -610,6 +613,18 @@ class TestVerifyCommand:
             "--N", "1", "--gamma", "0", "--p", "1", "--order", "4", "--grid-points", "4",
         )
         assert json.loads(out)["membership_ok"] is False
+
+    @pytest.mark.parametrize("fn", ["constant:0.5", "coeffs:", "extremal:0.5", "blaschke:0.5"])
+    def test_negative_order_is_a_usage_error_for_every_kind(self, capsys, tmp_path, fn):
+        # every kind refuses it by name, a constant and a coefficient file too
+        if fn == "coeffs:":
+            coeffs = tmp_path / "c.txt"
+            coeffs.write_text("0.5 0\n0.1 0\n")
+            fn += str(coeffs)
+        code, out, err = run_cli(
+            capsys, "verify", "--fn", fn, "--family", "power-tail", "--gamma", "0", "--order", "-1",
+        )
+        assert (code, out, err) == (2, "", "error: order must be >= 0\n")
 
     @pytest.mark.parametrize("c0, violation", [("1.5", 0.5), ("-2j", 1.0), ("1.00000000001", 1.000000082740371e-11)])
     def test_constant_term_above_one_fails_the_screen(self, capsys, c0, violation):

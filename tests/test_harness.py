@@ -1,12 +1,13 @@
 """Suite runners: determinism, controls, coverage, oracles."""
 
+import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from bohrad import harness
+from bohrad import bohr, harness
 from bohrad.cli import render_json
 from bohrad.harness import (
     CellResult,
@@ -330,6 +331,49 @@ class TestInequalitySuite:
         rep = run_inequality_suite(cfg)
         desc = rep.cells[0].worst_function
         assert desc is not None and "kind" in desc
+
+    def test_worst_offenders_replay_from_the_rendered_report(self):
+        # the module's claim: each cell's worst function, rebuilt from the
+        # descriptor the report prints and checked on its own at the cell's
+        # radius, gives the cell's worst excess bit for bit
+        cfg = SuiteConfig(samples_per_cell=40, gamma_grid=(0.0, 0.5))
+        rendered = json.loads(render_json(run_inequality_suite(cfg).to_dict()))
+        assert len(rendered["cells"]) == 42
+        for cell, family in zip(rendered["cells"], (fam for fam, _, _ in iter_cells(cfg))):
+            f = from_descriptor(cell["worst_function_descriptor"])
+            query = RadiusQuery(family, DomainParams(cell["query"]["gamma"]), cell["query"]["p"])
+            report = verify_up_to_radius(f, query, cell["radius"], grid_points=cfg.grid_points,
+                                         order=cfg.truncation_order, tol=cfg.tolerance)
+            assert report.max_excess == cell["worst_excess"], cell["query"]
+        # the worst offenders here are all random members; the fixed set's
+        # kinds rebuild from their rendered descriptors too
+        for f in harness._fixed_set(0.5, cfg.truncation_order).functions:
+            desc = json.loads(render_json(f.descriptor()))
+            assert from_descriptor(desc).descriptor() == f.descriptor()
+
+    def test_phi_matrix_keeps_one_table_built_once_per_cell(self):
+        # each cell's calls are consecutive: one miss per solved cell and
+        # none for a skipped one, with only the last cell's table kept
+        cfg = SuiteConfig(samples_per_cell=3, gamma_grid=(0.0, 0.5), p_grid=(0.5, 1.0),
+                          families=(DEAD, PowerTail(1), BetaCesaro(2.0)))
+        bohr._phi_matrix.cache_clear()
+        cells = run_inequality_suite(cfg).cells
+        solved = sum(c.skipped is None for c in cells)
+        info = bohr._phi_matrix.cache_info()
+        assert solved == 6 < len(cells)
+        assert (info.misses, info.currsize, info.maxsize) == (solved, 1, 1)
+        # a check per member, per fixed function (7) and for the control
+        assert info.hits + info.misses == solved * (cfg.samples_per_cell + 7 + 1)
+
+
+def from_descriptor(desc: dict):
+    """The function a worst_function_descriptor, as rendered, describes."""
+    if desc["kind"] == "raw":
+        return Raw(CoefficientSeries([complex(*c) for c in desc["coefficients"]]))
+    domain = DomainParams(desc["gamma"])
+    if desc["kind"] == "extremal":
+        return Extremal(domain, desc["a"])
+    return BlaschkeComposed(domain, tuple(complex(*z) for z in desc["zeros"]), complex(*desc["rotation"]))
 
 
 class TestCellIteration:

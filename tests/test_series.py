@@ -306,6 +306,23 @@ class TestCoefficientsMethod:
         got = Raw(CoefficientSeries([0.25])).coefficients(3).coefficients
         np.testing.assert_array_equal(got, [0.25, 0, 0, 0])
 
+    def test_raw_order_and_padding(self):
+        # the whole list, zero-padded to order + 1 entries and never cut
+        f = Raw(CoefficientSeries([1, 2, 3]))
+        assert f.series.order == 2
+        assert f.coefficients(4).order == 4
+        np.testing.assert_array_equal(f.coefficients(4).coefficients, [1, 2, 3, 0, 0])
+        assert f.coefficients(1).order == 2
+        np.testing.assert_array_equal(f.coefficients(1).coefficients, [1, 2, 3])
+
+    @pytest.mark.parametrize("f", [Raw(CoefficientSeries([0.5])), Extremal(DomainParams(0.0), 0.5),
+                                   BlaschkeComposed(DomainParams(0.0), (0.5,), 1.0)], ids=str)
+    def test_negative_order_is_refused(self, f):
+        # every kind refuses it by name; a Raw, which is never cut, would
+        # otherwise hand back its whole list
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            f.coefficients(-1)
+
     def test_blaschke_composed_gamma_zero(self):
         f = BlaschkeComposed(DomainParams(0.0), (0.5,), 1.0)
         got = f.coefficients(2).coefficients
@@ -377,13 +394,6 @@ class TestCoefficientSeries:
             CoefficientSeries([1.0, np.nan])
         with pytest.raises(ValueError):
             CoefficientSeries([np.inf])
-
-    def test_order_and_padding(self):
-        s = CoefficientSeries([1, 2, 3])
-        assert s.order == 2
-        assert s.padded(4).order == 4
-        assert s.padded(1).order == 1
-        np.testing.assert_array_equal(s.padded(1).coefficients, [1, 2])
 
 
 @dataclass(frozen=True)
